@@ -1,13 +1,15 @@
 """Seeded solve/oracle benchmark for arat-homotopy.
 
-    python3 perfbench/run.py --workload small_mix --seed 1 --seconds 40 --trace 0
+    python3 perfbench/run.py --workload small_mix --seed 1 --seconds 55 --trace 0
 
 Closed loop, one process, one CLI call at a time: every call goes through
 the public entry point ``arat_homotopy.cli.main`` in-process, on game
 files written during set-up, and every answer is checked independently
 (see ``check.py``).  A run makes whole passes over the workload's corpus:
 at least one, and another only while it is expected to end within
-``--seconds``.  Outcome and count totals are per pass and must repeat
+``--seconds``.  End-to-end call times are taken to reference speed with
+the reference kernel run between calls (``reference.py``); set-up time is
+raw wall.  Outcome and count totals are per pass and must repeat
 exactly, across the passes of a run and across runs of the same source
 tree with the same seed; any mismatch is reported, never averaged.
 
@@ -50,6 +52,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import corpus  # noqa: E402
 import layers  # noqa: E402
+import reference  # noqa: E402
 from layers import OUTCOMES  # noqa: E402
 
 #: Step budget passed to every ``solve`` call.  The CLI default (10,000)
@@ -82,7 +85,7 @@ WORKLOADS = {
         why="robustness-corpus shape: small systems, so per-call Python "
             "overhead is a large share, and every failure status appears"),
     "oracle_high_beta": Workload(
-        "oracle", 50, d=(2, 12), actions=(1, 3), betas=(0.99,),
+        "oracle", 32, d=(2, 12), actions=(1, 3), betas=(0.99,),
         examples=False,
         why="the only workload where the oracle (value iteration, support "
             "enumeration) does the work and no homotopy code runs"),
@@ -259,8 +262,17 @@ class Runner:
         if errors:
             raise WrongAnswer("; ".join(errors))
 
-    def run_pass(self, games, paths) -> list[tuple[float, str, int]]:
-        return [self.call(g, p) for g, p in zip(games, paths)]
+    def run_pass(self, games, paths):
+        """One call per game, each bracketed by reference-kernel runs.
+
+        Returns the calls' results and the kernel times: one before the
+        first call and one after each call (``reference.py``).
+        """
+        results, kernels = [], [reference.kernel_s()]
+        for game, path in zip(games, paths):
+            results.append(self.call(game, path))
+            kernels.append(reference.kernel_s())
+        return results, kernels
 
 
 def pass_counts(results) -> dict:
@@ -295,9 +307,13 @@ def percentile(values: list[float], pct: float) -> float:
     return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
 
 
-def end_to_end(passes, setup_s: float, tail_pct: float | None) -> dict:
+def end_to_end(passes, kernels, setup_s: float,
+               tail_pct: float | None) -> dict:
+    """End-to-end metrics, call times taken to reference speed."""
     results = [r for p in passes for r in p]
-    walls = [w for w, _, _ in results]
+    scales = [reference.scale(k) for ks in kernels
+              for k in reference.per_call(ks)]
+    walls = [w * f for (w, _, _), f in zip(results, scales)]
     ok = sum(outcome == "Certified" for _, outcome, _ in results)
     return {
         "ok_frac": ok / len(results),
@@ -351,13 +367,15 @@ def determinism(per_pass: list[dict], counts_file: Path) -> list[str]:
 
 def timed_passes(runner, games, paths, seconds: float, begin: float):
     """Whole passes until another one would end after ``seconds``."""
-    passes = []
+    passes, kernels = [], []
     while True:
         start = time.perf_counter()
-        passes.append(runner.run_pass(games, paths))
+        results, pass_kernels = runner.run_pass(games, paths)
+        passes.append(results)
+        kernels.append(pass_kernels)
         took = time.perf_counter() - start
         if time.perf_counter() - begin + took > seconds:
-            return passes
+            return passes, kernels
 
 
 def run(args) -> int:
@@ -401,6 +419,7 @@ def run(args) -> int:
         "affinity": len(os.sched_getaffinity(0))
         if hasattr(os, "sched_getaffinity") else None,
         "setup": {"import_s": import_s, "reps_s": reps},
+        "reference_s": reference.REF_S,
         "tail": {"percentile": tail_pct, "calls_beyond_per_pass": TAIL_BEYOND},
     }
 
@@ -409,7 +428,8 @@ def run(args) -> int:
         traced = layers.traced_run(runner, games, paths, args.seconds, begin)
         passes = traced.passes
     else:
-        passes = timed_passes(runner, games, paths, args.seconds, begin)
+        passes, kernels = timed_passes(runner, games, paths, args.seconds,
+                                       begin)
     record["timed_s"] = time.perf_counter() - begin
     record["passes"] = len(passes)
 
@@ -424,6 +444,8 @@ def run(args) -> int:
     record["counts"] = counts[0]
     record["calls"] = [[[outcome, wall] for wall, outcome, _ in p]
                        for p in passes]
+    if not args.trace:
+        record["calls_kernel_s"] = kernels
     record["determinism_mismatches"] = mismatches
 
     if args.trace:
@@ -431,7 +453,11 @@ def run(args) -> int:
         record["absent_wrapped_names"] = traced.tracer.missing
         traced.tracer.write(OUT / f"spans_{args.workload}_seed{args.seed}.csv.gz")
     else:
-        values, units = end_to_end(passes, setup_s, tail_pct), END_TO_END
+        values = end_to_end(passes, kernels, setup_s, tail_pct)
+        units = END_TO_END
+        record["raw_wall"] = {
+            "call_s.p50": statistics.median(w for p in passes
+                                            for w, _, _ in p)}
     record["metrics"] = {k: {"value": values[k], "unit": unit}
                          for k, unit in units.items()}
     OUT.mkdir(parents=True, exist_ok=True)
