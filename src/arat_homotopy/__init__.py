@@ -32,7 +32,6 @@ from .homotopy_core import (
     jac_full,
     jac_t,
     jac_u,
-    jac_u0,
 )
 from .oracle import (
     CertificateReport,
@@ -89,7 +88,6 @@ __all__ = [
     "jac_u",
     "jac_t",
     "jac_full",
-    "jac_u0",
     "find_interior_point",
     "TracerConfig",
     "PathPoint",

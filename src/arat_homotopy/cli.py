@@ -6,7 +6,7 @@ LCP enumeration), ``build`` (print the constructed matrices as JSON).
 
 Game files are UTF-8 JSON; actions and states are 1-based in files and
 messages, 0-based inside the library.  Exit codes: 0 success, 1 invalid
-game / no convergence / failed certificate, 2 I/O or parse error, 3 no
+game / no convergence / failed certificate, 2 I/O, parse or flag error, 3 no
 strictly feasible starting point.
 """
 
@@ -175,6 +175,15 @@ def _reward_shift(game: AratGame) -> tuple[AratGame, float]:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     try:
+        config = TracerConfig(
+            eps1=args.eps1, eps2=args.eps2, eps3=args.eps3, l0=args.l0,
+            m=args.m, a0=args.a0, r_accept=args.r_accept,
+            max_steps=args.max_steps,
+        )
+    except ValueError as exc:
+        print(f"bad tracer settings: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    try:
         game = load_game(args.game)
     except (OSError, json.JSONDecodeError, GameFileError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
@@ -210,11 +219,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"bad --x0 hint: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    config = TracerConfig(
-        eps1=args.eps1, eps2=args.eps2, eps3=args.eps3, l0=args.l0,
-        m=args.m, a0=args.a0, r_accept=args.r_accept,
-        max_steps=args.max_steps,
-    )
     inst = HomotopyInstance.from_lcp(lcp, x0)
     result = trace(inst, config)
     log.info("trace finished: %s after %d accepted steps",

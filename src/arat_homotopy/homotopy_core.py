@@ -15,7 +15,7 @@ solutions force the componentwise products x * (A x + q) to vanish.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,7 +66,10 @@ class HomotopyPoint:
 class HomotopyInstance:
     """Problem data plus a strictly interior anchor point.
 
-    Requires x0 > 0, y1_0 > 0, y2_0 > 0 and A x0 + q > 0 strictly.
+    Requires x0 > 0, y1_0 > 0, y2_0 > 0 and A x0 + q > 0 strictly.  The
+    terms of the map that depend only on the data (A + A^T, the anchor
+    slack y0 = A x0 + q and the anchor products y1_0 x0, y2_0 y0) are
+    computed once here.
     """
 
     A: np.ndarray
@@ -74,6 +77,10 @@ class HomotopyInstance:
     x0: np.ndarray
     y1_0: np.ndarray
     y2_0: np.ndarray
+    a_sym: np.ndarray = field(init=False, repr=False, compare=False)
+    y0: np.ndarray = field(init=False, repr=False, compare=False)
+    y1x0: np.ndarray = field(init=False, repr=False, compare=False)
+    y2y0: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         a = np.asarray(self.A, dtype=float)
@@ -90,8 +97,11 @@ class HomotopyInstance:
                 "anchor must be strictly interior: x0 > 0, y1_0 > 0, "
                 "y2_0 > 0 and A x0 + q > 0"
             )
-        a.setflags(write=False)
-        object.__setattr__(self, "A", a)
+        vecs["A"] = a
+        vecs["a_sym"] = a + a.T
+        vecs["y0"] = y0
+        vecs["y1x0"] = vecs["y1_0"] * vecs["x0"]
+        vecs["y2y0"] = vecs["y2_0"] * y0
         for name, v in vecs.items():
             v.setflags(write=False)
             object.__setattr__(self, name, v)
@@ -99,11 +109,6 @@ class HomotopyInstance:
     @property
     def n(self) -> int:
         return self.q.size
-
-    @property
-    def y0(self) -> np.ndarray:
-        """Slack at the anchor, A x0 + q."""
-        return self.A @ self.x0 + self.q
 
     @property
     def u0(self) -> HomotopyPoint:
@@ -120,78 +125,103 @@ class HomotopyInstance:
                    y2_0=e if y2_0 is None else y2_0)
 
 
-def eval_H(inst: HomotopyInstance, p: HomotopyPoint) -> np.ndarray:
-    """The stacked 3n residual of the deformation map at (u, t)."""
-    a, q = inst.A, inst.q
-    x, y1, y2, t = p.x, p.y1, p.y2, p.t
-    if x.size != inst.n:
+#: A location on the homotopy: a point, or its flat vector v = (x, y1, y2, t).
+PointLike = HomotopyPoint | np.ndarray
+
+
+def _split(inst: HomotopyInstance, p: PointLike):
+    """(x, y1, y2, t) of p; the arrays are views, never copies."""
+    n = inst.n
+    if isinstance(p, HomotopyPoint):
+        if p.x.size != n:
+            raise ValueError("point dimension does not match the instance")
+        return p.x, p.y1, p.y2, p.t
+    if p.shape != (3 * n + 1,):
         raise ValueError("point dimension does not match the instance")
-    ax_q = a @ x + q
-    b1 = (1.0 - t) * ((a + a.T) @ x + q - y1 - a.T @ y2) + t * (x - inst.x0)
-    b2 = y1 * x - t * (inst.y1_0 * inst.x0) + (1.0 - t) * (x * ax_q)
-    b3 = y2 * ax_q - t * (inst.y2_0 * inst.y0)
+    return p[:n], p[n:2 * n], p[2 * n:3 * n], float(p[-1])
+
+
+def _stationarity(inst: HomotopyInstance, x: np.ndarray, y1: np.ndarray,
+                  y2: np.ndarray) -> np.ndarray:
+    """(A + A^T) x + q - y1 - A^T y2, the limit system's first block."""
+    return inst.a_sym @ x + inst.q - y1 - inst.A.T @ y2
+
+
+def _dh_dt(inst: HomotopyInstance, x: np.ndarray, y1: np.ndarray,
+           y2: np.ndarray, ax_q: np.ndarray) -> np.ndarray:
+    """dH/dt at (x, y1, y2), given ax_q = A x + q; H is affine in t."""
+    return np.concatenate([
+        (x - inst.x0) - _stationarity(inst, x, y1, y2),
+        -inst.y1x0 - x * ax_q,
+        -inst.y2y0,
+    ])
+
+
+def _block_diag(j: np.ndarray, row: int, col: int, n: int) -> np.ndarray:
+    """Writable view of the diagonal of the n x n block of j at (row, col)."""
+    width = j.shape[1]
+    start = row * width + col
+    return j.reshape(-1)[start:start + n * (width + 1):width + 1]
+
+
+def eval_H(inst: HomotopyInstance, p: PointLike) -> np.ndarray:
+    """The stacked 3n residual of the deformation map at (u, t)."""
+    x, y1, y2, t = _split(inst, p)
+    ax_q = inst.A @ x + inst.q
+    b1 = (1.0 - t) * _stationarity(inst, x, y1, y2) + t * (x - inst.x0)
+    b2 = y1 * x - t * inst.y1x0 + (1.0 - t) * (x * ax_q)
+    b3 = y2 * ax_q - t * inst.y2y0
     return np.concatenate([b1, b2, b3])
 
 
-def jac_u(inst: HomotopyInstance, p: HomotopyPoint) -> np.ndarray:
-    """Exact 3n x 3n derivative with respect to (x, y1, y2)."""
-    a = inst.A
-    n = inst.n
-    x, y1, y2, t = p.x, p.y1, p.y2, p.t
-    ax_q = a @ x + inst.q
-    eye = np.eye(n)
-    top = np.hstack([
-        (1.0 - t) * (a + a.T) + t * eye,
-        -(1.0 - t) * eye,
-        -(1.0 - t) * a.T,
-    ])
-    mid = np.hstack([
-        np.diag(y1) + (1.0 - t) * (np.diag(ax_q) + np.diag(x) @ a),
-        np.diag(x),
-        np.zeros((n, n)),
-    ])
-    bot = np.hstack([
-        np.diag(y2) @ a,
-        np.zeros((n, n)),
-        np.diag(ax_q),
-    ])
-    return np.vstack([top, mid, bot])
+def jac_full(inst: HomotopyInstance, p: PointLike) -> np.ndarray:
+    """Wide 3n x (3n+1) derivative with respect to (x, y1, y2, t).
 
+    Column blocks x, y1, y2 (the square part dH/du), then dH/dt:
 
-def jac_t(inst: HomotopyInstance, p: HomotopyPoint) -> np.ndarray:
-    """Exact 3n derivative with respect to t."""
-    a = inst.A
-    x, y1, y2 = p.x, p.y1, p.y2
-    ax_q = a @ x + inst.q
-    b1 = (x - inst.x0) - ((a + a.T) @ x + inst.q - y1 - a.T @ y2)
-    b2 = -(inst.y1_0 * inst.x0) - x * ax_q
-    b3 = -(inst.y2_0 * inst.y0)
-    return np.concatenate([b1, b2, b3])
+        (1-t)(A + A^T) + tI      -(1-t)I   -(1-t)A^T   (x - x0) - g
+        Y1 + (1-t)(S + X A)       X         0          -Y1_0 x0 - X s
+        Y2 A                      0         S          -Y2_0 y0
 
-
-def jac_full(inst: HomotopyInstance, p: HomotopyPoint) -> np.ndarray:
-    """Wide 3n x (3n+1) derivative with respect to (x, y1, y2, t)."""
-    return np.hstack([jac_u(inst, p), jac_t(inst, p)[:, None]])
-
-
-def jac_u0(inst: HomotopyInstance, p: HomotopyPoint) -> tuple[np.ndarray, float]:
-    """Derivative with respect to the anchor, and its closed-form determinant.
-
-    The matrix is block lower triangular with diagonal blocks -tI, -tX0,
-    -tY0, so its determinant is (-1)^(3n) t^(3n) prod(x0_i * y0_i) with
-    y0 = A x0 + q.
+    with s = A x + q, S = diag(s) and g the first block of the limit
+    system.  Zero blocks are left as allocated.
     """
-    n = inst.n
-    t = p.t
-    zero = np.zeros((n, n))
-    j0 = np.vstack([
-        np.hstack([-t * np.eye(n), zero, zero]),
-        np.hstack([-t * np.diag(inst.y1_0), -t * np.diag(inst.x0), zero]),
-        np.hstack([-t * np.diag(inst.y2_0) @ inst.A, zero,
-                   -t * np.diag(inst.y0)]),
-    ])
-    det = float((-1.0) ** (3 * n) * t ** (3 * n) * np.prod(inst.x0 * inst.y0))
-    return j0, det
+    x, y1, y2, t = _split(inst, p)
+    a, n = inst.A, inst.n
+    c = 1.0 - t
+    ax_q = a @ x + inst.q
+    j = np.zeros((3 * n, 3 * n + 1))
+    top, mid, bot = j[:n], j[n:2 * n], j[2 * n:]
+
+    np.multiply(c, inst.a_sym, out=top[:, :n])
+    _block_diag(j, 0, 0, n)[:] += t
+    _block_diag(j, 0, n, n)[:] = -c
+    np.multiply(-c, a.T, out=top[:, 2 * n:3 * n])
+
+    # Y1 + (1-t)(S + X A), summed in the order the formula reads
+    np.multiply(x[:, None], a, out=mid[:, :n])
+    d = _block_diag(j, n, 0, n)
+    d += ax_q
+    mid[:, :n] *= c
+    d += y1
+    _block_diag(j, n, n, n)[:] = x
+
+    np.multiply(y2[:, None], a, out=bot[:, :n])
+    _block_diag(j, 2 * n, 2 * n, n)[:] = ax_q
+
+    j[:, -1] = _dh_dt(inst, x, y1, y2, ax_q)
+    return j
+
+
+def jac_u(inst: HomotopyInstance, p: PointLike) -> np.ndarray:
+    """Exact 3n x 3n derivative with respect to (x, y1, y2)."""
+    return jac_full(inst, p)[:, :-1]
+
+
+def jac_t(inst: HomotopyInstance, p: PointLike) -> np.ndarray:
+    """Exact 3n derivative with respect to t (the last column of jac_full)."""
+    x, y1, y2, _ = _split(inst, p)
+    return _dh_dt(inst, x, y1, y2, inst.A @ x + inst.q)
 
 
 def is_strictly_feasible(m: np.ndarray, q: np.ndarray, x: np.ndarray) -> bool:

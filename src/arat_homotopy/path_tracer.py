@@ -7,6 +7,14 @@ three-stage minimum-norm corrector repeated m times.  Steps are halved
 until the residual gate and the positivity gate hold; the walk ends when
 |t| falls below eps1.
 
+Cost of one step: the tangent takes one guarded LU of dH/du, which gives
+both the direction and the determinant sign.  Each trial point then
+costs m corrector passes, and each pass builds two wide Jacobians,
+evaluates the map twice and does three QR-based minimum-norm solves,
+calling LAPACK directly.  The corrector works on flat vectors
+v = (x, y1, y2, t); a HomotopyPoint is built only for trial candidates
+and accepted points.
+
 The positivity gate guards x, the slack A x + q, and y2 - exactly the
 coordinates whose strict positivity is invariant along any solution
 branch with t > 0 (the middle block of the map forces t y1_0 x0 = 0 at
@@ -19,14 +27,13 @@ true branch and stalls the walk.
 
 from __future__ import annotations
 
+import functools
 import logging
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.linalg import lapack
 
 from .errors import (
@@ -34,7 +41,15 @@ from .errors import (
     NotConverged,
     SingularJacobian,
 )
-from .homotopy_core import HomotopyInstance, HomotopyPoint, eval_H, jac_full, jac_t, jac_u
+from .homotopy_core import (
+    HomotopyInstance,
+    HomotopyPoint,
+    PointLike,
+    eval_H,
+    jac_full,
+    jac_t,
+    jac_u,
+)
 from .vlcp_builder import SquareLcp, VlcpSolution, recover_vlcp_solution
 
 log = logging.getLogger(__name__)
@@ -43,32 +58,24 @@ log = logging.getLogger(__name__)
 _RCOND_MIN = 1e-12
 
 
-def det_sign_lu(a: np.ndarray) -> int:
-    """Sign of det(a) from an LU factorization.
+def det_sign_lu(lu: np.ndarray, piv: np.ndarray) -> int:
+    """Sign of det(a) from its LU factorization ``(lu, piv)`` (dgetrf).
 
     Uses only the permutation parity and the signs of the U diagonal;
     the determinant value itself is never formed.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lu, piv = sla.lu_factor(a, check_finite=False)
     diag = np.diag(lu)
     if np.any(diag == 0.0):
         return 0
-    swaps = int(np.sum(piv != np.arange(a.shape[0])))
-    sign = -1 if swaps % 2 else 1
-    negative = int(np.sum(diag < 0.0))
-    if negative % 2:
-        sign = -sign
-    return sign
+    swaps = int(np.count_nonzero(piv != np.arange(piv.size)))
+    negative = int(np.count_nonzero(diag < 0.0))
+    return -1 if (swaps + negative) % 2 else 1
 
 
 def _lu_with_guard(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """LU factorization that raises SingularJacobian on bad conditioning."""
     anorm = np.linalg.norm(a, 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lu, piv = sla.lu_factor(a, check_finite=False)
+    lu, piv, _ = lapack.dgetrf(a)
     rcond, info = lapack.dgecon(lu, anorm, norm="1")
     if info != 0 or not np.isfinite(rcond) or rcond < _RCOND_MIN:
         raise SingularJacobian(
@@ -77,21 +84,42 @@ def _lu_with_guard(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lu, piv
 
 
+@functools.lru_cache(maxsize=64)
+def _qr_lwork(rows: int, cols: int) -> tuple[int, int]:
+    """Workspace sizes LAPACK asks for to factor a rows x cols matrix
+    (dgeqrf) and to form its economic Q (dorgqr); they depend only on
+    the shape."""
+    a = np.zeros((rows, cols), order="F")
+    work_qr = lapack.dgeqrf(a, lwork=-1)[2]
+    work_q = lapack.dorgqr(a, np.zeros(cols), lwork=-1)[1]
+    return int(work_qr[0]), int(work_q[0])
+
+
 def minnorm_solve(j: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Minimum-norm solution of the underdetermined system J d = h.
 
-    Computes J^T (J J^T)^{-1} h through a QR factorization of J^T, which
-    avoids forming the normal-equations product.  For square nonsingular
-    J this reduces to the plain solve.
+    Computes J^T (J J^T)^{-1} h through a QR factorization J^T = Q R,
+    which avoids forming the normal-equations product: R^T y = h, then
+    d = Q y.  For square nonsingular J this reduces to the plain solve.
+    J must have at least as many columns as rows.
+
+    LAPACK is called directly, in the layout scipy.linalg.qr and
+    solve_triangular use (dgeqrf, dtrcon on R, dtrtrs on R^T as a lower
+    triangle, dorgqr), so the result matches theirs bit for bit.
     """
-    q_fac, r_fac = sla.qr(j.T, mode="economic", check_finite=False)
+    rows, cols = j.shape
+    if rows > cols:
+        raise ValueError("minnorm_solve needs a square or wide matrix")
+    lwork_qr, lwork_q = _qr_lwork(cols, rows)
+    qr, tau, _, _ = lapack.dgeqrf(j.T, lwork=lwork_qr)
+    r_fac = qr[:rows]  # R in the upper triangle, reflectors below
     rcond, info = lapack.dtrcon(r_fac, norm="1", uplo="U", diag="N")
     if info != 0 or not np.isfinite(rcond) or rcond < _RCOND_MIN:
         raise SingularJacobian(
             f"correction system has reciprocal condition {rcond!r}"
         )
-    y = sla.solve_triangular(r_fac, h, trans="T", lower=False,
-                             check_finite=False)
+    y, _ = lapack.dtrtrs(r_fac.T, h, lower=1, trans=0)
+    q_fac, _, _ = lapack.dorgqr(qr, tau, lwork=lwork_q, overwrite_a=1)
     return q_fac @ y
 
 
@@ -123,14 +151,14 @@ def tangent(inst: HomotopyInstance, p: HomotopyPoint,
 
     With s = (dH/du)^{-1} dH/dt, the raw direction is (s, -1) normalized;
     on the first step it is used as-is, afterwards it is flipped whenever
-    det(dH/du) < 0 so the walk keeps a consistent orientation.
+    det(dH/du) < 0 so the walk keeps a consistent orientation.  One
+    guarded LU of dH/du gives both s and the sign.
     """
-    ju = jac_u(inst, p)
-    lu, piv = _lu_with_guard(ju)
-    s = sla.lu_solve((lu, piv), jac_t(inst, p), check_finite=False)
+    lu, piv = _lu_with_guard(jac_u(inst, p))
+    s, _ = lapack.dgetrs(lu, piv, jac_t(inst, p))
     raw = np.concatenate([s, [-1.0]])
     raw /= np.linalg.norm(raw)
-    sign = det_sign_lu(ju)
+    sign = det_sign_lu(lu, piv)
     if sign == 0:
         raise SingularJacobian("derivative matrix is exactly singular")
     if initial or sign > 0:
@@ -138,16 +166,17 @@ def tangent(inst: HomotopyInstance, p: HomotopyPoint,
     return -raw, sign
 
 
-def corrector(inst: HomotopyInstance, predictor_point: HomotopyPoint,
+def corrector(inst: HomotopyInstance, predictor: PointLike,
               m: int) -> HomotopyPoint:
-    """Project a predicted point back toward the path, m high-order passes."""
-    def f(v: np.ndarray) -> np.ndarray:
-        return eval_H(inst, HomotopyPoint.from_v(v))
+    """Project a predicted point back toward the path, m high-order passes.
 
-    def jac(v: np.ndarray) -> np.ndarray:
-        return jac_full(inst, HomotopyPoint.from_v(v))
-
-    return HomotopyPoint.from_v(corrector_core(f, jac, predictor_point.v, m))
+    The passes run on flat vectors v = (x, y1, y2, t); only the result
+    becomes a point.
+    """
+    v0 = predictor if isinstance(predictor, np.ndarray) else predictor.v
+    v = corrector_core(lambda v: eval_H(inst, v),
+                       lambda v: jac_full(inst, v), v0, m)
+    return HomotopyPoint.from_v(v)
 
 
 class TraceStatus(Enum):
@@ -184,8 +213,12 @@ class TracerConfig:
             raise ValueError("step base l0 must lie in (0, 1)")
         if not (1 <= self.m < 50):
             raise ValueError("corrector repeat count m must satisfy 1 <= m < 50")
-        if self.a0 <= 0.0 or self.r_accept <= 0.0:
+        if not (self.a0 > 0.0 and self.r_accept > 0.0):
             raise ValueError("a0 and r_accept must be positive")
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be at least 1")
+        if not (self.bound_b > 0.0):
+            raise ValueError("bound_b must be positive")
 
 
 @dataclass(frozen=True)
@@ -224,6 +257,7 @@ def trace(inst: HomotopyInstance, config: TracerConfig | None = None) -> TraceRe
     """
     config = config or TracerConfig()
     current = inst.u0
+    current_v = current.v
     if current.u.min() <= 0.0 or inst.y0.min() <= 0.0:  # defensive; the
         # instance constructor already enforces strict interiority
         raise ValueError("starting point is not strictly interior")
@@ -254,9 +288,7 @@ def trace(inst: HomotopyInstance, config: TracerConfig | None = None) -> TraceRe
         while True:
             a = config.l0 ** level
             try:
-                cand = corrector(
-                    inst, HomotopyPoint.from_v(current.v + a * tau), config.m
-                )
+                cand = corrector(inst, current_v + a * tau, config.m)
             except SingularJacobian as exc:
                 # shrinking pulls the candidate back toward the current
                 # point, where the tangent factorization just succeeded
@@ -269,7 +301,7 @@ def trace(inst: HomotopyInstance, config: TracerConfig | None = None) -> TraceRe
             dt = abs(cand.t - current.t)
             if not (0.0 < dt < 1.0):
                 # t moved implausibly; shrink while there is progress to give up
-                progress = min(a, float(np.linalg.norm(cand.v - current.v)))
+                progress = min(a, float(np.linalg.norm(cand.v - current_v)))
                 if progress > config.a0:
                     level += 1
                     continue
@@ -308,13 +340,14 @@ def trace(inst: HomotopyInstance, config: TracerConfig | None = None) -> TraceRe
             break
         step_index += 1
         current = accepted
+        current_v = current.v
         path.append(PathPoint(u=current, residual=accepted_r,
                               step_length=accepted_a, det_sign=sign,
                               step_index=step_index))
         if abs(current.t) <= config.eps1:
             status = TraceStatus.CONVERGED
             break
-        if np.abs(current.u).max() > config.bound_b:
+        if np.abs(current_v[:-1]).max() > config.bound_b:
             status = TraceStatus.PATH_UNBOUNDED
             detail = f"iterate norm exceeded {config.bound_b!r}"
             break

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from arat_homotopy.game_model import AratGame
+from arat_homotopy.homotopy_core import HomotopyInstance, HomotopyPoint
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -67,6 +68,27 @@ def random_arat_game(rng: np.random.Generator, *, d_max: int = 2,
         p2.append(rows2)
     return AratGame(beta=beta, r1=tuple(r1), r2=tuple(r2),
                     p1=tuple(p1), p2=tuple(p2))
+
+
+def jac_u0(inst: HomotopyInstance, p: HomotopyPoint) -> tuple[np.ndarray, float]:
+    """Derivative of the map with respect to the anchor, and its
+    closed-form determinant.
+
+    The matrix is block lower triangular with diagonal blocks -tI, -tX0,
+    -tY0, so its determinant is (-1)^(3n) t^(3n) prod(x0_i * y0_i) with
+    y0 = A x0 + q.
+    """
+    n = inst.n
+    t = p.t
+    zero = np.zeros((n, n))
+    j0 = np.vstack([
+        np.hstack([-t * np.eye(n), zero, zero]),
+        np.hstack([-t * np.diag(inst.y1_0), -t * np.diag(inst.x0), zero]),
+        np.hstack([-t * np.diag(inst.y2_0) @ inst.A, zero,
+                   -t * np.diag(inst.y0)]),
+    ])
+    det = float((-1.0) ** (3 * n) * t ** (3 * n) * np.prod(inst.x0 * inst.y0))
+    return j0, det
 
 
 @pytest.fixture

@@ -21,7 +21,6 @@ from arat_homotopy.homotopy_core import (
     eval_H,
     find_interior_point,
     jac_full,
-    jac_u0,
 )
 from arat_homotopy.errors import NoInteriorPointFound
 from arat_homotopy.oracle import certify, enumerate_lcp, value_iteration
@@ -41,7 +40,13 @@ from arat_homotopy.vlcp_builder import (
     verify_vbe_e,
 )
 
-from conftest import FIXTURES, make_example1, make_example2, random_arat_game
+from conftest import (
+    FIXTURES,
+    jac_u0,
+    make_example1,
+    make_example2,
+    random_arat_game,
+)
 
 EX1 = str(FIXTURES / "example1.json")
 EX2 = str(FIXTURES / "example2.json")

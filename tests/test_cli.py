@@ -160,6 +160,16 @@ class TestSolveCommand:
     def test_bad_x0_list_exits_2(self):
         assert cli.main(["solve", EX1, "--x0", "1,2,banana"]) == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--l0", "1.5"], ["--eps1", "nan"], ["--m", "0"],
+        ["--max-steps", "-3"],
+    ])
+    def test_bad_tracer_settings_exit_2(self, flags, capsys):
+        assert cli.main(["solve", EX1] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bad tracer settings:")
+        assert "Traceback" not in err
+
 
 class TestOracleCommand:
     def test_example1_listing(self, capsys):

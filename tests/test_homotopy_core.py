@@ -13,11 +13,10 @@ from arat_homotopy.homotopy_core import (
     jac_full,
     jac_t,
     jac_u,
-    jac_u0,
 )
 from arat_homotopy.vlcp_builder import SquareLcp, build_vlcp, to_equivalent_lcp
 
-from conftest import make_example1
+from conftest import jac_u0, make_example1
 
 
 def example1_instance():
@@ -131,6 +130,17 @@ class TestJacobians:
         jf = jac_full(inst, p)
         np.testing.assert_array_equal(jf[:, :-1], jac_u(inst, p))
         np.testing.assert_array_equal(jf[:, -1], jac_t(inst, p))
+
+
+    def test_flat_vector_matches_point(self):
+        # the corrector passes v = (x, y1, y2, t) instead of a point
+        _, inst = example1_instance()
+        rng = np.random.default_rng(13)
+        p = random_point(rng, inst.n)
+        for fn in (eval_H, jac_full, jac_u, jac_t):
+            np.testing.assert_array_equal(fn(inst, p.v), fn(inst, p))
+        with pytest.raises(ValueError):
+            eval_H(inst, p.v[:-1])
 
 
 class TestAnchorJacobian:

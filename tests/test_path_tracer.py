@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from arat_homotopy.errors import (
     ComplementarityResidualTooLarge,
@@ -14,6 +15,7 @@ from arat_homotopy.homotopy_core import (
     eval_H,
     find_interior_point,
     jac_full,
+    jac_u,
 )
 from arat_homotopy.oracle import certify
 from arat_homotopy.path_tracer import (
@@ -61,22 +63,78 @@ class TestConfig:
         {"m": 0},
         {"m": 50},
         {"r_accept": 0.0},
+        {"a0": float("nan")},
+        {"max_steps": 0},
+        {"max_steps": -3},
+        {"bound_b": 0.0},
+        {"bound_b": float("nan")},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TracerConfig(**kwargs)
 
 
+def lu_sign(a):
+    lu, piv, _ = lapack.dgetrf(a)
+    return det_sign_lu(lu, piv)
+
+
 class TestDetSign:
     def test_known_signs(self):
-        assert det_sign_lu(np.eye(4)) == 1
-        assert det_sign_lu(np.diag([1.0, -2.0, 3.0])) == -1
+        assert lu_sign(np.eye(4)) == 1
+        assert lu_sign(np.diag([1.0, -2.0, 3.0])) == -1
         m = np.array([[0.0, 1.0], [1.0, 0.0]])  # permutation, det = -1
-        assert det_sign_lu(m) == -1
-        assert det_sign_lu(np.zeros((2, 2))) == 0
+        assert lu_sign(m) == -1
+        assert lu_sign(np.zeros((2, 2))) == 0
+
+    def test_odd_pivot_permutation_alone_sets_sign(self):
+        # partial pivoting swaps the rows once; both U pivots are positive
+        a = np.array([[1.0, 2.0], [3.0, 4.0]])
+        lu, piv, _ = lapack.dgetrf(a)
+        assert np.count_nonzero(piv != np.arange(2)) % 2 == 1
+        assert np.diag(lu).min() > 0.0
+        assert det_sign_lu(lu, piv) == -1 == np.sign(np.linalg.det(a))
+
+    def test_tangent_sign_matches_determinant(self):
+        _, inst = instance_for(make_example1())
+        rng = np.random.default_rng(31)
+        odd_swaps = 0
+        for _ in range(20):
+            p = HomotopyPoint(x=rng.uniform(0.2, 3.0, inst.n),
+                              y1=rng.uniform(0.2, 3.0, inst.n),
+                              y2=rng.uniform(0.2, 3.0, inst.n),
+                              t=float(rng.uniform(0.05, 0.95)))
+            ju = jac_u(inst, p)
+            _, sign = tangent(inst, p, initial=True)
+            assert sign == np.sign(np.linalg.det(ju))
+            piv = lapack.dgetrf(ju)[1]
+            odd_swaps += np.count_nonzero(piv != np.arange(piv.size)) % 2
+        assert odd_swaps > 0
 
 
 class TestMinNorm:
+    def test_interleaved_shapes_match_pseudoinverse(self):
+        # alternating shapes reuse each shape's cached workspace sizes
+        rng = np.random.default_rng(9)
+        shapes = [(1, 2), (4, 7), (24, 25), (3, 3), (10, 31), (24, 25),
+                  (1, 2), (4, 7), (10, 31), (3, 3)]
+        for rows, cols in shapes:
+            j = rng.normal(size=(rows, cols))
+            h = rng.normal(size=rows)
+            d = minnorm_solve(j, h)
+            np.testing.assert_allclose(d, np.linalg.pinv(j) @ h,
+                                       rtol=1e-10, atol=1e-10)
+
+    def test_one_by_two(self):
+        # d = j^T h / |j|^2 for a single row
+        j = np.array([[3.0, 4.0]])
+        np.testing.assert_allclose(minnorm_solve(j, np.array([5.0])),
+                                   [0.6, 0.8], rtol=1e-14)
+
+    def test_tall_rejected(self):
+        with pytest.raises(ValueError):
+            minnorm_solve(np.ones((3, 2)), np.ones(3))
+
     def test_wide_system_minimum_norm(self):
         rng = np.random.default_rng(0)
         j = rng.normal(size=(4, 7))
@@ -255,6 +313,13 @@ class TestTrace:
             assert p1.residual == p2.residual
             assert p1.step_length == p2.step_length
             assert p1.det_sign == p2.det_sign
+
+    def test_bundled_examples_step_counts(self, example1, example2):
+        # pinned path length under the default config: a kernel change
+        # that perturbs the path shows here
+        for game, steps in ((example1, 51), (example2, 46)):
+            _, inst = instance_for(game)
+            assert len(trace(inst).path) - 1 == steps
 
     def test_max_steps_truncation(self, example1):
         _, inst = instance_for(example1)
