@@ -2,15 +2,14 @@
 
 Pipeline: game -> vertical complementarity problem -> equivalent square
 LCP -> interior homotopy traced by a high-order predictor-corrector ->
-recovered value vector and pure stationary strategies, certified against
-an independent value-iteration / enumeration oracle.
+pure stationary strategies read off the endpoint, certified exactly by
+Shapley's one-shot deviation inequalities at the pair's own value.
+Value iteration and LCP enumeration remain as independent oracles.
 """
 
 from .errors import (
     AratHomotopyError,
-    ComplementarityResidualTooLarge,
     MaxIterExceeded,
-    NoBindingRow,
     NoInteriorPointFound,
     NoPureSaddle,
     NotConverged,
@@ -104,9 +103,7 @@ __all__ = [
     "enumerate_lcp",
     "certify",
     "AratHomotopyError",
-    "ComplementarityResidualTooLarge",
     "MaxIterExceeded",
-    "NoBindingRow",
     "NoInteriorPointFound",
     "NoPureSaddle",
     "NotConverged",

@@ -1,8 +1,9 @@
 """Command line interface: file ingestion, dispatch, machine outputs.
 
-Verbs: ``validate`` (invariant report), ``solve`` (full homotopy pipeline
-with oracle certification), ``oracle`` (value iteration plus exhaustive
-LCP enumeration), ``build`` (print the constructed matrices as JSON).
+Verbs: ``validate`` (invariant report), ``solve`` (full homotopy pipeline;
+the pure pair read off the endpoint is certified exactly), ``oracle``
+(value iteration plus exhaustive LCP enumeration), ``build`` (print the
+constructed matrices as JSON).
 
 Game files are UTF-8 JSON; actions and states are 1-based in files and
 messages, 0-based inside the library.  Exit codes: 0 success, 1 invalid
@@ -22,15 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    AratHomotopyError,
-    NoInteriorPointFound,
-    NotConverged,
-    SizeGuardExceeded,
-)
+from .errors import NoInteriorPointFound, SizeGuardExceeded
 from .game_model import AratGame, validate
 from .homotopy_core import HomotopyInstance, find_interior_point
-from .oracle import certify, enumerate_lcp, value_iteration
+from .oracle import certify, enumerate_lcp, evaluate_pure_pair, value_iteration
 from .path_tracer import TracerConfig, TraceResult, TraceStatus, extract_solution, trace
 from .vlcp_builder import (
     SquareLcp,
@@ -242,42 +238,34 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     exit_code = EXIT_FAIL
     if result.status is TraceStatus.CONVERGED:
-        try:
-            sol = extract_solution(result, lcp)
-        except AratHomotopyError as exc:
-            print(f"solution extraction failed: {exc}", file=sys.stderr)
-            doc["detail"] = str(exc)
-            sol = None
-        if sol is not None:
-            value = np.asarray(sol.value) - value_shift
-            cert = certify(
-                game,
-                dataclasses.replace(sol, value=value, eta=None, xi=None),
-                tol=1e-4,
-            )
-            doc["value"] = value.tolist()
-            doc["strategy_player_i"] = _one_based(sol.strategy_i)
-            doc["strategy_player_ii"] = _one_based(sol.strategy_ii)
-            doc["certificate"] = {
-                "value_match": cert.value_match,
-                "ineq_player_i": cert.ineq_player_i,
-                "ineq_player_ii": cert.ineq_player_ii,
-                "value_error": cert.value_error,
-            }
-            print(f"status: {result.status.value} "
-                  f"({len(result.path) - 1} accepted steps)")
-            print("value: " + " ".join(f"{v:.10g}" for v in value))
-            for s in range(game.d):
-                print(f"  state {s + 1}: player I action "
-                      f"{sol.strategy_i[s] + 1}, player II action "
-                      f"{sol.strategy_ii[s] + 1}")
-            print(f"certificate: "
-                  f"{'PASS' if cert.passed else 'FAIL'} "
-                  f"(value error {cert.value_error:.3e})")
-            if not cert.passed:
-                for v in cert.violations:
-                    print(f"  - {v}")
-            exit_code = EXIT_OK if cert.passed else EXIT_FAIL
+        sol = extract_solution(result, lcp)
+        # the pair is certified on the game as given: optimal pure pairs
+        # do not move under a reward shift, and its value is exact
+        value = evaluate_pure_pair(game, sol.strategy_i, sol.strategy_ii)
+        cert = certify(game, dataclasses.replace(sol, value=value), tol=1e-4)
+        doc["value"] = value.tolist()
+        doc["strategy_player_i"] = _one_based(sol.strategy_i)
+        doc["strategy_player_ii"] = _one_based(sol.strategy_ii)
+        doc["certificate"] = {
+            "value_match": cert.value_match,
+            "ineq_player_i": cert.ineq_player_i,
+            "ineq_player_ii": cert.ineq_player_ii,
+            "value_error": cert.value_error,
+        }
+        print(f"status: {result.status.value} "
+              f"({len(result.path) - 1} accepted steps)")
+        print("value: " + " ".join(f"{v:.10g}" for v in value))
+        for s in range(game.d):
+            print(f"  state {s + 1}: player I action "
+                  f"{sol.strategy_i[s] + 1}, player II action "
+                  f"{sol.strategy_ii[s] + 1}")
+        print(f"certificate: "
+              f"{'PASS' if cert.passed else 'FAIL'} "
+              f"(value error {cert.value_error:.3e})")
+        if not cert.passed:
+            for v in cert.violations:
+                print(f"  - {v}")
+        exit_code = EXIT_OK if cert.passed else EXIT_FAIL
     else:
         print(f"status: {result.status.value}"
               + (f" ({result.detail})" if result.detail else ""))
@@ -296,6 +284,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     except (OSError, json.JSONDecodeError, GameFileError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    report = validate(game)
+    if not report.ok:
+        print(f"invalid game:\n{report}", file=sys.stderr)
+        return EXIT_FAIL
     sol = value_iteration(game)
     print("value: " + " ".join(f"{v:.10g}" for v in sol.v))
     print(f"strategies: player I {_one_based(sol.strategy_i)}, "
@@ -357,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arat-homotopy",
         description="Solve discounted zero-sum additive stochastic games "
-                    "by homotopy continuation, certified by an independent "
-                    "oracle.",
+                    "by homotopy continuation; the pure pair found is "
+                    "certified exactly.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     defaults = TracerConfig()

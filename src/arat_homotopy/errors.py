@@ -17,16 +17,8 @@ class NoInteriorPointFound(AratHomotopyError):
     """The strictly feasible starting-point search exhausted its schedule."""
 
 
-class NoBindingRow(AratHomotopyError):
-    """A positive block variable has no near-zero slack row (non-solution)."""
-
-
 class NotConverged(AratHomotopyError):
     """Solution extraction was requested from a trace that did not converge."""
-
-
-class ComplementarityResidualTooLarge(AratHomotopyError):
-    """Componentwise complementarity products exceed the acceptance gate."""
 
 
 class NoPureSaddle(AratHomotopyError):

@@ -133,7 +133,7 @@ def validate(game: AratGame) -> ValidationReport:
             for idx, dest in neg:
                 v.append(
                     f"state {s + 1}: {name}[{idx + 1}][{dest + 1}] = "
-                    f"{block[idx, dest]!r} is negative"
+                    f"{float(block[idx, dest])!r} is negative"
                 )
 
     for s in range(game.d):
@@ -145,7 +145,7 @@ def validate(game: AratGame) -> ValidationReport:
                 if abs(total - 1.0) > PROB_TOL:
                     v.append(
                         f"state {s + 1}, actions (i={i + 1}, j={j + 1}): "
-                        f"row sum {total!r} != 1"
+                        f"row sum {float(total)!r} != 1"
                     )
         if sums1.size and np.ptp(sums1) > PROB_TOL:
             v.append(

@@ -28,6 +28,9 @@ ENUMERATION_GUARD = 20
 #: Relative gap below which max-min and min-max are considered equal.
 _SADDLE_TOL = 1e-9
 
+#: Relative slack on the one-shot deviation inequalities in certify.
+_DEVIATION_SLACK = 1e-9
+
 
 @dataclass(frozen=True)
 class GameSolution:
@@ -187,14 +190,18 @@ class CertificateReport:
 
 def certify(game: AratGame, candidate: "VlcpSolution",
             tol: float = 1e-6) -> CertificateReport:
-    """Check a candidate solution against the value-iteration oracle.
+    """Check a candidate's pure pair exactly, and its value to ``tol``.
 
-    Verifies the value vector to ``tol`` in sup norm, and both one-sided
-    optimality inequality families for the candidate's pure strategies
-    against the oracle value.
+    The reference value is the pair's own discounted value, from one
+    d x d solve (:func:`evaluate_pure_pair`).  At that value no one-shot
+    deviation may gain, beyond a fixed slack of 1e-9 (1 + max |v|), for
+    either player (Shapley's optimality conditions); a pair that passes
+    is an optimal stationary pair.  ``tol`` bounds the sup-norm error of
+    the candidate's value against the reference.
     """
-    truth = value_iteration(game, tol=min(tol, 1e-8) * 0.01)
-    v = truth.v
+    si, sii = candidate.strategy_i, candidate.strategy_ii
+    v = evaluate_pure_pair(game, si, sii)
+    slack = _DEVIATION_SLACK * (1.0 + float(np.abs(v).max()))
     violations: list[str] = []
 
     value_error = float(np.max(np.abs(np.asarray(candidate.value) - v)))
@@ -207,28 +214,24 @@ def certify(game: AratGame, candidate: "VlcpSolution",
     ineq_i = True
     ineq_ii = True
     for s in range(game.d):
-        j_star = candidate.strategy_ii[s]
-        for i in range(game.m1[s]):
-            lhs = composed_reward(game, s, i, j_star) + game.beta * (
-                composed_transition(game, s, i, j_star) @ v
+        # one-shot payoff of every player-I action against j*, and of
+        # every player-II action against i*, continuing at the value v
+        rows = (game.r1[s] + game.r2[s][sii[s]]
+                + game.beta * (game.p1[s] + game.p2[s][sii[s]]) @ v)
+        cols = (game.r1[s][si[s]] + game.r2[s]
+                + game.beta * (game.p1[s][si[s]] + game.p2[s]) @ v)
+        for i in np.flatnonzero(rows > v[s] + slack):
+            ineq_i = False
+            violations.append(
+                f"state {s + 1}: player-I deviation i={i + 1} attains "
+                f"{float(rows[i])!r} > value {float(v[s])!r}"
             )
-            if lhs > v[s] + tol:
-                ineq_i = False
-                violations.append(
-                    f"state {s + 1}: player-I deviation i={i + 1} attains "
-                    f"{lhs!r} > value {v[s]!r}"
-                )
-        i_star = candidate.strategy_i[s]
-        for j in range(game.m2[s]):
-            lhs = composed_reward(game, s, i_star, j) + game.beta * (
-                composed_transition(game, s, i_star, j) @ v
+        for j in np.flatnonzero(cols < v[s] - slack):
+            ineq_ii = False
+            violations.append(
+                f"state {s + 1}: player-II deviation j={j + 1} attains "
+                f"{float(cols[j])!r} < value {float(v[s])!r}"
             )
-            if lhs < v[s] - tol:
-                ineq_ii = False
-                violations.append(
-                    f"state {s + 1}: player-II deviation j={j + 1} attains "
-                    f"{lhs!r} < value {v[s]!r}"
-                )
     return CertificateReport(
         value_match=value_match,
         ineq_player_i=ineq_i,

@@ -5,7 +5,8 @@ sign of det(dH/du) (keeping the bordered determinant negative along the
 path), takes a predictor step of length l0^l, and projects back with a
 three-stage minimum-norm corrector repeated m times.  Steps are halved
 until the residual gate and the positivity gate hold; the walk ends when
-|t| falls below eps1.
+|t| falls below eps1.  The endpoint is not judged here: the game answer
+read from it is certified exactly downstream (see ``oracle.certify``).
 
 Cost of one step: the tangent takes one guarded LU of dH/du, which gives
 both the direction and the determinant sign.  Each trial point then
@@ -36,11 +37,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import (
-    ComplementarityResidualTooLarge,
-    NotConverged,
-    SingularJacobian,
-)
+from .errors import NotConverged, SingularJacobian
 from .homotopy_core import (
     HomotopyInstance,
     HomotopyPoint,
@@ -235,7 +232,6 @@ class TraceResult:
     status: TraceStatus
     path: tuple[PathPoint, ...]
     final: HomotopyPoint
-    lcp_solution: tuple[np.ndarray, np.ndarray] | None
     detail: str = ""
 
 
@@ -352,55 +348,18 @@ def trace(inst: HomotopyInstance, config: TracerConfig | None = None) -> TraceRe
             detail = f"iterate norm exceeded {config.bound_b!r}"
             break
 
-    lcp_solution = None
-    if status is TraceStatus.CONVERGED:
-        z = current.x.copy()
-        w = inst.A @ z + inst.q
-        # Endpoint certificate.  A path may legitimately terminate on the
-        # t = 0 hyperplane at a stationary point of the limit system that
-        # is not complementary (its y1 left the nonnegative orthant for
-        # good); such an endpoint is not a solution and must not be
-        # reported as convergence.
-        res_gate = 1e-6 * (1.0 + float(np.linalg.norm(inst.q)))
-        prod_gate = 1e-6 * (1.0 + float(np.max(inst.x0 * inst.y1_0)))
-        residual = float(np.linalg.norm(eval_H(inst, current)))
-        products = float(np.max(np.abs(z * w)))
-        if (residual > res_gate or min(z.min(), w.min()) < -1e-8
-                or products > prod_gate):
-            status = TraceStatus.NO_PROGRESS
-            detail = (
-                f"reached |t| <= eps1 but the endpoint fails the "
-                f"complementarity certificate (max |z_i w_i| = {products!r}, "
-                f"residual = {residual!r})"
-            )
-        else:
-            lcp_solution = (z, w)
     return TraceResult(status=status, path=tuple(path), final=current,
-                       lcp_solution=lcp_solution, detail=detail)
+                       detail=detail)
 
 
-def extract_solution(result: TraceResult, lcp: SquareLcp,
-                     *, clamp_tol: float = 1e-8) -> VlcpSolution:
-    """Recover the vertical solution from a converged trace endpoint.
+def extract_solution(result: TraceResult, lcp: SquareLcp) -> VlcpSolution:
+    """Read the vertical solution and pure pair off a converged endpoint.
 
-    Small negative components (down to -clamp_tol) are clamped to zero;
-    componentwise products z_i w_i must vanish within 1e-5 scaled by the
-    data, since each nonnegative summand of the limit system's middle
-    block has to vanish on its own.
+    Uses z = final x and w = M z + q as they stand; no tolerance decides
+    here whether the endpoint is complementary.  The pair it yields is
+    the candidate that ``oracle.certify`` accepts or rejects.
     """
     if result.status is not TraceStatus.CONVERGED:
         raise NotConverged(f"trace ended with status {result.status.value}")
-    z, w = result.lcp_solution
-    z = np.where((z < 0.0) & (z >= -clamp_tol), 0.0, z)
-    w = np.where((w < 0.0) & (w >= -clamp_tol), 0.0, w)
-    scale = 1.0 + float(np.abs(lcp.q).max())
-    comp_tol = 1e-5 * scale
-    products = np.abs(z * w)
-    if products.max() > comp_tol:
-        p = int(np.argmax(products))
-        raise ComplementarityResidualTooLarge(
-            f"endpoint product z[{p + 1}] w[{p + 1}] = {products[p]!r} "
-            f"exceeds {comp_tol!r}"
-        )
-    return recover_vlcp_solution(lcp, z, w, feas_tol=clamp_tol,
-                                 comp_tol=comp_tol)
+    z = result.final.x
+    return recover_vlcp_solution(lcp, z, lcp.M @ z + lcp.q)

@@ -1,19 +1,28 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from arat_homotopy import cli
-from arat_homotopy.game_model import AratGame
+from arat_homotopy.game_model import AratGame, composed_reward, composed_transition
 from arat_homotopy.oracle import value_iteration
 
-from conftest import FIXTURES, make_example1
+from conftest import FIXTURES, make_example1, random_arat_game
 
 EX1 = str(FIXTURES / "example1.json")
 EX2 = str(FIXTURES / "example2.json")
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_game(tmp_path: Path, doc: dict, name: str = "game.json") -> str:
@@ -171,6 +180,44 @@ class TestSolveCommand:
         assert "Traceback" not in err
 
 
+class TestSolveProperty:
+    @given(seed=st.integers(0, 2**32 - 1))
+    @example(seed=28)  # converges to a pair that is not optimal
+    @settings(max_examples=40, deadline=None)
+    def test_exit_0_means_an_optimal_pair(self, seed):
+        # An exit-0 answer is checked here against value iteration, not
+        # against the solver's own certificate.  Any other exit carries
+        # no value, or a value whose certificate failed.
+        game = random_arat_game(np.random.default_rng(seed), d_max=3,
+                                actions_max=2)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_game(Path(tmp), cli.game_to_doc(game))
+            json_out = Path(tmp) / "r.json"
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["solve", path, "--json-out", str(json_out)])
+            doc = (json.loads(json_out.read_text())
+                   if json_out.is_file() else None)
+        if code != 0:
+            assert doc is None or doc["value"] is None or not all(
+                doc["certificate"][k] for k in
+                ("value_match", "ineq_player_i", "ineq_player_ii"))
+            return
+        v = value_iteration(game).v
+        slack = 1e-8 * (1.0 + np.abs(v).max())
+        si = [a - 1 for a in doc["strategy_player_i"]]
+        sii = [a - 1 for a in doc["strategy_player_ii"]]
+        for s in range(game.d):
+            for i in range(game.m1[s]):
+                gain = composed_reward(game, s, i, sii[s]) + game.beta * (
+                    composed_transition(game, s, i, sii[s]) @ v)
+                assert gain <= v[s] + slack
+            for j in range(game.m2[s]):
+                loss = composed_reward(game, s, si[s], j) + game.beta * (
+                    composed_transition(game, s, si[s], j) @ v)
+                assert loss >= v[s] - slack
+        np.testing.assert_allclose(doc["value"], v, rtol=0, atol=1e-4)
+
+
 class TestOracleCommand:
     def test_example1_listing(self, capsys):
         code = cli.main(["oracle", EX1])
@@ -205,6 +252,31 @@ class TestOracleCommand:
         assert code == 0
         assert "enumeration skipped" in out
         assert "value:" in out
+
+    @pytest.mark.parametrize("edit, message", [
+        ("beta", "discount beta=1.5 is not in (0, 1)"),
+        ("row_sum", "row sum 0.7 != 1"),
+    ])
+    def test_invalid_game_exits_1_without_traceback(self, tmp_path, edit,
+                                                     message):
+        # run as a program, so an escaping exception would show as a
+        # traceback on stderr instead of failing inside the test process
+        doc = cli.game_to_doc(make_example1())
+        if edit == "beta":
+            doc["beta"] = 1.5
+        else:
+            doc["states"][0]["playerII"]["transitions"][0][0] = 0.2
+        proc = subprocess.run(
+            [sys.executable, "-m", "arat_homotopy.cli", "oracle",
+             write_game(tmp_path, doc)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("invalid game:")
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestBuildCommand:

@@ -43,6 +43,7 @@ class TestValidate:
         report = validate(game)
         assert not report.ok
         assert any("1.1" in v and "!= 1" in v for v in report.violations)
+        assert not any("np.float64" in v for v in report.violations)
 
     def test_zero_row_consistency_violation(self):
         # second player-II row all zero while the first is not
@@ -66,6 +67,8 @@ class TestValidate:
         )
         report = validate(game)
         assert any("negative" in v and "p1[1][1]" in v for v in report.violations)
+        assert any("= -0.25 is negative" in v for v in report.violations)
+        assert not any("np.float64" in v for v in report.violations)
 
     def test_beta_out_of_range(self):
         game = AratGame(
