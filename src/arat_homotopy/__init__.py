@@ -59,8 +59,6 @@ from .vlcp_builder import (
     check_vbr0_sufficient,
     recover_vlcp_solution,
     to_equivalent_lcp,
-    verify_vbe_e,
-    verify_vbr0_enum,
 )
 
 __version__ = "0.1.0"
@@ -79,8 +77,6 @@ __all__ = [
     "to_equivalent_lcp",
     "recover_vlcp_solution",
     "check_vbr0_sufficient",
-    "verify_vbe_e",
-    "verify_vbr0_enum",
     "HomotopyInstance",
     "HomotopyPoint",
     "eval_H",

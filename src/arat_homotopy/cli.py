@@ -155,8 +155,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
         print("invalid game:")
         for v in report.violations:
             print(f"  - {v}")
-    print(f"regularity sufficient conditions: holds_a={flags['holds_a']}, "
-          f"holds_b={flags['holds_b']}")
+    print(f"vertical-block R0 sufficient conditions: "
+          f"holds_a={flags['holds_a']}, holds_b={flags['holds_b']} "
+          f"(neither promises a complementary endpoint)")
     return EXIT_OK if report.ok else EXIT_FAIL
 
 

@@ -14,7 +14,7 @@ class SingularJacobian(AratHomotopyError):
 
 
 class NoInteriorPointFound(AratHomotopyError):
-    """The strictly feasible starting-point search exhausted its schedule."""
+    """The computed starting point is not strictly feasible."""
 
 
 class NotConverged(AratHomotopyError):

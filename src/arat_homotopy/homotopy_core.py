@@ -24,10 +24,8 @@ from .vlcp_builder import SquareLcp
 
 log = logging.getLogger(__name__)
 
-#: Small-variable level used by the feasibility heuristic.
+#: Level of every eta copy in the computed start.
 _EPS_SMALL = 1e-2
-#: Doubling budget of the feasibility heuristic.
-_MAX_DOUBLINGS = 60
 
 
 @dataclass(frozen=True)
@@ -233,12 +231,19 @@ def is_strictly_feasible(m: np.ndarray, q: np.ndarray, x: np.ndarray) -> bool:
 def find_interior_point(lcp: SquareLcp, hint: np.ndarray | None = None) -> np.ndarray:
     """A strictly feasible start x0 > 0 with M x0 + q > 0.
 
-    Tries, in order: the caller's hint; the uniform small vector (covers
-    q > 0); a structured schedule that keeps the first half of the blocks
-    (the eta copies) at a small level and doubles the second half (the xi
-    copies) from max(1, 4/3 max|q|).  The schedule exploits that the xi
-    columns of a game-built matrix carry the dominant positive identity
-    part of the player-I rows.
+    The caller's hint is used as given when it is strictly feasible.
+    Otherwise the start is computed: every eta copy (the first half of
+    the blocks) is set to 0.01, giving x_eta, and u puts 1/|J_j| on
+    each copy of xi block j, so that every xi(s) sums to 1.  With
+    a = M x_eta + q and b = M u, the start is x_eta + K u with
+
+        K = 1 + max(0, max over rows with b_r > 0 of -a_r / b_r),
+
+    which leaves every row with b_r > 0 a slack of at least b_r.  On a
+    game-built matrix b >= 0 on every row, and b = 1 - beta * mass > 0 on
+    the player-I rows, so only a player-II row of a state without
+    player-II transition mass (b = 0) can fail: its slack is
+    r2 - 0.01 * m1(s), whatever K is.
     """
     m, q, n = lcp.M, lcp.q, lcp.n
     if hint is not None:
@@ -249,19 +254,27 @@ def find_interior_point(lcp: SquareLcp, hint: np.ndarray | None = None) -> np.nd
             return hint
         log.info("interior-point hint rejected: not strictly feasible")
 
-    x = np.full(n, _EPS_SMALL)
+    half = len(lcp.J) // 2
+    x_eta = np.zeros(n)
+    u = np.zeros(n)
+    for j, rng in enumerate(lcp.J):
+        if j < half:
+            x_eta[rng.start:rng.stop] = _EPS_SMALL
+        else:
+            u[rng.start:rng.stop] = 1.0 / len(rng)
+    a = m @ x_eta + q
+    b = m @ u
+    lift = b > 0.0
+    k = 1.0 + float(np.max(-a[lift] / b[lift], initial=0.0))
+    x = x_eta + k * u
     if is_strictly_feasible(m, q, x):
         return x
 
-    half = len(lcp.J) // 2
-    xi_rows = [p for rng in lcp.J[half:] for p in rng]
-    k = max(1.0, (4.0 / 3.0) * float(np.abs(q).max()))
-    for _ in range(_MAX_DOUBLINGS + 1):
-        x = np.full(n, _EPS_SMALL)
-        x[xi_rows] = k
-        if is_strictly_feasible(m, q, x):
-            return x
-        k *= 2.0
+    row = int(np.argmin(m @ x + q))
+    block = next(j for j, rng in enumerate(lcp.J) if row in rng)
+    where = (f"the player-II row {row - lcp.J[block].start + 1} of state "
+             f"{block - half + 1}" if block >= half else f"row {row + 1}")
     raise NoInteriorPointFound(
-        f"no strictly feasible point after {_MAX_DOUBLINGS} doublings"
+        f"{where} cannot be lifted: its entry of M u is {float(b[row])!r} "
+        f"and its slack without the xi copies is {float(a[row])!r}"
     )

@@ -16,7 +16,6 @@ from typing import Sequence
 import numpy as np
 
 from .game_model import AratGame, validate
-from .oracle import enumerate_lcp
 
 log = logging.getLogger(__name__)
 
@@ -233,28 +232,3 @@ def check_vbr0_sufficient(game: AratGame) -> dict[str, bool]:
         for s in range(game.d)
     )
     return {"holds_a": holds_a, "holds_b": holds_b}
-
-
-def _unique_solution_is(lcp_solutions: list, z_expect: np.ndarray,
-                        w_expect: np.ndarray, tol: float = 1e-9) -> bool:
-    if len(lcp_solutions) != 1:
-        return False
-    z, w = lcp_solutions[0]
-    return bool(
-        np.max(np.abs(z - z_expect)) <= tol
-        and np.max(np.abs(w - w_expect)) <= tol
-    )
-
-
-def verify_vbe_e(lcp: SquareLcp, guard: int = 20) -> bool:
-    """Enumeration check that LCP(e, M) has the unique solution w=e, z=0."""
-    e = np.ones(lcp.n)
-    sols = enumerate_lcp(lcp.M, e, guard=guard)
-    return _unique_solution_is(sols, np.zeros(lcp.n), e)
-
-
-def verify_vbr0_enum(lcp: SquareLcp, guard: int = 20) -> bool:
-    """Enumeration check that LCP(0, M) has the unique solution w=0, z=0."""
-    zero = np.zeros(lcp.n)
-    sols = enumerate_lcp(lcp.M, zero, guard=guard)
-    return _unique_solution_is(sols, zero, zero)

@@ -7,6 +7,8 @@ import pytest
 
 from arat_homotopy.game_model import AratGame
 from arat_homotopy.homotopy_core import HomotopyInstance, HomotopyPoint
+from arat_homotopy.oracle import enumerate_lcp
+from arat_homotopy.vlcp_builder import SquareLcp
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -89,6 +91,31 @@ def jac_u0(inst: HomotopyInstance, p: HomotopyPoint) -> tuple[np.ndarray, float]
     ])
     det = float((-1.0) ** (3 * n) * t ** (3 * n) * np.prod(inst.x0 * inst.y0))
     return j0, det
+
+
+def _unique_solution_is(lcp_solutions: list, z_expect: np.ndarray,
+                        w_expect: np.ndarray, tol: float = 1e-9) -> bool:
+    if len(lcp_solutions) != 1:
+        return False
+    z, w = lcp_solutions[0]
+    return bool(
+        np.max(np.abs(z - z_expect)) <= tol
+        and np.max(np.abs(w - w_expect)) <= tol
+    )
+
+
+def verify_vbe_e(lcp: SquareLcp, guard: int = 20) -> bool:
+    """Enumeration check that LCP(e, M) has the unique solution w=e, z=0."""
+    e = np.ones(lcp.n)
+    sols = enumerate_lcp(lcp.M, e, guard=guard)
+    return _unique_solution_is(sols, np.zeros(lcp.n), e)
+
+
+def verify_vbr0_enum(lcp: SquareLcp, guard: int = 20) -> bool:
+    """Enumeration check that LCP(0, M) has the unique solution w=0, z=0."""
+    zero = np.zeros(lcp.n)
+    sols = enumerate_lcp(lcp.M, zero, guard=guard)
+    return _unique_solution_is(sols, zero, zero)
 
 
 @pytest.fixture

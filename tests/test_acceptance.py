@@ -43,7 +43,6 @@ from arat_homotopy.vlcp_builder import (
     build_vlcp,
     recover_vlcp_solution,
     to_equivalent_lcp,
-    verify_vbe_e,
 )
 
 from conftest import (
@@ -52,6 +51,7 @@ from conftest import (
     make_example1,
     make_example2,
     random_arat_game,
+    verify_vbe_e,
 )
 
 EX1 = str(FIXTURES / "example1.json")

@@ -147,11 +147,36 @@ class TestSolveCommand:
             dataclasses.replace(make_example1(), beta=0.3))
         np.testing.assert_allclose(doc["value"], truth.v, atol=1e-4)
 
-    def test_infeasible_without_shift_exits_3(self, tmp_path):
+    def test_infeasible_without_shift_exits_3(self, tmp_path, capsys):
         game = AratGame(beta=0.5, r1=([2.0],), r2=([-1.0],),
                         p1=([[1.0]],), p2=([[0.0]],))
         path = write_game(tmp_path, cli.game_to_doc(game))
         assert cli.main(["solve", path]) == 3
+        assert "player-II row 1 of state 1 cannot be lifted" in (
+            capsys.readouterr().err)
+        # the message names the state that fails, not the first one; a
+        # reward equal to 0.01 m1(s) fails too (no strict slack is left)
+        game = AratGame(beta=0.5, r1=([2.0], [2.0]), r2=([1.0], [0.01]),
+                        p1=([[0.5, 0.5]], [[0.0, 1.0]]),
+                        p2=([[0.0, 0.0]], [[0.0, 0.0]]))
+        path = write_game(tmp_path, cli.game_to_doc(game), "two.json")
+        assert cli.main(["solve", path]) == 3
+        assert "player-II row 1 of state 2 cannot be lifted" in (
+            capsys.readouterr().err)
+
+    def test_mass_to_larger_player_ii_state_solves(self, tmp_path, capsys):
+        # state 1's player-I row sends all its mass to state 2, which has
+        # two player-II actions: one level on every xi copy cannot lift
+        # that row, the computed start does
+        game = AratGame(
+            beta=0.9,
+            r1=([1.0], [1.0, 2.0]), r2=([1.0], [1.0, 2.0]),
+            p1=([[0.0, 1.0]], [[0.5, 0.0], [0.5, 0.0]]),
+            p2=([[0.0, 0.0]], [[0.0, 0.5], [0.0, 0.5]]),
+        )
+        path = write_game(tmp_path, cli.game_to_doc(game))
+        assert cli.main(["solve", path]) == 0
+        assert "certificate: PASS" in capsys.readouterr().out
 
     def test_shift_rewards_solves_and_unshifts(self, tmp_path, capsys):
         game = AratGame(beta=0.5, r1=([2.0],), r2=([-1.0],),

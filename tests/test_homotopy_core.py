@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from arat_homotopy.errors import NoInteriorPointFound
+from arat_homotopy.game_model import AratGame
 from arat_homotopy.homotopy_core import (
     HomotopyInstance,
     HomotopyPoint,
@@ -16,7 +17,7 @@ from arat_homotopy.homotopy_core import (
 )
 from arat_homotopy.vlcp_builder import SquareLcp, build_vlcp, to_equivalent_lcp
 
-from conftest import jac_u0, make_example1
+from conftest import jac_u0, make_example1, random_arat_game
 
 
 def example1_instance():
@@ -182,9 +183,11 @@ class TestInteriorPoint:
         lcp = to_equivalent_lcp(build_vlcp(make_example1()))
         x0 = find_interior_point(lcp)
         assert is_strictly_feasible(lcp.M, lcp.q, x0)
-        # eta copies small, xi copies on the doubling ladder
+        # eta copies at 0.01; each xi(s) is K split over its two copies,
+        # with K = 1 + 5.005 / 0.75 set by the tightest player-I row
+        # (r1 = 5, slack -5.005 before the lift, M u = 1 - 0.5 * 0.5)
         np.testing.assert_allclose(x0[:4], 0.01)
-        assert x0[4] == x0[5] == x0[6] == x0[7] >= 1.0
+        np.testing.assert_allclose(x0[4:], (1.0 + 5.005 / 0.75) / 2.0)
 
     def test_bundled_hint_for_example1_is_rejected(self):
         # the bundled reference starting vector is infeasible under
@@ -202,12 +205,30 @@ class TestInteriorPoint:
         assert is_strictly_feasible(lcp.M, lcp.q, hint)
         np.testing.assert_array_equal(find_interior_point(lcp, hint=hint), hint)
 
-    def test_positive_q_returns_small_uniform_vector(self):
-        m = -np.eye(3)  # the doubling ladder would only hurt here
-        q = np.ones(3)
-        lcp = SquareLcp(M=m, q=q, J=tuple(range(i, i + 1) for i in range(3)))
+    def test_positive_q_game_needs_no_lift(self):
+        # all r1 < 0 and r2 > 0 make q > 0: no row needs the xi copies,
+        # so K = 1 and every xi(s) sums to exactly 1
+        base = make_example1()
+        game = AratGame(beta=base.beta, r1=tuple(-r for r in base.r1),
+                        r2=base.r2, p1=base.p1, p2=base.p2)
+        lcp = to_equivalent_lcp(build_vlcp(game))
+        assert lcp.q.min() > 0.0
         x0 = find_interior_point(lcp)
-        np.testing.assert_allclose(x0, 0.01)
+        assert is_strictly_feasible(lcp.M, lcp.q, x0)
+        np.testing.assert_allclose(x0[:4], 0.01)
+        for rng in lcp.J[2:]:
+            assert x0[list(rng)].sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_start_is_feasible_on_random_games(self):
+        # games whose player-I rows send mass to states with more
+        # player-II actions defeat a common level on the xi copies
+        rng = np.random.default_rng(0)
+        for k in range(400):
+            game = random_arat_game(rng, d_max=4, actions_max=3,
+                                    betas=(0.3, 0.5, 0.9, 0.99))
+            lcp = to_equivalent_lcp(build_vlcp(game))
+            x0 = find_interior_point(lcp)
+            assert is_strictly_feasible(lcp.M, lcp.q, x0), f"draw {k}"
 
     def test_infeasible_problem_raises(self):
         # x > 0 forces M x + q = -x + q < 0 in the first row

@@ -314,7 +314,7 @@ class TestTrace:
     def test_bundled_examples_step_counts(self, example1, example2):
         # pinned path length under the default config: a kernel change
         # that perturbs the path shows here
-        for game, steps in ((example1, 51), (example2, 46)):
+        for game, steps in ((example1, 52), (example2, 47)):
             _, inst = instance_for(game)
             assert len(trace(inst).path) - 1 == steps
 

@@ -16,11 +16,14 @@ from arat_homotopy.vlcp_builder import (
     check_vbr0_sufficient,
     recover_vlcp_solution,
     to_equivalent_lcp,
+)
+
+from conftest import (
+    make_example1,
+    random_arat_game,
     verify_vbe_e,
     verify_vbr0_enum,
 )
-
-from conftest import make_example1, random_arat_game
 
 # frozen by hand from the block formula [-bP1 | E-bP1; -E+bP2 | bP2]
 # with beta = 1/2 and the example transition tables
