@@ -12,10 +12,12 @@ here: the game answer read from it is certified exactly downstream (see
 Cost of one step: the tangent takes one guarded LU of dH/du, which gives
 both the direction and the determinant sign.  Each trial point then
 costs m corrector passes, and each pass builds two wide Jacobians,
-evaluates the map twice and does three QR-based minimum-norm solves,
-calling LAPACK directly.  One pass is the default because it already
-brings most trial corrections below a residual of 1e-10; a second pass
-doubles the cost of every trial.  The corrector works on flat vectors
+evaluates the map twice and does three minimum-norm solves, each from
+one guarded LU of the transposed Jacobian (``minnorm_solve``).  LU with
+partial pivoting is the tracer's only factorization, and LAPACK is
+called directly.  One pass is the default because it already brings
+most trial corrections below a residual of 1e-10; a second pass doubles
+the cost of every trial.  The corrector works on flat vectors
 v = (x, y1, y2, t); a HomotopyPoint is built only for trial candidates
 and accepted points.
 
@@ -31,7 +33,6 @@ true branch and stalls the walk.
 
 from __future__ import annotations
 
-import functools
 import logging
 from dataclasses import dataclass
 from enum import Enum
@@ -54,7 +55,8 @@ from .vlcp_builder import SquareLcp, VlcpSolution, recover_vlcp_solution
 
 log = logging.getLogger(__name__)
 
-#: Reciprocal condition number below which factorizations are rejected.
+#: Reciprocal condition estimate below which a factorization is rejected:
+#: of dH/du in the tangent, and of the U factor of J^T in minnorm_solve.
 _RCOND_MIN = 1e-12
 
 
@@ -84,43 +86,50 @@ def _lu_with_guard(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lu, piv
 
 
-@functools.lru_cache(maxsize=64)
-def _qr_lwork(rows: int, cols: int) -> tuple[int, int]:
-    """Workspace sizes LAPACK asks for to factor a rows x cols matrix
-    (dgeqrf) and to form its economic Q (dorgqr); they depend only on
-    the shape."""
-    a = np.zeros((rows, cols), order="F")
-    work_qr = lapack.dgeqrf(a, lwork=-1)[2]
-    work_q = lapack.dorgqr(a, np.zeros(cols), lwork=-1)[1]
-    return int(work_qr[0]), int(work_q[0])
-
-
 def minnorm_solve(j: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Minimum-norm solution of the underdetermined system J d = h.
 
-    Computes J^T (J J^T)^{-1} h through a QR factorization J^T = Q R,
-    which avoids forming the normal-equations product: R^T y = h, then
-    d = Q y.  For square nonsingular J this reduces to the plain solve.
-    J must have at least as many columns as rows.
+    J is r x c with k = c - r >= 0.  One LU with partial pivoting over all
+    c rows of J^T gives P J^T = L U, where L = [L1; L2] stacks an r x r
+    unit lower triangle L1 on a k x r block L2.  With e = P d the system
+    reads U^T (L1^T e1 + L2^T e2) = h, so its solutions are e1 = a - B e2
+    for any e2, where U^T g = h and L1^T [a | B] = [g | L2^T].  The
+    shortest takes e2 = c with (B^T B + I) c = B^T a, and d = P^T e has
+    the norm of e.  For square J (k = 0) this is the plain LU solve.
 
-    LAPACK is called directly, in the layout scipy.linalg.qr and
-    solve_triangular use (dgeqrf, dtrcon on R, dtrtrs on R^T as a lower
-    triangle, dorgqr), so the result matches theirs bit for bit.
+    The gate is the 1-norm reciprocal condition estimate of U (dtrcon):
+    it measures the r rows of J^T that pivoting chose, not J itself.
+    Since pivoting ranges over all c rows, any J of full row rank passes,
+    including a 3n x (3n+1) Jacobian at a fold where dH/du is singular.
+    A non-finite B (NaN or overflow in the rows left out of U) is
+    rejected as well.
     """
     rows, cols = j.shape
     if rows > cols:
         raise ValueError("minnorm_solve needs a square or wide matrix")
-    lwork_qr, lwork_q = _qr_lwork(cols, rows)
-    qr, tau, _, _ = lapack.dgeqrf(j.T, lwork=lwork_qr)
-    r_fac = qr[:rows]  # R in the upper triangle, reflectors below
-    rcond, info = lapack.dtrcon(r_fac, norm="1", uplo="U", diag="N")
+    k = cols - rows
+    lu, piv, info = lapack.dgetrf(j.T)
+    # dtrcon takes the order from the leading dimension: pass U square
+    rcond, _ = lapack.dtrcon(lu[:rows], norm="1", uplo="U", diag="N")
     if info != 0 or not np.isfinite(rcond) or rcond < _RCOND_MIN:
         raise SingularJacobian(
             f"correction system has reciprocal condition {rcond!r}"
         )
-    y, _ = lapack.dtrtrs(r_fac.T, h, lower=1, trans=0)
-    q_fac, _, _ = lapack.dorgqr(qr, tau, lwork=lwork_q, overwrite_a=1)
-    return q_fac @ y
+    g, _ = lapack.dtrtrs(lu, h, trans=1)
+    rhs = np.empty((k + 1, rows)).T  # Fortran order, columns g and L2^T
+    rhs[:, 0] = g
+    rhs[:, 1:] = lu[rows:].T
+    ab, _ = lapack.dtrtrs(lu, rhs, lower=1, trans=1, unitdiag=1,
+                          overwrite_b=1)
+    a, b = ab[:, 0], ab[:, 1:]
+    e = a
+    if k:
+        gram = b.T @ b + np.eye(k)
+        if not np.isfinite(gram).all():
+            raise SingularJacobian("correction system has non-finite factors")
+        _, c, _ = lapack.dposv(gram, b.T @ a)
+        e = np.concatenate((a - b @ c, c))
+    return lapack.dlaswp(e[:, None], piv, inc=-1, overwrite_a=1)[:, 0]
 
 
 def corrector_core(f: Callable[[np.ndarray], np.ndarray],

@@ -110,7 +110,7 @@ class TestDetSign:
 
 class TestMinNorm:
     def test_interleaved_shapes_match_pseudoinverse(self):
-        # alternating shapes reuse each shape's cached workspace sizes
+        # alternating shapes, square and wide, through one kernel
         rng = np.random.default_rng(9)
         shapes = [(1, 2), (4, 7), (24, 25), (3, 3), (10, 31), (24, 25),
                   (1, 2), (4, 7), (10, 31), (3, 3)]
@@ -152,6 +152,50 @@ class TestMinNorm:
         j = np.zeros((3, 4))
         with pytest.raises(SingularJacobian):
             minnorm_solve(j, np.ones(3))
+
+    def test_fold_shape_with_singular_leading_block(self):
+        # the shape of jac_full at a fold: the leading square block
+        # (dH/du) is exactly singular, yet the 3n rows stay independent
+        rng = np.random.default_rng(12)
+        rows = 12
+        j = rng.integers(-5, 6, size=(rows, rows + 1)).astype(float)
+        j[-1, :-1] = j[0, :-1] + j[1, :-1]
+        j[-1, -1] = j[0, -1] + j[1, -1] + 1.0
+        assert np.linalg.matrix_rank(j[:, :-1]) == rows - 1
+        assert np.linalg.matrix_rank(j) == rows
+        h = rng.normal(size=rows)
+        np.testing.assert_allclose(minnorm_solve(j, h),
+                                   np.linalg.pinv(j) @ h,
+                                   rtol=1e-10, atol=1e-10)
+
+    def test_repeated_row_rejected(self):
+        rng = np.random.default_rng(13)
+        j = rng.normal(size=(5, 8))
+        j[3] = j[1]
+        with pytest.raises(SingularJacobian):
+            minnorm_solve(j, np.ones(5))
+
+    def test_nan_entry_rejected(self):
+        # a NaN ends up either in U (the gated factor) or in the rows
+        # pivoting leaves out of U; every position must raise
+        rng = np.random.default_rng(14)
+        base = rng.normal(size=(4, 7))
+        for row in range(4):
+            for col in range(7):
+                j = base.copy()
+                j[row, col] = np.nan
+                with pytest.raises(SingularJacobian):
+                    minnorm_solve(j, np.ones(4))
+
+    def test_matches_pseudoinverse_along_example1_path(self, example1):
+        # the path passes a fold near t ~ 0.24 (test_fold_is_navigated)
+        _, inst = instance_for(example1)
+        for pt in trace(inst).path:
+            j = jac_full(inst, pt.u)
+            h = eval_H(inst, pt.u)
+            ref = np.linalg.pinv(j) @ h
+            err = np.linalg.norm(minnorm_solve(j, h) - ref)
+            assert err <= 1e-12 * np.linalg.norm(ref)
 
 
 class TestTangent:
