@@ -10,6 +10,8 @@ a system solved exactly by u0 into one whose solutions solve the LCP:
 
 with X, Y1, Y2 the diagonal matrices of x, y1, y2.  At t = 0 nonnegative
 solutions force the componentwise products x * (A x + q) to vanish.
+The map and its derivatives take a location as the flat vector
+v = (x, y1, y2, t).
 """
 
 from __future__ import annotations
@@ -30,44 +32,49 @@ _EPS_SMALL = 1e-2
 
 @dataclass(frozen=True)
 class HomotopyPoint:
-    """A candidate location (x, y1, y2) together with the parameter t."""
+    """Read-only view of a path location v = (x, y1, y2, t).
 
-    x: np.ndarray
-    y1: np.ndarray
-    y2: np.ndarray
-    t: float
+    The tracer works on the flat vector alone; this view is built once
+    per accepted point for output, and its parts are slices of v.
+    """
+
+    v: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("x", "y1", "y2"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "t", float(self.t))
+        v = np.asarray(self.v, dtype=float).view()
+        v.setflags(write=False)
+        object.__setattr__(self, "v", v)
 
     @property
-    def u(self) -> np.ndarray:
-        """The stacked 3n coordinate vector (without t)."""
-        return np.concatenate([self.x, self.y1, self.y2])
+    def _n(self) -> int:
+        return (self.v.size - 1) // 3
 
     @property
-    def v(self) -> np.ndarray:
-        """The stacked 3n+1 vector including t, the tracer's unknown."""
-        return np.concatenate([self.x, self.y1, self.y2, [self.t]])
+    def x(self) -> np.ndarray:
+        return self.v[:self._n]
 
-    @classmethod
-    def from_v(cls, v: np.ndarray) -> "HomotopyPoint":
-        n = (v.size - 1) // 3
-        return cls(x=v[:n], y1=v[n:2 * n], y2=v[2 * n:3 * n], t=float(v[-1]))
+    @property
+    def y1(self) -> np.ndarray:
+        return self.v[self._n:2 * self._n]
+
+    @property
+    def y2(self) -> np.ndarray:
+        return self.v[2 * self._n:3 * self._n]
+
+    @property
+    def t(self) -> float:
+        return float(self.v[-1])
 
 
 @dataclass(frozen=True)
 class HomotopyInstance:
     """Problem data plus a strictly interior anchor point.
 
-    Requires x0 > 0, y1_0 > 0, y2_0 > 0 and A x0 + q > 0 strictly.  The
-    terms of the map that depend only on the data (A + A^T, the anchor
-    slack y0 = A x0 + q and the anchor products y1_0 x0, y2_0 y0) are
-    computed once here.
+    Requires finite A, q and anchor, with x0 > 0, y1_0 > 0, y2_0 > 0 and
+    A x0 + q > 0 strictly.  The terms of the map that depend
+    only on the data (A + A^T, the anchor slack y0 = A x0 + q and the
+    anchor products y1_0 x0, y2_0 y0) are computed once here, as is the
+    anchor's flat vector v0 = (x0, y1_0, y2_0, 1) where the path starts.
     """
 
     A: np.ndarray
@@ -79,6 +86,7 @@ class HomotopyInstance:
     y0: np.ndarray = field(init=False, repr=False, compare=False)
     y1x0: np.ndarray = field(init=False, repr=False, compare=False)
     y2y0: np.ndarray = field(init=False, repr=False, compare=False)
+    v0: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         a = np.asarray(self.A, dtype=float)
@@ -88,9 +96,12 @@ class HomotopyInstance:
         n = vecs["q"].size
         if a.shape != (n, n) or any(v.size != n for v in vecs.values()):
             raise ValueError("A must be n x n and all vectors length n")
+        if not all(np.isfinite(w).all() for w in (a, *vecs.values())):
+            raise ValueError("A, q and the anchor must be finite")
         y0 = a @ vecs["x0"] + vecs["q"]
-        if (vecs["x0"].min() <= 0.0 or vecs["y1_0"].min() <= 0.0
-                or vecs["y2_0"].min() <= 0.0 or y0.min() <= 0.0):
+        # "not (min > 0)" so that a NaN slack fails as well
+        anchor = (vecs["x0"], vecs["y1_0"], vecs["y2_0"], y0)
+        if not all(w.min() > 0.0 for w in anchor):
             raise ValueError(
                 "anchor must be strictly interior: x0 > 0, y1_0 > 0, "
                 "y2_0 > 0 and A x0 + q > 0"
@@ -100,6 +111,8 @@ class HomotopyInstance:
         vecs["y0"] = y0
         vecs["y1x0"] = vecs["y1_0"] * vecs["x0"]
         vecs["y2y0"] = vecs["y2_0"] * y0
+        vecs["v0"] = np.concatenate(
+            [vecs["x0"], vecs["y1_0"], vecs["y2_0"], [1.0]])
         for name, v in vecs.items():
             v.setflags(write=False)
             object.__setattr__(self, name, v)
@@ -107,10 +120,6 @@ class HomotopyInstance:
     @property
     def n(self) -> int:
         return self.q.size
-
-    @property
-    def u0(self) -> HomotopyPoint:
-        return HomotopyPoint(x=self.x0, y1=self.y1_0, y2=self.y2_0, t=1.0)
 
     @classmethod
     def from_lcp(cls, lcp: SquareLcp, x0: np.ndarray,
@@ -123,20 +132,12 @@ class HomotopyInstance:
                    y2_0=e if y2_0 is None else y2_0)
 
 
-#: A location on the homotopy: a point, or its flat vector v = (x, y1, y2, t).
-PointLike = HomotopyPoint | np.ndarray
-
-
-def _split(inst: HomotopyInstance, p: PointLike):
-    """(x, y1, y2, t) of p; the arrays are views, never copies."""
+def _split(inst: HomotopyInstance, v: np.ndarray):
+    """(x, y1, y2, t) of v = (x, y1, y2, t); the arrays are views."""
     n = inst.n
-    if isinstance(p, HomotopyPoint):
-        if p.x.size != n:
-            raise ValueError("point dimension does not match the instance")
-        return p.x, p.y1, p.y2, p.t
-    if p.shape != (3 * n + 1,):
+    if v.shape != (3 * n + 1,):
         raise ValueError("point dimension does not match the instance")
-    return p[:n], p[n:2 * n], p[2 * n:3 * n], float(p[-1])
+    return v[:n], v[n:2 * n], v[2 * n:3 * n], float(v[-1])
 
 
 def _stationarity(inst: HomotopyInstance, x: np.ndarray, y1: np.ndarray,
@@ -162,9 +163,9 @@ def _block_diag(j: np.ndarray, row: int, col: int, n: int) -> np.ndarray:
     return j.reshape(-1)[start:start + n * (width + 1):width + 1]
 
 
-def eval_H(inst: HomotopyInstance, p: PointLike) -> np.ndarray:
+def eval_H(inst: HomotopyInstance, v: np.ndarray) -> np.ndarray:
     """The stacked 3n residual of the deformation map at (u, t)."""
-    x, y1, y2, t = _split(inst, p)
+    x, y1, y2, t = _split(inst, v)
     ax_q = inst.A @ x + inst.q
     b1 = (1.0 - t) * _stationarity(inst, x, y1, y2) + t * (x - inst.x0)
     b2 = y1 * x - t * inst.y1x0 + (1.0 - t) * (x * ax_q)
@@ -172,7 +173,7 @@ def eval_H(inst: HomotopyInstance, p: PointLike) -> np.ndarray:
     return np.concatenate([b1, b2, b3])
 
 
-def jac_full(inst: HomotopyInstance, p: PointLike) -> np.ndarray:
+def jac_full(inst: HomotopyInstance, v: np.ndarray) -> np.ndarray:
     """Wide 3n x (3n+1) derivative with respect to (x, y1, y2, t).
 
     Column blocks x, y1, y2 (the square part dH/du), then dH/dt:
@@ -184,7 +185,7 @@ def jac_full(inst: HomotopyInstance, p: PointLike) -> np.ndarray:
     with s = A x + q, S = diag(s) and g the first block of the limit
     system.  Zero blocks are left as allocated.
     """
-    x, y1, y2, t = _split(inst, p)
+    x, y1, y2, t = _split(inst, v)
     a, n = inst.A, inst.n
     c = 1.0 - t
     ax_q = a @ x + inst.q
@@ -211,14 +212,14 @@ def jac_full(inst: HomotopyInstance, p: PointLike) -> np.ndarray:
     return j
 
 
-def jac_u(inst: HomotopyInstance, p: PointLike) -> np.ndarray:
+def jac_u(inst: HomotopyInstance, v: np.ndarray) -> np.ndarray:
     """Exact 3n x 3n derivative with respect to (x, y1, y2)."""
-    return jac_full(inst, p)[:, :-1]
+    return jac_full(inst, v)[:, :-1]
 
 
-def jac_t(inst: HomotopyInstance, p: PointLike) -> np.ndarray:
+def jac_t(inst: HomotopyInstance, v: np.ndarray) -> np.ndarray:
     """Exact 3n derivative with respect to t (the last column of jac_full)."""
-    x, y1, y2, _ = _split(inst, p)
+    x, y1, y2, _ = _split(inst, v)
     return _dh_dt(inst, x, y1, y2, inst.A @ x + inst.q)
 
 

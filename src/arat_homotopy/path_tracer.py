@@ -17,9 +17,9 @@ one guarded LU of the transposed Jacobian (``minnorm_solve``).  LU with
 partial pivoting is the tracer's only factorization, and LAPACK is
 called directly.  One pass is the default because it already brings
 most trial corrections below a residual of 1e-10; a second pass doubles
-the cost of every trial.  The corrector works on flat vectors
-v = (x, y1, y2, t); a HomotopyPoint is built only for trial candidates
-and accepted points.
+the cost of every trial.  The whole walk works on flat vectors
+v = (x, y1, y2, t); each accepted vector is wrapped once in a read-only
+HomotopyPoint view for the result.
 
 The positivity gate guards x, the slack A x + q, and y2 - exactly the
 coordinates whose strict positivity is invariant along any solution
@@ -45,7 +45,6 @@ from .errors import NotConverged, SingularJacobian
 from .homotopy_core import (
     HomotopyInstance,
     HomotopyPoint,
-    PointLike,
     eval_H,
     jac_full,
     jac_t,
@@ -58,6 +57,10 @@ log = logging.getLogger(__name__)
 #: Reciprocal condition estimate below which a factorization is rejected:
 #: of dH/du in the tangent, and of the U factor of J^T in minnorm_solve.
 _RCOND_MIN = 1e-12
+
+#: The walk ends as PathUnbounded once a coordinate of (x, y1, y2)
+#: exceeds this in absolute value.
+_BOUND_B = 1e8
 
 
 def det_sign_lu(lu: np.ndarray, piv: np.ndarray) -> int:
@@ -154,38 +157,30 @@ def corrector_core(f: Callable[[np.ndarray], np.ndarray],
     return v
 
 
-def tangent(inst: HomotopyInstance, p: HomotopyPoint,
-            *, initial: bool = False) -> tuple[np.ndarray, int]:
-    """Unit tangent of the path at p, and the Jacobian determinant sign.
+def tangent(inst: HomotopyInstance, v: np.ndarray) -> tuple[np.ndarray, int]:
+    """Unit tangent of the path at v, and the sign of det(dH/du).
 
     With s = (dH/du)^{-1} dH/dt, the raw direction is (s, -1) normalized;
-    on the first step it is used as-is, afterwards it is flipped whenever
-    det(dH/du) < 0 so the walk keeps a consistent orientation.  One
-    guarded LU of dH/du gives both s and the sign.
+    it is flipped whenever det(dH/du) < 0, so the walk keeps one
+    orientation through folds.  At the anchor no flip happens: there
+    dH/du is block lower triangular with diagonal blocks I, X0 and
+    diag(A x0 + q), so its determinant is positive on every instance
+    that HomotopyInstance accepts.  One guarded LU of dH/du gives both s
+    and the sign; the guard already rejects a zero pivot.
     """
-    lu, piv = _lu_with_guard(jac_u(inst, p))
-    s, _ = lapack.dgetrs(lu, piv, jac_t(inst, p))
+    lu, piv = _lu_with_guard(jac_u(inst, v))
+    s, _ = lapack.dgetrs(lu, piv, jac_t(inst, v))
     raw = np.concatenate([s, [-1.0]])
     raw /= np.linalg.norm(raw)
     sign = det_sign_lu(lu, piv)
-    if sign == 0:
-        raise SingularJacobian("derivative matrix is exactly singular")
-    if initial or sign > 0:
-        return raw, sign
-    return -raw, sign
+    return (raw if sign > 0 else -raw), sign
 
 
-def corrector(inst: HomotopyInstance, predictor: PointLike,
-              m: int) -> HomotopyPoint:
-    """Project a predicted point back toward the path, m high-order passes.
-
-    The passes run on flat vectors v = (x, y1, y2, t); only the result
-    becomes a point.
-    """
-    v0 = predictor if isinstance(predictor, np.ndarray) else predictor.v
-    v = corrector_core(lambda v: eval_H(inst, v),
-                       lambda v: jac_full(inst, v), v0, m)
-    return HomotopyPoint.from_v(v)
+def corrector(inst: HomotopyInstance, v: np.ndarray, m: int) -> np.ndarray:
+    """Project a predicted vector v = (x, y1, y2, t) back toward the path
+    with m high-order passes; returns the corrected vector."""
+    return corrector_core(lambda w: eval_H(inst, w),
+                          lambda w: jac_full(inst, w), v, m)
 
 
 class TraceStatus(Enum):
@@ -213,7 +208,6 @@ class TracerConfig:
     a0: float = 1e-8
     r_accept: float = 1.0
     max_steps: int = 10_000
-    bound_b: float = 1e8
 
     def __post_init__(self) -> None:
         if not (self.eps2 > self.eps3 > self.eps1 > 0.0):
@@ -226,8 +220,6 @@ class TracerConfig:
             raise ValueError("a0 and r_accept must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
-        if not (self.bound_b > 0.0):
-            raise ValueError("bound_b must be positive")
 
 
 @dataclass(frozen=True)
@@ -247,29 +239,30 @@ class TraceResult:
     detail: str = ""
 
 
-def _positivity_gate(inst: HomotopyInstance, p: HomotopyPoint) -> bool:
+def _positivity_gate(inst: HomotopyInstance, v: np.ndarray) -> bool:
     """Branch-invariant positivity: x, the slack, and y2 stay strict."""
+    n = inst.n
+    x = v[:n]
     return bool(
-        p.x.min() > 0.0
-        and (inst.A @ p.x + inst.q).min() > 0.0
-        and p.y2.min() > 0.0
+        x.min() > 0.0
+        and (inst.A @ x + inst.q).min() > 0.0
+        and v[2 * n:3 * n].min() > 0.0
     )
 
 
 def trace(inst: HomotopyInstance, config: TracerConfig | None = None) -> TraceResult:
-    """Follow the path from (u0, 1) toward t = 0.
+    """Follow the path from the anchor v0 (t = 1) toward t = 0.
 
     Numerical failure modes are reported through the result status, not
     exceptions.  Every accepted point lands in the path, starting with
     the anchor itself at t = 1.
     """
     config = config or TracerConfig()
-    current = inst.u0
-    current_v = current.v
+    current = inst.v0
 
     res0 = float(np.linalg.norm(eval_H(inst, current)))
-    path = [PathPoint(u=current, residual=res0, step_length=0.0,
-                      det_sign=1, step_index=0)]
+    path = [PathPoint(u=HomotopyPoint(current), residual=res0,
+                      step_length=0.0, det_sign=1, step_index=0)]
     status: TraceStatus | None = None
     detail = ""
     step_index = 0
@@ -280,7 +273,7 @@ def trace(inst: HomotopyInstance, config: TracerConfig | None = None) -> TraceRe
             detail = f"no convergence within {config.max_steps} steps"
             break
         try:
-            tau, sign = tangent(inst, current, initial=(step_index == 0))
+            tau, sign = tangent(inst, current)
         except SingularJacobian as exc:
             status = TraceStatus.SINGULAR_JACOBIAN
             detail = str(exc)
@@ -293,7 +286,7 @@ def trace(inst: HomotopyInstance, config: TracerConfig | None = None) -> TraceRe
         while True:
             a = config.l0 ** level
             try:
-                cand = corrector(inst, current_v + a * tau, config.m)
+                cand = corrector(inst, current + a * tau, config.m)
             except SingularJacobian as exc:
                 # shrinking pulls the candidate back toward the current
                 # point, where the tangent factorization just succeeded
@@ -303,10 +296,11 @@ def trace(inst: HomotopyInstance, config: TracerConfig | None = None) -> TraceRe
                 status = TraceStatus.SINGULAR_JACOBIAN
                 detail = str(exc)
                 break
-            dt = abs(cand.t - current.t)
+            t = float(cand[-1])
+            dt = abs(t - float(current[-1]))
             if not (0.0 < dt < 1.0):
                 # t moved implausibly; shrink while there is progress to give up
-                progress = min(a, float(np.linalg.norm(cand.v - current_v)))
+                progress = min(a, float(np.linalg.norm(cand - current)))
                 if progress > config.a0:
                     level += 1
                     continue
@@ -323,7 +317,7 @@ def trace(inst: HomotopyInstance, config: TracerConfig | None = None) -> TraceRe
             # predictor steps comparable to |t| itself, so the retry
             # ladder continues below eps3 down to the progress floor a0
             # rather than stopping with a weak |t| < eps2 endpoint.
-            near_target = dt < config.eps2 and abs(cand.t) < config.eps2
+            near_target = dt < config.eps2 and abs(t) < config.eps2
             if near_target and a > config.a0:
                 level += 1
                 continue
@@ -331,13 +325,13 @@ def trace(inst: HomotopyInstance, config: TracerConfig | None = None) -> TraceRe
             if near_target:
                 detail = (
                     f"stalled within eps2 of the target hyperplane "
-                    f"(|t| = {abs(cand.t)!r}) without meeting the "
+                    f"(|t| = {abs(t)!r}) without meeting the "
                     f"acceptance gates"
                 )
             else:
                 detail = (
                     f"step length fell below eps3 with residual {r!r} "
-                    f"at t = {cand.t!r}"
+                    f"at t = {t!r}"
                 )
             break
 
@@ -345,19 +339,18 @@ def trace(inst: HomotopyInstance, config: TracerConfig | None = None) -> TraceRe
             break
         step_index += 1
         current = accepted
-        current_v = current.v
-        path.append(PathPoint(u=current, residual=accepted_r,
+        path.append(PathPoint(u=HomotopyPoint(current), residual=accepted_r,
                               step_length=accepted_a, det_sign=sign,
                               step_index=step_index))
-        if abs(current.t) <= config.eps1:
+        if abs(current[-1]) <= config.eps1:
             status = TraceStatus.CONVERGED
             break
-        if np.abs(current_v[:-1]).max() > config.bound_b:
+        if np.abs(current[:-1]).max() > _BOUND_B:
             status = TraceStatus.PATH_UNBOUNDED
-            detail = f"iterate norm exceeded {config.bound_b!r}"
+            detail = f"iterate norm exceeded {_BOUND_B!r}"
             break
 
-    return TraceResult(status=status, path=tuple(path), final=current,
+    return TraceResult(status=status, path=tuple(path), final=path[-1].u,
                        detail=detail)
 
 

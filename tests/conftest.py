@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from arat_homotopy.game_model import AratGame
-from arat_homotopy.homotopy_core import HomotopyInstance, HomotopyPoint
+from arat_homotopy.homotopy_core import HomotopyInstance
 from arat_homotopy.oracle import enumerate_lcp
 from arat_homotopy.vlcp_builder import SquareLcp
 
@@ -72,16 +72,16 @@ def random_arat_game(rng: np.random.Generator, *, d_max: int = 2,
                     p1=tuple(p1), p2=tuple(p2))
 
 
-def jac_u0(inst: HomotopyInstance, p: HomotopyPoint) -> tuple[np.ndarray, float]:
-    """Derivative of the map with respect to the anchor, and its
-    closed-form determinant.
+def jac_u0(inst: HomotopyInstance, v: np.ndarray) -> tuple[np.ndarray, float]:
+    """Derivative of the map with respect to the anchor at
+    v = (x, y1, y2, t), and its closed-form determinant.
 
     The matrix is block lower triangular with diagonal blocks -tI, -tX0,
     -tY0, so its determinant is (-1)^(3n) t^(3n) prod(x0_i * y0_i) with
     y0 = A x0 + q.
     """
     n = inst.n
-    t = p.t
+    t = float(v[-1])
     zero = np.zeros((n, n))
     j0 = np.vstack([
         np.hstack([-t * np.eye(n), zero, zero]),

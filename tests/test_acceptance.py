@@ -150,25 +150,22 @@ def test_criterion_5_jacobian_suite():
         h = 1e-6
         worst = 0.0
         for _ in range(100):
-            p = HomotopyPoint(x=rng.uniform(0.2, 3.0, n),
-                              y1=rng.uniform(0.2, 3.0, n),
-                              y2=rng.uniform(0.2, 3.0, n),
-                              t=float(rng.uniform(0.05, 0.95)))
-            exact = jac_full(inst, p)
+            v0 = np.concatenate([rng.uniform(0.2, 3.0, n),
+                                 rng.uniform(0.2, 3.0, n),
+                                 rng.uniform(0.2, 3.0, n),
+                                 [rng.uniform(0.05, 0.95)]])
+            exact = jac_full(inst, v0)
             fd = np.empty_like(exact)
-            v0 = p.v
             for col in range(v0.size):
                 vp, vm = v0.copy(), v0.copy()
                 vp[col] += h
                 vm[col] -= h
-                fd[:, col] = (eval_H(inst, HomotopyPoint.from_v(vp))
-                              - eval_H(inst, HomotopyPoint.from_v(vm))) / (2 * h)
+                fd[:, col] = (eval_H(inst, vp) - eval_H(inst, vm)) / (2 * h)
             rel = np.abs(exact - fd).max() / max(1.0, np.abs(exact).max())
             worst = max(worst, rel)
         assert worst <= 1e-5
         for t in (1.0, 0.5, 0.1):
-            p = HomotopyPoint(x=inst.x0, y1=inst.y1_0, y2=inst.y2_0, t=t)
-            j0, det = jac_u0(inst, p)
+            j0, det = jac_u0(inst, np.append(inst.v0[:-1], t))
             sign, logabs = np.linalg.slogdet(j0)
             det_lu = sign * np.exp(logabs)
             assert abs(det - det_lu) <= 1e-10 * abs(det_lu)
@@ -179,26 +176,28 @@ def test_criterion_6_homotopy_endpoints():
                       "the limit system to machine precision"):
         lcp = to_equivalent_lcp(build_vlcp(make_example1()))
         inst = HomotopyInstance.from_lcp(lcp, find_interior_point(lcp))
-        scale = 1.0 + max(np.abs(inst.q).max(), np.abs(inst.u0.u).max())
-        assert np.abs(eval_H(inst, inst.u0)).max() <= 1e-13 * scale
+        scale = 1.0 + max(np.abs(inst.q).max(), np.abs(inst.v0[:-1]).max())
+        assert np.abs(eval_H(inst, inst.v0)).max() <= 1e-13 * scale
         rng = np.random.default_rng(66)
         a, q, n = inst.A, inst.q, inst.n
         for _ in range(20):
-            p = HomotopyPoint(x=rng.uniform(0.1, 4.0, n),
-                              y1=rng.uniform(0.1, 4.0, n),
-                              y2=rng.uniform(0.1, 4.0, n), t=0.0)
+            p = HomotopyPoint(np.concatenate([rng.uniform(0.1, 4.0, n),
+                                              rng.uniform(0.1, 4.0, n),
+                                              rng.uniform(0.1, 4.0, n),
+                                              [0.0]]))
             expected = np.concatenate([
                 (a + a.T) @ p.x + q - p.y1 - a.T @ p.y2,
                 p.y1 * p.x + p.x * (a @ p.x + q),
                 p.y2 * (a @ p.x + q),
             ])
-            np.testing.assert_allclose(eval_H(inst, p), expected,
+            np.testing.assert_allclose(eval_H(inst, p.v), expected,
                                        rtol=0.0, atol=1e-12)
 
 
 def test_criterion_7_tangent_sign():
-    with criterion(7, "tangent: negative t-component and negative bordered "
-                      "determinant on example 1 and 20 random problems"):
+    with criterion(7, "tangent: det(dH/du) > 0 at the anchor, negative "
+                      "t-component and negative bordered determinant on "
+                      "example 1 and 20 random problems"):
         instances = []
         lcp = to_equivalent_lcp(build_vlcp(make_example1()))
         instances.append(HomotopyInstance.from_lcp(lcp, find_interior_point(lcp)))
@@ -213,9 +212,10 @@ def test_criterion_7_tangent_sign():
                               J=tuple(range(i, i + 1) for i in range(n)))
             instances.append(HomotopyInstance.from_lcp(lcp_r, x0))
         for inst in instances:
-            tau, _ = tangent(inst, inst.u0, initial=True)
+            tau, det_sign = tangent(inst, inst.v0)
+            assert det_sign == 1
             assert tau[-1] < 0.0
-            bordered = np.vstack([jac_full(inst, inst.u0), tau])
+            bordered = np.vstack([jac_full(inst, inst.v0), tau])
             sign, _ = np.linalg.slogdet(bordered)
             assert sign < 0
 

@@ -26,9 +26,8 @@ def example1_instance():
     return lcp, HomotopyInstance.from_lcp(lcp, x0)
 
 
-def fd_jacobian(inst, p, h=1e-6):
+def fd_jacobian(inst, v0, h=1e-6):
     """Central-difference oracle for the full (u, t) derivative."""
-    v0 = p.v
     dim = v0.size
     out = np.empty((3 * inst.n, dim))
     for col in range(dim):
@@ -36,27 +35,24 @@ def fd_jacobian(inst, p, h=1e-6):
         vm = v0.copy()
         vp[col] += h
         vm[col] -= h
-        out[:, col] = (
-            eval_H(inst, HomotopyPoint.from_v(vp))
-            - eval_H(inst, HomotopyPoint.from_v(vm))
-        ) / (2.0 * h)
+        out[:, col] = (eval_H(inst, vp) - eval_H(inst, vm)) / (2.0 * h)
     return out
 
 
 def random_point(rng, n, t_range=(0.05, 0.95)):
-    return HomotopyPoint(
-        x=rng.uniform(0.2, 3.0, n),
-        y1=rng.uniform(0.2, 3.0, n),
-        y2=rng.uniform(0.2, 3.0, n),
-        t=float(rng.uniform(*t_range)),
-    )
+    return HomotopyPoint(np.concatenate([
+        rng.uniform(0.2, 3.0, n),
+        rng.uniform(0.2, 3.0, n),
+        rng.uniform(0.2, 3.0, n),
+        [rng.uniform(*t_range)],
+    ]))
 
 
 class TestEvalH:
     def test_zero_at_anchor(self):
         _, inst = example1_instance()
-        h = eval_H(inst, inst.u0)
-        scale = 1.0 + max(np.abs(inst.q).max(), np.abs(inst.u0.u).max())
+        h = eval_H(inst, inst.v0)
+        scale = 1.0 + max(np.abs(inst.q).max(), np.abs(inst.v0[:-1]).max())
         assert np.abs(h).max() <= 1e-13 * scale
 
     def test_t_zero_matches_limit_system(self):
@@ -71,14 +67,14 @@ class TestEvalH:
                 y1 * x + x * (a @ x + q),
                 y2 * (a @ x + q),
             ])
-            np.testing.assert_allclose(eval_H(inst, p), expected, atol=1e-13)
+            np.testing.assert_allclose(eval_H(inst, p.v), expected, atol=1e-13)
 
     def test_affine_in_t(self):
         _, inst = example1_instance()
         rng = np.random.default_rng(5)
         for _ in range(10):
             p0 = random_point(rng, inst.n)
-            mk = lambda t: HomotopyPoint(x=p0.x, y1=p0.y1, y2=p0.y2, t=t)
+            mk = lambda t: np.append(p0.v[:-1], t)
             mid = eval_H(inst, mk(0.5))
             avg = 0.5 * (eval_H(inst, mk(0.0)) + eval_H(inst, mk(1.0)))
             np.testing.assert_allclose(mid, avg, rtol=0, atol=1e-12)
@@ -86,8 +82,12 @@ class TestEvalH:
     def test_dimension_mismatch(self):
         _, inst = example1_instance()
         with pytest.raises(ValueError):
-            eval_H(inst, HomotopyPoint(x=np.ones(3), y1=np.ones(3),
-                                       y2=np.ones(3), t=0.5))
+            eval_H(inst, np.append(np.ones(9), 0.5))
+        # a vector missing its t entry is rejected by every entry point
+        v = random_point(np.random.default_rng(13), inst.n).v
+        for fn in (eval_H, jac_full, jac_u, jac_t):
+            with pytest.raises(ValueError):
+                fn(inst, v[:-1])
 
 
 class TestJacobians:
@@ -97,8 +97,8 @@ class TestJacobians:
         worst = 0.0
         for _ in range(100):
             p = random_point(rng, inst.n)
-            exact = jac_full(inst, p)
-            approx = fd_jacobian(inst, p)
+            exact = jac_full(inst, p.v)
+            approx = fd_jacobian(inst, p.v)
             err = np.abs(exact - approx).max()
             rel = err / max(1.0, np.abs(exact).max())
             worst = max(worst, rel)
@@ -107,7 +107,7 @@ class TestJacobians:
     def test_structure_at_anchor(self):
         _, inst = example1_instance()
         n = inst.n
-        ju = jac_u(inst, inst.u0)
+        ju = jac_u(inst, inst.v0)
         eye = np.eye(n)
         np.testing.assert_allclose(ju[:n, :n], eye, atol=1e-14)
         np.testing.assert_allclose(ju[:n, n:], np.zeros((n, 2 * n)), atol=1e-14)
@@ -120,28 +120,17 @@ class TestJacobians:
         _, inst = example1_instance()
         n = inst.n
         a, q = inst.A, inst.q
-        jt = jac_t(inst, inst.u0)
+        jt = jac_t(inst, inst.v0)
         expected = -((a + a.T) @ inst.x0 + q - inst.y1_0 - a.T @ inst.y2_0)
         np.testing.assert_allclose(jt[:n], expected, atol=1e-13)
 
     def test_jac_full_is_u_then_t(self):
         _, inst = example1_instance()
         rng = np.random.default_rng(8)
-        p = random_point(rng, inst.n)
-        jf = jac_full(inst, p)
-        np.testing.assert_array_equal(jf[:, :-1], jac_u(inst, p))
-        np.testing.assert_array_equal(jf[:, -1], jac_t(inst, p))
-
-
-    def test_flat_vector_matches_point(self):
-        # the corrector passes v = (x, y1, y2, t) instead of a point
-        _, inst = example1_instance()
-        rng = np.random.default_rng(13)
-        p = random_point(rng, inst.n)
-        for fn in (eval_H, jac_full, jac_u, jac_t):
-            np.testing.assert_array_equal(fn(inst, p.v), fn(inst, p))
-        with pytest.raises(ValueError):
-            eval_H(inst, p.v[:-1])
+        v = random_point(rng, inst.n).v
+        jf = jac_full(inst, v)
+        np.testing.assert_array_equal(jf[:, :-1], jac_u(inst, v))
+        np.testing.assert_array_equal(jf[:, -1], jac_t(inst, v))
 
 
 class TestAnchorJacobian:
@@ -151,9 +140,7 @@ class TestAnchorJacobian:
                         J=(range(0, 1),))
         inst = HomotopyInstance.from_lcp(lcp, np.array([1.0]))
         for t in (1.0, 0.5, 0.1):
-            p = HomotopyPoint(x=np.array([1.0]), y1=np.array([1.0]),
-                              y2=np.array([1.0]), t=t)
-            j0, det = jac_u0(inst, p)
+            j0, det = jac_u0(inst, np.array([1.0, 1.0, 1.0, t]))
             assert det == pytest.approx(-2.0 * t ** 3, rel=1e-12)
 
     def test_formula_matches_lu_determinant(self):
@@ -162,7 +149,7 @@ class TestAnchorJacobian:
         rng = np.random.default_rng(3)
         for t in (1.0, 0.5, 0.1):
             p = random_point(rng, inst.n, t_range=(t, t))
-            j0, det = jac_u0(inst, p)
+            j0, det = jac_u0(inst, p.v)
             sign, logabs = np.linalg.slogdet(j0)
             det_lu = sign * np.exp(logabs)
             assert abs(det - det_lu) <= 1e-10 * abs(det_lu)
@@ -174,7 +161,7 @@ class TestAnchorJacobian:
         q = np.ones(n) - a @ np.ones(n)
         lcp = SquareLcp(M=a, q=q, J=tuple(range(i, i + 1) for i in range(n)))
         inst = HomotopyInstance.from_lcp(lcp, np.ones(n))
-        _, det = jac_u0(inst, inst.u0)
+        _, det = jac_u0(inst, inst.v0)
         assert det == pytest.approx((-1.0) ** (3 * n), rel=1e-12)
 
 
@@ -247,6 +234,27 @@ class TestInstanceInvariants:
         bad[0] = 0.0
         with pytest.raises(ValueError, match="strictly interior"):
             HomotopyInstance.from_lcp(lcp, bad)
+
+    def test_nan_anchor_rejected(self):
+        # NaN compares False both ways, so "min <= 0" cannot catch it;
+        # let through, it fails only later, as a singular Jacobian
+        lcp = SquareLcp(M=np.eye(2), q=np.ones(2), J=(range(0, 1), range(1, 2)))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                HomotopyInstance.from_lcp(lcp, np.array([1.0, bad]))
+            with pytest.raises(ValueError, match="finite"):
+                HomotopyInstance.from_lcp(lcp, np.ones(2),
+                                          y1_0=np.array([bad, 1.0]))
+
+    def test_nan_data_rejected(self):
+        q = np.array([1.0, np.nan])
+        lcp = SquareLcp(M=np.eye(2), q=q, J=(range(0, 1), range(1, 2)))
+        with pytest.raises(ValueError, match="finite"):
+            HomotopyInstance.from_lcp(lcp, np.ones(2))
+        lcp = SquareLcp(M=np.array([[1.0, np.inf], [0.0, 1.0]]), q=np.ones(2),
+                        J=(range(0, 1), range(1, 2)))
+        with pytest.raises(ValueError, match="finite"):
+            HomotopyInstance.from_lcp(lcp, np.ones(2))
 
     def test_infeasible_slack_rejected(self):
         lcp = to_equivalent_lcp(build_vlcp(make_example1()))

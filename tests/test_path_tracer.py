@@ -19,6 +19,7 @@ from arat_homotopy.path_tracer import (
     TraceResult,
     TraceStatus,
     TracerConfig,
+    _lu_with_guard,
     corrector,
     corrector_core,
     det_sign_lu,
@@ -62,12 +63,16 @@ class TestConfig:
         {"a0": float("nan")},
         {"max_steps": 0},
         {"max_steps": -3},
-        {"bound_b": 0.0},
-        {"bound_b": float("nan")},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TracerConfig(**kwargs)
+
+
+def random_vector(rng, n, lo, hi, t_range):
+    """v = (x, y1, y2, t) with x, y1, y2 uniform in [lo, hi]."""
+    return np.concatenate([rng.uniform(lo, hi, n), rng.uniform(lo, hi, n),
+                           rng.uniform(lo, hi, n), [rng.uniform(*t_range)]])
 
 
 def lu_sign(a):
@@ -96,16 +101,21 @@ class TestDetSign:
         rng = np.random.default_rng(31)
         odd_swaps = 0
         for _ in range(20):
-            p = HomotopyPoint(x=rng.uniform(0.2, 3.0, inst.n),
-                              y1=rng.uniform(0.2, 3.0, inst.n),
-                              y2=rng.uniform(0.2, 3.0, inst.n),
-                              t=float(rng.uniform(0.05, 0.95)))
-            ju = jac_u(inst, p)
-            _, sign = tangent(inst, p, initial=True)
+            v = random_vector(rng, inst.n, 0.2, 3.0, (0.05, 0.95))
+            ju = jac_u(inst, v)
+            _, sign = tangent(inst, v)
             assert sign == np.sign(np.linalg.det(ju))
             piv = lapack.dgetrf(ju)[1]
             odd_swaps += np.count_nonzero(piv != np.arange(piv.size)) % 2
         assert odd_swaps > 0
+
+    def test_exact_zero_pivot_is_rejected_by_the_guard(self):
+        # the tangent reads the sign only after this guard, so it never
+        # sees det_sign_lu return 0
+        for a in (np.array([[1.0, 0.0], [0.0, 0.0]]),
+                  np.array([[1.0, 2.0], [2.0, 4.0]]), np.zeros((3, 3))):
+            with pytest.raises(SingularJacobian):
+                _lu_with_guard(a)
 
 
 class TestMinNorm:
@@ -191,8 +201,8 @@ class TestMinNorm:
         # the path passes a fold near t ~ 0.24 (test_fold_is_navigated)
         _, inst = instance_for(example1)
         for pt in trace(inst).path:
-            j = jac_full(inst, pt.u)
-            h = eval_H(inst, pt.u)
+            j = jac_full(inst, pt.u.v)
+            h = eval_H(inst, pt.u.v)
             ref = np.linalg.pinv(j) @ h
             err = np.linalg.norm(minnorm_solve(j, h) - ref)
             assert err <= 1e-12 * np.linalg.norm(ref)
@@ -201,15 +211,15 @@ class TestMinNorm:
 class TestTangent:
     def test_unit_norm_and_negative_t_component_at_anchor(self):
         _, inst = instance_for(make_example1())
-        tau, sign = tangent(inst, inst.u0, initial=True)
+        tau, sign = tangent(inst, inst.v0)
         assert np.linalg.norm(tau) == pytest.approx(1.0, abs=1e-12)
         assert tau[-1] < 0.0
         assert sign == 1
 
     def test_bordered_determinant_negative_at_anchor(self):
         _, inst = instance_for(make_example1())
-        tau, _ = tangent(inst, inst.u0, initial=True)
-        bordered = np.vstack([jac_full(inst, inst.u0), tau])
+        tau, _ = tangent(inst, inst.v0)
+        bordered = np.vstack([jac_full(inst, inst.v0), tau])
         sign, _ = np.linalg.slogdet(bordered)
         assert sign < 0
 
@@ -218,27 +228,33 @@ class TestTangent:
         for k in range(20):
             n = int(rng.integers(2, 7))
             inst = random_feasible_instance(rng, n)
-            tau, _ = tangent(inst, inst.u0, initial=True)
+            tau, det_sign = tangent(inst, inst.v0)
+            # dH/du at the anchor is block lower triangular with diagonal
+            # blocks I, X0 and diag(A x0 + q): its determinant is positive
+            assert det_sign == 1
             assert np.linalg.norm(tau) == pytest.approx(1.0, abs=1e-10)
             assert tau[-1] < 0.0
-            bordered = np.vstack([jac_full(inst, inst.u0), tau])
+            bordered = np.vstack([jac_full(inst, inst.v0), tau])
             sign, _ = np.linalg.slogdet(bordered)
             assert sign < 0
 
     def test_sign_rule_flips_direction(self):
+        # independent oracle: sign(det J_u) * normalize((J_u^-1 J_t, -1))
+        # from np.linalg.solve and slogdet, at 20 fabricated points
         _, inst = instance_for(make_example1())
         rng = np.random.default_rng(4)
-        # fabricate a point and compare both modes; with sign -1 the
-        # non-initial tangent must be the negated initial one
-        p = HomotopyPoint(x=rng.uniform(0.5, 2, inst.n),
-                          y1=rng.uniform(0.5, 2, inst.n),
-                          y2=rng.uniform(0.5, 2, inst.n), t=0.6)
-        tau_init, sign = tangent(inst, p, initial=True)
-        tau_later, _ = tangent(inst, p, initial=False)
-        if sign > 0:
-            np.testing.assert_array_equal(tau_later, tau_init)
-        else:
-            np.testing.assert_array_equal(tau_later, -tau_init)
+        signs = set()
+        for _ in range(20):
+            v = random_vector(rng, inst.n, 0.5, 2.0, (0.05, 0.95))
+            j = jac_full(inst, v)
+            det_sign, _ = np.linalg.slogdet(j[:, :-1])
+            raw = np.append(np.linalg.solve(j[:, :-1], j[:, -1]), -1.0)
+            expected = det_sign * raw / np.linalg.norm(raw)
+            tau, sign = tangent(inst, v)
+            assert sign == det_sign
+            np.testing.assert_allclose(tau, expected, rtol=1e-9, atol=1e-12)
+            signs.add(sign)
+        assert signs == {-1, 1}
 
 
 class TestCorrector:
@@ -264,8 +280,8 @@ class TestCorrector:
 
     def test_zero_residual_is_fixed_point(self):
         _, inst = instance_for(make_example1())
-        out = corrector(inst, inst.u0, m=3)
-        np.testing.assert_allclose(out.v, inst.u0.v, rtol=0, atol=1e-14)
+        out = corrector(inst, inst.v0, m=3)
+        np.testing.assert_allclose(out, inst.v0, rtol=0, atol=1e-14)
 
     def test_single_pass_order_at_least_four_and_a_half(self):
         f, jac = self.probe_system()
@@ -338,7 +354,7 @@ class TestTrace:
         result = trace(inst)
         z = result.final.x
         w = inst.A @ z + inst.q
-        res = float(np.linalg.norm(eval_H(inst, result.final)))
+        res = float(np.linalg.norm(eval_H(inst, result.final.v)))
         assert res <= 1e-6 * (1.0 + np.linalg.norm(inst.q))
         assert min(z.min(), w.min()) >= -1e-8
         assert np.abs(z * w).max() <= 1e-6
@@ -395,7 +411,7 @@ class TestExtractSolution:
         q = np.array([1.0, 2.0, 3.0])
         lcp = SquareLcp(M=np.eye(3), q=q,
                         J=(range(0, 1), range(1, 2), range(2, 3)))
-        final = HomotopyPoint(x=np.zeros(3), y1=q, y2=np.zeros(3), t=0.0)
+        final = HomotopyPoint(np.concatenate([np.zeros(3), q, np.zeros(4)]))
         result = TraceResult(
             status=TraceStatus.CONVERGED,
             path=(),
@@ -412,7 +428,7 @@ class TestExtractSolution:
         result = TraceResult(
             status=TraceStatus.CONVERGED,
             path=(),
-            final=HomotopyPoint(x=z, y1=w, y2=z, t=0.0),
+            final=HomotopyPoint(np.concatenate([z, w, z, [0.0]])),
         )
         # no clamping: tiny negatives pass through, and the block sums
         # they land in stay positive
