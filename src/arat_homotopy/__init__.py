@@ -44,7 +44,6 @@ from .path_tracer import (
     PathPoint,
     TraceResult,
     TraceStatus,
-    TracerConfig,
     corrector,
     extract_solution,
     tangent,
@@ -84,7 +83,6 @@ __all__ = [
     "jac_t",
     "jac_full",
     "find_interior_point",
-    "TracerConfig",
     "PathPoint",
     "TraceResult",
     "TraceStatus",

@@ -27,7 +27,7 @@ from .errors import NoInteriorPointFound, SizeGuardExceeded
 from .game_model import AratGame, validate
 from .homotopy_core import HomotopyInstance, find_interior_point
 from .oracle import certify, enumerate_lcp, evaluate_pure_pair, value_iteration
-from .path_tracer import TracerConfig, TraceResult, TraceStatus, extract_solution, trace
+from .path_tracer import MAX_STEPS, TraceResult, TraceStatus, extract_solution, trace
 from .vlcp_builder import (
     SquareLcp,
     build_vlcp,
@@ -127,8 +127,8 @@ def write_trace_csv(path: str | Path, result: TraceResult, n: int) -> None:
         + [f"y2_{i + 1}" for i in range(n)]
     )
     lines = [",".join(cols)]
-    for pt in result.path:
-        row = [str(pt.step_index), f"{pt.u.t:.17e}", f"{pt.residual:.17e}",
+    for step, pt in enumerate(result.path):
+        row = [str(step), f"{pt.u.t:.17e}", f"{pt.residual:.17e}",
                f"{pt.step_length:.17e}", str(pt.det_sign)]
         row += [f"{v:.17e}" for v in pt.u.x]
         row += [f"{v:.17e}" for v in pt.u.y1]
@@ -141,11 +141,26 @@ def _one_based(actions) -> list[int]:
     return [a + 1 for a in actions]
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def _read_game(path: str) -> AratGame | None:
+    """load_game, or None after a parse error is reported on stderr."""
     try:
-        game = load_game(args.game)
+        return load_game(path)
     except (OSError, json.JSONDecodeError, GameFileError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return None
+
+
+def _invalid(game: AratGame) -> bool:
+    """True, after the report is printed on stderr, if the game is invalid."""
+    report = validate(game)
+    if not report.ok:
+        print(f"invalid game:\n{report}", file=sys.stderr)
+    return not report.ok
+
+
+def cmd_validate(args: argparse.Namespace) -> int:
+    game = _read_game(args.game)
+    if game is None:
         return EXIT_PARSE
     report = validate(game)
     flags = check_vbr0_sufficient(game)
@@ -171,25 +186,16 @@ def _reward_shift(game: AratGame) -> tuple[AratGame, float]:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        config = TracerConfig(
-            eps1=args.eps1, eps2=args.eps2, eps3=args.eps3, l0=args.l0,
-            m=args.m, a0=args.a0, r_accept=args.r_accept,
-            max_steps=args.max_steps,
-        )
-    except ValueError as exc:
-        print(f"bad tracer settings: {exc}", file=sys.stderr)
+    if args.max_steps < 1:
+        print("bad tracer settings: max_steps must be at least 1",
+              file=sys.stderr)
         return EXIT_PARSE
-    try:
-        game = load_game(args.game)
-    except (OSError, json.JSONDecodeError, GameFileError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+    game = _read_game(args.game)
+    if game is None:
         return EXIT_PARSE
     if args.beta_override is not None:
         game = dataclasses.replace(game, beta=args.beta_override)
-    report = validate(game)
-    if not report.ok:
-        print(f"invalid game:\n{report}", file=sys.stderr)
+    if _invalid(game):
         return EXIT_FAIL
 
     solve_game = game
@@ -217,7 +223,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return EXIT_PARSE
 
     inst = HomotopyInstance.from_lcp(lcp, x0)
-    result = trace(inst, config)
+    result = trace(inst, args.max_steps)
     log.info("trace finished: %s after %d accepted steps",
              result.status.value, len(result.path) - 1)
 
@@ -280,14 +286,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    try:
-        game = load_game(args.game)
-    except (OSError, json.JSONDecodeError, GameFileError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+    game = _read_game(args.game)
+    if game is None:
         return EXIT_PARSE
-    report = validate(game)
-    if not report.ok:
-        print(f"invalid game:\n{report}", file=sys.stderr)
+    if _invalid(game):
         return EXIT_FAIL
     sol = value_iteration(game)
     print("value: " + " ".join(f"{v:.10g}" for v in sol.v))
@@ -314,14 +316,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    try:
-        game = load_game(args.game)
-    except (OSError, json.JSONDecodeError, GameFileError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+    game = _read_game(args.game)
+    if game is None:
         return EXIT_PARSE
-    report = validate(game)
-    if not report.ok:
-        print(f"invalid game:\n{report}", file=sys.stderr)
+    if _invalid(game):
         return EXIT_FAIL
     vlcp = build_vlcp(game)
     lcp = to_equivalent_lcp(vlcp)
@@ -352,35 +350,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Solve discounted zero-sum additive stochastic games "
                     "by homotopy continuation; the pure pair found is "
                     "certified exactly.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    defaults = TracerConfig()
 
-    p = sub.add_parser("validate", help="check a game file's invariants")
+    p = sub.add_parser("validate", help="check a game file's invariants",
+                       allow_abbrev=False)
     p.add_argument("game", help="path to the game JSON file")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("solve", help="run the full homotopy pipeline")
+    p = sub.add_parser("solve", help="run the full homotopy pipeline",
+                       allow_abbrev=False)
     p.add_argument("game", help="path to the game JSON file")
     p.add_argument("--beta-override", type=float, default=None,
                    help="replace the file's discount factor")
     p.add_argument("--x0", default="auto",
                    help="comma-separated starting vector or 'auto'")
-    p.add_argument("--eps1", type=float, default=defaults.eps1,
-                   help="termination threshold on |t|")
-    p.add_argument("--eps2", type=float, default=defaults.eps2,
-                   help="near-target classification threshold")
-    p.add_argument("--eps3", type=float, default=defaults.eps3,
-                   help="smallest regular predictor step length")
-    p.add_argument("--l0", type=float, default=defaults.l0,
-                   help="step-halving base in (0,1)")
-    p.add_argument("--m", type=int, default=defaults.m,
-                   help="corrector passes per step")
-    p.add_argument("--a0", type=float, default=defaults.a0,
-                   help="minimal progress threshold")
-    p.add_argument("--r-accept", type=float, default=defaults.r_accept,
-                   help="residual acceptance gate")
-    p.add_argument("--max-steps", type=int, default=defaults.max_steps,
+    p.add_argument("--max-steps", type=int, default=MAX_STEPS,
                    help="accepted-step budget")
     p.add_argument("--trace", default=None, metavar="OUT.CSV",
                    help="write the accepted path as CSV")
@@ -391,13 +377,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write a machine-readable result document")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("oracle", help="value iteration and LCP enumeration")
+    p = sub.add_parser("oracle", help="value iteration and LCP enumeration",
+                       allow_abbrev=False)
     p.add_argument("game", help="path to the game JSON file")
     p.add_argument("--guard", type=int, default=20,
                    help="largest dimension enumerated exhaustively")
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("build", help="print the built matrices as JSON")
+    p = sub.add_parser("build", help="print the built matrices as JSON",
+                       allow_abbrev=False)
     p.add_argument("game", help="path to the game JSON file")
     p.set_defaults(func=cmd_build)
     return parser

@@ -116,6 +116,8 @@ def validate(game: AratGame) -> ValidationReport:
 
     Reported (1-based indices throughout):
       * beta in (0, 1),
+      * finite rewards and transition components (NaN and infinities
+        would otherwise pass the comparisons below),
       * nonnegative transition components,
       * composed transition rows summing to 1 (within ``PROB_TOL``),
       * per-player row sums constant within each state (a consequence of
@@ -128,7 +130,18 @@ def validate(game: AratGame) -> ValidationReport:
         v.append(f"discount beta={game.beta!r} is not in (0, 1)")
 
     for s in range(game.d):
+        for name, rewards in (("r1", game.r1[s]), ("r2", game.r2[s])):
+            for (idx,) in np.argwhere(~np.isfinite(rewards)):
+                v.append(
+                    f"state {s + 1}: {name}[{idx + 1}] = "
+                    f"{float(rewards[idx])!r} is not finite"
+                )
         for name, block in (("p1", game.p1[s]), ("p2", game.p2[s])):
+            for idx, dest in np.argwhere(~np.isfinite(block)):
+                v.append(
+                    f"state {s + 1}: {name}[{idx + 1}][{dest + 1}] = "
+                    f"{float(block[idx, dest])!r} is not finite"
+                )
             neg = np.argwhere(block < 0.0)
             for idx, dest in neg:
                 v.append(

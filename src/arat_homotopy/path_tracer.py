@@ -2,22 +2,45 @@
 
 Each outer step computes a unit tangent whose orientation comes from the
 sign of det(dH/du) (keeping the bordered determinant negative along the
-path), takes a predictor step of length l0^l, and projects back with a
-three-stage minimum-norm corrector repeated m times (m = 1 by default).
-Steps are halved until the residual gate and the positivity gate hold;
-the walk ends when |t| falls below eps1.  The endpoint is not judged
+path), takes a predictor step of length _L0**k for k = 0, 1, ..., and
+projects back with a three-stage minimum-norm corrector repeated _M
+times.  Steps are shortened until the residual gate and the positivity
+gate hold; the walk ends when |t| <= _EPS1.  The endpoint is not judged
 here: the game answer read from it is certified exactly downstream (see
 ``oracle.certify``).
 
+Step control is fixed; the step budget is the only value a caller sets
+(``trace(inst, max_steps)``, the ``solve --max-steps`` flag).  The
+constants:
+
+  _EPS1      1e-7   the walk has converged once |t| <= _EPS1
+  _EPS2      1e-3   a trial that fails with |t| and |dt| below _EPS2 is
+                    parked next to the target hyperplane and keeps
+                    shrinking down to _A0 instead of stopping at _EPS3
+  _EPS3      1e-5   shortest regular predictor step; a failing trial
+                    below it ends the walk as NoProgress
+  _L0        0.5    step base: trial k has length _L0**k
+  _M         1      corrector passes per trial
+  _A0        1e-8   progress floor: the shortest trial step at all
+  _R_ACCEPT  1.0    residual gate: a trial needs ||H|| <= _R_ACCEPT
+  _RCOND_MIN 1e-12  reciprocal condition estimate below which a
+                    factorization is rejected: of dH/du in the tangent,
+                    and of the U factor of J^T in ``minnorm_solve``
+  _BOUND_B   1e8    the walk ends as PathUnbounded once a coordinate of
+                    (x, y1, y2) exceeds this in absolute value
+  MAX_STEPS  10000  default budget of accepted steps
+
+The values must keep _EPS2 > _EPS3 > _EPS1 > 0, _A0 > 0 and 0 < _L0 < 1.
+
 Cost of one step: the tangent takes one guarded LU of dH/du, which gives
 both the direction and the determinant sign.  Each trial point then
-costs m corrector passes, and each pass builds two wide Jacobians,
+costs _M corrector passes, and each pass builds two wide Jacobians,
 evaluates the map twice and does three minimum-norm solves, each from
 one guarded LU of the transposed Jacobian (``minnorm_solve``).  LU with
 partial pivoting is the tracer's only factorization, and LAPACK is
-called directly.  One pass is the default because it already brings
-most trial corrections below a residual of 1e-10; a second pass doubles
-the cost of every trial.  The whole walk works on flat vectors
+called directly.  _M is 1 because one pass already brings most trial
+corrections below a residual of 1e-10; a second pass doubles the cost
+of every trial.  The whole walk works on flat vectors
 v = (x, y1, y2, t); each accepted vector is wrapped once in a read-only
 HomotopyPoint view for the result.
 
@@ -54,13 +77,17 @@ from .vlcp_builder import SquareLcp, VlcpSolution, recover_vlcp_solution
 
 log = logging.getLogger(__name__)
 
-#: Reciprocal condition estimate below which a factorization is rejected:
-#: of dH/du in the tangent, and of the U factor of J^T in minnorm_solve.
+# Step control; the module docstring gives each value's meaning.
+_EPS1 = 1e-7
+_EPS2 = 1e-3
+_EPS3 = 1e-5
+_L0 = 0.5
+_M = 1
+_A0 = 1e-8
+_R_ACCEPT = 1.0
 _RCOND_MIN = 1e-12
-
-#: The walk ends as PathUnbounded once a coordinate of (x, y1, y2)
-#: exceeds this in absolute value.
 _BOUND_B = 1e8
+MAX_STEPS = 10_000
 
 
 def det_sign_lu(lu: np.ndarray, piv: np.ndarray) -> int:
@@ -176,11 +203,11 @@ def tangent(inst: HomotopyInstance, v: np.ndarray) -> tuple[np.ndarray, int]:
     return (raw if sign > 0 else -raw), sign
 
 
-def corrector(inst: HomotopyInstance, v: np.ndarray, m: int) -> np.ndarray:
+def corrector(inst: HomotopyInstance, v: np.ndarray) -> np.ndarray:
     """Project a predicted vector v = (x, y1, y2, t) back toward the path
-    with m high-order passes; returns the corrected vector."""
+    with _M high-order passes; returns the corrected vector."""
     return corrector_core(lambda w: eval_H(inst, w),
-                          lambda w: jac_full(inst, w), v, m)
+                          lambda w: jac_full(inst, w), v, _M)
 
 
 class TraceStatus(Enum):
@@ -192,43 +219,11 @@ class TraceStatus(Enum):
 
 
 @dataclass(frozen=True)
-class TracerConfig:
-    """Step-control constants.
-
-    eps1 ends the walk (|t| <= eps1), eps3 bounds how small the predictor
-    step may get before giving up on a point, eps2 classifies the giving-up
-    as near-convergence versus stall; they must satisfy eps2 > eps3 > eps1.
-    """
-
-    eps1: float = 1e-7
-    eps2: float = 1e-3
-    eps3: float = 1e-5
-    l0: float = 0.5
-    m: int = 1
-    a0: float = 1e-8
-    r_accept: float = 1.0
-    max_steps: int = 10_000
-
-    def __post_init__(self) -> None:
-        if not (self.eps2 > self.eps3 > self.eps1 > 0.0):
-            raise ValueError("need eps2 > eps3 > eps1 > 0")
-        if not (0.0 < self.l0 < 1.0):
-            raise ValueError("step base l0 must lie in (0, 1)")
-        if not (1 <= self.m < 50):
-            raise ValueError("corrector repeat count m must satisfy 1 <= m < 50")
-        if not (self.a0 > 0.0 and self.r_accept > 0.0):
-            raise ValueError("a0 and r_accept must be positive")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
-
-
-@dataclass(frozen=True)
 class PathPoint:
     u: HomotopyPoint
     residual: float
     step_length: float
     det_sign: int
-    step_index: int
 
 
 @dataclass(frozen=True)
@@ -250,27 +245,28 @@ def _positivity_gate(inst: HomotopyInstance, v: np.ndarray) -> bool:
     )
 
 
-def trace(inst: HomotopyInstance, config: TracerConfig | None = None) -> TraceResult:
-    """Follow the path from the anchor v0 (t = 1) toward t = 0.
+def trace(inst: HomotopyInstance, max_steps: int = MAX_STEPS) -> TraceResult:
+    """Follow the path from the anchor v0 (t = 1) toward t = 0, taking at
+    most ``max_steps`` accepted steps (ValueError if it is below 1).
 
     Numerical failure modes are reported through the result status, not
     exceptions.  Every accepted point lands in the path, starting with
-    the anchor itself at t = 1.
+    the anchor itself at t = 1, so ``path[k]`` is the point after k steps.
     """
-    config = config or TracerConfig()
+    if max_steps < 1:
+        raise ValueError("max_steps must be at least 1")
     current = inst.v0
 
     res0 = float(np.linalg.norm(eval_H(inst, current)))
     path = [PathPoint(u=HomotopyPoint(current), residual=res0,
-                      step_length=0.0, det_sign=1, step_index=0)]
+                      step_length=0.0, det_sign=1)]
     status: TraceStatus | None = None
     detail = ""
-    step_index = 0
 
     while status is None:
-        if step_index >= config.max_steps:
+        if len(path) > max_steps:
             status = TraceStatus.MAX_STEPS
-            detail = f"no convergence within {config.max_steps} steps"
+            detail = f"no convergence within {max_steps} steps"
             break
         try:
             tau, sign = tangent(inst, current)
@@ -284,13 +280,13 @@ def trace(inst: HomotopyInstance, config: TracerConfig | None = None) -> TraceRe
         accepted_r = 0.0
         accepted_a = 0.0
         while True:
-            a = config.l0 ** level
+            a = _L0 ** level
             try:
-                cand = corrector(inst, current + a * tau, config.m)
+                cand = corrector(inst, current + a * tau)
             except SingularJacobian as exc:
                 # shrinking pulls the candidate back toward the current
                 # point, where the tangent factorization just succeeded
-                if a > config.a0:
+                if a > _A0:
                     level += 1
                     continue
                 status = TraceStatus.SINGULAR_JACOBIAN
@@ -301,24 +297,24 @@ def trace(inst: HomotopyInstance, config: TracerConfig | None = None) -> TraceRe
             if not (0.0 < dt < 1.0):
                 # t moved implausibly; shrink while there is progress to give up
                 progress = min(a, float(np.linalg.norm(cand - current)))
-                if progress > config.a0:
+                if progress > _A0:
                     level += 1
                     continue
             r = float(np.linalg.norm(eval_H(inst, cand)))
-            if r <= config.r_accept and _positivity_gate(inst, cand):
+            if r <= _R_ACCEPT and _positivity_gate(inst, cand):
                 accepted = cand
                 accepted_r = r
                 accepted_a = a
                 break
-            if a > config.eps3:
+            if a > _EPS3:
                 level += 1
                 continue
             # Parked next to the target hyperplane: the endgame needs
             # predictor steps comparable to |t| itself, so the retry
-            # ladder continues below eps3 down to the progress floor a0
-            # rather than stopping with a weak |t| < eps2 endpoint.
-            near_target = dt < config.eps2 and abs(t) < config.eps2
-            if near_target and a > config.a0:
+            # ladder continues below _EPS3 down to the progress floor _A0
+            # rather than stopping with a weak |t| < _EPS2 endpoint.
+            near_target = dt < _EPS2 and abs(t) < _EPS2
+            if near_target and a > _A0:
                 level += 1
                 continue
             status = TraceStatus.NO_PROGRESS
@@ -337,12 +333,10 @@ def trace(inst: HomotopyInstance, config: TracerConfig | None = None) -> TraceRe
 
         if accepted is None:
             break
-        step_index += 1
         current = accepted
         path.append(PathPoint(u=HomotopyPoint(current), residual=accepted_r,
-                              step_length=accepted_a, det_sign=sign,
-                              step_index=step_index))
-        if abs(current[-1]) <= config.eps1:
+                              step_length=accepted_a, det_sign=sign))
+        if abs(current[-1]) <= _EPS1:
             status = TraceStatus.CONVERGED
             break
         if np.abs(current[:-1]).max() > _BOUND_B:

@@ -32,7 +32,6 @@ from arat_homotopy.oracle import (
 )
 from arat_homotopy.path_tracer import (
     TraceStatus,
-    TracerConfig,
     corrector_core,
     extract_solution,
     tangent,

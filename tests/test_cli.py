@@ -195,7 +195,6 @@ class TestSolveCommand:
         assert cli.main(["solve", EX1, "--x0", "1,2,banana"]) == 2
 
     @pytest.mark.parametrize("flags", [
-        ["--l0", "1.5"], ["--eps1", "nan"], ["--m", "0"],
         ["--max-steps", "-3"],
     ])
     def test_bad_tracer_settings_exit_2(self, flags, capsys):
@@ -203,6 +202,24 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("bad tracer settings:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--eps1", "1e-7"], ["--eps2", "1e-3"], ["--eps3", "1e-5"],
+        ["--l0", "0.5"], ["--m", "2"], ["--a0", "1e-8"],
+        ["--r-accept", "1.0"],
+        # a prefix of --max-steps is not taken for it
+        ["--max", "3"],
+    ], ids=lambda flags: flags[0])
+    def test_removed_or_abbreviated_flag_exits_2(self, flags, capsys,
+                                                  monkeypatch):
+        def no_trace(*args, **kwargs):
+            raise AssertionError("the walk must not start")
+
+        monkeypatch.setattr(cli, "trace", no_trace)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", EX1] + flags)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestSolveProperty:
@@ -302,6 +319,37 @@ class TestOracleCommand:
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+
+class TestNonFiniteGame:
+    @pytest.mark.parametrize("verb, player, field, value", [
+        ("validate", "playerI", "rewards", "nan"),
+        ("solve", "playerI", "transitions", "nan"),
+        ("oracle", "playerII", "rewards", "inf"),
+        ("build", "playerI", "rewards", "nan"),
+    ])
+    def test_exits_1_without_traceback(self, tmp_path, verb, player, field,
+                                       value):
+        # run as a program, so an escaping exception would show as a
+        # traceback on stderr instead of failing inside the test process
+        doc = cli.game_to_doc(make_example1())
+        entries = doc["states"][0][player][field]
+        if field == "rewards":
+            entries[0] = float(value)
+        else:
+            entries[0][0] = float(value)
+        proc = subprocess.run(
+            [sys.executable, "-m", "arat_homotopy.cli", verb,
+             write_game(tmp_path, doc)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 1
+        # validate reports on stdout, the other verbs on stderr
+        report = proc.stdout if verb == "validate" else proc.stderr
+        assert report.startswith("invalid game:")
+        assert f"= {value} is not finite" in report
+        assert "Traceback" not in proc.stderr
 
 
 class TestBuildCommand:

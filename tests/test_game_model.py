@@ -70,6 +70,28 @@ class TestValidate:
         assert any("= -0.25 is negative" in v for v in report.violations)
         assert not any("np.float64" in v for v in report.violations)
 
+    @pytest.mark.parametrize("edit, message", [
+        ("r1_nan", "state 1: r1[2] = nan is not finite"),
+        ("p2_nan", "state 2: p2[1][2] = nan is not finite"),
+        ("r2_inf", "state 1: r2[1] = inf is not finite"),
+    ])
+    def test_non_finite_entry_reported_with_index(self, example1, edit,
+                                                   message):
+        r1 = [a.copy() for a in example1.r1]
+        r2 = [a.copy() for a in example1.r2]
+        p2 = [a.copy() for a in example1.p2]
+        if edit == "r1_nan":
+            r1[0][1] = np.nan
+        elif edit == "p2_nan":
+            p2[1][0, 1] = np.nan
+        else:
+            r2[0][0] = np.inf
+        game = AratGame(beta=example1.beta, r1=tuple(r1), r2=tuple(r2),
+                        p1=example1.p1, p2=tuple(p2))
+        report = validate(game)
+        assert not report.ok
+        assert message in report.violations
+
     def test_beta_out_of_range(self):
         game = AratGame(
             beta=1.0,

@@ -15,12 +15,16 @@ from arat_homotopy.homotopy_core import (
 )
 from arat_homotopy.oracle import certify
 from arat_homotopy.path_tracer import (
+    _A0,
+    _EPS1,
+    _EPS2,
+    _EPS3,
+    _L0,
+    _R_ACCEPT,
     PathPoint,
     TraceResult,
     TraceStatus,
-    TracerConfig,
     _lu_with_guard,
-    corrector,
     corrector_core,
     det_sign_lu,
     extract_solution,
@@ -48,25 +52,16 @@ def random_feasible_instance(rng, n):
     return HomotopyInstance.from_lcp(lcp, x0)
 
 
-class TestConfig:
-    def test_defaults_satisfy_ordering(self):
-        c = TracerConfig()
-        assert c.eps2 > c.eps3 > c.eps1 > 0
+class TestStepBudget:
+    def test_constants_keep_their_ordering(self):
+        assert _EPS2 > _EPS3 > _EPS1 > 0.0
+        assert _A0 > 0.0 and 0.0 < _L0 < 1.0
 
-    @pytest.mark.parametrize("kwargs", [
-        {"eps1": 1e-3, "eps2": 1e-5, "eps3": 1e-4},
-        {"l0": 1.5},
-        {"l0": 0.0},
-        {"m": 0},
-        {"m": 50},
-        {"r_accept": 0.0},
-        {"a0": float("nan")},
-        {"max_steps": 0},
-        {"max_steps": -3},
-    ])
-    def test_invalid_configs_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            TracerConfig(**kwargs)
+    @pytest.mark.parametrize("max_steps", [0, -3])
+    def test_budget_below_one_rejected(self, max_steps):
+        _, inst = instance_for(make_example1())
+        with pytest.raises(ValueError, match="max_steps must be at least 1"):
+            trace(inst, max_steps=max_steps)
 
 
 def random_vector(rng, n, lo, hi, t_range):
@@ -280,7 +275,8 @@ class TestCorrector:
 
     def test_zero_residual_is_fixed_point(self):
         _, inst = instance_for(make_example1())
-        out = corrector(inst, inst.v0, m=3)
+        out = corrector_core(lambda w: eval_H(inst, w),
+                             lambda w: jac_full(inst, w), inst.v0, passes=3)
         np.testing.assert_allclose(out, inst.v0, rtol=0, atol=1e-14)
 
     def test_single_pass_order_at_least_four_and_a_half(self):
@@ -318,7 +314,7 @@ class TestTrace:
         lcp, inst = instance_for(example1)
         result = trace(inst)
         assert result.status is TraceStatus.CONVERGED
-        assert abs(result.final.t) <= TracerConfig().eps1
+        assert abs(result.final.t) <= _EPS1
         sol = extract_solution(result, lcp)
         np.testing.assert_allclose(sol.value, [14.0, 14.0], atol=1e-4)
         assert sol.strategy_i == (0, 0)
@@ -337,13 +333,10 @@ class TestTrace:
 
     def test_path_invariants(self, example1):
         lcp, inst = instance_for(example1)
-        config = TracerConfig()
-        result = trace(inst, config)
+        result = trace(inst)
         assert result.path[0].u.t == 1.0
-        assert result.path[0].step_index == 0
-        for k, pt in enumerate(result.path):
-            assert pt.step_index == k
-            assert pt.residual <= config.r_accept
+        for pt in result.path:
+            assert pt.residual <= _R_ACCEPT
             # gated components stay strictly positive on accepted points
             assert pt.u.x.min() > 0.0
             assert pt.u.y2.min() > 0.0
@@ -380,10 +373,10 @@ class TestTrace:
 
     def test_max_steps_truncation(self, example1):
         _, inst = instance_for(example1)
-        result = trace(inst, TracerConfig(max_steps=1))
+        result = trace(inst, max_steps=1)
         assert result.status is TraceStatus.MAX_STEPS
         assert result.final is result.path[-1].u
-        assert abs(result.final.t) > TracerConfig().eps1
+        assert abs(result.final.t) > _EPS1
 
     def test_fold_is_navigated(self, example1):
         # the example-1 path turns around near t ~ 0.24; the trace must
@@ -400,7 +393,7 @@ class TestTrace:
 class TestExtractSolution:
     def test_not_converged_raises(self, example1):
         _, inst = instance_for(example1)
-        result = trace(inst, TracerConfig(max_steps=1))
+        result = trace(inst, max_steps=1)
         lcp = to_equivalent_lcp(build_vlcp(example1))
         with pytest.raises(NotConverged):
             extract_solution(result, lcp)
