@@ -195,7 +195,8 @@ class TestSolveCommand:
         assert cli.main(["solve", EX1, "--x0", "1,2,banana"]) == 2
 
     @pytest.mark.parametrize("flags", [
-        ["--max-steps", "-3"],
+        ["--max-steps", "0"], ["--max-steps", "-1"],
+        ["--max-steps", "-100"], ["--max-steps", "-3"],
     ])
     def test_bad_tracer_settings_exit_2(self, flags, capsys):
         assert cli.main(["solve", EX1] + flags) == 2
