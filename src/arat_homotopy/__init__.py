@@ -11,7 +11,6 @@ from .errors import (
     AratHomotopyError,
     MaxIterExceeded,
     NoInteriorPointFound,
-    NoPureSaddle,
     NotConverged,
     SingularJacobian,
     SizeGuardExceeded,
@@ -99,7 +98,6 @@ __all__ = [
     "AratHomotopyError",
     "MaxIterExceeded",
     "NoInteriorPointFound",
-    "NoPureSaddle",
     "NotConverged",
     "SingularJacobian",
     "SizeGuardExceeded",

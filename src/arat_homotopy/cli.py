@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NoInteriorPointFound, SizeGuardExceeded
+from .errors import MaxIterExceeded, NoInteriorPointFound, SizeGuardExceeded
 from .game_model import AratGame, validate
 from .homotopy_core import HomotopyInstance, find_interior_point
 from .oracle import certify, enumerate_lcp, evaluate_pure_pair, value_iteration
@@ -291,7 +291,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         return EXIT_PARSE
     if _invalid(game):
         return EXIT_FAIL
-    sol = value_iteration(game)
+    try:
+        sol = value_iteration(game)
+    except MaxIterExceeded as exc:
+        print(f"value iteration: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     print("value: " + " ".join(f"{v:.10g}" for v in sol.v))
     print(f"strategies: player I {_one_based(sol.strategy_i)}, "
           f"player II {_one_based(sol.strategy_ii)} "

@@ -21,9 +21,5 @@ class NotConverged(AratHomotopyError):
     """Solution extraction was requested from a trace that did not converge."""
 
 
-class NoPureSaddle(AratHomotopyError):
-    """A stage matrix has no pure saddle point (input is not additively split)."""
-
-
 class MaxIterExceeded(AratHomotopyError):
     """Fixed-point iteration hit its iteration cap before reaching tolerance."""

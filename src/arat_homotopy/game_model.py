@@ -116,6 +116,7 @@ def validate(game: AratGame) -> ValidationReport:
 
     Reported (1-based indices throughout):
       * beta in (0, 1),
+      * at least one action per player in every state,
       * finite rewards and transition components (NaN and infinities
         would otherwise pass the comparisons below),
       * nonnegative transition components,
@@ -130,6 +131,9 @@ def validate(game: AratGame) -> ValidationReport:
         v.append(f"discount beta={game.beta!r} is not in (0, 1)")
 
     for s in range(game.d):
+        for player, m in (("I", game.m1[s]), ("II", game.m2[s])):
+            if m == 0:
+                v.append(f"state {s + 1}: player {player} has no actions")
         for name, rewards in (("r1", game.r1[s]), ("r2", game.r2[s])):
             for (idx,) in np.argwhere(~np.isfinite(rewards)):
                 v.append(

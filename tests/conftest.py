@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from arat_homotopy.game_model import AratGame
+from arat_homotopy.game_model import AratGame, composed_reward, composed_transition
 from arat_homotopy.homotopy_core import HomotopyInstance
 from arat_homotopy.oracle import enumerate_lcp
 from arat_homotopy.vlcp_builder import SquareLcp
@@ -70,6 +70,41 @@ def random_arat_game(rng: np.random.Generator, *, d_max: int = 2,
         p2.append(rows2)
     return AratGame(beta=beta, r1=tuple(r1), r2=tuple(r2),
                     p1=tuple(p1), p2=tuple(p2))
+
+
+def stage_matrix(game: AratGame, s: int, v: np.ndarray) -> np.ndarray:
+    """Auxiliary one-shot matrix of state ``s``, entry by entry: composed
+    reward plus discounted continuation at ``v``."""
+    m1, m2 = game.m1[s], game.m2[s]
+    q = np.empty((m1, m2))
+    for i in range(m1):
+        for j in range(m2):
+            q[i, j] = composed_reward(game, s, i, j) + game.beta * (
+                composed_transition(game, s, i, j) @ v
+            )
+    return q
+
+
+def pure_saddle(q: np.ndarray, tol: float = 1e-9) -> tuple[float, int, int]:
+    """Pure saddle point of a matrix, smallest-index tie-break.
+
+    Raises ValueError when max-min and min-max over pure actions differ
+    by more than ``tol`` relative; a matrix with additively split entries
+    always has a pure saddle.
+    """
+    row_min = q.min(axis=1)
+    col_max = q.max(axis=0)
+    i_star = int(np.argmax(row_min))
+    j_star = int(np.argmin(col_max))
+    maxmin = row_min[i_star]
+    minmax = col_max[j_star]
+    scale = 1.0 + max(abs(maxmin), abs(minmax))
+    if abs(maxmin - minmax) > tol * scale:
+        raise ValueError(
+            f"max-min {maxmin!r} != min-max {minmax!r}; matrix has no pure "
+            f"saddle point"
+        )
+    return float(maxmin), i_star, j_star
 
 
 def jac_u0(inst: HomotopyInstance, v: np.ndarray) -> tuple[np.ndarray, float]:

@@ -296,6 +296,32 @@ class TestOracleCommand:
         assert "enumeration skipped" in out
         assert "value:" in out
 
+    def test_no_fixed_point_within_sweep_cap_exits_1(self, tmp_path,
+                                                      capsys):
+        # at beta = 0.9999 the stop threshold, 5e-15, is below one ulp
+        # of |v| ~ 7e4 (1.5e-11), so no sweep can get under it
+        doc = cli.game_to_doc(make_example1())
+        doc["beta"] = 0.9999
+        code = cli.main(["oracle", write_game(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ("value iteration: no fixed point within "
+                                "100000 sweeps\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("verb", ["validate", "oracle"])
+    @pytest.mark.parametrize("player", ["playerI", "playerII"])
+    def test_player_without_actions_exits_1(self, tmp_path, capsys, verb,
+                                            player):
+        doc = cli.game_to_doc(make_example1())
+        doc["states"][1][player] = {"rewards": [], "transitions": []}
+        code = cli.main([verb, write_game(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert code == 1
+        name = "I" if player == "playerI" else "II"
+        assert (f"state 2: player {name} has no actions"
+                in captured.out + captured.err)
+
     @pytest.mark.parametrize("edit, message", [
         ("beta", "discount beta=1.5 is not in (0, 1)"),
         ("row_sum", "row sum 0.7 != 1"),

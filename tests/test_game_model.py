@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,6 +108,17 @@ class TestValidate:
         game = AratGame(beta=0.5, r1=([1.0],), r2=([1.0],),
                         p1=([[0.5]],), p2=([[0.5]],))
         assert validate(game).ok
+
+    @pytest.mark.parametrize("player", ["I", "II"])
+    def test_player_without_actions_reported(self, example1, player):
+        r, p = ("r1", "p1") if player == "I" else ("r2", "p2")
+        game = dataclasses.replace(example1, **{
+            r: (np.zeros(0), getattr(example1, r)[1]),
+            p: (np.zeros((0, 2)), getattr(example1, p)[1]),
+        })
+        report = validate(game)
+        assert not report.ok
+        assert f"state 1: player {player} has no actions" in report.violations
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):

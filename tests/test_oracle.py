@@ -4,18 +4,19 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from arat_homotopy.errors import NoPureSaddle, SizeGuardExceeded
+from arat_homotopy.errors import SizeGuardExceeded
 from arat_homotopy.game_model import AratGame
 from arat_homotopy.oracle import (
     certify,
     enumerate_lcp,
     evaluate_pure_pair,
-    pure_saddle,
-    stage_matrix,
     value_iteration,
 )
 from arat_homotopy.vlcp_builder import build_vlcp, recover_vlcp_solution, to_equivalent_lcp
+from conftest import make_example1, pure_saddle, random_arat_game, stage_matrix
 
 
 class TestValueIteration:
@@ -67,7 +68,7 @@ class TestValueIteration:
             np.testing.assert_allclose(v, sol.v, atol=1e-10)
 
     def test_no_pure_saddle_raises(self):
-        with pytest.raises(NoPureSaddle):
+        with pytest.raises(ValueError):
             pure_saddle(np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
     def test_max_iter_exceeded(self, example1):
@@ -78,6 +79,84 @@ class TestValueIteration:
     def test_stage_matrix_example1(self, example1):
         q1 = stage_matrix(example1, 0, np.array([14.0, 14.0]))
         np.testing.assert_allclose(q1, [[14.0, 17.0], [13.0, 16.0]])
+
+    @pytest.mark.parametrize("player", ["I", "II"])
+    def test_player_without_actions_raises(self, example1, player):
+        r, p = ("r1", "p1") if player == "I" else ("r2", "p2")
+        game = dataclasses.replace(example1, **{
+            r: (getattr(example1, r)[0], np.zeros(0)),
+            p: (getattr(example1, p)[0], np.zeros((0, 2))),
+        })
+        with pytest.raises(ValueError,
+                           match=f"state 2: player {player} has no actions"):
+            value_iteration(game)
+
+
+def _brute_force_sweep(game: AratGame, v: np.ndarray):
+    """Per-state pure saddle of the entry-by-entry stage matrix at v."""
+    saddles = [pure_saddle(stage_matrix(game, s, v)) for s in range(game.d)]
+    return (np.array([val for val, _, _ in saddles]),
+            tuple(i for _, i, _ in saddles),
+            tuple(j for _, _, j in saddles))
+
+
+def _duplicated_actions(game: AratGame) -> AratGame:
+    """Every action of both players listed twice in a row."""
+    return AratGame(
+        beta=game.beta,
+        r1=tuple(np.repeat(a, 2) for a in game.r1),
+        r2=tuple(np.repeat(a, 2) for a in game.r2),
+        p1=tuple(np.repeat(a, 2, axis=0) for a in game.p1),
+        p2=tuple(np.repeat(a, 2, axis=0) for a in game.p2),
+    )
+
+
+class TestStackedSweepParity:
+    """The separable sweep against the brute-force stage-matrix saddle."""
+
+    def _assert_matches_brute_force(self, game):
+        # tol=inf stops after the first sweep from v = 0; the strategies
+        # and the residual then come from one more sweep at that v
+        sol = value_iteration(game, tol=np.inf)
+        assert sol.iterations == 1
+        v1, _, _ = _brute_force_sweep(game, np.zeros(game.d))
+        v2, si, sii = _brute_force_sweep(game, v1)
+        np.testing.assert_allclose(sol.v, v1, rtol=0,
+                                   atol=1e-12 * (1 + np.abs(v1).max()))
+        assert sol.strategy_i == si
+        assert sol.strategy_ii == sii
+        assert abs(sol.residual - np.abs(v2 - v1).max()) <= \
+            1e-12 * (1 + np.abs(v2).max())
+        # at the fixed point the brute-force saddle reproduces v and pair
+        sol = value_iteration(game)
+        v_fix, si, sii = _brute_force_sweep(game, sol.v)
+        np.testing.assert_allclose(v_fix, sol.v, rtol=0,
+                                   atol=1e-9 * (1 + np.abs(sol.v).max()))
+        assert sol.strategy_i == si
+        assert sol.strategy_ii == sii
+        return sol
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           d_max=st.integers(1, 5),
+           actions_max=st.integers(1, 4),
+           beta=st.sampled_from([0.0, 0.5, 0.99]))
+    @settings(max_examples=60, deadline=None)
+    def test_random_games(self, seed, d_max, actions_max, beta):
+        game = random_arat_game(np.random.default_rng(seed), d_max=d_max,
+                                actions_max=actions_max, betas=(beta,))
+        self._assert_matches_brute_force(game)
+
+    @pytest.mark.parametrize("base", [
+        make_example1(),
+        random_arat_game(np.random.default_rng(11), d_max=4, actions_max=3,
+                         betas=(0.5,)),
+    ], ids=["example1", "random"])
+    def test_duplicated_actions_take_the_first_copy(self, base):
+        sol = value_iteration(base)
+        dup = self._assert_matches_brute_force(_duplicated_actions(base))
+        assert dup.strategy_i == tuple(2 * i for i in sol.strategy_i)
+        assert dup.strategy_ii == tuple(2 * j for j in sol.strategy_ii)
+        np.testing.assert_allclose(dup.v, sol.v, rtol=1e-12)
 
 
 class TestShiftCovariance:
