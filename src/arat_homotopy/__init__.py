@@ -4,11 +4,13 @@ Pipeline: game -> vertical complementarity problem -> equivalent square
 LCP -> interior homotopy traced by a high-order predictor-corrector ->
 pure stationary strategies read off the endpoint, certified exactly by
 Shapley's one-shot deviation inequalities at the pair's own value.
-Value iteration and LCP enumeration remain as independent oracles.
+``solve(game)`` runs it in one call and returns an ``Answer``.  Value
+iteration and LCP enumeration remain as independent oracles.
 """
 
 from .errors import (
     AratHomotopyError,
+    InvalidGame,
     MaxIterExceeded,
     NoInteriorPointFound,
     NotConverged,
@@ -54,7 +56,6 @@ from .vlcp_builder import (
     VlcpInstance,
     VlcpSolution,
     build_vlcp,
-    check_vbr0_sufficient,
     recover_vlcp_solution,
     to_equivalent_lcp,
 )
@@ -62,6 +63,8 @@ from .vlcp_builder import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "solve",
+    "Answer",
     "AratGame",
     "ValidationReport",
     "validate",
@@ -74,7 +77,6 @@ __all__ = [
     "build_vlcp",
     "to_equivalent_lcp",
     "recover_vlcp_solution",
-    "check_vbr0_sufficient",
     "HomotopyInstance",
     "HomotopyPoint",
     "eval_H",
@@ -96,9 +98,19 @@ __all__ = [
     "enumerate_lcp",
     "certify",
     "AratHomotopyError",
+    "InvalidGame",
     "MaxIterExceeded",
     "NoInteriorPointFound",
     "NotConverged",
     "SingularJacobian",
     "SizeGuardExceeded",
 ]
+
+
+def __getattr__(name: str):
+    # cli is loaded on first use: loaded with the package, it would make
+    # ``python -m arat_homotopy.cli`` warn that it is already imported
+    if name in ("solve", "Answer"):
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -3,12 +3,12 @@
 Verbs: ``validate`` (invariant report), ``solve`` (full homotopy pipeline;
 the pure pair read off the endpoint is certified exactly), ``oracle``
 (value iteration plus exhaustive LCP enumeration), ``build`` (print the
-constructed matrices as JSON).
+constructed matrices as JSON).  :func:`solve` is the same pipeline as a
+library call.
 
 Game files are UTF-8 JSON; actions and states are 1-based in files and
 messages, 0-based inside the library.  Exit codes: 0 success, 1 invalid
-game / no convergence / failed certificate, 2 I/O, parse or flag error, 3 no
-strictly feasible starting point.
+game / no convergence / failed certificate, 2 I/O, parse or flag error.
 """
 
 from __future__ import annotations
@@ -19,29 +19,23 @@ import json
 import logging
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import MaxIterExceeded, NoInteriorPointFound, SizeGuardExceeded
+from .errors import InvalidGame, MaxIterExceeded, NoInteriorPointFound, SizeGuardExceeded
 from .game_model import AratGame, validate
-from .homotopy_core import HomotopyInstance, find_interior_point
-from .oracle import certify, enumerate_lcp, evaluate_pure_pair, value_iteration
+from .homotopy_core import _EPS_SMALL, HomotopyInstance, find_interior_point
+from .oracle import CertificateReport, certify, enumerate_lcp, evaluate_pure_pair, value_iteration
 from .path_tracer import MAX_STEPS, TraceResult, TraceStatus, extract_solution, trace
-from .vlcp_builder import (
-    SquareLcp,
-    build_vlcp,
-    check_vbr0_sufficient,
-    recover_vlcp_solution,
-    to_equivalent_lcp,
-)
+from .vlcp_builder import build_vlcp, recover_vlcp_solution, to_equivalent_lcp
 
 log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_PARSE = 2
-EXIT_NO_INTERIOR = 3
 
 
 class GameFileError(ValueError):
@@ -118,8 +112,9 @@ def game_to_doc(game: AratGame) -> dict:
     }
 
 
-def write_trace_csv(path: str | Path, result: TraceResult, n: int) -> None:
+def write_trace_csv(path: str | Path, result: TraceResult) -> None:
     """One row per accepted path point, full precision scientific notation."""
+    n = result.final.x.size
     cols = (
         ["step", "t", "residual", "step_length", "det_sign"]
         + [f"x_{i + 1}" for i in range(n)]
@@ -150,39 +145,74 @@ def _read_game(path: str) -> AratGame | None:
         return None
 
 
-def _invalid(game: AratGame) -> bool:
-    """True, after the report is printed on stderr, if the game is invalid."""
-    report = validate(game)
-    if not report.ok:
-        print(f"invalid game:\n{report}", file=sys.stderr)
-    return not report.ok
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
     game = _read_game(args.game)
     if game is None:
         return EXIT_PARSE
     report = validate(game)
-    flags = check_vbr0_sufficient(game)
     if report.ok:
         print("game file is a valid additive game")
     else:
         print("invalid game:")
         for v in report.violations:
             print(f"  - {v}")
-    print(f"vertical-block R0 sufficient conditions: "
-          f"holds_a={flags['holds_a']}, holds_b={flags['holds_b']} "
-          f"(neither promises a complementary endpoint)")
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
-def _reward_shift(game: AratGame) -> tuple[AratGame, float]:
-    """Shift both reward components up to at least 1; return total shift."""
-    c1 = max(0.0, 1.0 - min(float(a.min()) for a in game.r1))
-    c2 = max(0.0, 1.0 - min(float(a.min()) for a in game.r2))
-    if c1 == 0.0 and c2 == 0.0:
-        return game, 0.0
-    return game.shifted(c1, c2), c1 + c2
+@dataclass(frozen=True)
+class Answer:
+    """What :func:`solve` found.  If the trace converged: the 0-based
+    pure pair read off its endpoint, the pair's exact value and its
+    certificate, on the game as given; else these four are None.
+    ``value_shift`` is c2 / (1 - beta) if r2 was shifted by c2, else 0."""
+
+    result: TraceResult
+    value_shift: float = 0.0
+    value: np.ndarray | None = None
+    strategy_i: tuple[int, ...] | None = None
+    strategy_ii: tuple[int, ...] | None = None
+    certificate: CertificateReport | None = None
+
+    @property
+    def passed(self) -> bool:
+        """True iff a pair was found and it passed the certificate."""
+        return self.certificate is not None and self.certificate.passed
+
+
+def solve(game: AratGame, max_steps: int = MAX_STEPS,
+          x0: np.ndarray | None = None) -> Answer:
+    """The paper's pipeline: game -> vertical LCP -> square LCP ->
+    interior homotopy -> pure pair read off the endpoint, certified
+    exactly on ``game``.  ``x0`` is a start hint (:func:`find_interior_point`;
+    ValueError if its size is wrong); an invalid game raises InvalidGame.
+
+    The computed start fails only at a state without player-II transition
+    mass where some r2 <= 0.01 m1(s).  Then r2 is shifted up to at least
+    1 + 0.01 max m1, which leaves those rows a slack of at least 1; optimal
+    pure pairs do not move under the shift.
+    """
+    lcp = to_equivalent_lcp(build_vlcp(game))
+    value_shift = 0.0
+    try:
+        start = find_interior_point(lcp, hint=x0)
+    except NoInteriorPointFound as exc:
+        c2 = (1.0 + _EPS_SMALL * max(game.m1)
+              - min(float(a.min()) for a in game.r2))
+        value_shift = c2 / (1.0 - game.beta)
+        log.info("%s; r2 shifted by %s (value offset %s)", exc, c2, value_shift)
+        lcp = to_equivalent_lcp(build_vlcp(game.shifted(0.0, c2)))
+        start = find_interior_point(lcp, hint=x0)
+
+    result = trace(HomotopyInstance.from_lcp(lcp, start), max_steps)
+    log.info("trace finished: %s after %d accepted steps",
+             result.status.value, len(result.path) - 1)
+    if result.status is not TraceStatus.CONVERGED:
+        return Answer(result, value_shift)
+    sol = extract_solution(result, lcp)
+    value = evaluate_pure_pair(game, sol.strategy_i, sol.strategy_ii)
+    cert = certify(game, dataclasses.replace(sol, value=value), tol=1e-4)
+    return Answer(result, value_shift, value, sol.strategy_i,
+                  sol.strategy_ii, cert)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -190,22 +220,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print("bad tracer settings: max_steps must be at least 1",
               file=sys.stderr)
         return EXIT_PARSE
-    game = _read_game(args.game)
-    if game is None:
-        return EXIT_PARSE
-    if args.beta_override is not None:
-        game = dataclasses.replace(game, beta=args.beta_override)
-    if _invalid(game):
-        return EXIT_FAIL
-
-    solve_game = game
-    value_shift = 0.0
-    if args.shift_rewards:
-        solve_game, total = _reward_shift(game)
-        value_shift = total / (1.0 - solve_game.beta)
-        log.info("rewards shifted by %s (value offset %s)", total, value_shift)
-
-    lcp = to_equivalent_lcp(build_vlcp(solve_game))
     hint = None
     if args.x0 != "auto":
         try:
@@ -213,84 +227,70 @@ def cmd_solve(args: argparse.Namespace) -> int:
         except ValueError:
             print(f"cannot parse --x0 list: {args.x0!r}", file=sys.stderr)
             return EXIT_PARSE
+    game = _read_game(args.game)
+    if game is None:
+        return EXIT_PARSE
+    if args.beta_override is not None:
+        game = dataclasses.replace(game, beta=args.beta_override)
     try:
-        x0 = find_interior_point(lcp, hint=hint)
-    except NoInteriorPointFound as exc:
-        print(f"no interior point: {exc}", file=sys.stderr)
-        return EXIT_NO_INTERIOR
+        answer = solve(game, args.max_steps, hint)
+    except InvalidGame:
+        raise  # reported by main
     except ValueError as exc:
         print(f"bad --x0 hint: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    inst = HomotopyInstance.from_lcp(lcp, x0)
-    result = trace(inst, args.max_steps)
-    log.info("trace finished: %s after %d accepted steps",
-             result.status.value, len(result.path) - 1)
-
-    if args.trace:
-        write_trace_csv(args.trace, result, lcp.n)
-
+    result, cert = answer.result, answer.certificate
+    steps = len(result.path) - 1
     doc: dict = {
         "status": result.status.value,
         "detail": result.detail,
-        "steps": len(result.path) - 1,
+        "steps": steps,
         "final_t": result.final.t,
         "residual": result.path[-1].residual,
-        "value": None,
-        "strategy_player_i": None,
-        "strategy_player_ii": None,
-        "certificate": None,
-        "value_shift": value_shift,
+        "value_shift": answer.value_shift,
+        "value": None, "strategy_player_i": None,
+        "strategy_player_ii": None, "certificate": None,
     }
-
-    exit_code = EXIT_FAIL
-    if result.status is TraceStatus.CONVERGED:
-        sol = extract_solution(result, lcp)
-        # the pair is certified on the game as given: optimal pure pairs
-        # do not move under a reward shift, and its value is exact
-        value = evaluate_pure_pair(game, sol.strategy_i, sol.strategy_ii)
-        cert = certify(game, dataclasses.replace(sol, value=value), tol=1e-4)
-        doc["value"] = value.tolist()
-        doc["strategy_player_i"] = _one_based(sol.strategy_i)
-        doc["strategy_player_ii"] = _one_based(sol.strategy_ii)
-        doc["certificate"] = {
-            "value_match": cert.value_match,
-            "ineq_player_i": cert.ineq_player_i,
-            "ineq_player_ii": cert.ineq_player_ii,
-            "value_error": cert.value_error,
-        }
-        print(f"status: {result.status.value} "
-              f"({len(result.path) - 1} accepted steps)")
-        print("value: " + " ".join(f"{v:.10g}" for v in value))
-        for s in range(game.d):
-            print(f"  state {s + 1}: player I action "
-                  f"{sol.strategy_i[s] + 1}, player II action "
-                  f"{sol.strategy_ii[s] + 1}")
-        print(f"certificate: "
-              f"{'PASS' if cert.passed else 'FAIL'} "
+    if cert is not None:
+        doc["value"] = answer.value.tolist()
+        doc["strategy_player_i"] = _one_based(answer.strategy_i)
+        doc["strategy_player_ii"] = _one_based(answer.strategy_ii)
+        doc["certificate"] = {k: v for k, v in dataclasses.asdict(cert).items()
+                              if k != "violations"}
+        print(f"status: {result.status.value} ({steps} accepted steps)")
+        print("value: " + " ".join(f"{v:.10g}" for v in answer.value))
+        for s, (i, j) in enumerate(zip(answer.strategy_i, answer.strategy_ii)):
+            print(f"  state {s + 1}: player I action {i + 1}, "
+                  f"player II action {j + 1}")
+        print(f"certificate: {'PASS' if cert.passed else 'FAIL'} "
               f"(value error {cert.value_error:.3e})")
-        if not cert.passed:
-            for v in cert.violations:
-                print(f"  - {v}")
-        exit_code = EXIT_OK if cert.passed else EXIT_FAIL
+        for v in cert.violations:
+            print(f"  - {v}")
     else:
         print(f"status: {result.status.value}"
               + (f" ({result.detail})" if result.detail else ""))
 
-    if args.json_out:
-        Path(args.json_out).write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-    return exit_code
+    try:
+        if args.trace:
+            write_trace_csv(args.trace, result)
+        if args.json_out:
+            Path(args.json_out).write_text(
+                json.dumps(doc, indent=2, sort_keys=True) + "\n",
+                encoding="utf-8",
+            )
+    except OSError as exc:
+        print(f"cannot write {exc.filename}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return EXIT_PARSE
+    return EXIT_OK if answer.passed else EXIT_FAIL
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     game = _read_game(args.game)
     if game is None:
         return EXIT_PARSE
-    if _invalid(game):
-        return EXIT_FAIL
+    lcp = to_equivalent_lcp(build_vlcp(game))
     try:
         sol = value_iteration(game)
     except MaxIterExceeded as exc:
@@ -300,7 +300,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     print(f"strategies: player I {_one_based(sol.strategy_i)}, "
           f"player II {_one_based(sol.strategy_ii)} "
           f"({sol.iterations} sweeps, residual {sol.residual:.3e})")
-    lcp = to_equivalent_lcp(build_vlcp(game))
     try:
         solutions = enumerate_lcp(lcp.M, lcp.q, guard=args.guard)
     except SizeGuardExceeded as exc:
@@ -323,8 +322,6 @@ def cmd_build(args: argparse.Namespace) -> int:
     game = _read_game(args.game)
     if game is None:
         return EXIT_PARSE
-    if _invalid(game):
-        return EXIT_FAIL
     vlcp = build_vlcp(game)
     lcp = to_equivalent_lcp(vlcp)
     doc = {
@@ -374,9 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accepted-step budget")
     p.add_argument("--trace", default=None, metavar="OUT.CSV",
                    help="write the accepted path as CSV")
-    p.add_argument("--shift-rewards", action="store_true",
-                   help="shift rewards to be >= 1 before solving and "
-                        "unshift the reported value")
     p.add_argument("--json-out", default=None, metavar="OUT.JSON",
                    help="write a machine-readable result document")
     p.set_defaults(func=cmd_solve)
@@ -398,7 +392,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InvalidGame as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -5,6 +5,10 @@ class AratHomotopyError(Exception):
     """Base class for all solver errors."""
 
 
+class InvalidGame(AratHomotopyError, ValueError):
+    """The game breaks an invariant that ``game_model.validate`` checks."""
+
+
 class SizeGuardExceeded(AratHomotopyError):
     """Problem is too large for exhaustive support enumeration."""
 

@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import InvalidGame
 from .game_model import AratGame, validate
 
 log = logging.getLogger(__name__)
@@ -123,7 +124,8 @@ class VlcpSolution:
 
 
 def build_vlcp(game: AratGame) -> VlcpInstance:
-    """Assemble the vertical problem for a validated additive game.
+    """Assemble the vertical problem for an additive game; one that fails
+    ``validate`` raises InvalidGame, whose message holds the report.
 
     Row order: player-I rows state-major then player-II rows state-major.
     Columns: eta(1..d) then xi(1..d).  Entry pattern per row block::
@@ -135,7 +137,7 @@ def build_vlcp(game: AratGame) -> VlcpInstance:
     """
     report = validate(game)
     if not report.ok:
-        raise ValueError(f"invalid game:\n{report}")
+        raise InvalidGame(f"invalid game:\n{report}")
     d = game.d
     m1, m2 = game.m1, game.m2
     rows_i = sum(m1)
@@ -214,21 +216,3 @@ def recover_vlcp_solution(lcp: SquareLcp, z: Sequence[float],
     actions = tuple(int(np.argmin(w[list(rng)])) for rng in lcp.J)
     return VlcpSolution(x=x, w=w, eta=eta, xi=xi, value=eta + xi,
                         strategy_i=actions[:d], strategy_ii=actions[d:])
-
-
-def check_vbr0_sufficient(game: AratGame) -> dict[str, bool]:
-    """Two sufficient conditions for the vertical-block R0 property.
-
-    (a) every player-II action keeps positive mass on the current state;
-    (b) no player-I block has a zero column and no player-II block is null.
-    """
-    holds_a = all(
-        game.p2[s][j, s] > 0.0
-        for s in range(game.d)
-        for j in range(game.m2[s])
-    )
-    holds_b = all(
-        game.p1[s].any(axis=0).all() and game.p2[s].any()
-        for s in range(game.d)
-    )
-    return {"holds_a": holds_a, "holds_b": holds_b}

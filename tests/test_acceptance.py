@@ -6,7 +6,6 @@ lines; every tolerance is pinned here, none is configurable.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import time
 from contextlib import contextmanager
@@ -23,20 +22,12 @@ from arat_homotopy.homotopy_core import (
     find_interior_point,
     jac_full,
 )
-from arat_homotopy.errors import NoInteriorPointFound
 from arat_homotopy.oracle import (
     certify,
     enumerate_lcp,
-    evaluate_pure_pair,
     value_iteration,
 )
-from arat_homotopy.path_tracer import (
-    TraceStatus,
-    corrector_core,
-    extract_solution,
-    tangent,
-    trace,
-)
+from arat_homotopy.path_tracer import corrector_core, tangent
 from arat_homotopy.vlcp_builder import (
     SquareLcp,
     build_vlcp,
@@ -284,31 +275,22 @@ def test_criterion_9_random_game_certificates():
                     break
             assert matched, f"game {k}: enumeration lacks a certified solution"
 
-            try:
-                x0 = find_interior_point(lcp)
-            except NoInteriorPointFound:
-                statuses.append((k, "NoInteriorPoint"))
-                print(f"  game {k:02d}: NoInteriorPoint (logged)")
+            # the shipped pipeline, as the solve verb runs it
+            answer = cli.solve(game)
+            if answer.certificate is None:
+                status = answer.result.status.value
+                statuses.append((k, status))
+                print(f"  game {k:02d}: {status} (logged) "
+                      f"detail={answer.result.detail[:60]}")
                 continue
-            result = trace(HomotopyInstance.from_lcp(lcp, x0))
-            if result.status is not TraceStatus.CONVERGED:
-                statuses.append((k, result.status.value))
-                print(f"  game {k:02d}: {result.status.value} (logged) "
-                      f"detail={result.detail[:60]}")
-                continue
-            # the pipeline's certificate, as the solve verb runs it
-            sol = extract_solution(result, lcp)
-            value = evaluate_pure_pair(game, sol.strategy_i, sol.strategy_ii)
-            report = certify(game, dataclasses.replace(sol, value=value),
-                             tol=1e-4)
-            if not report.passed:
+            if not answer.passed:
                 statuses.append((k, "CertFailed"))
                 print(f"  game {k:02d}: CertFailed (logged) "
-                      f"{report.violations[0][:60]}")
+                      f"{answer.certificate.violations[0][:60]}")
                 continue
-            assert np.abs(value - truth.v).max() <= 1e-4, (
-                f"game {k}: certified value {value} is not the oracle's "
-                f"{truth.v}"
+            assert np.abs(answer.value - truth.v).max() <= 1e-4, (
+                f"game {k}: certified value {answer.value} is not the "
+                f"oracle's {truth.v}"
             )
             statuses.append((k, "Certified"))
         elapsed = time.perf_counter() - start

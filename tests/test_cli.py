@@ -15,7 +15,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arat_homotopy import cli
-from arat_homotopy.game_model import AratGame, composed_reward, composed_transition
+from arat_homotopy.game_model import (
+    AratGame,
+    composed_reward,
+    composed_transition,
+    validate,
+)
 from arat_homotopy.oracle import value_iteration
 
 from conftest import FIXTURES, make_example1, random_arat_game
@@ -36,8 +41,7 @@ class TestValidateCommand:
         code = cli.main(["validate", EX1])
         out = capsys.readouterr().out
         assert code == 0
-        assert "valid additive game" in out
-        assert "holds_a=False" in out and "holds_b=False" in out
+        assert out == "game file is a valid additive game\n"
 
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -107,12 +111,8 @@ class TestSolveCommand:
         assert abs(ts[-1]) <= 1e-7
         steps = [int(line.split(",")[0]) for line in lines[1:]]
         assert steps == list(range(len(steps)))
-        # row count equals the (deterministic) library trace's path length
-        from arat_homotopy.homotopy_core import HomotopyInstance, find_interior_point
-        from arat_homotopy.path_tracer import trace
-        from arat_homotopy.vlcp_builder import build_vlcp, to_equivalent_lcp
-        lcp = to_equivalent_lcp(build_vlcp(make_example1()))
-        result = trace(HomotopyInstance.from_lcp(lcp, find_interior_point(lcp)))
+        # row count equals the (deterministic) library solve's path length
+        result = cli.solve(make_example1()).result
         assert len(lines) - 1 == len(result.path)
         np.testing.assert_array_equal(ts, [pt.u.t for pt in result.path])
 
@@ -147,23 +147,6 @@ class TestSolveCommand:
             dataclasses.replace(make_example1(), beta=0.3))
         np.testing.assert_allclose(doc["value"], truth.v, atol=1e-4)
 
-    def test_infeasible_without_shift_exits_3(self, tmp_path, capsys):
-        game = AratGame(beta=0.5, r1=([2.0],), r2=([-1.0],),
-                        p1=([[1.0]],), p2=([[0.0]],))
-        path = write_game(tmp_path, cli.game_to_doc(game))
-        assert cli.main(["solve", path]) == 3
-        assert "player-II row 1 of state 1 cannot be lifted" in (
-            capsys.readouterr().err)
-        # the message names the state that fails, not the first one; a
-        # reward equal to 0.01 m1(s) fails too (no strict slack is left)
-        game = AratGame(beta=0.5, r1=([2.0], [2.0]), r2=([1.0], [0.01]),
-                        p1=([[0.5, 0.5]], [[0.0, 1.0]]),
-                        p2=([[0.0, 0.0]], [[0.0, 0.0]]))
-        path = write_game(tmp_path, cli.game_to_doc(game), "two.json")
-        assert cli.main(["solve", path]) == 3
-        assert "player-II row 1 of state 2 cannot be lifted" in (
-            capsys.readouterr().err)
-
     def test_mass_to_larger_player_ii_state_solves(self, tmp_path, capsys):
         # state 1's player-I row sends all its mass to state 2, which has
         # two player-II actions: one level on every xi copy cannot lift
@@ -178,18 +161,30 @@ class TestSolveCommand:
         assert cli.main(["solve", path]) == 0
         assert "certificate: PASS" in capsys.readouterr().out
 
-    def test_shift_rewards_solves_and_unshifts(self, tmp_path, capsys):
-        game = AratGame(beta=0.5, r1=([2.0],), r2=([-1.0],),
-                        p1=([[1.0]],), p2=([[0.0]],))
+    @pytest.mark.parametrize("game, c2", [
+        # r2 = -1 <= 0.01 m1(1): shifted up to 1 + 0.01 = 1.01
+        (AratGame(beta=0.5, r1=([2.0],), r2=([-1.0],),
+                  p1=([[1.0]],), p2=([[0.0]],)), 2.01),
+        # r2 = 0.01 = 0.01 m1(2) leaves state 2 no strict slack
+        (AratGame(beta=0.5, r1=([2.0], [2.0]), r2=([1.0], [0.01]),
+                  p1=([[0.5, 0.5]], [[0.0, 1.0]]),
+                  p2=([[0.0, 0.0]], [[0.0, 0.0]])), 1.0),
+        # m1 = 100: shifting r2 to 1 (the old --shift-rewards) is not enough
+        (AratGame(beta=0.9, r1=(np.arange(100.0) % 7,), r2=([-1.0],),
+                  p1=(np.ones((100, 1)),), p2=([[0.0]],)), 3.0),
+    ], ids=["one_state", "two_states", "m1_100"])
+    def test_start_without_player_ii_mass_shifts_r2(self, tmp_path, capsys,
+                                                     game, c2):
         path = write_game(tmp_path, cli.game_to_doc(game))
         json_out = tmp_path / "r.json"
-        code = cli.main(["solve", path, "--shift-rewards",
-                         "--json-out", str(json_out)])
-        assert code == 0
+        assert cli.main(["solve", path, "--json-out", str(json_out)]) == 0
+        assert "certificate: PASS" in capsys.readouterr().out
         doc = json.loads(json_out.read_text())
-        # oracle on the original game: v = (2 - 1) / (1 - 1/2) = 2
-        np.testing.assert_allclose(doc["value"], [2.0], atol=1e-4)
-        assert doc["value_shift"] == pytest.approx(4.0)
+        # the pair is evaluated on the game as given, not the shifted one
+        np.testing.assert_allclose(doc["value"], value_iteration(game).v,
+                                   rtol=0, atol=1e-4)
+        assert doc["value_shift"] == pytest.approx(c2 / (1.0 - game.beta),
+                                                   rel=1e-15)
 
     def test_bad_x0_list_exits_2(self):
         assert cli.main(["solve", EX1, "--x0", "1,2,banana"]) == 2
@@ -210,6 +205,8 @@ class TestSolveCommand:
         ["--r-accept", "1.0"],
         # a prefix of --max-steps is not taken for it
         ["--max", "3"],
+        # the start shifts r2 by itself when it must
+        ["--shift-rewards"],
     ], ids=lambda flags: flags[0])
     def test_removed_or_abbreviated_flag_exits_2(self, flags, capsys,
                                                   monkeypatch):
@@ -221,6 +218,42 @@ class TestSolveCommand:
             cli.main(["solve", EX1] + flags)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--json-out", "--trace"])
+    def test_unwritable_output_exits_2_without_traceback(self, tmp_path,
+                                                         flag):
+        # run as a program, so an escaping exception would show as a
+        # traceback on stderr instead of failing inside the test process
+        target = tmp_path / "missing" / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "arat_homotopy.cli", "solve", EX1, flag,
+             str(target)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"cannot write {target}: ")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+        assert "certificate: PASS" in proc.stdout
+
+
+class TestValidateOnce:
+    @pytest.mark.parametrize("verb", ["solve", "oracle", "build"])
+    def test_each_verb_validates_once(self, verb, monkeypatch, capsys):
+        from arat_homotopy import vlcp_builder
+
+        calls = []
+
+        def counted(game):
+            calls.append(game)
+            return validate(game)
+
+        # both places a verb can look the name up
+        monkeypatch.setattr(cli, "validate", counted)
+        monkeypatch.setattr(vlcp_builder, "validate", counted)
+        assert cli.main([verb, EX1]) == 0
+        assert len(calls) == 1
 
 
 class TestSolveProperty:

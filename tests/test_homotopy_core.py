@@ -225,6 +225,24 @@ class TestInteriorPoint:
         with pytest.raises(NoInteriorPointFound):
             find_interior_point(lcp)
 
+    def test_state_without_player_ii_mass_is_named(self):
+        # such a row's slack is r2 - 0.01 m1(s), whatever the lift
+        game = AratGame(beta=0.5, r1=([2.0],), r2=([-1.0],),
+                        p1=([[1.0]],), p2=([[0.0]],))
+        lcp = to_equivalent_lcp(build_vlcp(game))
+        with pytest.raises(NoInteriorPointFound, match=(
+                "player-II row 1 of state 1 cannot be lifted")):
+            find_interior_point(lcp)
+        # the message names the state that fails, not the first one; a
+        # reward equal to 0.01 m1(s) fails too (no strict slack is left)
+        game = AratGame(beta=0.5, r1=([2.0], [2.0]), r2=([1.0], [0.01]),
+                        p1=([[0.5, 0.5]], [[0.0, 1.0]]),
+                        p2=([[0.0, 0.0]], [[0.0, 0.0]]))
+        lcp = to_equivalent_lcp(build_vlcp(game))
+        with pytest.raises(NoInteriorPointFound, match=(
+                "player-II row 1 of state 2 cannot be lifted")):
+            find_interior_point(lcp)
+
 
 class TestInstanceInvariants:
     def test_boundary_anchor_rejected(self):

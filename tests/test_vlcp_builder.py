@@ -13,7 +13,6 @@ from arat_homotopy.vlcp_builder import (
     SquareLcp,
     VerticalBlockMatrix,
     build_vlcp,
-    check_vbr0_sufficient,
     recover_vlcp_solution,
     to_equivalent_lcp,
 )
@@ -201,27 +200,6 @@ class TestShapleyInequalities:
 
 
 class TestMatrixClassChecks:
-    def test_example1_sufficient_conditions(self, example1):
-        flags = check_vbr0_sufficient(example1)
-        # p2[1][2][1] = 0 breaks (a); P1(1) has a zero second column for (b)
-        assert flags == {"holds_a": False, "holds_b": False}
-
-    def test_diagonal_mass_gives_holds_a(self):
-        game = AratGame(
-            beta=0.5,
-            r1=([1.0],), r2=([1.0],),
-            p1=([[0.5]],), p2=([[0.5]],),
-        )
-        assert check_vbr0_sufficient(game)["holds_a"] is True
-
-    def test_null_player_ii_block_breaks_holds_b(self):
-        game = AratGame(
-            beta=0.5,
-            r1=([1.0],), r2=([1.0],),
-            p1=([[1.0]],), p2=([[0.0]],),
-        )
-        assert check_vbr0_sufficient(game)["holds_b"] is False
-
     def test_vbe_e_on_examples(self, example1, example2):
         for game in (example1, example2):
             lcp = to_equivalent_lcp(build_vlcp(game))
