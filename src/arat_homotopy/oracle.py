@@ -3,14 +3,19 @@
 Three unrelated routes to the answer live here: fixed-point value
 iteration in separable sweeps (each state's pure saddle is the best
 player-I row term plus the best player-II column term, so a sweep over
-the whole game is a few numpy calls), direct policy evaluation of a pure
-stationary pair, and exhaustive complementary-support enumeration for
-small square LCPs.  None of them shares code with the homotopy path.
+the whole game is one matrix-vector product and a segmented max and
+min), direct policy evaluation of a pure stationary pair, and
+complementary-support enumeration for small square LCPs.  Enumeration
+visits only supports that hold at most one column from each group of
+identical columns of M; any other support has a singular principal
+submatrix.  None of them shares code with the homotopy path.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -24,7 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 log = logging.getLogger(__name__)
 
-#: Largest LCP dimension the 2^n support enumeration will attempt.
+#: Largest LCP dimension the support enumeration will attempt.
 ENUMERATION_GUARD = 20
 
 #: Relative slack on the one-shot deviation inequalities in certify.
@@ -43,23 +48,29 @@ class GameSolution:
 
 
 def value_iteration(game: AratGame, tol: float = 1e-10,
-                    max_iter: int = 100_000) -> GameSolution:
+                    max_iter: int | None = None) -> GameSolution:
     """Fixed-point iteration v <- per-state pure saddle of the stage matrix.
 
     In an additive game the stage matrix of state s is a_i + b_j, with
     a = r1[s] + beta p1[s] v and b = r2[s] + beta p2[s] v, so its pure
     saddle value is max a + min b (Raghavan, Tijs & Vrieze, JOTA 47,
-    1985).  The actions of all states are stacked once per call; a sweep
-    is then two matrix-vector products and one segmented max and min,
-    O((sum m1 + sum m2) d) flops in a fixed handful of numpy calls.  The
-    strategies are the smallest-index argmax of each state's block of a
-    and argmin of its block of b; ``residual`` is the step of one more
-    sweep.
+    1985).  The actions of both players in all states are stacked once
+    per call, r = (r1, r2) and beta P = beta (p1; p2); a sweep is then
+    one matrix-vector product r + beta P v, sliced into a and b, and one
+    segmented max and min, O((sum m1 + sum m2) d) flops.  The strategies
+    are the smallest-index argmax of each state's block of a and argmin
+    of its block of b; ``residual`` is the step of one more sweep.
 
-    Stops when the sup-norm step falls below tol * (1 - beta) / (2 beta),
-    which bounds the distance to the fixed point by tol / 2.  Raises
-    ValueError if a player has no action in some state, and
-    MaxIterExceeded after ``max_iter`` sweeps.
+    Stops when the sup-norm step falls below
+    tol (1 - beta) / (2 beta) (1 + max |v|), which bounds the distance
+    to the fixed point by tol / 2 (1 + max |v|).  max |v| is formed only
+    after the step is below that threshold taken at the a-priori bound
+    max |v| <= R / (1 - beta), R = max |r1| + max |r2|.  The default
+    ``max_iter`` is the larger of 100,000 and the contraction bound on
+    the sweeps from v = 0 to the absolute threshold,
+    1 + ln(tol (1 - beta) / (2 beta) / R) / ln beta.  Raises ValueError
+    if a player has no action in some state, and MaxIterExceeded after
+    ``max_iter`` sweeps.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -71,14 +82,25 @@ def value_iteration(game: AratGame, tol: float = 1e-10,
     beta = game.beta
     threshold = tol * (1.0 - beta) / (2.0 * beta) if beta > 0 else tol
     r1, r2 = np.concatenate(game.r1), np.concatenate(game.r2)
-    bp1, bp2 = beta * np.vstack(game.p1), beta * np.vstack(game.p2)
+    reward_bound = float(np.abs(r1).max() + np.abs(r2).max())
+    # the stop threshold at |v| <= reward_bound / (1 - beta), which holds
+    # on every sweep from v = 0; max |v| is formed only below it
+    loose = threshold * (1.0 + reward_bound / (1.0 - beta))
+    if max_iter is None:
+        max_iter = 100_000
+        if 0 < beta and threshold < reward_bound:
+            max_iter = max(max_iter, math.ceil(
+                1.0 + math.log(threshold / reward_bound) / math.log(beta)))
+    r = np.concatenate((r1, r2))
+    bp = beta * np.vstack(game.p1 + game.p2)
+    k = r1.size
     # first row of each state's block in the stacked arrays
     o1 = np.cumsum((0,) + game.m1[:-1])
     o2 = np.cumsum((0,) + game.m2[:-1])
 
     def sweep(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        a = r1 + bp1 @ v
-        b = r2 + bp2 @ v
+        x = r + bp @ v
+        a, b = x[:k], x[k:]
         return a, b, np.maximum.reduceat(a, o1) + np.minimum.reduceat(b, o2)
 
     v = np.zeros(game.d)
@@ -86,7 +108,8 @@ def value_iteration(game: AratGame, tol: float = 1e-10,
         v_next = sweep(v)[2]
         step = float(np.max(np.abs(v_next - v)))
         v = v_next
-        if step <= threshold:
+        if step <= loose and \
+                step <= threshold * (1.0 + float(np.max(np.abs(v)))):
             a, b, v_check = sweep(v)
             return GameSolution(
                 v=v,
@@ -121,8 +144,13 @@ def enumerate_lcp(m: np.ndarray, q: np.ndarray,
                   guard: int = ENUMERATION_GUARD) -> list[tuple[np.ndarray, np.ndarray]]:
     """All solutions of ``w = M z + q, z, w >= 0, z circ w = 0`` by brute force.
 
-    Walks every complementary support (z free on alpha, w zero on alpha),
-    solves the induced square system, and keeps nonnegative solutions.
+    Walks the complementary supports (z free on alpha, w zero on alpha)
+    in increasing bitmask order, solves the induced square system, and
+    keeps nonnegative solutions.  A support holding two equal columns of
+    M has a principal submatrix with two equal columns, which is
+    singular, so only supports with at most one column from each group
+    of equal columns are visited: prod (|J| + 1) supports over the
+    groups J instead of 2^n (the blocks of a game-built M).
     Rank-deficient supports are skipped.  The result is deduplicated and
     lexicographically sorted, hence deterministic.
     """
@@ -132,8 +160,13 @@ def enumerate_lcp(m: np.ndarray, q: np.ndarray,
     if n > guard:
         raise SizeGuardExceeded(f"n={n} exceeds enumeration guard {guard}")
     feas_tol = 1e-10
+    _, group = np.unique(m.T, axis=0, return_inverse=True)
+    group = group.ravel()
+    # per group: no column, or the bit of one of its columns
+    choices = [(0,) + tuple(1 << int(i) for i in np.flatnonzero(group == g))
+               for g in range(group.max() + 1)]
     solutions: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-    for mask in range(1 << n):
+    for mask in sorted(map(sum, itertools.product(*choices))):
         alpha = [i for i in range(n) if mask >> i & 1]
         z = np.zeros(n)
         if alpha:
@@ -146,13 +179,14 @@ def enumerate_lcp(m: np.ndarray, q: np.ndarray,
                 continue
             if not np.all(np.isfinite(z_alpha)):
                 continue
-            # refuse wildly ill-conditioned supports
-            if np.linalg.cond(sub) > 1e12:
-                log.debug("support %s skipped: ill-conditioned", alpha)
-                continue
             z[alpha] = z_alpha
         w = m @ z + q
         if z.min() < -feas_tol or w.min() < -feas_tol:
+            continue
+        # refuse wildly ill-conditioned supports; the SVD behind cond
+        # runs only on the feasible ones
+        if alpha and np.linalg.cond(sub) > 1e12:
+            log.debug("support %s skipped: ill-conditioned", alpha)
             continue
         z = np.where(np.abs(z) < feas_tol, 0.0, z)
         w = np.where(np.abs(w) < feas_tol, 0.0, w)

@@ -128,6 +128,40 @@ def jac_u0(inst: HomotopyInstance, v: np.ndarray) -> tuple[np.ndarray, float]:
     return j0, det
 
 
+def enumerate_lcp_all_supports(m: np.ndarray, q: np.ndarray
+                               ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Reference for :func:`enumerate_lcp`: the plain walk over all 2^n
+    supports in increasing bitmask order, with the same skips, dedup and
+    sort."""
+    m = np.asarray(m, dtype=float)
+    q = np.asarray(q, dtype=float)
+    n = q.size
+    feas_tol = 1e-10
+    solutions: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+    for mask in range(1 << n):
+        alpha = [i for i in range(n) if mask >> i & 1]
+        z = np.zeros(n)
+        if alpha:
+            sub = m[np.ix_(alpha, alpha)]
+            try:
+                z_alpha = np.linalg.solve(sub, -q[alpha])
+            except np.linalg.LinAlgError:
+                continue
+            if not np.all(np.isfinite(z_alpha)):
+                continue
+            if np.linalg.cond(sub) > 1e12:
+                continue
+            z[alpha] = z_alpha
+        w = m @ z + q
+        if z.min() < -feas_tol or w.min() < -feas_tol:
+            continue
+        z = np.where(np.abs(z) < feas_tol, 0.0, z)
+        w = np.where(np.abs(w) < feas_tol, 0.0, w)
+        key = tuple(np.round(z, 9)) + tuple(np.round(w, 9))
+        solutions.setdefault(key, (z, w))
+    return [solutions[k] for k in sorted(solutions)]
+
+
 def _unique_solution_is(lcp_solutions: list, z_expect: np.ndarray,
                         w_expect: np.ndarray, tol: float = 1e-9) -> bool:
     if len(lcp_solutions) != 1:

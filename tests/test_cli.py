@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arat_homotopy import cli
+from arat_homotopy.errors import MaxIterExceeded
 from arat_homotopy.game_model import (
     AratGame,
     composed_reward,
@@ -329,13 +330,26 @@ class TestOracleCommand:
         assert "enumeration skipped" in out
         assert "value:" in out
 
-    def test_no_fixed_point_within_sweep_cap_exits_1(self, tmp_path,
-                                                      capsys):
-        # at beta = 0.9999 the stop threshold, 5e-15, is below one ulp
-        # of |v| ~ 7e4 (1.5e-11), so no sweep can get under it
+    def test_beta_near_one_returns_value(self, tmp_path, capsys):
+        # at beta = 0.9999 the absolute threshold tol (1 - beta) / (2 beta),
+        # 5e-15, is below one ulp of |v| ~ 7e4; the stop relative to
+        # 1 + max |v| ends after about 237k sweeps, within the cap scaled
+        # to the contraction bound (about 353k), above the 100k floor
         doc = cli.game_to_doc(make_example1())
         doc["beta"] = 0.9999
         code = cli.main(["oracle", write_game(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "value: 70000 70000" in captured.out.splitlines()
+        assert captured.err == ""
+
+    def test_no_fixed_point_within_sweep_cap_exits_1(self, monkeypatch,
+                                                      capsys):
+        def capped(game):
+            raise MaxIterExceeded("no fixed point within 100000 sweeps")
+
+        monkeypatch.setattr(cli, "value_iteration", capped)
+        code = cli.main(["oracle", EX1])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err == ("value iteration: no fixed point within "

@@ -16,7 +16,14 @@ from arat_homotopy.oracle import (
     value_iteration,
 )
 from arat_homotopy.vlcp_builder import build_vlcp, recover_vlcp_solution, to_equivalent_lcp
-from conftest import make_example1, pure_saddle, random_arat_game, stage_matrix
+from conftest import (
+    enumerate_lcp_all_supports,
+    make_example1,
+    make_example2,
+    pure_saddle,
+    random_arat_game,
+    stage_matrix,
+)
 
 
 class TestValueIteration:
@@ -225,6 +232,65 @@ class TestEnumerateLcp:
             np.testing.assert_allclose(w, lcp.M @ z + lcp.q, atol=1e-10)
             assert min(z.min(), w.min()) >= -1e-10
             assert abs(z @ w) <= 1e-10
+
+    @staticmethod
+    def _assert_same(got, want):
+        assert len(got) == len(want)
+        for (z, w), (z_ref, w_ref) in zip(got, want):
+            np.testing.assert_array_equal(z, z_ref)
+            np.testing.assert_array_equal(w, w_ref)
+
+    @pytest.mark.parametrize("make", [make_example1, make_example2])
+    def test_matches_all_supports_on_examples(self, make):
+        lcp = to_equivalent_lcp(build_vlcp(make()))
+        self._assert_same(enumerate_lcp(lcp.M, lcp.q),
+                          enumerate_lcp_all_supports(lcp.M, lcp.q))
+
+    def test_matches_all_supports_on_random_games(self):
+        rng = np.random.default_rng(12)
+        checked = 0
+        while checked < 12:
+            game = random_arat_game(rng, d_max=3, actions_max=2)
+            lcp = to_equivalent_lcp(build_vlcp(game))
+            if lcp.n > 12:
+                continue
+            self._assert_same(enumerate_lcp(lcp.M, lcp.q),
+                              enumerate_lcp_all_supports(lcp.M, lcp.q))
+            checked += 1
+
+    def test_matches_all_supports_with_repeated_and_zero_columns(self):
+        # columns 0, 2 and 5 are equal, 1 and 4 are equal, 3 is zero
+        rng = np.random.default_rng(5)
+        base = rng.normal(size=(6, 3))
+        m = np.column_stack([base[:, 0], base[:, 1], base[:, 0],
+                             np.zeros(6), base[:, 1], base[:, 0]])
+        for _ in range(20):
+            q = rng.normal(size=6)
+            self._assert_same(enumerate_lcp(m, q),
+                              enumerate_lcp_all_supports(m, q))
+
+    @staticmethod
+    def _count_solves(monkeypatch, m, q) -> int:
+        calls = []
+        solve = np.linalg.solve
+
+        def counting_solve(a, b):
+            calls.append(a.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        enumerate_lcp(m, q)
+        return len(calls)
+
+    def test_visits_one_column_per_block_on_example1(self, monkeypatch):
+        # four blocks of two equal columns: 3^4 supports, and the empty
+        # one needs no solve; all 2^8 supports would take 255 solves
+        lcp = to_equivalent_lcp(build_vlcp(make_example1()))
+        assert self._count_solves(monkeypatch, lcp.M, lcp.q) == 80
+
+    def test_visits_every_support_without_equal_columns(self, monkeypatch):
+        assert self._count_solves(monkeypatch, np.eye(5),
+                                  -np.ones(5)) == 2 ** 5 - 1
 
     def test_guard(self):
         with pytest.raises(SizeGuardExceeded):
