@@ -8,7 +8,8 @@ library call.
 
 Game files are UTF-8 JSON; actions and states are 1-based in files and
 messages, 0-based inside the library.  Exit codes: 0 success, 1 invalid
-game / no convergence / failed certificate, 2 I/O, parse or flag error.
+game / no convergence / failed certificate, 2 I/O, parse or flag error
+(a stdout closed by its reader included).
 """
 
 from __future__ import annotations
@@ -27,7 +28,14 @@ import numpy as np
 from .errors import InvalidGame, MaxIterExceeded, NoInteriorPointFound, SizeGuardExceeded
 from .game_model import AratGame, validate
 from .homotopy_core import _EPS_SMALL, HomotopyInstance, find_interior_point
-from .oracle import CertificateReport, certify, enumerate_lcp, evaluate_pure_pair, value_iteration
+from .oracle import (
+    ENUMERATION_GUARD,
+    CertificateReport,
+    certify,
+    enumerate_lcp,
+    evaluate_pure_pair,
+    value_iteration,
+)
 from .path_tracer import MAX_STEPS, TraceResult, TraceStatus, extract_solution, trace
 from .vlcp_builder import build_vlcp, recover_vlcp_solution, to_equivalent_lcp
 
@@ -378,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="value iteration and LCP enumeration",
                        allow_abbrev=False)
     p.add_argument("game", help="path to the game JSON file")
-    p.add_argument("--guard", type=int, default=20,
+    p.add_argument("--guard", type=int, default=ENUMERATION_GUARD,
                    help="largest dimension enumerated exhaustively")
     p.set_defaults(func=cmd_oracle)
 
@@ -393,10 +401,24 @@ def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except InvalidGame as exc:
         print(exc, file=sys.stderr)
         return EXIT_FAIL
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``): send what is still
+        # buffered to the null device, so the flush at exit cannot fail
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            pass  # not backed by a file descriptor
+        else:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

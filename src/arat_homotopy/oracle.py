@@ -4,7 +4,9 @@ Three unrelated routes to the answer live here: fixed-point value
 iteration in separable sweeps (each state's pure saddle is the best
 player-I row term plus the best player-II column term, so a sweep over
 the whole game is one matrix-vector product and a segmented max and
-min), direct policy evaluation of a pure stationary pair, and
+min), stopped on the MacQueen-Porteus bracket of the fixed point, whose
+width shrinks with the span of a sweep's step rather than at rate beta;
+direct policy evaluation of a pure stationary pair; and
 complementary-support enumeration for small square LCPs.  Enumeration
 visits only supports that hold at most one column from each group of
 identical columns of M; any other support has a singular principal
@@ -32,6 +34,10 @@ log = logging.getLogger(__name__)
 #: Largest LCP dimension the support enumeration will attempt.
 ENUMERATION_GUARD = 20
 
+#: Rounding of one sweep, in ulps of its largest stacked entry, that the
+#: value-iteration stop bracket allows for.
+_ROUNDING_ULPS = 4
+
 #: Relative slack on the one-shot deviation inequalities in certify.
 _DEVIATION_SLACK = 1e-9
 
@@ -49,7 +55,8 @@ class GameSolution:
 
 def value_iteration(game: AratGame, tol: float = 1e-10,
                     max_iter: int | None = None) -> GameSolution:
-    """Fixed-point iteration v <- per-state pure saddle of the stage matrix.
+    """Fixed-point iteration v <- T v, T v = per-state pure saddle of the
+    stage matrix, stopped on a bracket of the fixed point.
 
     In an additive game the stage matrix of state s is a_i + b_j, with
     a = r1[s] + beta p1[s] v and b = r2[s] + beta p2[s] v, so its pure
@@ -57,20 +64,44 @@ def value_iteration(game: AratGame, tol: float = 1e-10,
     1985).  The actions of both players in all states are stacked once
     per call, r = (r1, r2) and beta P = beta (p1; p2); a sweep is then
     one matrix-vector product r + beta P v, sliced into a and b, and one
-    segmented max and min, O((sum m1 + sum m2) d) flops.  The strategies
-    are the smallest-index argmax of each state's block of a and argmin
-    of its block of b; ``residual`` is the step of one more sweep.
+    segmented max and min, O((sum m1 + sum m2) d) flops.
 
-    Stops when the sup-norm step falls below
-    tol (1 - beta) / (2 beta) (1 + max |v|), which bounds the distance
-    to the fixed point by tol / 2 (1 + max |v|).  max |v| is formed only
-    after the step is below that threshold taken at the a-priori bound
-    max |v| <= R / (1 - beta), R = max |r1| + max |r2|.  The default
-    ``max_iter`` is the larger of 100,000 and the contraction bound on
-    the sweeps from v = 0 to the absolute threshold,
-    1 + ln(tol (1 - beta) / (2 beta) / R) / ln beta.  Raises ValueError
-    if a player has no action in some state, and MaxIterExceeded after
-    ``max_iter`` sweeps.
+    The stop is the error bracket of MacQueen (J. Math. Anal. Appl. 14,
+    1966) and Porteus (Management Science 18, 1971).  Let sigma be the
+    largest |composed row sum - 1| of the game (at most PROB_TOL on a
+    valid game).  T is monotone, and for c >= 0 the sweep of v + c 1
+    lies between T v + beta c (1 - sigma) and T v + beta c (1 + sigma),
+    since every state's max a and min b move by beta c times a
+    per-player mass, and those masses add to within sigma of 1.  After
+    a sweep v' = T v let lo = min (v' - v) and hi = max (v' - v).  Then
+    v' <= v + hi 1 gives max (T v' - v') <= beta hi + beta sigma |hi|, and
+    the following maxima keep that sign and shrink at least at that
+    rate, so summing them,
+
+        v' + lo g_lo <= v* <= v' + hi g_hi,
+
+    with g+ = beta (1 + sigma) / (1 - beta (1 + sigma)), g- likewise
+    with 1 - sigma, g_hi = g+ if hi >= 0 else g-, and g_lo = g- if
+    lo >= 0 else g+.  hi and lo shrink with the span of v' - v, which
+    contracts far faster than beta on mixing games.  The rounding of a
+    sweep is taken as e, ``_ROUNDING_ULPS`` ulps of its largest stacked
+    entry; it moves v', lo and hi by at most e, which widens the bracket
+    by e (1 + g+) at each end.  The returned v is the bracket's midpoint,
+    v' shifted by a constant; iteration stops once the bracket's
+    half-width is at most tol / 2 (1 + max |v|), which then bounds the
+    distance to the fixed point.  If beta (1 + sigma) >= 1 the bracket
+    is unbounded and the iteration never stops.
+
+    Each player's transition mass is constant within a state, so a
+    constant shift of v moves all of a state's a (or b) alike: the
+    strategies, the smallest-index argmax of each state's block of a and
+    argmin of its block of b, come from one more sweep at the returned
+    v, and ``residual`` is that sweep's step.  The default ``max_iter``
+    is the larger of 100,000 and the contraction bound on the sweeps
+    from v = 0 to the sup-norm step tol (1 - beta) / (2 beta),
+    1 + ln(tol (1 - beta) / (2 beta) / R) / ln beta with
+    R = max |r1| + max |r2|.  Raises ValueError if a player has no
+    action in some state, and MaxIterExceeded after ``max_iter`` sweeps.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -80,17 +111,25 @@ def value_iteration(game: AratGame, tol: float = 1e-10,
                 raise ValueError(f"state {s + 1}: player {player} has no "
                                  f"actions")
     beta = game.beta
-    threshold = tol * (1.0 - beta) / (2.0 * beta) if beta > 0 else tol
     r1, r2 = np.concatenate(game.r1), np.concatenate(game.r2)
-    reward_bound = float(np.abs(r1).max() + np.abs(r2).max())
-    # the stop threshold at |v| <= reward_bound / (1 - beta), which holds
-    # on every sweep from v = 0; max |v| is formed only below it
-    loose = threshold * (1.0 + reward_bound / (1.0 - beta))
     if max_iter is None:
         max_iter = 100_000
+        threshold = tol * (1.0 - beta) / (2.0 * beta) if beta > 0 else tol
+        reward_bound = float(np.abs(r1).max() + np.abs(r2).max())
         if 0 < beta and threshold < reward_bound:
             max_iter = max(max_iter, math.ceil(
                 1.0 + math.log(threshold / reward_bound) / math.log(beta)))
+    # composed row sums of state s range over sums1[i] + sums2[j]
+    sigma = 0.0
+    for q1, q2 in zip(game.p1, game.p2):
+        sums1, sums2 = q1.sum(axis=1), q2.sum(axis=1)
+        sigma = max(sigma, abs(sums1.max() + sums2.max() - 1.0),
+                    abs(sums1.min() + sums2.min() - 1.0))
+    fast, slow = beta * (1.0 + sigma), beta * (1.0 - sigma)
+    bounded = fast < 1.0
+    if bounded:
+        g_fast, g_slow = fast / (1.0 - fast), slow / (1.0 - slow)
+        rounding = _ROUNDING_ULPS * np.finfo(float).eps / (1.0 - fast)
     r = np.concatenate((r1, r2))
     bp = beta * np.vstack(game.p1 + game.p2)
     k = r1.size
@@ -98,25 +137,33 @@ def value_iteration(game: AratGame, tol: float = 1e-10,
     o1 = np.cumsum((0,) + game.m1[:-1])
     o2 = np.cumsum((0,) + game.m2[:-1])
 
-    def sweep(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def sweep(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x = r + bp @ v
-        a, b = x[:k], x[k:]
-        return a, b, np.maximum.reduceat(a, o1) + np.minimum.reduceat(b, o2)
+        return x, (np.maximum.reduceat(x[:k], o1)
+                   + np.minimum.reduceat(x[k:], o2))
 
     v = np.zeros(game.d)
     for it in range(1, max_iter + 1):
-        v_next = sweep(v)[2]
-        step = float(np.max(np.abs(v_next - v)))
+        x, v_next = sweep(v)
+        step = v_next - v
         v = v_next
-        if step <= loose and \
-                step <= threshold * (1.0 + float(np.max(np.abs(v)))):
-            a, b, v_check = sweep(v)
+        if not bounded:
+            continue
+        lo, hi = float(step.min()), float(step.max())
+        low = lo * (g_slow if lo >= 0.0 else g_fast)
+        high = hi * (g_fast if hi >= 0.0 else g_slow)
+        shift = 0.5 * (low + high)
+        half = 0.5 * (high - low) + rounding * float(np.abs(x).max())
+        top = max(abs(float(v.max()) + shift), abs(float(v.min()) + shift))
+        if half <= 0.5 * tol * (1.0 + top):
+            v = v + shift
+            x, v_check = sweep(v)
             return GameSolution(
                 v=v,
                 strategy_i=tuple(int(np.argmax(blk))
-                                 for blk in np.split(a, o1[1:])),
+                                 for blk in np.split(x[:k], o1[1:])),
                 strategy_ii=tuple(int(np.argmin(blk))
-                                  for blk in np.split(b, o2[1:])),
+                                  for blk in np.split(x[k:], o2[1:])),
                 iterations=it,
                 residual=float(np.max(np.abs(v_check - v))),
             )

@@ -7,7 +7,7 @@ import pytest
 
 from arat_homotopy.game_model import AratGame, composed_reward, composed_transition
 from arat_homotopy.homotopy_core import HomotopyInstance
-from arat_homotopy.oracle import enumerate_lcp
+from arat_homotopy.oracle import GameSolution, enumerate_lcp
 from arat_homotopy.vlcp_builder import SquareLcp
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -44,6 +44,18 @@ def make_example2() -> AratGame:
             [[0.75, 0.0], [0.0, 0.75]],
             [[0.0, 0.5], [0.5, 0.0]],
         ),
+    )
+
+
+def make_two_absorbing_states(beta: float) -> AratGame:
+    """Two absorbing states with stage rewards 1 and 3, split evenly
+    between the players: v* = (1, 3) / (1 - beta)."""
+    return AratGame(
+        beta=beta,
+        r1=([0.5], [1.5]),
+        r2=([0.5], [1.5]),
+        p1=([[0.5, 0.0]], [[0.0, 0.5]]),
+        p2=([[0.5, 0.0]], [[0.0, 0.5]]),
     )
 
 
@@ -160,6 +172,45 @@ def enumerate_lcp_all_supports(m: np.ndarray, q: np.ndarray
         key = tuple(np.round(z, 9)) + tuple(np.round(w, 9))
         solutions.setdefault(key, (z, w))
     return [solutions[k] for k in sorted(solutions)]
+
+
+def value_iteration_sup_norm(game: AratGame, tol: float = 1e-10,
+                             max_iter: int = 1_000_000) -> GameSolution:
+    """Reference for :func:`value_iteration`: the same stacked sweep from
+    v = 0, stopped once the sup-norm step is at most
+    tol (1 - beta) / (2 beta) (1 + max |v|), the contraction bound on the
+    distance to the fixed point; returns the last iterate itself."""
+    beta = game.beta
+    threshold = tol * (1.0 - beta) / (2.0 * beta) if beta > 0 else tol
+    k = sum(game.m1)
+    r = np.concatenate(game.r1 + game.r2)
+    bp = beta * np.vstack(game.p1 + game.p2)
+    o1 = np.cumsum((0,) + game.m1[:-1])
+    o2 = np.cumsum((0,) + game.m2[:-1])
+
+    def sweep(v):
+        x = r + bp @ v
+        return x, (np.maximum.reduceat(x[:k], o1)
+                   + np.minimum.reduceat(x[k:], o2))
+
+    v = np.zeros(game.d)
+    for it in range(1, max_iter + 1):
+        v_next = sweep(v)[1]
+        step = float(np.max(np.abs(v_next - v)))
+        v = v_next
+        if step <= threshold * (1.0 + float(np.max(np.abs(v)))):
+            x, v_check = sweep(v)
+            return GameSolution(
+                v=v,
+                strategy_i=tuple(int(np.argmax(blk))
+                                 for blk in np.split(x[:k], o1[1:])),
+                strategy_ii=tuple(int(np.argmin(blk))
+                                  for blk in np.split(x[k:], o2[1:])),
+                iterations=it,
+                residual=float(np.max(np.abs(v_check - v))),
+            )
+    raise AssertionError(f"reference: no fixed point within {max_iter} "
+                         f"sweeps")
 
 
 def _unique_solution_is(lcp_solutions: list, z_expect: np.ndarray,

@@ -24,7 +24,7 @@ from arat_homotopy.game_model import (
 )
 from arat_homotopy.oracle import value_iteration
 
-from conftest import FIXTURES, make_example1, random_arat_game
+from conftest import FIXTURES, make_example1, make_two_absorbing_states, random_arat_game
 
 EX1 = str(FIXTURES / "example1.json")
 EX2 = str(FIXTURES / "example2.json")
@@ -331,10 +331,8 @@ class TestOracleCommand:
         assert "value:" in out
 
     def test_beta_near_one_returns_value(self, tmp_path, capsys):
-        # at beta = 0.9999 the absolute threshold tol (1 - beta) / (2 beta),
-        # 5e-15, is below one ulp of |v| ~ 7e4; the stop relative to
-        # 1 + max |v| ends after about 237k sweeps, within the cap scaled
-        # to the contraction bound (about 353k), above the 100k floor
+        # the first step from v = 0 is constant, so the stop bracket
+        # closes after one sweep even at beta = 0.9999
         doc = cli.game_to_doc(make_example1())
         doc["beta"] = 0.9999
         code = cli.main(["oracle", write_game(tmp_path, doc)])
@@ -342,6 +340,45 @@ class TestOracleCommand:
         assert code == 0
         assert "value: 70000 70000" in captured.out.splitlines()
         assert captured.err == ""
+
+    def test_beta_near_one_within_sweep_cap(self, tmp_path, capsys):
+        # steps (1, 3) beta^k: the bracket's half-width is the span
+        # 2 beta^k times beta / (2 (1 - beta)), below 5e-11 (1 + 3e4)
+        # after about 226k sweeps, within the cap scaled to the
+        # contraction bound (about 340k), above the 100k floor
+        game = make_two_absorbing_states(0.9999)
+        code = cli.main(["oracle", write_game(tmp_path,
+                                              cli.game_to_doc(game))])
+        captured = capsys.readouterr()
+        assert code == 0
+        lines = captured.out.splitlines()
+        assert "value: 10000 30000" in lines
+        sweeps = int(lines[1].split("(")[1].split()[0])
+        assert 200_000 < sweeps < 250_000
+        assert captured.err == ""
+
+    def test_closed_stdout_exits_2_without_traceback(self, monkeypatch,
+                                                     capsys):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = cli.main(["oracle", EX1])
+        monkeypatch.undo()
+        assert code == cli.EXIT_PARSE == 2
+        assert capsys.readouterr().err == ""
+
+    def test_closed_pipe_is_pointed_at_devnull(self, monkeypatch):
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)
+        with open(write_fd, "w") as pipe:
+            monkeypatch.setattr(sys, "stdout", pipe)
+            code = cli.main(["oracle", EX1])
+            monkeypatch.undo()
+            assert code == 2
+            assert os.path.samestat(os.fstat(write_fd), os.stat(os.devnull))
+            pipe.flush()  # what is still buffered goes nowhere, quietly
 
     def test_no_fixed_point_within_sweep_cap_exits_1(self, monkeypatch,
                                                       capsys):
