@@ -34,8 +34,8 @@ log = logging.getLogger(__name__)
 #: Largest LCP dimension the support enumeration will attempt.
 ENUMERATION_GUARD = 20
 
-#: Rounding of one sweep, in ulps of its largest stacked entry, that the
-#: value-iteration stop bracket allows for.
+#: Rounding of one sweep, in ulps of the largest |v'| it returns, that
+#: the value-iteration stop bracket allows for.
 _ROUNDING_ULPS = 4
 
 #: Relative slack on the one-shot deviation inequalities in certify.
@@ -84,13 +84,25 @@ def value_iteration(game: AratGame, tol: float = 1e-10,
     with 1 - sigma, g_hi = g+ if hi >= 0 else g-, and g_lo = g- if
     lo >= 0 else g+.  hi and lo shrink with the span of v' - v, which
     contracts far faster than beta on mixing games.  The rounding of a
-    sweep is taken as e, ``_ROUNDING_ULPS`` ulps of its largest stacked
-    entry; it moves v', lo and hi by at most e, which widens the bracket
-    by e (1 + g+) at each end.  The returned v is the bracket's midpoint,
-    v' shifted by a constant; iteration stops once the bracket's
-    half-width is at most tol / 2 (1 + max |v|), which then bounds the
-    distance to the fixed point.  If beta (1 + sigma) >= 1 the bracket
-    is unbounded and the iteration never stops.
+    sweep is estimated as e, ``_ROUNDING_ULPS`` ulps of max |v'|; it
+    moves v', lo and hi by about e, which widens the bracket by
+    e (1 + g+) at each end.  This is an estimate, not a proven bound:
+    the worst-case rounding of the d-term products in r + beta P v grows
+    with d and with their largest entry, which can be far above max |v'|
+    when rewards cancel.  Taken at that entry the allowance could exceed
+    the stop threshold on a game that has converged, so it is taken at
+    max |v'|, and it stays under the threshold while
+    1 / (1 - beta) is small against tol / eps.  The returned v is the
+    bracket's midpoint, v' shifted by a constant; iteration stops once
+    the bracket's half-width is at most tol / 2 (1 + max |v|), which in
+    exact arithmetic bounds the distance to the fixed point.  max |v'|
+    and the rounding term are formed only once the bracket's exact
+    width is at most 2 tol (1 + R / (1 - beta (1 + sigma)) + m), m the
+    larger magnitude of its two offsets lo g_lo and hi g_hi and
+    R = max |r1| + max |r2|: R / (1 - beta (1 + sigma)) bounds max |v'|
+    on every sweep from v = 0, so no sweep that could stop is skipped.
+    If beta (1 + sigma) >= 1 the bracket is unbounded and the iteration
+    never stops.
 
     Each player's transition mass is constant within a state, so a
     constant shift of v moves all of a state's a (or b) alike: the
@@ -99,9 +111,9 @@ def value_iteration(game: AratGame, tol: float = 1e-10,
     v, and ``residual`` is that sweep's step.  The default ``max_iter``
     is the larger of 100,000 and the contraction bound on the sweeps
     from v = 0 to the sup-norm step tol (1 - beta) / (2 beta),
-    1 + ln(tol (1 - beta) / (2 beta) / R) / ln beta with
-    R = max |r1| + max |r2|.  Raises ValueError if a player has no
-    action in some state, and MaxIterExceeded after ``max_iter`` sweeps.
+    1 + ln(tol (1 - beta) / (2 beta) / R) / ln beta.  Raises ValueError
+    if a player has no action in some state, and MaxIterExceeded after
+    ``max_iter`` sweeps.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -112,10 +124,10 @@ def value_iteration(game: AratGame, tol: float = 1e-10,
                                  f"actions")
     beta = game.beta
     r1, r2 = np.concatenate(game.r1), np.concatenate(game.r2)
+    reward_bound = float(np.abs(r1).max() + np.abs(r2).max())
     if max_iter is None:
         max_iter = 100_000
         threshold = tol * (1.0 - beta) / (2.0 * beta) if beta > 0 else tol
-        reward_bound = float(np.abs(r1).max() + np.abs(r2).max())
         if 0 < beta and threshold < reward_bound:
             max_iter = max(max_iter, math.ceil(
                 1.0 + math.log(threshold / reward_bound) / math.log(beta)))
@@ -130,6 +142,8 @@ def value_iteration(game: AratGame, tol: float = 1e-10,
     if bounded:
         g_fast, g_slow = fast / (1.0 - fast), slow / (1.0 - slow)
         rounding = _ROUNDING_ULPS * np.finfo(float).eps / (1.0 - fast)
+        # bounds 1 + max |v'| on every sweep from v = 0
+        top_bound = 1.0 + reward_bound / (1.0 - fast)
     r = np.concatenate((r1, r2))
     bp = beta * np.vstack(game.p1 + game.p2)
     k = r1.size
@@ -144,7 +158,7 @@ def value_iteration(game: AratGame, tol: float = 1e-10,
 
     v = np.zeros(game.d)
     for it in range(1, max_iter + 1):
-        x, v_next = sweep(v)
+        v_next = sweep(v)[1]
         step = v_next - v
         v = v_next
         if not bounded:
@@ -152,9 +166,12 @@ def value_iteration(game: AratGame, tol: float = 1e-10,
         lo, hi = float(step.min()), float(step.max())
         low = lo * (g_slow if lo >= 0.0 else g_fast)
         high = hi * (g_fast if hi >= 0.0 else g_slow)
+        if high - low > 2.0 * tol * (top_bound + max(-low, high)):
+            continue
+        v_min, v_max = float(v.min()), float(v.max())
         shift = 0.5 * (low + high)
-        half = 0.5 * (high - low) + rounding * float(np.abs(x).max())
-        top = max(abs(float(v.max()) + shift), abs(float(v.min()) + shift))
+        half = 0.5 * (high - low) + rounding * max(-v_min, v_max)
+        top = max(abs(v_max + shift), abs(v_min + shift))
         if half <= 0.5 * tol * (1.0 + top):
             v = v + shift
             x, v_check = sweep(v)

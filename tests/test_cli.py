@@ -343,9 +343,10 @@ class TestOracleCommand:
 
     def test_beta_near_one_within_sweep_cap(self, tmp_path, capsys):
         # steps (1, 3) beta^k: the bracket's half-width is the span
-        # 2 beta^k times beta / (2 (1 - beta)), below 5e-11 (1 + 3e4)
-        # after about 226k sweeps, within the cap scaled to the
-        # contraction bound (about 340k), above the 100k floor
+        # 2 beta^k times beta / (2 (1 - beta)) plus the rounding
+        # allowance, below 5e-11 (1 + 3e4) after about 228k sweeps,
+        # within the cap scaled to the contraction bound (about 340k),
+        # above the 100k floor
         game = make_two_absorbing_states(0.9999)
         code = cli.main(["oracle", write_game(tmp_path,
                                               cli.game_to_doc(game))])
@@ -355,6 +356,21 @@ class TestOracleCommand:
         assert "value: 10000 30000" in lines
         sweeps = int(lines[1].split("(")[1].split()[0])
         assert 200_000 < sweeps < 250_000
+        assert captured.err == ""
+
+    def test_cancelling_rewards_stop_after_one_sweep(self, tmp_path,
+                                                     capsys):
+        # stage rewards +-10 cancel, so v* = 0 and the first sweep lands
+        # on it exactly; the stop must not wait on the rounding of +-10
+        game = AratGame(beta=0.9999, r1=([10.0],), r2=([-10.0],),
+                        p1=([[0.5]],), p2=([[0.5]],))
+        code = cli.main(["oracle", write_game(tmp_path,
+                                              cli.game_to_doc(game))])
+        captured = capsys.readouterr()
+        assert code == 0
+        lines = captured.out.splitlines()
+        assert lines[0] == "value: 0"
+        assert "(1 sweeps," in lines[1]
         assert captured.err == ""
 
     def test_closed_stdout_exits_2_without_traceback(self, monkeypatch,

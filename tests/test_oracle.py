@@ -225,6 +225,18 @@ class TestBracketStop:
         v = value_iteration(game, tol=tol).v[0]
         assert abs(v - 2.0 / (1.0 - beta * s)) <= tol / 2 * (1 + abs(v))
 
+    @pytest.mark.parametrize("beta, reward", [(0.9999, 10.0), (0.99, 1000.0)])
+    def test_cancelling_rewards_stop_after_one_sweep(self, beta, reward):
+        # the first sweep is exactly v' = 0 with a zero step; a rounding
+        # allowance taken at the stacked entries (+-reward) instead of at
+        # max |v'| would keep this bracket open up to the sweep cap
+        game = AratGame(beta=beta, r1=([reward],), r2=([-reward],),
+                        p1=([[0.5]],), p2=([[0.5]],))
+        assert validate(game).ok
+        sol = value_iteration(game)
+        assert sol.v.tolist() == [0.0]
+        assert sol.iterations == 1
+
 
 class TestShiftCovariance:
     def test_value_shifts_by_constant_over_one_minus_beta(self, example1):
