@@ -358,21 +358,6 @@ class TestOracleCommand:
         assert 200_000 < sweeps < 250_000
         assert captured.err == ""
 
-    def test_cancelling_rewards_stop_after_one_sweep(self, tmp_path,
-                                                     capsys):
-        # stage rewards +-10 cancel, so v* = 0 and the first sweep lands
-        # on it exactly; the stop must not wait on the rounding of +-10
-        game = AratGame(beta=0.9999, r1=([10.0],), r2=([-10.0],),
-                        p1=([[0.5]],), p2=([[0.5]],))
-        code = cli.main(["oracle", write_game(tmp_path,
-                                              cli.game_to_doc(game))])
-        captured = capsys.readouterr()
-        assert code == 0
-        lines = captured.out.splitlines()
-        assert lines[0] == "value: 0"
-        assert "(1 sweeps," in lines[1]
-        assert captured.err == ""
-
     def test_closed_stdout_exits_2_without_traceback(self, monkeypatch,
                                                      capsys):
         class ClosedPipe(io.StringIO):
