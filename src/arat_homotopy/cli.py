@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -50,14 +51,22 @@ class GameFileError(ValueError):
     """The document does not match the game file schema."""
 
 
+def _real(field: str, value: object) -> float:
+    """A JSON number as a float; a string, a boolean or anything else
+    that is not a real number raises TypeError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{field}: {value!r} is not a number")
+    return float(value)
+
+
 def parse_game_doc(doc: object) -> AratGame:
     """Build a game from a parsed JSON document, checking the schema."""
     if not isinstance(doc, dict):
         raise GameFileError("top level must be a JSON object")
     try:
-        beta = float(doc["beta"])
+        beta = _real("beta", doc["beta"])
         states = doc["states"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GameFileError(f"missing or malformed field: {exc}") from exc
     if not isinstance(states, list) or not states:
         raise GameFileError("'states' must be a non-empty array")
@@ -70,9 +79,10 @@ def parse_game_doc(doc: object) -> AratGame:
         ):
             try:
                 block = entry[player]
-                rew = [float(v) for v in block["rewards"]]
-                rows = [[float(v) for v in row] for row in block["transitions"]]
-            except (KeyError, TypeError, ValueError) as exc:
+                rew = [_real("rewards", v) for v in block["rewards"]]
+                rows = [[_real("transitions", v) for v in row]
+                        for row in block["transitions"]]
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise GameFileError(
                     f"state {s + 1}, {player}: {exc}"
                 ) from exc
@@ -148,7 +158,8 @@ def _read_game(path: str) -> AratGame | None:
     """load_game, or None after a parse error is reported on stderr."""
     try:
         return load_game(path)
-    except (OSError, json.JSONDecodeError, GameFileError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError,
+            RecursionError, GameFileError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return None
 

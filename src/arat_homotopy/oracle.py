@@ -4,9 +4,8 @@ Three unrelated routes to the answer live here: fixed-point value
 iteration in separable sweeps (each state's pure saddle is the best
 player-I row term plus the best player-II column term, so a sweep over
 the whole game is one matrix-vector product and a segmented max and
-min), stopped on the MacQueen-Porteus bracket of the fixed point, whose
-width shrinks with the span of a sweep's step rather than at rate beta;
-direct policy evaluation of a pure stationary pair; and
+min), stopped once the greedy pair of a sweep passes an exact check at
+its own value; direct policy evaluation of a pure stationary pair; and
 complementary-support enumeration for small square LCPs.  Enumeration
 visits only supports that hold at most one column from each group of
 identical columns of M; any other support has a singular principal
@@ -34,10 +33,6 @@ log = logging.getLogger(__name__)
 #: Largest LCP dimension the support enumeration will attempt.
 ENUMERATION_GUARD = 20
 
-#: Rounding of one sweep, in ulps of the largest |v'| it returns, that
-#: the value-iteration stop bracket allows for.
-_ROUNDING_ULPS = 4
-
 #: Relative slack on the one-shot deviation inequalities in certify.
 _DEVIATION_SLACK = 1e-9
 
@@ -56,7 +51,7 @@ class GameSolution:
 def value_iteration(game: AratGame, tol: float = 1e-10,
                     max_iter: int | None = None) -> GameSolution:
     """Fixed-point iteration v <- T v, T v = per-state pure saddle of the
-    stage matrix, stopped on a bracket of the fixed point.
+    stage matrix, stopped once its greedy pair passes an exact check.
 
     In an additive game the stage matrix of state s is a_i + b_j, with
     a = r1[s] + beta p1[s] v and b = r2[s] + beta p2[s] v, so its pure
@@ -66,54 +61,26 @@ def value_iteration(game: AratGame, tol: float = 1e-10,
     one matrix-vector product r + beta P v, sliced into a and b, and one
     segmented max and min, O((sum m1 + sum m2) d) flops.
 
-    The stop is the error bracket of MacQueen (J. Math. Anal. Appl. 14,
-    1966) and Porteus (Management Science 18, 1971).  Let sigma be the
-    largest |composed row sum - 1| of the game (at most PROB_TOL on a
-    valid game).  T is monotone, and for c >= 0 the sweep of v + c 1
-    lies between T v + beta c (1 - sigma) and T v + beta c (1 + sigma),
-    since every state's max a and min b move by beta c times a
-    per-player mass, and those masses add to within sigma of 1.  After
-    a sweep v' = T v let lo = min (v' - v) and hi = max (v' - v).  Then
-    v' <= v + hi 1 gives max (T v' - v') <= beta hi + beta sigma |hi|, and
-    the following maxima keep that sign and shrink at least at that
-    rate, so summing them,
+    The greedy pair of a sweep, the smallest-index argmax of each
+    state's block of a and argmin of its block of b, is checked whenever
+    it differs from the last pair checked: w solves
+    (I - beta P_pair) w = r_pair, and one sweep at w gives T w.  The
+    iteration stops if neither player's largest one-shot gain at w
+    exceeds eps = tol (1 - beta) / 2 (1 + max |w|), and returns w, the
+    pair, and ``residual`` = max |T w - w|.  As T_pair w = w, that
+    residual is at most eps, and T is a contraction of modulus
+    beta (1 + sigma), sigma <= PROB_TOL the largest |composed row sum - 1|,
+    so |w - v*| <= eps / (1 - beta (1 + sigma)) is proven, up to the
+    rounding of w and of that sweep; for beta <= 0.9999 it is
+    tol / 2 (1 + max |w|) to within a relative 1e-7.  Every pair greedy
+    at v* is optimal, so the check passes once the iterates near v*.
 
-        v' + lo g_lo <= v* <= v' + hi g_hi,
-
-    with g+ = beta (1 + sigma) / (1 - beta (1 + sigma)), g- likewise
-    with 1 - sigma, g_hi = g+ if hi >= 0 else g-, and g_lo = g- if
-    lo >= 0 else g+.  hi and lo shrink with the span of v' - v, which
-    contracts far faster than beta on mixing games.  The rounding of a
-    sweep is estimated as e, ``_ROUNDING_ULPS`` ulps of max |v'|; it
-    moves v', lo and hi by about e, which widens the bracket by
-    e (1 + g+) at each end.  This is an estimate, not a proven bound:
-    the worst-case rounding of the d-term products in r + beta P v grows
-    with d and with their largest entry, which can be far above max |v'|
-    when rewards cancel.  Taken at that entry the allowance could exceed
-    the stop threshold on a game that has converged, so it is taken at
-    max |v'|, and it stays under the threshold while
-    1 / (1 - beta) is small against tol / eps.  The returned v is the
-    bracket's midpoint, v' shifted by a constant; iteration stops once
-    the bracket's half-width is at most tol / 2 (1 + max |v|), which in
-    exact arithmetic bounds the distance to the fixed point.  max |v'|
-    and the rounding term are formed only once the bracket's exact
-    width is at most 2 tol (1 + R / (1 - beta (1 + sigma)) + m), m the
-    larger magnitude of its two offsets lo g_lo and hi g_hi and
-    R = max |r1| + max |r2|: R / (1 - beta (1 + sigma)) bounds max |v'|
-    on every sweep from v = 0, so no sweep that could stop is skipped.
-    If beta (1 + sigma) >= 1 the bracket is unbounded and the iteration
-    never stops.
-
-    Each player's transition mass is constant within a state, so a
-    constant shift of v moves all of a state's a (or b) alike: the
-    strategies, the smallest-index argmax of each state's block of a and
-    argmin of its block of b, come from one more sweep at the returned
-    v, and ``residual`` is that sweep's step.  The default ``max_iter``
-    is the larger of 100,000 and the contraction bound on the sweeps
-    from v = 0 to the sup-norm step tol (1 - beta) / (2 beta),
-    1 + ln(tol (1 - beta) / (2 beta) / R) / ln beta.  Raises ValueError
-    if a player has no action in some state, and MaxIterExceeded after
-    ``max_iter`` sweeps.
+    The default ``max_iter`` is the larger of 100,000 and the
+    contraction bound on the sweeps from v = 0 to the sup-norm step
+    tol (1 - beta) / (2 beta), 1 + ln(tol (1 - beta) / (2 beta) / R)
+    / ln beta, R = max |r1| + max |r2|.  Raises ValueError if a player
+    has no action in some state, and MaxIterExceeded after ``max_iter``
+    sweeps.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -122,7 +89,7 @@ def value_iteration(game: AratGame, tol: float = 1e-10,
             if m == 0:
                 raise ValueError(f"state {s + 1}: player {player} has no "
                                  f"actions")
-    beta = game.beta
+    beta, d = game.beta, game.d
     r1, r2 = np.concatenate(game.r1), np.concatenate(game.r2)
     reward_bound = float(np.abs(r1).max() + np.abs(r2).max())
     if max_iter is None:
@@ -131,58 +98,45 @@ def value_iteration(game: AratGame, tol: float = 1e-10,
         if 0 < beta and threshold < reward_bound:
             max_iter = max(max_iter, math.ceil(
                 1.0 + math.log(threshold / reward_bound) / math.log(beta)))
-    # composed row sums of state s range over sums1[i] + sums2[j]
-    sigma = 0.0
-    for q1, q2 in zip(game.p1, game.p2):
-        sums1, sums2 = q1.sum(axis=1), q2.sum(axis=1)
-        sigma = max(sigma, abs(sums1.max() + sums2.max() - 1.0),
-                    abs(sums1.min() + sums2.min() - 1.0))
-    fast, slow = beta * (1.0 + sigma), beta * (1.0 - sigma)
-    bounded = fast < 1.0
-    if bounded:
-        g_fast, g_slow = fast / (1.0 - fast), slow / (1.0 - slow)
-        rounding = _ROUNDING_ULPS * np.finfo(float).eps / (1.0 - fast)
-        # bounds 1 + max |v'| on every sweep from v = 0
-        top_bound = 1.0 + reward_bound / (1.0 - fast)
     r = np.concatenate((r1, r2))
     bp = beta * np.vstack(game.p1 + game.p2)
     k = r1.size
-    # first row of each state's block in the stacked arrays
+    # first row of each state's block in the stacked arrays, player I's
+    # blocks then player II's, and the block of every row
     o1 = np.cumsum((0,) + game.m1[:-1])
     o2 = np.cumsum((0,) + game.m2[:-1])
+    starts = np.concatenate((o1, k + o2))
+    block = np.repeat(np.arange(2 * d), game.m1 + game.m2)
+    rows = np.arange(r.size)
 
     def sweep(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked entries r + beta P v, and each block's max a or min b."""
         x = r + bp @ v
-        return x, (np.maximum.reduceat(x[:k], o1)
-                   + np.minimum.reduceat(x[k:], o2))
+        return x, np.concatenate((np.maximum.reduceat(x[:k], o1),
+                                  np.minimum.reduceat(x[k:], o2)))
 
-    v = np.zeros(game.d)
+    v = np.zeros(d)
+    checked = None
     for it in range(1, max_iter + 1):
-        v_next = sweep(v)[1]
-        step = v_next - v
-        v = v_next
-        if not bounded:
+        x, best = sweep(v)
+        v = best[:d] + best[d:]
+        # stacked row of each block's first best entry
+        pair = np.minimum.reduceat(np.where(x == best[block], rows, r.size),
+                                   starts)
+        if np.array_equal(pair, checked):
             continue
-        lo, hi = float(step.min()), float(step.max())
-        low = lo * (g_slow if lo >= 0.0 else g_fast)
-        high = hi * (g_fast if hi >= 0.0 else g_slow)
-        if high - low > 2.0 * tol * (top_bound + max(-low, high)):
-            continue
-        v_min, v_max = float(v.min()), float(v.max())
-        shift = 0.5 * (low + high)
-        half = 0.5 * (high - low) + rounding * max(-v_min, v_max)
-        top = max(abs(v_max + shift), abs(v_min + shift))
-        if half <= 0.5 * tol * (1.0 + top):
-            v = v + shift
-            x, v_check = sweep(v)
+        checked = pair
+        i, j = pair[:d], pair[d:]
+        w = np.linalg.solve(np.eye(d) - bp[i] - bp[j], r[i] + r[j])
+        x, best = sweep(w)
+        gain = float(np.abs(best - x[pair]).max())
+        if gain <= tol * (1.0 - beta) / 2.0 * (1.0 + float(np.abs(w).max())):
             return GameSolution(
-                v=v,
-                strategy_i=tuple(int(np.argmax(blk))
-                                 for blk in np.split(x[:k], o1[1:])),
-                strategy_ii=tuple(int(np.argmin(blk))
-                                  for blk in np.split(x[k:], o2[1:])),
+                v=w,
+                strategy_i=tuple((i - o1).tolist()),
+                strategy_ii=tuple((j - k - o2).tolist()),
                 iterations=it,
-                residual=float(np.max(np.abs(v_check - v))),
+                residual=float(np.abs(best[:d] + best[d:] - w).max()),
             )
     raise MaxIterExceeded(f"no fixed point within {max_iter} sweeps")
 

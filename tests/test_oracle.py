@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arat_homotopy.errors import SizeGuardExceeded
-from arat_homotopy.game_model import AratGame, composed_transition, validate
+from arat_homotopy.game_model import AratGame, validate
 from arat_homotopy.oracle import (
     certify,
     enumerate_lcp,
@@ -20,7 +20,6 @@ from conftest import (
     enumerate_lcp_all_supports,
     make_example1,
     make_example2,
-    make_two_absorbing_states,
     pure_saddle,
     random_arat_game,
     stage_matrix,
@@ -81,19 +80,20 @@ class TestValueIteration:
             pure_saddle(np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
     def test_example1_stops_after_one_sweep(self, example1):
-        # the first step from v = 0 is the constant (7, 7): its span is 0,
-        # so the bracket closes on v* = 7 + 7 beta / (1 - beta) = 14 at once
+        # the greedy pair of the first sweep from v = 0 is optimal, so
+        # its check passes at v* = 7 + 7 beta / (1 - beta) = 14 at once
         sol = value_iteration(example1)
         assert sol.iterations == 1
         np.testing.assert_allclose(sol.v, [14.0, 14.0], rtol=0, atol=1e-12)
 
     def test_max_iter_exceeded(self):
-        # the steps (1, 3) beta^k keep a span of 2 beta^k, so two sweeps
-        # cannot close the bracket
+        # the greedy pairs of this game's first two sweeps fail the check
         from arat_homotopy.errors import MaxIterExceeded
+        game = random_arat_game(np.random.default_rng(2), d_max=4,
+                                actions_max=3, betas=(0.99,))
+        assert value_iteration(game).iterations == 3
         with pytest.raises(MaxIterExceeded):
-            value_iteration(make_two_absorbing_states(0.5), tol=1e-12,
-                            max_iter=2)
+            value_iteration(game, max_iter=2)
 
     def test_stage_matrix_example1(self, example1):
         q1 = stage_matrix(example1, 0, np.array([14.0, 14.0]))
@@ -130,37 +130,23 @@ def _duplicated_actions(game: AratGame) -> AratGame:
     )
 
 
-def _bracket_midpoint_shift(game: AratGame, step: np.ndarray) -> float:
-    """Constant by which the bracket's midpoint exceeds the last sweep:
-    half the sum of its ends lo g_lo and hi g_hi, with sigma read off
-    the composed transition rows one pair at a time."""
-    sigma = max(abs(composed_transition(game, s, i, j).sum() - 1.0)
-                for s in range(game.d) for i in range(game.m1[s])
-                for j in range(game.m2[s]))
-    g_fast, g_slow = (game.beta * (1 + e) / (1 - game.beta * (1 + e))
-                      for e in (sigma, -sigma))
-    lo, hi = step.min(), step.max()
-    return 0.5 * (lo * (g_slow if lo >= 0 else g_fast)
-                  + hi * (g_fast if hi >= 0 else g_slow))
-
-
 class TestStackedSweepParity:
     """The separable sweep against the brute-force stage-matrix saddle."""
 
     def _assert_matches_brute_force(self, game):
-        # tol=inf stops after the first sweep from v = 0 and returns the
-        # midpoint of that sweep's bracket; the strategies and the
-        # residual then come from one more sweep at the midpoint
+        # tol=inf passes the check on the greedy pair of the first sweep
+        # from v = 0 and returns that pair's own value; the residual
+        # comes from one more sweep at that value
         sol = value_iteration(game, tol=np.inf)
         assert sol.iterations == 1
-        v1, _, _ = _brute_force_sweep(game, np.zeros(game.d))
-        v_mid = v1 + _bracket_midpoint_shift(game, v1)
-        v2, si, sii = _brute_force_sweep(game, v_mid)
-        np.testing.assert_allclose(sol.v, v_mid, rtol=0,
-                                   atol=1e-12 * (1 + np.abs(v_mid).max()))
+        _, si, sii = _brute_force_sweep(game, np.zeros(game.d))
         assert sol.strategy_i == si
         assert sol.strategy_ii == sii
-        assert abs(sol.residual - np.abs(v2 - v_mid).max()) <= \
+        v_pair = evaluate_pure_pair(game, si, sii)
+        np.testing.assert_allclose(sol.v, v_pair, rtol=0,
+                                   atol=1e-12 * (1 + np.abs(v_pair).max()))
+        v2, _, _ = _brute_force_sweep(game, sol.v)
+        assert abs(sol.residual - np.abs(v2 - sol.v).max()) <= \
             1e-12 * (1 + np.abs(v2).max())
         # at the fixed point the brute-force saddle reproduces v and pair
         sol = value_iteration(game)
@@ -195,7 +181,8 @@ class TestStackedSweepParity:
 
 
 class TestBracketStop:
-    """The bracket stop against the sup-norm stop it replaced."""
+    """The greedy-pair check stop (which replaced a bracket stop) against
+    the sup-norm stop and its error bound."""
 
     @pytest.mark.parametrize("beta", [0.5, 0.9, 0.99, 0.999])
     def test_matches_sup_norm_reference(self, beta):
@@ -214,9 +201,9 @@ class TestBracketStop:
 
     @pytest.mark.parametrize("beta", [0.99, 0.999, 0.9999])
     def test_guarantee_with_row_sum_above_one(self, beta):
-        # a valid game whose composed row sums to 1 + 0.9e-12: the
-        # textbook bracket (sigma = 0) misses v* = 2 / (1 - beta s) by
-        # more than tol / 2 (1 + |v|) at these discounts
+        # a valid game whose composed row sums to 1 + 0.9e-12, near the
+        # 1e-12 that validate allows: the returned value is still within
+        # tol / 2 (1 + |v|) of v* = 2 / (1 - beta s) at these discounts
         game = AratGame(beta=beta, r1=([1.0],), r2=([1.0],),
                         p1=([[0.5]],), p2=([[0.5 + 0.9e-12]],))
         assert validate(game).ok
@@ -225,11 +212,27 @@ class TestBracketStop:
         v = value_iteration(game, tol=tol).v[0]
         assert abs(v - 2.0 / (1.0 - beta * s)) <= tol / 2 * (1 + abs(v))
 
+    @pytest.mark.parametrize("beta", [0.99, 0.999, 0.9999])
+    def test_exact_ties_take_the_first_copy(self, beta):
+        # the two copies of a duplicated action tie exactly in every
+        # sweep, so the doubled game checks the first copies of the
+        # undoubled game's pairs, in the same sweeps
+        rng = np.random.default_rng(round(beta * 10_000))
+        for _ in range(10):
+            base = random_arat_game(rng, d_max=12, actions_max=3,
+                                    betas=(beta,))
+            sol = value_iteration(base)
+            dup = value_iteration(_duplicated_actions(base))
+            assert dup.strategy_i == tuple(2 * i for i in sol.strategy_i)
+            assert dup.strategy_ii == tuple(2 * j for j in sol.strategy_ii)
+            assert dup.iterations == sol.iterations <= 5
+            np.testing.assert_allclose(dup.v, sol.v, rtol=1e-12)
+
     @pytest.mark.parametrize("beta, reward", [(0.9999, 10.0), (0.99, 1000.0)])
     def test_cancelling_rewards_stop_after_one_sweep(self, beta, reward):
-        # the first sweep is exactly v' = 0 with a zero step; a rounding
-        # allowance taken at the stacked entries (+-reward) instead of at
-        # max |v'| would keep this bracket open up to the sweep cap
+        # the only pair's value w = 0 is exact and so are both gains at
+        # it, so the check passes after one sweep, although its eps
+        # scales with max |w| = 0 and not with the stacked entries
         game = AratGame(beta=beta, r1=([reward],), r2=([-reward],),
                         p1=([[0.5]],), p2=([[0.5]],))
         assert validate(game).ok
