@@ -17,13 +17,7 @@ from .errors import (
     SingularJacobian,
     SizeGuardExceeded,
 )
-from .game_model import (
-    AratGame,
-    ValidationReport,
-    composed_reward,
-    composed_transition,
-    validate,
-)
+from .game_model import AratGame, ValidationReport, validate
 from .homotopy_core import (
     HomotopyInstance,
     HomotopyPoint,
@@ -52,7 +46,6 @@ from .path_tracer import (
 )
 from .vlcp_builder import (
     SquareLcp,
-    VerticalBlockMatrix,
     VlcpInstance,
     VlcpSolution,
     build_vlcp,
@@ -68,9 +61,6 @@ __all__ = [
     "AratGame",
     "ValidationReport",
     "validate",
-    "composed_reward",
-    "composed_transition",
-    "VerticalBlockMatrix",
     "VlcpInstance",
     "SquareLcp",
     "VlcpSolution",

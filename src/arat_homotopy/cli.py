@@ -110,26 +110,6 @@ def load_game(path: str | Path) -> AratGame:
     return parse_game_doc(json.loads(text))
 
 
-def game_to_doc(game: AratGame) -> dict:
-    """Serialize a game back to the file schema (round-trip safe)."""
-    return {
-        "beta": game.beta,
-        "states": [
-            {
-                "playerI": {
-                    "rewards": game.r1[s].tolist(),
-                    "transitions": game.p1[s].tolist(),
-                },
-                "playerII": {
-                    "rewards": game.r2[s].tolist(),
-                    "transitions": game.p2[s].tolist(),
-                },
-            }
-            for s in range(game.d)
-        ],
-    }
-
-
 def write_trace_csv(path: str | Path, result: TraceResult) -> None:
     """One row per accepted path point, full precision scientific notation."""
     n = result.final.x.size
@@ -205,10 +185,13 @@ def solve(game: AratGame, max_steps: int = MAX_STEPS,
     exactly on ``game``.  ``x0`` is a start hint (:func:`find_interior_point`;
     ValueError if its size is wrong); an invalid game raises InvalidGame.
 
-    The computed start fails only at a state without player-II transition
-    mass where some r2 <= 0.01 m1(s).  Then r2 is shifted up to at least
-    1 + 0.01 max m1, which leaves those rows a slack of at least 1; optimal
-    pure pairs do not move under the shift.
+    In exact arithmetic the computed start fails only at a state without
+    player-II transition mass where some r2 <= 0.01 m1(s).  Then r2 is
+    shifted up to at least 1 + 0.01 max m1, which leaves those rows a
+    slack of at least 1; optimal pure pairs do not move under the shift.
+    In floating point a row's lift K b_r can also be lost to rounding
+    against a reward near 1e16 times larger; no shift of r2 restores a
+    player-I row, and NoInteriorPointFound is raised.
     """
     lcp = to_equivalent_lcp(build_vlcp(game))
     value_shift = 0.0
@@ -312,7 +295,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     lcp = to_equivalent_lcp(build_vlcp(game))
     try:
         sol = value_iteration(game)
-    except MaxIterExceeded as exc:
+    except (MaxIterExceeded, OverflowError) as exc:
         print(f"value iteration: {exc}", file=sys.stderr)
         return EXIT_FAIL
     print("value: " + " ".join(f"{v:.10g}" for v in sol.v))
@@ -330,10 +313,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         print(f"  solution {idx}:")
         print("    z = " + " ".join(f"{v:.10g}" for v in z))
         print("    w = " + " ".join(f"{v:.10g}" for v in w))
-        if rec.value is not None:
-            print("    value = " + " ".join(f"{v:.10g}" for v in rec.value))
-            print(f"    strategies: player I {_one_based(rec.strategy_i)}, "
-                  f"player II {_one_based(rec.strategy_ii)}")
+        print("    value = " + " ".join(f"{v:.10g}" for v in rec.value))
+        print(f"    strategies: player I {_one_based(rec.strategy_i)}, "
+              f"player II {_one_based(rec.strategy_ii)}")
     return EXIT_OK
 
 
@@ -344,10 +326,11 @@ def cmd_build(args: argparse.Namespace) -> int:
     vlcp = build_vlcp(game)
     lcp = to_equivalent_lcp(vlcp)
     doc = {
-        "A": vlcp.A.entries.tolist(),
+        "A": vlcp.A.tolist(),
         "q": vlcp.q.tolist(),
-        "block_sizes": list(vlcp.A.block_sizes),
-        "column_labels": list(vlcp.column_labels),
+        "block_sizes": list(vlcp.block_sizes),
+        "column_labels": [f"{name}({s + 1})" for name in ("eta", "xi")
+                          for s in range(game.d)],
         "M": lcp.M.tolist(),
         "J": {str(j + 1): [rng.start + 1, rng.stop]
               for j, rng in enumerate(lcp.J)},
@@ -417,6 +400,9 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except InvalidGame as exc:
         print(exc, file=sys.stderr)
+        return EXIT_FAIL
+    except NoInteriorPointFound as exc:
+        print(f"no interior start: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except BrokenPipeError:
         # the reader closed stdout early (``| head``): send what is still

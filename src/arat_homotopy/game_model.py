@@ -188,12 +188,3 @@ def validate(game: AratGame) -> ValidationReport:
             )
     return ValidationReport(v)
 
-
-def composed_reward(game: AratGame, s: int, i: int, j: int) -> float:
-    """Reward paid by player II to player I in state ``s`` under (i, j)."""
-    return float(game.r1[s][i] + game.r2[s][j])
-
-
-def composed_transition(game: AratGame, s: int, i: int, j: int) -> np.ndarray:
-    """Next-state distribution from state ``s`` under action pair (i, j)."""
-    return game.p1[s][i] + game.p2[s][j]

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import MaxIterExceeded, SizeGuardExceeded
-from .game_model import AratGame, composed_reward, composed_transition
+from .game_model import AratGame
 
 if TYPE_CHECKING:  # pragma: no cover
     from .vlcp_builder import VlcpSolution
@@ -48,6 +48,7 @@ class GameSolution:
     residual: float
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is checked
 def value_iteration(game: AratGame, tol: float = 1e-10,
                     max_iter: int | None = None) -> GameSolution:
     """Fixed-point iteration v <- T v, T v = per-state pure saddle of the
@@ -79,8 +80,8 @@ def value_iteration(game: AratGame, tol: float = 1e-10,
     contraction bound on the sweeps from v = 0 to the sup-norm step
     tol (1 - beta) / (2 beta), 1 + ln(tol (1 - beta) / (2 beta) / R)
     / ln beta, R = max |r1| + max |r2|.  Raises ValueError if a player
-    has no action in some state, and MaxIterExceeded after ``max_iter``
-    sweeps.
+    has no action in some state, OverflowError once a sweep leaves the
+    float range, and MaxIterExceeded after ``max_iter`` sweeps.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -91,13 +92,15 @@ def value_iteration(game: AratGame, tol: float = 1e-10,
                                  f"actions")
     beta, d = game.beta, game.d
     r1, r2 = np.concatenate(game.r1), np.concatenate(game.r2)
-    reward_bound = float(np.abs(r1).max() + np.abs(r2).max())
     if max_iter is None:
         max_iter = 100_000
         threshold = tol * (1.0 - beta) / (2.0 * beta) if beta > 0 else tol
-        if 0 < beta and threshold < reward_bound:
-            max_iter = max(max_iter, math.ceil(
-                1.0 + math.log(threshold / reward_bound) / math.log(beta)))
+        # R / 2 and a difference of logarithms stay finite where R
+        # overflows or threshold / R underflows
+        half_bound = float(np.abs(r1).max()) / 2 + float(np.abs(r2).max()) / 2
+        if 0 < beta and 0 < threshold / 2 < half_bound:
+            max_iter = max(max_iter, math.ceil(1.0 + (
+                math.log(threshold / 2) - math.log(half_bound)) / math.log(beta)))
     r = np.concatenate((r1, r2))
     bp = beta * np.vstack(game.p1 + game.p2)
     k = r1.size
@@ -120,6 +123,8 @@ def value_iteration(game: AratGame, tol: float = 1e-10,
     for it in range(1, max_iter + 1):
         x, best = sweep(v)
         v = best[:d] + best[d:]
+        if not np.isfinite(v).all():
+            raise OverflowError(f"sweep {it} left the float range")
         # stacked row of each block's first best entry
         pair = np.minimum.reduceat(np.where(x == best[block], rows, r.size),
                                    starts)
@@ -146,15 +151,27 @@ def evaluate_pure_pair(game: AratGame, strategy_i: Sequence[int],
     """Exact discounted value of a fixed pure stationary pair.
 
     Solves (I - beta P) v = r where row s of P is the composed transition
-    under the pair's actions in state s.
+    p1[s][i] + p2[s][j] under the pair's actions (i, j) in state s, and r
+    the composed reward r1[s][i] + r2[s][j].  Raises ValueError unless
+    each strategy holds one valid 0-based action per state.
     """
     d = game.d
+    for player, strategy, counts in (("I", strategy_i, game.m1),
+                                     ("II", strategy_ii, game.m2)):
+        if len(strategy) != d:
+            raise ValueError(f"player-{player} strategy has length "
+                             f"{len(strategy)}, need one action for each "
+                             f"of {d} states")
+        for s, (a, m) in enumerate(zip(strategy, counts)):
+            if not 0 <= a < m:
+                raise ValueError(f"state {s + 1}: player-{player} action "
+                                 f"index {a!r} is not in 0..{m - 1}")
     p = np.empty((d, d))
     r = np.empty(d)
     for s in range(d):
         i, j = strategy_i[s], strategy_ii[s]
-        p[s] = composed_transition(game, s, i, j)
-        r[s] = composed_reward(game, s, i, j)
+        p[s] = game.p1[s][i] + game.p2[s][j]
+        r[s] = game.r1[s][i] + game.r2[s][j]
     return np.linalg.solve(np.eye(d) - game.beta * p, r)
 
 
@@ -237,10 +254,15 @@ def certify(game: AratGame, candidate: "VlcpSolution",
     deviation may gain, beyond a fixed slack of 1e-9 (1 + max |v|), for
     either player (Shapley's optimality conditions); a pair that passes
     is an optimal stationary pair.  ``tol`` bounds the sup-norm error of
-    the candidate's value against the reference.
+    the candidate's value against the reference.  Raises ValueError
+    unless each strategy holds one valid 0-based action per state and the
+    value has shape (d,).
     """
     si, sii = candidate.strategy_i, candidate.strategy_ii
     v = evaluate_pure_pair(game, si, sii)
+    if np.shape(candidate.value) != v.shape:
+        raise ValueError(f"value has shape {np.shape(candidate.value)}, "
+                         f"need {v.shape} for {game.d} states")
     slack = _DEVIATION_SLACK * (1.0 + float(np.abs(v).max()))
     violations: list[str] = []
 

@@ -1,16 +1,19 @@
 """Vertical complementarity formulation of an additive game.
 
-The game maps to a rectangular (vertical block) complementarity problem
-whose variables are, per state, the player-II share ``eta(s)`` and the
-player-I share ``xi(s)`` of the value, with ``eta(s) + xi(s) = v(s)``.
+The game maps to a vertical block LCP (Cottle & Dantzig, J. Comb.
+Theory 8, 1970): an m x k matrix A whose rows form k consecutive blocks,
+one per column, and a vector q; find x >= 0 with w = A x + q >= 0 and,
+for every column j, x_j times the product of w over block j zero.  The
+columns are, per state, the player-II share ``eta(s)`` and the player-I
+share ``xi(s)`` of the value, with ``eta(s) + xi(s) = v(s)``.
 Duplicating each column once per row of its block yields an equivalent
 square LCP; solutions map back by summing the duplicated variables.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -18,62 +21,33 @@ import numpy as np
 from .errors import InvalidGame
 from .game_model import AratGame, validate
 
-log = logging.getLogger(__name__)
-
 
 @dataclass(frozen=True)
-class VerticalBlockMatrix:
-    """Dense m x k matrix whose rows are grouped into k blocks."""
+class VlcpInstance:
+    """Vertical problem: read-only m x k matrix A, q with one entry per
+    row, and the row count of each column's block (consecutive rows)."""
 
-    entries: np.ndarray
+    A: np.ndarray
+    q: np.ndarray
     block_sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        entries = np.asarray(self.entries, dtype=float)
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
+        a = np.asarray(self.A, dtype=float)
+        q = np.asarray(self.q, dtype=float)
+        a.setflags(write=False)
+        q.setflags(write=False)
+        object.__setattr__(self, "A", a)
+        object.__setattr__(self, "q", q)
         object.__setattr__(self, "block_sizes", tuple(int(b) for b in self.block_sizes))
-        m, k = entries.shape
+        m, k = a.shape
         if k < 1 or m < k:
             raise ValueError(f"need m >= k >= 1, got {m} x {k}")
         if len(self.block_sizes) != k:
             raise ValueError("one block size per column required")
         if any(b < 1 for b in self.block_sizes) or sum(self.block_sizes) != m:
             raise ValueError("block sizes must be >= 1 and sum to the row count")
-
-    @property
-    def m(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.entries.shape[1]
-
-    def row_blocks(self) -> tuple[range, ...]:
-        """Consecutive row ranges, one per column block."""
-        out, start = [], 0
-        for b in self.block_sizes:
-            out.append(range(start, start + b))
-            start += b
-        return tuple(out)
-
-
-@dataclass(frozen=True)
-class VlcpInstance:
-    """Vertical problem data plus per-column variable labels."""
-
-    A: VerticalBlockMatrix
-    q: np.ndarray
-    column_labels: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        q = np.asarray(self.q, dtype=float)
-        q.setflags(write=False)
-        object.__setattr__(self, "q", q)
-        if q.size != self.A.m:
+        if q.size != m:
             raise ValueError("q must have one entry per row")
-        if len(self.column_labels) != self.A.k:
-            raise ValueError("one label per column required")
 
 
 @dataclass(frozen=True)
@@ -110,17 +84,16 @@ class VlcpSolution:
     """Solution recovered in vertical coordinates.
 
     x stacks eta(1..d) then xi(1..d); value = eta + xi.  Strategies hold
-    0-based pure action indices; eta/xi/value/strategies are None when the
-    block structure is not game shaped (odd number of blocks).
+    0-based pure action indices.
     """
 
     x: np.ndarray
     w: np.ndarray
-    eta: np.ndarray | None
-    xi: np.ndarray | None
-    value: np.ndarray | None
-    strategy_i: tuple[int, ...] | None
-    strategy_ii: tuple[int, ...] | None
+    eta: np.ndarray
+    xi: np.ndarray
+    value: np.ndarray
+    strategy_i: tuple[int, ...]
+    strategy_ii: tuple[int, ...]
 
 
 def build_vlcp(game: AratGame) -> VlcpInstance:
@@ -139,52 +112,31 @@ def build_vlcp(game: AratGame) -> VlcpInstance:
     if not report.ok:
         raise InvalidGame(f"invalid game:\n{report}")
     d = game.d
-    m1, m2 = game.m1, game.m2
-    rows_i = sum(m1)
-    rows_ii = sum(m2)
-    m = rows_i + rows_ii
-    beta = game.beta
-
-    a = np.zeros((m, 2 * d))
-    q = np.zeros(m)
-    r = 0
-    for s in range(d):
-        for i in range(m1[s]):
-            a[r, 0:d] = -beta * game.p1[s][i]
-            a[r, d:2 * d] = -beta * game.p1[s][i]
-            a[r, d + s] += 1.0
-            q[r] = -game.r1[s][i]
-            r += 1
-    for s in range(d):
-        for j in range(m2[s]):
-            a[r, 0:d] = beta * game.p2[s][j]
-            a[r, s] -= 1.0
-            a[r, d:2 * d] = beta * game.p2[s][j]
-            q[r] = game.r2[s][j]
-            r += 1
-
+    block_sizes = game.m1 + game.m2
+    rows_i = sum(game.m1)
+    m = rows_i + sum(game.m2)
+    sign = np.repeat([-1.0, 1.0], (rows_i, m - rows_i))
+    half = sign[:, None] * game.beta * np.vstack(game.p1 + game.p2)
+    a = np.hstack((half, half))
+    # E sits in the other player's half: block b (player I's state b,
+    # then player II's state b - d) has it in column (b + d) mod 2d,
+    # with the sign opposite to that row's transition term
+    block = np.repeat(np.arange(2 * d), block_sizes)
+    a[np.arange(m), (block + d) % (2 * d)] -= sign
     a += 0.0  # canonicalize -0.0 entries from negated zero probabilities
-    block_sizes = tuple(m1) + tuple(m2)
-    labels = tuple(f"eta({s + 1})" for s in range(d)) + tuple(
-        f"xi({s + 1})" for s in range(d)
-    )
-    return VlcpInstance(
-        A=VerticalBlockMatrix(entries=a, block_sizes=block_sizes),
-        q=q,
-        column_labels=labels,
-    )
+    q = sign * np.concatenate(game.r1 + game.r2)
+    return VlcpInstance(A=a, q=q, block_sizes=block_sizes)
 
 
 def to_equivalent_lcp(v: VlcpInstance) -> SquareLcp:
-    """Square problem obtained by copying each column once per block row."""
-    a = v.A.entries
-    n = v.A.m
-    m_mat = np.empty((n, n))
-    blocks = v.A.row_blocks()
-    for col, rng in enumerate(blocks):
-        for p in rng:
-            m_mat[:, p] = a[:, col]
-    return SquareLcp(M=m_mat, q=v.q, J=blocks)
+    """Square problem obtained by copying each column once per block row.
+
+    ``np.repeat`` along the columns keeps M in C order, so products with
+    M sum in the same order whatever the block sizes.
+    """
+    ends = tuple(accumulate(v.block_sizes))
+    blocks = tuple(range(end - b, end) for b, end in zip(v.block_sizes, ends))
+    return SquareLcp(M=np.repeat(v.A, v.block_sizes, axis=1), q=v.q, J=blocks)
 
 
 def recover_vlcp_solution(lcp: SquareLcp, z: Sequence[float],
@@ -194,23 +146,23 @@ def recover_vlcp_solution(lcp: SquareLcp, z: Sequence[float],
     Block variables are the sums of their column copies.  Each block's
     pure action is its smallest-index argmin slack row.  Nothing here
     judges feasibility or complementarity: the pair is only a candidate,
-    which ``oracle.certify`` checks exactly against the game.
+    which ``oracle.certify`` checks exactly against the game.  Raises
+    ValueError unless the block count is even (an eta and a xi block per
+    state), as for every game-built problem.
     """
     z = np.asarray(z, dtype=float)
     w = np.asarray(w, dtype=float)
     n = lcp.n
+    if lcp.k % 2 != 0:
+        raise ValueError(f"{lcp.k} blocks: a game-built problem has an even "
+                         f"number, an eta and a xi block per state")
     if z.size != n or w.size != n:
         raise ValueError("z and w must have the LCP dimension")
     if np.max(np.abs(lcp.M @ z + lcp.q - w)) > 1e-6 * (1.0 + np.abs(lcp.q).max()):
         raise ValueError("w is not M z + q for this problem")
 
     x = np.array([z[list(rng)].sum() for rng in lcp.J])
-    k = lcp.k
-    if k % 2 != 0:
-        return VlcpSolution(x=x, w=w, eta=None, xi=None, value=None,
-                            strategy_i=None, strategy_ii=None)
-
-    d = k // 2
+    d = lcp.k // 2
     eta = x[:d].copy()
     xi = x[d:].copy()
     actions = tuple(int(np.argmin(w[list(rng)])) for rng in lcp.J)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from arat_homotopy.game_model import AratGame, composed_reward, composed_transition
+from arat_homotopy.game_model import AratGame
 from arat_homotopy.homotopy_core import HomotopyInstance
 from arat_homotopy.oracle import GameSolution, enumerate_lcp
 from arat_homotopy.vlcp_builder import SquareLcp
@@ -82,6 +82,36 @@ def random_arat_game(rng: np.random.Generator, *, d_max: int = 2,
         p2.append(rows2)
     return AratGame(beta=beta, r1=tuple(r1), r2=tuple(r2),
                     p1=tuple(p1), p2=tuple(p2))
+
+
+def composed_reward(game: AratGame, s: int, i: int, j: int) -> float:
+    """Reward paid by player II to player I in state ``s`` under (i, j)."""
+    return float(game.r1[s][i] + game.r2[s][j])
+
+
+def composed_transition(game: AratGame, s: int, i: int, j: int) -> np.ndarray:
+    """Next-state distribution from state ``s`` under action pair (i, j)."""
+    return game.p1[s][i] + game.p2[s][j]
+
+
+def game_to_doc(game: AratGame) -> dict:
+    """Serialize a game to the game file schema (round-trip safe)."""
+    return {
+        "beta": game.beta,
+        "states": [
+            {
+                "playerI": {
+                    "rewards": game.r1[s].tolist(),
+                    "transitions": game.p1[s].tolist(),
+                },
+                "playerII": {
+                    "rewards": game.r2[s].tolist(),
+                    "transitions": game.p2[s].tolist(),
+                },
+            }
+            for s in range(game.d)
+        ],
+    }
 
 
 def stage_matrix(game: AratGame, s: int, v: np.ndarray) -> np.ndarray:

@@ -16,15 +16,18 @@ from hypothesis import strategies as st
 
 from arat_homotopy import cli
 from arat_homotopy.errors import MaxIterExceeded
-from arat_homotopy.game_model import (
-    AratGame,
-    composed_reward,
-    composed_transition,
-    validate,
-)
+from arat_homotopy.game_model import AratGame, validate
 from arat_homotopy.oracle import value_iteration
 
-from conftest import FIXTURES, make_example1, make_two_absorbing_states, random_arat_game
+from conftest import (
+    FIXTURES,
+    composed_reward,
+    composed_transition,
+    game_to_doc,
+    make_example1,
+    make_two_absorbing_states,
+    random_arat_game,
+)
 
 EX1 = str(FIXTURES / "example1.json")
 EX2 = str(FIXTURES / "example2.json")
@@ -75,7 +78,7 @@ class TestValidateCommand:
     ])
     def test_non_number_or_huge_integer_is_a_parse_error(
             self, tmp_path, capsys, where, value, message):
-        doc = cli.game_to_doc(make_example1())
+        doc = game_to_doc(make_example1())
         if where == "beta":
             doc["beta"] = value
         elif where == "rewards":
@@ -90,7 +93,7 @@ class TestValidateCommand:
 
     def test_numpy_numbers_are_accepted(self):
         game = make_example1()
-        doc = cli.game_to_doc(game)
+        doc = game_to_doc(game)
         doc["beta"] = np.float64(game.beta)
         doc["states"][0]["playerI"]["rewards"] = list(game.r1[0])
         doc["states"][0]["playerI"]["transitions"] = list(game.p1[0])
@@ -100,7 +103,7 @@ class TestValidateCommand:
         np.testing.assert_array_equal(parsed.p1[0], game.p1[0])
 
     def test_negative_probability_exits_1_with_index(self, tmp_path, capsys):
-        doc = cli.game_to_doc(make_example1())
+        doc = game_to_doc(make_example1())
         doc["states"][0]["playerI"]["transitions"][0][0] = -0.5
         path = write_game(tmp_path, doc)
         code = cli.main(["validate", path])
@@ -109,7 +112,7 @@ class TestValidateCommand:
         assert "p1[1][1]" in out and "negative" in out
 
     def test_inconsistent_lengths_exit_2(self, tmp_path):
-        doc = cli.game_to_doc(make_example1())
+        doc = game_to_doc(make_example1())
         doc["states"][0]["playerI"]["rewards"].append(1.0)
         assert cli.main(["validate", write_game(tmp_path, doc)]) == 2
 
@@ -205,7 +208,7 @@ class TestSolveCommand:
             p1=([[0.0, 1.0]], [[0.5, 0.0], [0.5, 0.0]]),
             p2=([[0.0, 0.0]], [[0.0, 0.5], [0.0, 0.5]]),
         )
-        path = write_game(tmp_path, cli.game_to_doc(game))
+        path = write_game(tmp_path, game_to_doc(game))
         assert cli.main(["solve", path]) == 0
         assert "certificate: PASS" in capsys.readouterr().out
 
@@ -223,7 +226,7 @@ class TestSolveCommand:
     ], ids=["one_state", "two_states", "m1_100"])
     def test_start_without_player_ii_mass_shifts_r2(self, tmp_path, capsys,
                                                      game, c2):
-        path = write_game(tmp_path, cli.game_to_doc(game))
+        path = write_game(tmp_path, game_to_doc(game))
         json_out = tmp_path / "r.json"
         assert cli.main(["solve", path, "--json-out", str(json_out)]) == 0
         assert "certificate: PASS" in capsys.readouterr().out
@@ -315,7 +318,7 @@ class TestSolveProperty:
         game = random_arat_game(np.random.default_rng(seed), d_max=3,
                                 actions_max=2)
         with tempfile.TemporaryDirectory() as tmp:
-            path = write_game(Path(tmp), cli.game_to_doc(game))
+            path = write_game(Path(tmp), game_to_doc(game))
             json_out = Path(tmp) / "r.json"
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli.main(["solve", path, "--json-out", str(json_out)])
@@ -353,7 +356,7 @@ class TestOracleCommand:
     def test_single_state_geometric_value(self, tmp_path, capsys):
         game = AratGame(beta=0.5, r1=([0.5],), r2=([0.5],),
                         p1=([[0.5]],), p2=([[0.5]],))
-        path = write_game(tmp_path, cli.game_to_doc(game))
+        path = write_game(tmp_path, game_to_doc(game))
         code = cli.main(["oracle", path])
         out = capsys.readouterr().out
         assert code == 0
@@ -370,7 +373,7 @@ class TestOracleCommand:
             p1=tuple(rows for _ in range(d)),
             p2=tuple(rows for _ in range(d)),
         )
-        path = write_game(tmp_path, cli.game_to_doc(game))
+        path = write_game(tmp_path, game_to_doc(game))
         code = cli.main(["oracle", path])
         out = capsys.readouterr().out
         assert code == 0
@@ -380,7 +383,7 @@ class TestOracleCommand:
     def test_beta_near_one_returns_value(self, tmp_path, capsys):
         # the greedy pair of the first sweep from v = 0 is optimal, so
         # its check passes after one sweep even at beta = 0.9999
-        doc = cli.game_to_doc(make_example1())
+        doc = game_to_doc(make_example1())
         doc["beta"] = 0.9999
         code = cli.main(["oracle", write_game(tmp_path, doc)])
         captured = capsys.readouterr()
@@ -394,7 +397,7 @@ class TestOracleCommand:
         # value (1, 3) / (1 - beta) after the first sweep
         game = make_two_absorbing_states(0.9999)
         code = cli.main(["oracle", write_game(tmp_path,
-                                              cli.game_to_doc(game))])
+                                              game_to_doc(game))])
         captured = capsys.readouterr()
         assert code == 0
         lines = captured.out.splitlines()
@@ -443,7 +446,7 @@ class TestOracleCommand:
     @pytest.mark.parametrize("player", ["playerI", "playerII"])
     def test_player_without_actions_exits_1(self, tmp_path, capsys, verb,
                                             player):
-        doc = cli.game_to_doc(make_example1())
+        doc = game_to_doc(make_example1())
         doc["states"][1][player] = {"rewards": [], "transitions": []}
         code = cli.main([verb, write_game(tmp_path, doc)])
         captured = capsys.readouterr()
@@ -460,7 +463,7 @@ class TestOracleCommand:
                                                      message):
         # run as a program, so an escaping exception would show as a
         # traceback on stderr instead of failing inside the test process
-        doc = cli.game_to_doc(make_example1())
+        doc = game_to_doc(make_example1())
         if edit == "beta":
             doc["beta"] = 1.5
         else:
@@ -489,7 +492,7 @@ class TestNonFiniteGame:
                                        value):
         # run as a program, so an escaping exception would show as a
         # traceback on stderr instead of failing inside the test process
-        doc = cli.game_to_doc(make_example1())
+        doc = game_to_doc(make_example1())
         entries = doc["states"][0][player][field]
         if field == "rewards":
             entries[0] = float(value)
@@ -509,7 +512,68 @@ class TestNonFiniteGame:
         assert "Traceback" not in proc.stderr
 
 
+class TestLargeRewards:
+    """Valid games whose rewards are too large for the float arithmetic
+    end with one stderr line and exit 1."""
+
+    @staticmethod
+    def one_state(r1, r2):
+        return {"beta": 0.5, "states": [{
+            "playerI": {"rewards": [r1], "transitions": [[0.5]]},
+            "playerII": {"rewards": [r2], "transitions": [[0.5]]}}]}
+
+    @staticmethod
+    def run(tmp_path, verb, doc):
+        # run as a program, so an escaping exception would show as a
+        # traceback on stderr instead of failing inside the test process
+        return subprocess.run(
+            [sys.executable, "-m", "arat_homotopy.cli", verb,
+             write_game(tmp_path, doc)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+
+    def test_solve_without_interior_start(self, tmp_path):
+        # K b_r is lost to rounding against a player-I reward of 1e17,
+        # and no r2 shift helps a player-I row
+        proc = self.run(tmp_path, "solve", self.one_state(1e17, 1.0))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("no interior start: row 1 cannot be lifted")
+        assert proc.stderr.count("\n") == 1
+        assert proc.stdout == ""
+
+    def test_oracle_rewards_overflow_in_one_state(self, tmp_path):
+        proc = self.run(tmp_path, "oracle", self.one_state(1e308, 1e308))
+        assert proc.returncode == 1
+        assert proc.stderr == "value iteration: sweep 1 left the float range\n"
+        assert proc.stdout == ""
+
+    def test_oracle_reward_maxima_in_different_states(self, tmp_path):
+        doc = {"beta": 0.5, "states": [
+            {"playerI": {"rewards": [1e308], "transitions": [[0.5, 0.0]]},
+             "playerII": {"rewards": [1.0], "transitions": [[0.5, 0.0]]}},
+            {"playerI": {"rewards": [1.0], "transitions": [[0.0, 0.5]]},
+             "playerII": {"rewards": [1e308], "transitions": [[0.0, 0.5]]}},
+        ]}
+        assert validate(cli.parse_game_doc(doc)).ok
+        proc = self.run(tmp_path, "oracle", doc)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("value iteration: sweep ")
+        assert proc.stderr.endswith(" left the float range\n")
+        assert proc.stdout == ""
+
+
 class TestBuildCommand:
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_output_matches_committed_fixture(self, name, capsys):
+        # the committed output is the reference: a change to how the
+        # problem is built must not move it by a byte
+        assert cli.main(["build", str(FIXTURES / f"{name}.json")]) == 0
+        out = capsys.readouterr().out
+        assert out == (FIXTURES / f"{name}_build.json").read_text(encoding="utf-8")
+        labels = json.loads(out)["column_labels"]
+        assert labels == ["eta(1)", "eta(2)", "xi(1)", "xi(2)"]
+
     def test_emits_construction_json(self, capsys):
         code = cli.main(["build", EX1])
         out = capsys.readouterr().out
@@ -526,7 +590,7 @@ class TestBuildCommand:
 class TestRoundTrip:
     def test_serializer_round_trip(self, example1, example2):
         for game in (example1, example2):
-            doc = cli.game_to_doc(game)
+            doc = game_to_doc(game)
             back = cli.parse_game_doc(json.loads(json.dumps(doc)))
             assert back.beta == game.beta
             for s in range(game.d):

@@ -7,14 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arat_homotopy.game_model import (
-    AratGame,
-    composed_reward,
-    composed_transition,
-    validate,
-)
+from arat_homotopy.game_model import AratGame, validate
 
-from conftest import make_example1
+from conftest import composed_reward, composed_transition, make_example1
 
 
 def reward_matrix(game, s):

@@ -400,6 +400,34 @@ class TestCertify:
         assert not report.value_match
         assert not report.passed
 
+    def test_negative_action_index_raises(self, example1):
+        # a negative index would wrap round to another action
+        _, cand = self._candidate(example1)
+        with pytest.raises(ValueError,
+                           match="state 1: player-I action index -2 is not in 0..1"):
+            certify(example1, dataclasses.replace(cand, strategy_i=(-2, 0)))
+        with pytest.raises(ValueError,
+                           match="state 2: player-II action index -1 is not in 0..1"):
+            certify(example1, dataclasses.replace(cand, strategy_ii=(0, -1)))
+
+    def test_extra_strategy_entries_raise(self, example1):
+        _, cand = self._candidate(example1)
+        with pytest.raises(ValueError, match=("player-I strategy has length 3, "
+                                              "need one action for each of 2")):
+            certify(example1, dataclasses.replace(
+                cand, strategy_i=(0, 0, 5), strategy_ii=(0, 1, 7)))
+
+    def test_value_of_wrong_shape_raises(self, example1):
+        # one entry would be broadcast over both states
+        _, cand = self._candidate(example1)
+        with pytest.raises(ValueError, match=r"shape \(1,\), need \(2,\)"):
+            certify(example1, dataclasses.replace(cand, value=np.array([14.0])))
+
+    def test_short_strategy_raises_in_pair_evaluation(self, example1):
+        with pytest.raises(ValueError, match=("player-I strategy has length 1, "
+                                              "need one action for each of 2")):
+            evaluate_pure_pair(example1, (0,), (0, 1))
+
     def test_non_saddle_strategies_fail_with_deviation_listed(self, example1):
         _, cand = self._candidate(example1)
         bad = dataclasses.replace(cand, strategy_ii=(1, 0))

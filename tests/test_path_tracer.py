@@ -399,20 +399,26 @@ class TestExtractSolution:
             extract_solution(result, lcp)
 
     def test_trivial_lcp_with_positive_q(self):
-        # endpoint z = 0 gives w = q; block count is odd so the game
-        # recovery is skipped
-        q = np.array([1.0, 2.0, 3.0])
-        lcp = SquareLcp(M=np.eye(3), q=q,
-                        J=(range(0, 1), range(1, 2), range(2, 3)))
-        final = HomotopyPoint(np.concatenate([np.zeros(3), q, np.zeros(4)]))
-        result = TraceResult(
-            status=TraceStatus.CONVERGED,
-            path=(),
-            final=final,
-        )
-        sol = extract_solution(result, lcp)
-        np.testing.assert_array_equal(sol.w, q)
-        assert sol.value is None
+        # endpoint z = 0 gives w = q; an odd block count is no game's,
+        # so it is refused
+        for q in (np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0, 4.0])):
+            n = q.size
+            lcp = SquareLcp(M=np.eye(n), q=q,
+                            J=tuple(range(p, p + 1) for p in range(n)))
+            final = HomotopyPoint(np.concatenate([np.zeros(n), q,
+                                                  np.zeros(n + 1)]))
+            result = TraceResult(
+                status=TraceStatus.CONVERGED,
+                path=(),
+                final=final,
+            )
+            if n % 2:
+                with pytest.raises(ValueError, match="3 blocks"):
+                    extract_solution(result, lcp)
+                continue
+            sol = extract_solution(result, lcp)
+            np.testing.assert_array_equal(sol.w, q)
+            np.testing.assert_array_equal(sol.value, np.zeros(2))
 
     def test_small_negatives_clamped(self, example1):
         lcp, inst = instance_for(example1)

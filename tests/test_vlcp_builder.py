@@ -11,13 +11,15 @@ from arat_homotopy.game_model import AratGame
 from arat_homotopy.oracle import enumerate_lcp, value_iteration
 from arat_homotopy.vlcp_builder import (
     SquareLcp,
-    VerticalBlockMatrix,
+    VlcpInstance,
     build_vlcp,
     recover_vlcp_solution,
     to_equivalent_lcp,
 )
 
 from conftest import (
+    composed_reward,
+    composed_transition,
     make_example1,
     random_arat_game,
     verify_vbe_e,
@@ -42,16 +44,15 @@ EX1_Q = np.array([-4.0, -3.0, -5.0, -4.0, 3.0, 6.0, 6.0, 2.0])
 class TestBuildVlcp:
     def test_example1_matrix_and_q(self, example1):
         inst = build_vlcp(example1)
-        np.testing.assert_allclose(inst.A.entries, EX1_A)
+        np.testing.assert_allclose(inst.A, EX1_A)
         np.testing.assert_allclose(inst.q, EX1_Q)
-        assert inst.A.block_sizes == (2, 2, 2, 2)
-        assert inst.column_labels == ("eta(1)", "eta(2)", "xi(1)", "xi(2)")
+        assert inst.block_sizes == (2, 2, 2, 2)
 
     def test_example1_specific_rows(self, example1):
         inst = build_vlcp(example1)
-        np.testing.assert_allclose(inst.A.entries[0], [-0.25, 0.0, 0.75, 0.0])
+        np.testing.assert_allclose(inst.A[0], [-0.25, 0.0, 0.75, 0.0])
         assert inst.q[0] == -4.0
-        np.testing.assert_allclose(inst.A.entries[7], [0.25, -1.0, 0.25, 0.0])
+        np.testing.assert_allclose(inst.A[7], [0.25, -1.0, 0.25, 0.0])
         assert inst.q[7] == 2.0
 
     def test_zero_player_i_transitions_leave_identity_rows(self):
@@ -64,8 +65,8 @@ class TestBuildVlcp:
             p2=([[0.5, 0.5], [1.0, 0.0]], [[0.25, 0.75]]),
         )
         inst = build_vlcp(game)
-        np.testing.assert_allclose(inst.A.entries[0], [0.0, 0.0, 1.0, 0.0])
-        np.testing.assert_allclose(inst.A.entries[1], [0.0, 0.0, 0.0, 1.0])
+        np.testing.assert_allclose(inst.A[0], [0.0, 0.0, 1.0, 0.0])
+        np.testing.assert_allclose(inst.A[1], [0.0, 0.0, 0.0, 1.0])
 
     def test_invalid_game_rejected(self, example1):
         import dataclasses
@@ -75,9 +76,14 @@ class TestBuildVlcp:
 
     def test_block_matrix_invariants(self):
         with pytest.raises(ValueError):
-            VerticalBlockMatrix(entries=np.ones((2, 3)), block_sizes=(1, 1, 1))
+            VlcpInstance(A=np.ones((2, 3)), q=np.ones(2), block_sizes=(1, 1, 1))
         with pytest.raises(ValueError):
-            VerticalBlockMatrix(entries=np.ones((3, 2)), block_sizes=(1, 1))
+            VlcpInstance(A=np.ones((3, 2)), q=np.ones(3), block_sizes=(1, 1))
+        with pytest.raises(ValueError, match="one entry per row"):
+            VlcpInstance(A=np.ones((2, 2)), q=np.ones(3), block_sizes=(1, 1))
+        inst = VlcpInstance(A=np.ones((3, 2)), q=np.ones(3), block_sizes=(2, 1))
+        assert not inst.A.flags.writeable
+        assert not inst.q.flags.writeable
 
 
 class TestEquivalentLcp:
@@ -92,19 +98,18 @@ class TestEquivalentLcp:
             lcp = to_equivalent_lcp(inst)
             for j, rng in enumerate(lcp.J):
                 for p in rng:
-                    assert np.array_equal(lcp.M[:, p], inst.A.entries[:, j])
+                    assert np.array_equal(lcp.M[:, p], inst.A[:, j])
             # first and last copy of each block agree byte for byte
             for rng in lcp.J:
                 assert np.array_equal(lcp.M[:, rng.start], lcp.M[:, rng.stop - 1])
             np.testing.assert_array_equal(lcp.q, inst.q)
+            # products with M sum in row-major order
+            assert lcp.M.flags.c_contiguous
 
     def test_all_blocks_size_one_is_identity_reduction(self):
         a = np.array([[2.0, 1.0], [0.5, 3.0]])
-        vbm = VerticalBlockMatrix(entries=a, block_sizes=(1, 1))
-        from arat_homotopy.vlcp_builder import VlcpInstance
         lcp = to_equivalent_lcp(
-            VlcpInstance(A=vbm, q=np.array([1.0, 2.0]),
-                         column_labels=("eta(1)", "xi(1)"))
+            VlcpInstance(A=a, q=np.array([1.0, 2.0]), block_sizes=(1, 1))
         )
         np.testing.assert_array_equal(lcp.M, a)
 
@@ -118,7 +123,7 @@ class TestEquivalentLcp:
         inst = build_vlcp(make_example1())
         lcp = to_equivalent_lcp(inst)
         x = np.array([z[list(rng)].sum() for rng in lcp.J])
-        np.testing.assert_allclose(lcp.M @ z, inst.A.entries @ x, atol=1e-9)
+        np.testing.assert_allclose(lcp.M @ z, inst.A @ x, atol=1e-9)
 
 
 class TestRecoverSolution:
@@ -135,12 +140,14 @@ class TestRecoverSolution:
         assert sol.strategy_ii == (0, 1)
 
     def test_zero_solution_for_nonnegative_q(self):
-        m = np.eye(3)
-        q = np.array([1.0, 2.0, 0.5])
-        lcp = SquareLcp(M=m, q=q, J=(range(0, 1), range(1, 2), range(2, 3)))
-        sol = recover_vlcp_solution(lcp, np.zeros(3), q)
-        np.testing.assert_array_equal(sol.x, np.zeros(3))
+        m = np.eye(4)
+        q = np.array([1.0, 2.0, 0.5, 3.0])
+        lcp = SquareLcp(M=m, q=q, J=(range(0, 1), range(1, 2), range(2, 3),
+                                     range(3, 4)))
+        sol = recover_vlcp_solution(lcp, np.zeros(4), q)
+        np.testing.assert_array_equal(sol.x, np.zeros(4))
         np.testing.assert_array_equal(sol.w, q)
+        np.testing.assert_array_equal(sol.value, np.zeros(2))
 
     def test_complementarity_breach_reported(self, example1):
         lcp = to_equivalent_lcp(build_vlcp(example1))
@@ -153,12 +160,12 @@ class TestRecoverSolution:
             recover_vlcp_solution(lcp, z, w)
 
     def test_odd_block_count_skips_value_recovery(self):
+        # no game has an odd block count, so recovery refuses one
         m = np.eye(3)
         q = np.array([1.0, 1.0, 1.0])
         lcp = SquareLcp(M=m, q=q, J=(range(0, 1), range(1, 2), range(2, 3)))
-        sol = recover_vlcp_solution(lcp, np.zeros(3), q)
-        assert sol.value is None
-        assert sol.strategy_i is None
+        with pytest.raises(ValueError, match="3 blocks"):
+            recover_vlcp_solution(lcp, np.zeros(3), q)
 
     def test_round_trip_all_enumerated_solutions(self, example1, example2):
         for game in (example1, example2):
@@ -168,7 +175,7 @@ class TestRecoverSolution:
                 sol = recover_vlcp_solution(lcp, z, w)
                 assert sol.x.min() >= -1e-8
                 np.testing.assert_allclose(
-                    inst.A.entries @ sol.x + inst.q, w, atol=1e-8
+                    inst.A @ sol.x + inst.q, w, atol=1e-8
                 )
                 for b, rng in enumerate(lcp.J):
                     prod = sol.x[b] * np.prod(w[list(rng)])
@@ -179,8 +186,6 @@ class TestShapleyInequalities:
     def test_recovered_strategies_satisfy_optimality(self, example1, example2):
         # recovered pure strategies must be optimal against the oracle
         # value: no player-I deviation gains, no player-II deviation saves
-        from arat_homotopy.game_model import composed_reward, composed_transition
-
         for game in (example1, example2):
             lcp = to_equivalent_lcp(build_vlcp(game))
             z, w = enumerate_lcp(lcp.M, lcp.q)[0]
