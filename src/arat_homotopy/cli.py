@@ -34,7 +34,6 @@ from .oracle import (
     CertificateReport,
     certify,
     enumerate_lcp,
-    evaluate_pure_pair,
     value_iteration,
 )
 from .path_tracer import MAX_STEPS, TraceResult, TraceStatus, extract_solution, trace
@@ -160,16 +159,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 @dataclass(frozen=True)
 class Answer:
-    """What :func:`solve` found.  If the trace converged: the 0-based
-    pure pair read off its endpoint, the pair's exact value and its
-    certificate, on the game as given; else these four are None.
+    """What :func:`solve` found: the trace and, if it converged, the
+    certificate of the pure pair read off its endpoint (pair, exact
+    value and verdict, on the game as given), else None.
     ``value_shift`` is c2 / (1 - beta) if r2 was shifted by c2, else 0."""
 
     result: TraceResult
     value_shift: float = 0.0
-    value: np.ndarray | None = None
-    strategy_i: tuple[int, ...] | None = None
-    strategy_ii: tuple[int, ...] | None = None
     certificate: CertificateReport | None = None
 
     @property
@@ -182,8 +178,9 @@ def solve(game: AratGame, max_steps: int = MAX_STEPS,
           x0: np.ndarray | None = None) -> Answer:
     """The paper's pipeline: game -> vertical LCP -> square LCP ->
     interior homotopy -> pure pair read off the endpoint, certified
-    exactly on ``game``.  ``x0`` is a start hint (:func:`find_interior_point`;
-    ValueError if its size is wrong); an invalid game raises InvalidGame.
+    exactly on ``game`` (:func:`certify`, one evaluation of the pair).
+    ``x0`` is a start hint (:func:`find_interior_point`; ValueError if
+    its size is wrong); an invalid game raises InvalidGame.
 
     In exact arithmetic the computed start fails only at a state without
     player-II transition mass where some r2 <= 0.01 m1(s).  Then r2 is
@@ -191,13 +188,16 @@ def solve(game: AratGame, max_steps: int = MAX_STEPS,
     slack of at least 1; optimal pure pairs do not move under the shift.
     In floating point a row's lift K b_r can also be lost to rounding
     against a reward near 1e16 times larger; no shift of r2 restores a
-    player-I row, and NoInteriorPointFound is raised.
+    player-I row, so NoInteriorPointFound is raised at once for one.
     """
     lcp = to_equivalent_lcp(build_vlcp(game))
     value_shift = 0.0
     try:
         start = find_interior_point(lcp, hint=x0)
     except NoInteriorPointFound as exc:
+        # the message names a player-II row as such
+        if not str(exc).startswith("the player-II row"):
+            raise
         c2 = (1.0 + _EPS_SMALL * max(game.m1)
               - min(float(a.min()) for a in game.r2))
         value_shift = c2 / (1.0 - game.beta)
@@ -211,10 +211,8 @@ def solve(game: AratGame, max_steps: int = MAX_STEPS,
     if result.status is not TraceStatus.CONVERGED:
         return Answer(result, value_shift)
     sol = extract_solution(result, lcp)
-    value = evaluate_pure_pair(game, sol.strategy_i, sol.strategy_ii)
-    cert = certify(game, dataclasses.replace(sol, value=value), tol=1e-4)
-    return Answer(result, value_shift, value, sol.strategy_i,
-                  sol.strategy_ii, cert)
+    return Answer(result, value_shift,
+                  certify(game, sol.strategy_i, sol.strategy_ii))
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -255,18 +253,17 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "strategy_player_ii": None, "certificate": None,
     }
     if cert is not None:
-        doc["value"] = answer.value.tolist()
-        doc["strategy_player_i"] = _one_based(answer.strategy_i)
-        doc["strategy_player_ii"] = _one_based(answer.strategy_ii)
-        doc["certificate"] = {k: v for k, v in dataclasses.asdict(cert).items()
-                              if k != "violations"}
+        doc["value"] = cert.value.tolist()
+        doc["strategy_player_i"] = _one_based(cert.strategy_i)
+        doc["strategy_player_ii"] = _one_based(cert.strategy_ii)
+        doc["certificate"] = {"ineq_player_i": cert.ineq_player_i,
+                              "ineq_player_ii": cert.ineq_player_ii}
         print(f"status: {result.status.value} ({steps} accepted steps)")
-        print("value: " + " ".join(f"{v:.10g}" for v in answer.value))
-        for s, (i, j) in enumerate(zip(answer.strategy_i, answer.strategy_ii)):
+        print("value: " + " ".join(f"{v:.10g}" for v in cert.value))
+        for s, (i, j) in enumerate(zip(cert.strategy_i, cert.strategy_ii)):
             print(f"  state {s + 1}: player I action {i + 1}, "
                   f"player II action {j + 1}")
-        print(f"certificate: {'PASS' if cert.passed else 'FAIL'} "
-              f"(value error {cert.value_error:.3e})")
+        print(f"certificate: {'PASS' if cert.passed else 'FAIL'}")
         for v in cert.violations:
             print(f"  - {v}")
     else:

@@ -122,14 +122,11 @@ class HomotopyInstance:
         return self.q.size
 
     @classmethod
-    def from_lcp(cls, lcp: SquareLcp, x0: np.ndarray,
-                 y1_0: np.ndarray | None = None,
-                 y2_0: np.ndarray | None = None) -> "HomotopyInstance":
-        n = lcp.n
-        e = np.ones(n)
+    def from_lcp(cls, lcp: SquareLcp, x0: np.ndarray) -> "HomotopyInstance":
+        """The instance anchored at x0 with y1_0 = y2_0 = 1."""
+        e = np.ones(lcp.n)
         return cls(A=lcp.M, q=lcp.q, x0=np.asarray(x0, dtype=float),
-                   y1_0=e if y1_0 is None else y1_0,
-                   y2_0=e if y2_0 is None else y2_0)
+                   y1_0=e, y2_0=e)
 
 
 def _split(inst: HomotopyInstance, v: np.ndarray):
@@ -266,8 +263,10 @@ def find_interior_point(lcp: SquareLcp, hint: np.ndarray | None = None) -> np.nd
     a = m @ x_eta + q
     b = m @ u
     lift = b > 0.0
-    k = 1.0 + float(np.max(-a[lift] / b[lift], initial=0.0))
-    x = x_eta + k * u
+    # a K that overflows gives a point the feasibility check rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = 1.0 + float(np.max(-a[lift] / b[lift], initial=0.0))
+        x = x_eta + k * u
     if is_strictly_feasible(m, q, x):
         return x
 

@@ -18,15 +18,12 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import MaxIterExceeded, SizeGuardExceeded
 from .game_model import AratGame
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .vlcp_builder import VlcpSolution
 
 log = logging.getLogger(__name__)
 
@@ -232,46 +229,36 @@ def enumerate_lcp(m: np.ndarray, q: np.ndarray,
 
 @dataclass(frozen=True)
 class CertificateReport:
-    """Per-check outcome of :func:`certify`."""
+    """Verdict of :func:`certify` on a pure pair (0-based actions) and
+    the pair's exact value."""
 
-    value_match: bool
+    strategy_i: tuple[int, ...]
+    strategy_ii: tuple[int, ...]
+    value: np.ndarray
     ineq_player_i: bool
     ineq_player_ii: bool
-    value_error: float
     violations: tuple[str, ...]
 
     @property
     def passed(self) -> bool:
-        return self.value_match and self.ineq_player_i and self.ineq_player_ii
+        return self.ineq_player_i and self.ineq_player_ii
 
 
-def certify(game: AratGame, candidate: "VlcpSolution",
-            tol: float = 1e-6) -> CertificateReport:
-    """Check a candidate's pure pair exactly, and its value to ``tol``.
+def certify(game: AratGame, strategy_i: Sequence[int],
+            strategy_ii: Sequence[int]) -> CertificateReport:
+    """Check a pure stationary pair exactly.
 
-    The reference value is the pair's own discounted value, from one
-    d x d solve (:func:`evaluate_pure_pair`).  At that value no one-shot
-    deviation may gain, beyond a fixed slack of 1e-9 (1 + max |v|), for
-    either player (Shapley's optimality conditions); a pair that passes
-    is an optimal stationary pair.  ``tol`` bounds the sup-norm error of
-    the candidate's value against the reference.  Raises ValueError
-    unless each strategy holds one valid 0-based action per state and the
-    value has shape (d,).
+    The pair's value v is its own discounted value, from one d x d solve
+    (:func:`evaluate_pure_pair`).  At v no one-shot deviation may gain,
+    beyond a fixed slack of 1e-9 (1 + max |v|), for either player
+    (Shapley's optimality conditions); a pair that passes is an optimal
+    stationary pair and v is the game's value.  Raises ValueError unless
+    each strategy holds one valid 0-based action per state.
     """
-    si, sii = candidate.strategy_i, candidate.strategy_ii
-    v = evaluate_pure_pair(game, si, sii)
-    if np.shape(candidate.value) != v.shape:
-        raise ValueError(f"value has shape {np.shape(candidate.value)}, "
-                         f"need {v.shape} for {game.d} states")
+    v = evaluate_pure_pair(game, strategy_i, strategy_ii)
+    si, sii = tuple(map(int, strategy_i)), tuple(map(int, strategy_ii))
     slack = _DEVIATION_SLACK * (1.0 + float(np.abs(v).max()))
     violations: list[str] = []
-
-    value_error = float(np.max(np.abs(np.asarray(candidate.value) - v)))
-    value_match = value_error <= tol
-    if not value_match:
-        violations.append(
-            f"value mismatch: sup-norm error {value_error!r} > {tol!r}"
-        )
 
     ineq_i = True
     ineq_ii = True
@@ -295,9 +282,10 @@ def certify(game: AratGame, candidate: "VlcpSolution",
                 f"{float(cols[j])!r} < value {float(v[s])!r}"
             )
     return CertificateReport(
-        value_match=value_match,
+        strategy_i=si,
+        strategy_ii=sii,
+        value=v,
         ineq_player_i=ineq_i,
         ineq_player_ii=ineq_ii,
-        value_error=value_error,
         violations=tuple(violations),
     )

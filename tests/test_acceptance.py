@@ -25,6 +25,7 @@ from arat_homotopy.homotopy_core import (
 from arat_homotopy.oracle import (
     certify,
     enumerate_lcp,
+    evaluate_pure_pair,
     value_iteration,
 )
 from arat_homotopy.path_tracer import corrector_core, tangent
@@ -77,9 +78,12 @@ def test_criterion_1_example1_pipeline(tmp_path, capsys):
         assert np.max(np.abs(np.array(doc["value"]) - truth.v)) <= 1e-4
         assert doc["strategy_player_i"] == [1, 1]
         assert doc["strategy_player_ii"] == [1, 2]
-        assert doc["certificate"]["ineq_player_i"] is True
-        assert doc["certificate"]["ineq_player_ii"] is True
-        assert doc["certificate"]["value_match"] is True
+        assert doc["certificate"] == {"ineq_player_i": True,
+                                      "ineq_player_ii": True}
+        # the reported value is the pair's own exact value
+        assert doc["value"] == evaluate_pure_pair(
+            make_example1(), [a - 1 for a in doc["strategy_player_i"]],
+            [a - 1 for a in doc["strategy_player_ii"]]).tolist()
         assert elapsed < 5.0
 
 
@@ -93,9 +97,12 @@ def test_criterion_2_example2_pipeline(tmp_path, capsys):
         assert doc["status"] == "Converged"
         truth = value_iteration(make_example2())
         assert np.max(np.abs(np.array(doc["value"]) - truth.v)) <= 1e-4
-        assert doc["certificate"]["value_match"] is True
-        assert doc["certificate"]["ineq_player_i"] is True
-        assert doc["certificate"]["ineq_player_ii"] is True
+        assert doc["certificate"] == {"ineq_player_i": True,
+                                      "ineq_player_ii": True}
+        # the reported value is the pair's own exact value
+        assert doc["value"] == evaluate_pure_pair(
+            make_example2(), [a - 1 for a in doc["strategy_player_i"]],
+            [a - 1 for a in doc["strategy_player_ii"]]).tolist()
         assert elapsed < 5.0
         # the reference endpoint recorded for this example, kept for
         # comparison only; it fails feasibility under this construction
@@ -267,8 +274,10 @@ def test_criterion_9_random_game_certificates():
             matched = False
             for z, w in enumerate_lcp(lcp.M, lcp.q):
                 rec = recover_vlcp_solution(lcp, z, w)
+                report = certify(game, rec.strategy_i, rec.strategy_ii)
                 if (np.abs(rec.value - truth.v).max() <= 1e-6
-                        and certify(game, rec, tol=1e-6).passed):
+                        and np.abs(rec.value - report.value).max() <= 1e-6
+                        and report.passed):
                     matched = True
                     break
             assert matched, f"game {k}: enumeration lacks a certified solution"
@@ -286,8 +295,9 @@ def test_criterion_9_random_game_certificates():
                 print(f"  game {k:02d}: CertFailed (logged) "
                       f"{answer.certificate.violations[0][:60]}")
                 continue
-            assert np.abs(answer.value - truth.v).max() <= 1e-4, (
-                f"game {k}: certified value {answer.value} is not the "
+            value = answer.certificate.value
+            assert np.abs(value - truth.v).max() <= 1e-4, (
+                f"game {k}: certified value {value} is not the "
                 f"oracle's {truth.v}"
             )
             statuses.append((k, "Certified"))

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 from arat_homotopy import cli
 from arat_homotopy.errors import MaxIterExceeded
 from arat_homotopy.game_model import AratGame, validate
-from arat_homotopy.oracle import value_iteration
+from arat_homotopy.homotopy_core import find_interior_point
+from arat_homotopy.oracle import evaluate_pure_pair, value_iteration
 
 from conftest import (
     FIXTURES,
@@ -131,9 +133,8 @@ class TestSolveCommand:
         np.testing.assert_allclose(doc["value"], [14.0, 14.0], atol=1e-4)
         assert doc["strategy_player_i"] == [1, 1]
         assert doc["strategy_player_ii"] == [1, 2]
-        assert doc["certificate"]["value_match"] is True
-        assert doc["certificate"]["ineq_player_i"] is True
-        assert doc["certificate"]["ineq_player_ii"] is True
+        assert doc["certificate"] == {"ineq_player_i": True,
+                                      "ineq_player_ii": True}
         assert doc["residual"] <= 1e-6
 
     def test_example2_with_bundled_start_hint(self, capsys):
@@ -306,6 +307,26 @@ class TestValidateOnce:
         assert cli.main([verb, EX1]) == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("fixture", [EX1, EX2],
+                             ids=["example1", "example2"])
+    def test_converged_solve_evaluates_its_pair_once(self, fixture,
+                                                     monkeypatch):
+        from arat_homotopy import oracle
+
+        calls = []
+
+        def counted(game, strategy_i, strategy_ii):
+            calls.append((strategy_i, strategy_ii))
+            return evaluate_pure_pair(game, strategy_i, strategy_ii)
+
+        # both places the solve path could look the name up
+        monkeypatch.setattr(oracle, "evaluate_pure_pair", counted)
+        monkeypatch.setattr(cli, "evaluate_pure_pair", counted, raising=False)
+        answer = cli.solve(cli.load_game(fixture))
+        assert answer.passed
+        cert = answer.certificate
+        assert calls == [(cert.strategy_i, cert.strategy_ii)]
+
 
 class TestSolveProperty:
     @given(seed=st.integers(0, 2**32 - 1))
@@ -327,7 +348,7 @@ class TestSolveProperty:
         if code != 0:
             assert doc is None or doc["value"] is None or not all(
                 doc["certificate"][k] for k in
-                ("value_match", "ineq_player_i", "ineq_player_ii"))
+                ("ineq_player_i", "ineq_player_ii"))
             return
         v = value_iteration(game).v
         slack = 1e-8 * (1.0 + np.abs(v).max())
@@ -541,6 +562,36 @@ class TestLargeRewards:
         assert proc.stderr.startswith("no interior start: row 1 cannot be lifted")
         assert proc.stderr.count("\n") == 1
         assert proc.stdout == ""
+
+    def test_player_i_row_is_not_retried_with_r2_shifted(self, tmp_path,
+                                                          monkeypatch, capsys):
+        # no r2 shift lifts a player-I row, so the start is computed once
+        calls = []
+
+        def counted(lcp, hint=None):
+            calls.append(lcp)
+            return find_interior_point(lcp, hint)
+
+        monkeypatch.setattr(cli, "find_interior_point", counted)
+        path = write_game(tmp_path, self.one_state(1e17, 1.0))
+        assert cli.main(["solve", path]) == 1
+        assert len(calls) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("no interior start: row 1 cannot be lifted")
+        assert err.count("\n") == 1
+
+    def test_solve_overflowing_lift_warns_nothing(self, tmp_path, capsys):
+        # the lift K overflows; the point it gives is rejected without a
+        # numpy warning ahead of the one error line
+        path = write_game(tmp_path, self.one_state(1e308, 1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["solve", path])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("no interior start: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
     def test_oracle_rewards_overflow_in_one_state(self, tmp_path):
         proc = self.run(tmp_path, "oracle", self.one_state(1e308, 1e308))

@@ -261,8 +261,8 @@ class TestInstanceInvariants:
             with pytest.raises(ValueError, match="finite"):
                 HomotopyInstance.from_lcp(lcp, np.array([1.0, bad]))
             with pytest.raises(ValueError, match="finite"):
-                HomotopyInstance.from_lcp(lcp, np.ones(2),
-                                          y1_0=np.array([bad, 1.0]))
+                HomotopyInstance(A=lcp.M, q=lcp.q, x0=np.ones(2),
+                                 y1_0=np.array([bad, 1.0]), y2_0=np.ones(2))
 
     def test_nan_data_rejected(self):
         q = np.array([1.0, np.nan])

@@ -389,39 +389,36 @@ class TestCertify:
 
     def test_example1_enumerated_solution_passes(self, example1):
         _, cand = self._candidate(example1)
-        report = certify(example1, cand, tol=1e-6)
+        report = certify(example1, cand.strategy_i, cand.strategy_ii)
         assert report.passed
         assert report.violations == ()
 
-    def test_perturbed_value_fails(self, example1):
-        _, cand = self._candidate(example1)
-        bad = dataclasses.replace(cand, value=cand.value + 1.0)
-        report = certify(example1, bad, tol=1e-4)
-        assert not report.value_match
-        assert not report.passed
+    def test_report_holds_the_pair_and_its_exact_value(self, example1):
+        # the value is the one evaluation of the pair, bit for bit, and
+        # the pair comes back as tuples of Python ints
+        si, sii = np.array([0, 0]), [np.int64(0), np.int64(1)]
+        report = certify(example1, si, sii)
+        assert report.strategy_i == (0, 0)
+        assert report.strategy_ii == (0, 1)
+        assert all(type(a) is int
+                   for a in report.strategy_i + report.strategy_ii)
+        assert np.array_equal(report.value,
+                              evaluate_pure_pair(example1, si, sii))
+        np.testing.assert_allclose(report.value, [14.0, 14.0], atol=1e-12)
 
     def test_negative_action_index_raises(self, example1):
         # a negative index would wrap round to another action
-        _, cand = self._candidate(example1)
         with pytest.raises(ValueError,
                            match="state 1: player-I action index -2 is not in 0..1"):
-            certify(example1, dataclasses.replace(cand, strategy_i=(-2, 0)))
+            certify(example1, (-2, 0), (0, 1))
         with pytest.raises(ValueError,
                            match="state 2: player-II action index -1 is not in 0..1"):
-            certify(example1, dataclasses.replace(cand, strategy_ii=(0, -1)))
+            certify(example1, (0, 0), (0, -1))
 
     def test_extra_strategy_entries_raise(self, example1):
-        _, cand = self._candidate(example1)
         with pytest.raises(ValueError, match=("player-I strategy has length 3, "
                                               "need one action for each of 2")):
-            certify(example1, dataclasses.replace(
-                cand, strategy_i=(0, 0, 5), strategy_ii=(0, 1, 7)))
-
-    def test_value_of_wrong_shape_raises(self, example1):
-        # one entry would be broadcast over both states
-        _, cand = self._candidate(example1)
-        with pytest.raises(ValueError, match=r"shape \(1,\), need \(2,\)"):
-            certify(example1, dataclasses.replace(cand, value=np.array([14.0])))
+            certify(example1, (0, 0, 5), (0, 1, 7))
 
     def test_short_strategy_raises_in_pair_evaluation(self, example1):
         with pytest.raises(ValueError, match=("player-I strategy has length 1, "
@@ -430,7 +427,6 @@ class TestCertify:
 
     def test_non_saddle_strategies_fail_with_deviation_listed(self, example1):
         _, cand = self._candidate(example1)
-        bad = dataclasses.replace(cand, strategy_ii=(1, 0))
-        report = certify(example1, bad, tol=1e-6)
+        report = certify(example1, cand.strategy_i, (1, 0))
         assert not report.passed
         assert any("deviation" in v for v in report.violations)

@@ -319,14 +319,14 @@ class TestTrace:
         np.testing.assert_allclose(sol.value, [14.0, 14.0], atol=1e-4)
         assert sol.strategy_i == (0, 0)
         assert sol.strategy_ii == (0, 1)
-        assert certify(example1, sol, tol=1e-4).passed
+        assert certify(example1, sol.strategy_i, sol.strategy_ii).passed
 
     def test_example2_converges_to_certified_solution(self, example2):
         lcp, inst = instance_for(example2)
         result = trace(inst)
         assert result.status is TraceStatus.CONVERGED
         sol = extract_solution(result, lcp)
-        assert certify(example2, sol, tol=1e-4).passed
+        assert certify(example2, sol.strategy_i, sol.strategy_ii).passed
         # frozen from the oracle: eta = (8.25, 5.5), xi = (5.75, 8.5)
         np.testing.assert_allclose(sol.eta, [8.25, 5.5], atol=1e-4)
         np.testing.assert_allclose(sol.xi, [5.75, 8.5], atol=1e-4)
