@@ -15,7 +15,7 @@ game / no convergence / failed certificate, 2 I/O, parse or flag error
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import contextlib
 import json
 import logging
 import numbers
@@ -174,37 +174,34 @@ class Answer:
         return self.certificate is not None and self.certificate.passed
 
 
-def solve(game: AratGame, max_steps: int = MAX_STEPS,
-          x0: np.ndarray | None = None) -> Answer:
+def _r2_shift(game: AratGame) -> float:
+    """The c2 added to r2, read off the game: 0 unless a state s without
+    player-II transition mass has an r2 <= 0.01 m1(s), a row the computed
+    start cannot lift.  c2 = 1 + 0.01 max m1 - min r2 leaves such rows a
+    slack of at least 1; a c2 that is not finite (an invalid game) is 0."""
+    low = [r.min(initial=np.inf) for r in game.r2]
+    c2 = float(1.0 + _EPS_SMALL * max(game.m1) - min(low))
+    needed = any(not p.any() and lo <= _EPS_SMALL * m
+                 for lo, p, m in zip(low, game.p2, game.m1))
+    return c2 if needed and np.isfinite(c2) else 0.0
+
+
+def solve(game: AratGame, max_steps: int = MAX_STEPS) -> Answer:
     """The paper's pipeline: game -> vertical LCP -> square LCP ->
-    interior homotopy -> pure pair read off the endpoint, certified
-    exactly on ``game`` (:func:`certify`, one evaluation of the pair).
-    ``x0`` is a start hint (:func:`find_interior_point`; ValueError if
-    its size is wrong); an invalid game raises InvalidGame.
-
-    In exact arithmetic the computed start fails only at a state without
-    player-II transition mass where some r2 <= 0.01 m1(s).  Then r2 is
-    shifted up to at least 1 + 0.01 max m1, which leaves those rows a
-    slack of at least 1; optimal pure pairs do not move under the shift.
-    In floating point a row's lift K b_r can also be lost to rounding
-    against a reward near 1e16 times larger; no shift of r2 restores a
-    player-I row, so NoInteriorPointFound is raised at once for one.
+    interior homotopy from the computed start -> pure pair read off the
+    endpoint, certified exactly on ``game`` (:func:`certify`).  r2 is
+    shifted first if the game needs it (:func:`_r2_shift`); optimal pure
+    pairs do not move under the shift.  An invalid game raises
+    InvalidGame; a lift lost to rounding against a reward near 1e16
+    times larger raises NoInteriorPointFound.  To trace from your own
+    anchor x0, call ``trace(HomotopyInstance.from_lcp(lcp, x0))``.
     """
-    lcp = to_equivalent_lcp(build_vlcp(game))
-    value_shift = 0.0
-    try:
-        start = find_interior_point(lcp, hint=x0)
-    except NoInteriorPointFound as exc:
-        # the message names a player-II row as such
-        if not str(exc).startswith("the player-II row"):
-            raise
-        c2 = (1.0 + _EPS_SMALL * max(game.m1)
-              - min(float(a.min()) for a in game.r2))
-        value_shift = c2 / (1.0 - game.beta)
-        log.info("%s; r2 shifted by %s (value offset %s)", exc, c2, value_shift)
-        lcp = to_equivalent_lcp(build_vlcp(game.shifted(0.0, c2)))
-        start = find_interior_point(lcp, hint=x0)
-
+    c2 = _r2_shift(game)
+    lcp = to_equivalent_lcp(build_vlcp(game.shifted(0.0, c2) if c2 else game))
+    value_shift = c2 / (1.0 - game.beta)
+    if c2:
+        log.info("r2 shifted by %s (value offset %s)", c2, value_shift)
+    start = find_interior_point(lcp)
     result = trace(HomotopyInstance.from_lcp(lcp, start), max_steps)
     log.info("trace finished: %s after %d accepted steps",
              result.status.value, len(result.path) - 1)
@@ -220,26 +217,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print("bad tracer settings: max_steps must be at least 1",
               file=sys.stderr)
         return EXIT_PARSE
-    hint = None
-    if args.x0 != "auto":
-        try:
-            hint = np.array([float(v) for v in args.x0.split(",")])
-        except ValueError:
-            print(f"cannot parse --x0 list: {args.x0!r}", file=sys.stderr)
-            return EXIT_PARSE
     game = _read_game(args.game)
     if game is None:
         return EXIT_PARSE
-    if args.beta_override is not None:
-        game = dataclasses.replace(game, beta=args.beta_override)
-    try:
-        answer = solve(game, args.max_steps, hint)
-    except InvalidGame:
-        raise  # reported by main
-    except ValueError as exc:
-        print(f"bad --x0 hint: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
+    answer = solve(game, args.max_steps)
     result, cert = answer.result, answer.certificate
     steps = len(result.path) - 1
     doc: dict = {
@@ -336,12 +317,23 @@ def cmd_build(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _setup_logging() -> None:
-    level_name = os.environ.get("ARAT_HOMOTOPY_LOG", "quiet").lower()
-    level = {"quiet": logging.WARNING, "info": logging.INFO,
-             "debug": logging.DEBUG}.get(level_name, logging.WARNING)
-    logging.basicConfig(stream=sys.stderr, level=level,
-                        format="%(levelname)s %(name)s: %(message)s")
+@contextlib.contextmanager
+def _stderr_logging():
+    """Log to this call's stderr at the ARAT_HOMOTOPY_LOG level (quiet,
+    info or debug); the root logger is restored on exit."""
+    level = {"info": logging.INFO, "debug": logging.DEBUG}.get(
+        os.environ.get("ARAT_HOMOTOPY_LOG", "quiet").lower(), logging.WARNING)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    root = logging.getLogger()
+    saved_level = root.level
+    root.addHandler(handler)
+    root.setLevel(level)
+    try:
+        yield
+    finally:
+        root.removeHandler(handler)
+        root.setLevel(saved_level)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,10 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run the full homotopy pipeline",
                        allow_abbrev=False)
     p.add_argument("game", help="path to the game JSON file")
-    p.add_argument("--beta-override", type=float, default=None,
-                   help="replace the file's discount factor")
-    p.add_argument("--x0", default="auto",
-                   help="comma-separated starting vector or 'auto'")
     p.add_argument("--max-steps", type=int, default=MAX_STEPS,
                    help="accepted-step budget")
     p.add_argument("--trace", default=None, metavar="OUT.CSV",
@@ -389,30 +377,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
-    args = build_parser().parse_args(argv)
-    try:
-        code = args.func(args)
-        sys.stdout.flush()
-        return code
-    except InvalidGame as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_FAIL
-    except NoInteriorPointFound as exc:
-        print(f"no interior start: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except BrokenPipeError:
-        # the reader closed stdout early (``| head``): send what is still
-        # buffered to the null device, so the flush at exit cannot fail
+    with _stderr_logging():
+        args = build_parser().parse_args(argv)
         try:
-            fd = sys.stdout.fileno()
-        except (AttributeError, OSError, ValueError):
-            pass  # not backed by a file descriptor
-        else:
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, fd)
-            os.close(devnull)
-        return EXIT_PARSE
+            code = args.func(args)
+            sys.stdout.flush()
+            return code
+        except InvalidGame as exc:
+            print(exc, file=sys.stderr)
+            return EXIT_FAIL
+        except NoInteriorPointFound as exc:
+            print(f"no interior start: {exc}", file=sys.stderr)
+            return EXIT_FAIL
+        except BrokenPipeError:
+            # the reader closed stdout early (``| head``): send what is still
+            # buffered to the null device, so the flush at exit cannot fail
+            try:
+                fd = sys.stdout.fileno()
+            except (AttributeError, OSError, ValueError):
+                pass  # not backed by a file descriptor
+            else:
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fd)
+                os.close(devnull)
+            return EXIT_PARSE
 
 
 if __name__ == "__main__":

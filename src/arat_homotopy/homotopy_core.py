@@ -16,15 +16,12 @@ v = (x, y1, y2, t).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NoInteriorPointFound
 from .vlcp_builder import SquareLcp
-
-log = logging.getLogger(__name__)
 
 #: Level of every eta copy in the computed start.
 _EPS_SMALL = 1e-2
@@ -226,32 +223,24 @@ def is_strictly_feasible(m: np.ndarray, q: np.ndarray, x: np.ndarray) -> bool:
     return bool(x.min() > 0.0 and (m @ x + q).min() > 0.0)
 
 
-def find_interior_point(lcp: SquareLcp, hint: np.ndarray | None = None) -> np.ndarray:
+def find_interior_point(lcp: SquareLcp) -> np.ndarray:
     """A strictly feasible start x0 > 0 with M x0 + q > 0.
 
-    The caller's hint is used as given when it is strictly feasible.
-    Otherwise the start is computed: every eta copy (the first half of
-    the blocks) is set to 0.01, giving x_eta, and u puts 1/|J_j| on
-    each copy of xi block j, so that every xi(s) sums to 1.  With
-    a = M x_eta + q and b = M u, the start is x_eta + K u with
+    Every eta copy (the first half of the blocks) is set to 0.01, giving
+    x_eta, and u puts 1/|J_j| on each copy of xi block j, so that every
+    xi(s) sums to 1.  With a = M x_eta + q and b = M u, the start is
+    x_eta + K u with
 
         K = 1 + max(0, max over rows with b_r > 0 of -a_r / b_r),
 
     which leaves every row with b_r > 0 a slack of at least b_r.  On a
     game-built matrix b >= 0 on every row, and b = 1 - beta * mass > 0 on
-    the player-I rows, so only a player-II row of a state without
-    player-II transition mass (b = 0) can fail: its slack is
-    r2 - 0.01 * m1(s), whatever K is.
-    """
+    the player-I rows, so in exact arithmetic only a player-II row of a
+    state without player-II transition mass (b = 0) can fail: its slack
+    is r2 - 0.01 * m1(s), whatever K is.  In floating point K b_r can be
+    lost against a much larger reward.  NoInteriorPointFound names a row
+    whose slack is not positive."""
     m, q, n = lcp.M, lcp.q, lcp.n
-    if hint is not None:
-        hint = np.asarray(hint, dtype=float)
-        if hint.size != n:
-            raise ValueError("hint has wrong dimension")
-        if is_strictly_feasible(m, q, hint):
-            return hint
-        log.info("interior-point hint rejected: not strictly feasible")
-
     half = len(lcp.J) // 2
     x_eta = np.zeros(n)
     u = np.zeros(n)
@@ -263,14 +252,15 @@ def find_interior_point(lcp: SquareLcp, hint: np.ndarray | None = None) -> np.nd
     a = m @ x_eta + q
     b = m @ u
     lift = b > 0.0
-    # a K that overflows gives a point the feasibility check rejects
+    # an overflowing K gives a point (NaN where 0 * inf) the check rejects;
+    # its slack is NaN too, and argmin below names the first NaN row
     with np.errstate(over="ignore", invalid="ignore"):
         k = 1.0 + float(np.max(-a[lift] / b[lift], initial=0.0))
         x = x_eta + k * u
-    if is_strictly_feasible(m, q, x):
-        return x
-
-    row = int(np.argmin(m @ x + q))
+        if is_strictly_feasible(m, q, x):
+            return x
+        slack = m @ x + q
+    row = int(np.argmin(slack))
     block = next(j for j, rng in enumerate(lcp.J) if row in rng)
     where = (f"the player-II row {row - lcp.J[block].start + 1} of state "
              f"{block - half + 1}" if block >= half else f"row {row + 1}")

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -16,10 +17,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arat_homotopy import cli
-from arat_homotopy.errors import MaxIterExceeded
+from arat_homotopy.errors import InvalidGame, MaxIterExceeded, NoInteriorPointFound
 from arat_homotopy.game_model import AratGame, validate
 from arat_homotopy.homotopy_core import find_interior_point
 from arat_homotopy.oracle import evaluate_pure_pair, value_iteration
+from arat_homotopy.vlcp_builder import build_vlcp, to_equivalent_lcp
 
 from conftest import (
     FIXTURES,
@@ -137,18 +139,6 @@ class TestSolveCommand:
                                       "ineq_player_ii": True}
         assert doc["residual"] <= 1e-6
 
-    def test_example2_with_bundled_start_hint(self, capsys):
-        hint = (FIXTURES / "example2_x0.txt").read_text().strip()
-        code = cli.main(["solve", EX2, "--x0", hint])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "certificate: PASS" in out
-
-    def test_example1_bundled_hint_falls_back_to_auto(self, capsys):
-        hint = (FIXTURES / "example1_x0.txt").read_text().strip()
-        code = cli.main(["solve", EX1, "--x0", hint])
-        assert code == 0
-
     def test_trace_csv_matches_path(self, tmp_path):
         csv_path = tmp_path / "path.csv"
         assert cli.main(["solve", EX1, "--trace", str(csv_path)]) == 0
@@ -188,17 +178,6 @@ class TestSolveCommand:
         assert code == 1
         assert "MaxSteps" in out
 
-    def test_beta_override(self, capsys, tmp_path):
-        json_out = tmp_path / "r.json"
-        code = cli.main(["solve", EX1, "--beta-override", "0.3",
-                         "--json-out", str(json_out)])
-        assert code == 0
-        doc = json.loads(json_out.read_text())
-        import dataclasses
-        truth = value_iteration(
-            dataclasses.replace(make_example1(), beta=0.3))
-        np.testing.assert_allclose(doc["value"], truth.v, atol=1e-4)
-
     def test_mass_to_larger_player_ii_state_solves(self, tmp_path, capsys):
         # state 1's player-I row sends all its mass to state 2, which has
         # two player-II actions: one level on every xi copy cannot lift
@@ -226,10 +205,19 @@ class TestSolveCommand:
                   p1=(np.ones((100, 1)),), p2=([[0.0]],)), 3.0),
     ], ids=["one_state", "two_states", "m1_100"])
     def test_start_without_player_ii_mass_shifts_r2(self, tmp_path, capsys,
-                                                     game, c2):
+                                                     monkeypatch, game, c2):
+        # the shift is read off the game, so the start is computed once
+        calls = []
+
+        def counted(lcp):
+            calls.append(lcp)
+            return find_interior_point(lcp)
+
+        monkeypatch.setattr(cli, "find_interior_point", counted)
         path = write_game(tmp_path, game_to_doc(game))
         json_out = tmp_path / "r.json"
         assert cli.main(["solve", path, "--json-out", str(json_out)]) == 0
+        assert len(calls) == 1
         assert "certificate: PASS" in capsys.readouterr().out
         doc = json.loads(json_out.read_text())
         # the pair is evaluated on the game as given, not the shifted one
@@ -238,8 +226,40 @@ class TestSolveCommand:
         assert doc["value_shift"] == pytest.approx(c2 / (1.0 - game.beta),
                                                    rel=1e-15)
 
-    def test_bad_x0_list_exits_2(self):
-        assert cli.main(["solve", EX1, "--x0", "1,2,banana"]) == 2
+    @pytest.mark.parametrize("beta, r2, message", [
+        (1.0, -1.0, "discount beta=1.0 is not in (0, 1)"),
+        (0.5, -np.inf, "state 1: r2[1] = -inf is not finite"),
+    ], ids=["beta_one", "r2_minus_inf"])
+    def test_invalid_game_is_reported_as_given(self, beta, r2, message):
+        # the shift is decided before the build validates the game; the
+        # report still speaks of the game as given
+        game = AratGame(beta=beta, r1=([2.0],), r2=([r2],),
+                        p1=([[1.0]],), p2=([[0.0]],))
+        with pytest.raises(InvalidGame, match=re.escape(message)):
+            cli.solve(game)
+
+    @pytest.mark.parametrize("m1", [1, 3, 7])
+    def test_r2_shift_decided_exactly_at_the_boundary(self, m1):
+        # a state without player-II mass leaves its row the slack
+        # r2 - 0.01 m1 whatever the lift: the shift is taken exactly when
+        # the unshifted start fails, on either side of 0.01 k
+        for k in range(1, 12):
+            r2 = 0.01 * k
+            for ulps in (-2, -1, 0, 1, 2):
+                value = r2
+                for _ in range(abs(ulps)):
+                    value = float(np.nextafter(value, np.sign(ulps) * np.inf))
+                game = AratGame(beta=0.5, r1=(np.arange(m1) % 3.0,),
+                                r2=([value],), p1=(np.ones((m1, 1)),),
+                                p2=([[0.0]],))
+                lcp = to_equivalent_lcp(build_vlcp(game))
+                try:
+                    find_interior_point(lcp)
+                    fails = False
+                except NoInteriorPointFound:
+                    fails = True
+                answer = cli.solve(game, max_steps=1)
+                assert (answer.value_shift > 0.0) == fails, (k, ulps)
 
     @pytest.mark.parametrize("flags", [
         ["--max-steps", "0"], ["--max-steps", "-1"],
@@ -259,6 +279,8 @@ class TestSolveCommand:
         ["--max", "3"],
         # the start shifts r2 by itself when it must
         ["--shift-rewards"],
+        # the start is always computed, on the game as given
+        ["--x0", "1,2"], ["--beta-override", "0.3"],
     ], ids=lambda flags: flags[0])
     def test_removed_or_abbreviated_flag_exits_2(self, flags, capsys,
                                                   monkeypatch):
@@ -568,9 +590,9 @@ class TestLargeRewards:
         # no r2 shift lifts a player-I row, so the start is computed once
         calls = []
 
-        def counted(lcp, hint=None):
+        def counted(lcp):
             calls.append(lcp)
-            return find_interior_point(lcp, hint)
+            return find_interior_point(lcp)
 
         monkeypatch.setattr(cli, "find_interior_point", counted)
         path = write_game(tmp_path, self.one_state(1e17, 1.0))
@@ -590,6 +612,24 @@ class TestLargeRewards:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err.startswith("no interior start: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_solve_overflowing_lift_after_r2_shift_warns_nothing(self,
+                                                                 tmp_path,
+                                                                 capsys):
+        # r2 is shifted (no player-II mass), then the lift K overflows
+        # and 0 * inf leaves every slack NaN: one line, no numpy warning
+        doc = {"beta": 0.5, "states": [{
+            "playerI": {"rewards": [1e308], "transitions": [[1.0]]},
+            "playerII": {"rewards": [-1.0], "transitions": [[0.0]]}}]}
+        path = write_game(tmp_path, doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["solve", path])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("no interior start: row 1 cannot be lifted")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
 
@@ -652,13 +692,24 @@ class TestRoundTrip:
 
 
 class TestLogging:
-    def test_info_level_logs_to_stderr(self, tmp_path, capsys, monkeypatch):
-        import logging
+    def test_info_level_logs_to_stderr(self, capsys, monkeypatch):
         monkeypatch.setenv("ARAT_HOMOTOPY_LOG", "info")
-        root = logging.getLogger()
-        for h in list(root.handlers):
-            root.removeHandler(h)
         code = cli.main(["solve", EX1])
         err = capsys.readouterr().err
         assert code == 0
         assert "trace finished" in err
+
+    def test_each_call_logs_to_its_own_stderr(self, monkeypatch):
+        # in-process callers redirect stderr per call: each call's lines
+        # go to that call's stream, at that call's level, and only once
+        errs = []
+        for level in ("info", "info", "quiet"):
+            monkeypatch.setenv("ARAT_HOMOTOPY_LOG", level)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                assert cli.main(["solve", EX1]) == 0
+            errs.append(err.getvalue())
+        for err in errs[:2]:
+            assert err.count("trace finished") == 1
+        assert errs[2] == ""

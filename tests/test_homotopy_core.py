@@ -17,7 +17,7 @@ from arat_homotopy.homotopy_core import (
 )
 from arat_homotopy.vlcp_builder import SquareLcp, build_vlcp, to_equivalent_lcp
 
-from conftest import jac_u0, make_example1, random_arat_game
+from conftest import FIXTURES, jac_u0, make_example1, random_arat_game
 
 
 def example1_instance():
@@ -177,20 +177,13 @@ class TestInteriorPoint:
         np.testing.assert_allclose(x0[4:], (1.0 + 5.005 / 0.75) / 2.0)
 
     def test_bundled_hint_for_example1_is_rejected(self):
-        # the bundled reference starting vector is infeasible under
-        # this construction; the search must fall back to the schedule
+        # the bundled reference starting vector has a negative slack in
+        # this construction: the anchor check refuses it, never replaces it
         lcp = to_equivalent_lcp(build_vlcp(make_example1()))
-        hint = np.array([4.0, 5.0, 3.0, 4.0, 8.0, 8.0, 6.0, 2.0])
-        assert not is_strictly_feasible(lcp.M, lcp.q, hint)
-        x0 = find_interior_point(lcp, hint=hint)
-        assert not np.array_equal(x0, hint)
-        assert is_strictly_feasible(lcp.M, lcp.q, x0)
-
-    def test_feasible_hint_is_used_verbatim(self):
-        lcp = to_equivalent_lcp(build_vlcp(make_example1()))
-        hint = np.array([0.02, 0.02, 0.02, 0.02, 9.0, 9.0, 9.0, 9.0])
-        assert is_strictly_feasible(lcp.M, lcp.q, hint)
-        np.testing.assert_array_equal(find_interior_point(lcp, hint=hint), hint)
+        x0 = np.loadtxt(FIXTURES / "example1_x0.txt", delimiter=",")
+        assert not is_strictly_feasible(lcp.M, lcp.q, x0)
+        with pytest.raises(ValueError, match="strictly interior"):
+            HomotopyInstance.from_lcp(lcp, x0)
 
     def test_positive_q_game_needs_no_lift(self):
         # all r1 < 0 and r2 > 0 make q > 0: no row needs the xi copies,

@@ -34,7 +34,7 @@ from arat_homotopy.path_tracer import (
 )
 from arat_homotopy.vlcp_builder import SquareLcp, build_vlcp, to_equivalent_lcp
 
-from conftest import make_example1
+from conftest import FIXTURES, make_example1
 
 
 def instance_for(game):
@@ -330,6 +330,16 @@ class TestTrace:
         # frozen from the oracle: eta = (8.25, 5.5), xi = (5.75, 8.5)
         np.testing.assert_allclose(sol.eta, [8.25, 5.5], atol=1e-4)
         np.testing.assert_allclose(sol.xi, [5.75, 8.5], atol=1e-4)
+
+    def test_example2_from_the_papers_start(self, example2):
+        # a caller's own anchor goes through the stages, not solve
+        lcp = to_equivalent_lcp(build_vlcp(example2))
+        x0 = np.loadtxt(FIXTURES / "example2_x0.txt", delimiter=",")
+        result = trace(HomotopyInstance.from_lcp(lcp, x0))
+        assert result.status is TraceStatus.CONVERGED
+        np.testing.assert_array_equal(result.path[0].u.x, x0)
+        sol = extract_solution(result, lcp)
+        assert certify(example2, sol.strategy_i, sol.strategy_ii).passed
 
     def test_path_invariants(self, example1):
         lcp, inst = instance_for(example1)
