@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from arat_homotopy import cli
 from arat_homotopy.errors import InvalidGame, MaxIterExceeded, NoInteriorPointFound
 from arat_homotopy.game_model import AratGame, validate
-from arat_homotopy.homotopy_core import find_interior_point
+from arat_homotopy.homotopy_core import find_interior_point, is_strictly_feasible
 from arat_homotopy.oracle import evaluate_pure_pair, value_iteration
 from arat_homotopy.vlcp_builder import build_vlcp, to_equivalent_lcp
 
@@ -138,6 +138,18 @@ class TestSolveCommand:
         assert doc["certificate"] == {"ineq_player_i": True,
                                       "ineq_player_ii": True}
         assert doc["residual"] <= 1e-6
+
+    def test_example1_bundled_hint_falls_back_to_auto(self, capsys):
+        # the bundled reference start is not strictly interior here, so
+        # solve traces from the computed start and still converges
+        lcp = to_equivalent_lcp(build_vlcp(make_example1()))
+        hint = np.loadtxt(FIXTURES / "example1_x0.txt", delimiter=",")
+        assert not is_strictly_feasible(lcp.M, lcp.q, hint)
+        assert cli.main(["solve", EX1]) == 0
+        assert "certificate: PASS" in capsys.readouterr().out
+        start = cli.solve(make_example1()).result.path[0].u.x
+        np.testing.assert_array_equal(start, find_interior_point(lcp))
+        assert not np.array_equal(start, hint)
 
     def test_trace_csv_matches_path(self, tmp_path):
         csv_path = tmp_path / "path.csv"
