@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InvalidGame, MaxIterExceeded, NoInteriorPointFound, SizeGuardExceeded
 from .game_model import AratGame, validate
-from .homotopy_core import _EPS_SMALL, HomotopyInstance, find_interior_point
+from .homotopy_core import HomotopyInstance, find_interior_point, r2_shift
 from .oracle import (
     ENUMERATION_GUARD,
     CertificateReport,
@@ -39,7 +39,7 @@ from .oracle import (
 from .path_tracer import MAX_STEPS, TraceResult, TraceStatus, extract_solution, trace
 from .vlcp_builder import build_vlcp, recover_vlcp_solution, to_equivalent_lcp
 
-log = logging.getLogger(__name__)
+log = logging.getLogger("arat_homotopy.cli")  # under ``python -m`` too
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -174,33 +174,22 @@ class Answer:
         return self.certificate is not None and self.certificate.passed
 
 
-def _r2_shift(game: AratGame) -> float:
-    """The c2 added to r2, read off the game: 0 unless a state s without
-    player-II transition mass has an r2 <= 0.01 m1(s), a row the computed
-    start cannot lift.  c2 = 1 + 0.01 max m1 - min r2 leaves such rows a
-    slack of at least 1; a c2 that is not finite (an invalid game) is 0."""
-    low = [r.min(initial=np.inf) for r in game.r2]
-    c2 = float(1.0 + _EPS_SMALL * max(game.m1) - min(low))
-    needed = any(not p.any() and lo <= _EPS_SMALL * m
-                 for lo, p, m in zip(low, game.p2, game.m1))
-    return c2 if needed and np.isfinite(c2) else 0.0
-
-
 def solve(game: AratGame, max_steps: int = MAX_STEPS) -> Answer:
     """The paper's pipeline: game -> vertical LCP -> square LCP ->
     interior homotopy from the computed start -> pure pair read off the
     endpoint, certified exactly on ``game`` (:func:`certify`).  r2 is
-    shifted first if the game needs it (:func:`_r2_shift`); optimal pure
-    pairs do not move under the shift.  An invalid game raises
-    InvalidGame; a lift lost to rounding against a reward near 1e16
-    times larger raises NoInteriorPointFound.  To trace from your own
-    anchor x0, call ``trace(HomotopyInstance.from_lcp(lcp, x0))``.
+    shifted first if that start leaves player-II rows unlifted
+    (:func:`r2_shift`); optimal pure pairs do not move under the shift.
+    An invalid game raises InvalidGame; a lift lost to rounding against
+    a reward near 1e16 times larger raises NoInteriorPointFound.  To
+    trace from your own x0: ``trace(HomotopyInstance.from_lcp(lcp, x0))``.
     """
-    c2 = _r2_shift(game)
-    lcp = to_equivalent_lcp(build_vlcp(game.shifted(0.0, c2) if c2 else game))
+    lcp = to_equivalent_lcp(build_vlcp(game))
+    c2 = r2_shift(lcp)
     value_shift = c2 / (1.0 - game.beta)
     if c2:
         log.info("r2 shifted by %s (value offset %s)", c2, value_shift)
+        lcp = to_equivalent_lcp(build_vlcp(game.shifted(0.0, c2)))
     start = find_interior_point(lcp)
     result = trace(HomotopyInstance.from_lcp(lcp, start), max_steps)
     log.info("trace finished: %s after %d accepted steps",
@@ -319,21 +308,20 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 @contextlib.contextmanager
 def _stderr_logging():
-    """Log to this call's stderr at the ARAT_HOMOTOPY_LOG level (quiet,
-    info or debug); the root logger is restored on exit."""
-    level = {"info": logging.INFO, "debug": logging.DEBUG}.get(
-        os.environ.get("ARAT_HOMOTOPY_LOG", "quiet").lower(), logging.WARNING)
+    """Send the package's log records to this call's stderr at the
+    ARAT_HOMOTOPY_LOG level (quiet, info or debug) while the call runs."""
+    pkg = logging.getLogger("arat_homotopy")
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-    root = logging.getLogger()
-    saved_level = root.level
-    root.addHandler(handler)
-    root.setLevel(level)
+    saved_level = pkg.level
+    pkg.addHandler(handler)
+    pkg.setLevel({"info": logging.INFO, "debug": logging.DEBUG}.get(
+        os.environ.get("ARAT_HOMOTOPY_LOG", "quiet").lower(), logging.WARNING))
     try:
         yield
     finally:
-        root.removeHandler(handler)
-        root.setLevel(saved_level)
+        pkg.removeHandler(handler)
+        pkg.setLevel(saved_level)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -217,10 +217,25 @@ def jac_t(inst: HomotopyInstance, v: np.ndarray) -> np.ndarray:
     return _dh_dt(inst, x, y1, y2, inst.A @ x + inst.q)
 
 
-def is_strictly_feasible(m: np.ndarray, q: np.ndarray, x: np.ndarray) -> bool:
-    """x > 0 and M x + q > 0, both strictly."""
-    x = np.asarray(x, dtype=float)
-    return bool(x.min() > 0.0 and (m @ x + q).min() > 0.0)
+def _computed_start(lcp: SquareLcp) -> tuple[np.ndarray, ...]:
+    """x0 = x_eta + K u of :func:`find_interior_point`, M x0 + q, a, b."""
+    m, q, n = lcp.M, lcp.q, lcp.n
+    x_eta, u = np.zeros(n), np.zeros(n)
+    for j, rng in enumerate(lcp.J):
+        if j < lcp.k // 2:
+            x_eta[rng.start:rng.stop] = _EPS_SMALL
+        else:
+            u[rng.start:rng.stop] = 1.0 / len(rng)
+    a = m @ x_eta + q
+    b = m @ u
+    lift = b > 0.0
+    # an overflowing K gives a point (NaN where 0 * inf) whose slack is
+    # NaN, which every "> 0" check of the callers rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = 1.0 + float(np.max(-a[lift] / b[lift], initial=0.0))
+        x = x_eta + k * u
+        slack = m @ x + q
+    return x, slack, a, b
 
 
 def find_interior_point(lcp: SquareLcp) -> np.ndarray:
@@ -237,30 +252,13 @@ def find_interior_point(lcp: SquareLcp) -> np.ndarray:
     game-built matrix b >= 0 on every row, and b = 1 - beta * mass > 0 on
     the player-I rows, so in exact arithmetic only a player-II row of a
     state without player-II transition mass (b = 0) can fail: its slack
-    is r2 - 0.01 * m1(s), whatever K is.  In floating point K b_r can be
-    lost against a much larger reward.  NoInteriorPointFound names a row
-    whose slack is not positive."""
-    m, q, n = lcp.M, lcp.q, lcp.n
-    half = len(lcp.J) // 2
-    x_eta = np.zeros(n)
-    u = np.zeros(n)
-    for j, rng in enumerate(lcp.J):
-        if j < half:
-            x_eta[rng.start:rng.stop] = _EPS_SMALL
-        else:
-            u[rng.start:rng.stop] = 1.0 / len(rng)
-    a = m @ x_eta + q
-    b = m @ u
-    lift = b > 0.0
-    # an overflowing K gives a point (NaN where 0 * inf) the check rejects;
-    # its slack is NaN too, and argmin below names the first NaN row
-    with np.errstate(over="ignore", invalid="ignore"):
-        k = 1.0 + float(np.max(-a[lift] / b[lift], initial=0.0))
-        x = x_eta + k * u
-        if is_strictly_feasible(m, q, x):
-            return x
-        slack = m @ x + q
-    row = int(np.argmin(slack))
+    is r2 - 0.01 * m1(s), whatever K is (see :func:`r2_shift`).  In
+    floating point K b_r can be lost against a much larger reward.
+    NoInteriorPointFound names a row whose slack is not positive."""
+    x, slack, a, b = _computed_start(lcp)
+    if x.min() > 0.0 and slack.min() > 0.0:
+        return x
+    row, half = int(np.argmin(slack)), lcp.k // 2
     block = next(j for j, rng in enumerate(lcp.J) if row in rng)
     where = (f"the player-II row {row - lcp.J[block].start + 1} of state "
              f"{block - half + 1}" if block >= half else f"row {row + 1}")
@@ -268,3 +266,17 @@ def find_interior_point(lcp: SquareLcp) -> np.ndarray:
         f"{where} cannot be lifted: its entry of M u is {float(b[row])!r} "
         f"and its slack without the xi copies is {float(a[row])!r}"
     )
+
+
+def r2_shift(lcp: SquareLcp) -> float:
+    """The c2 to add to r2 (q on the player-II rows) of a game-built
+    problem before its start is computed: 0 unless the computed start
+    leaves player-II rows, and only such rows, without positive slack.
+    Then c2 = 1 + 0.01 max m1 - min r2 leaves every player-II row a slack
+    of at least 1 without the xi copies; no shift lifts a player-I row."""
+    first_ii = lcp.J[lcp.k // 2].start
+    unlifted = ~(_computed_start(lcp)[1] > 0.0)
+    if unlifted[:first_ii].any() or not unlifted[first_ii:].any():
+        return 0.0
+    m1 = max(len(rng) for rng in lcp.J[:lcp.k // 2])
+    return float(1.0 + _EPS_SMALL * m1 - lcp.q[first_ii:].min())

@@ -149,6 +149,12 @@ def pure_saddle(q: np.ndarray, tol: float = 1e-9) -> tuple[float, int, int]:
     return float(maxmin), i_star, j_star
 
 
+def is_strictly_feasible(m: np.ndarray, q: np.ndarray, x: np.ndarray) -> bool:
+    """x > 0 and M x + q > 0, both strictly."""
+    x = np.asarray(x, dtype=float)
+    return bool(x.min() > 0.0 and (m @ x + q).min() > 0.0)
+
+
 def jac_u0(inst: HomotopyInstance, v: np.ndarray) -> tuple[np.ndarray, float]:
     """Derivative of the map with respect to the anchor at
     v = (x, y1, y2, t), and its closed-form determinant.

@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import logging
 import os
 import re
 import subprocess
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from arat_homotopy import cli
 from arat_homotopy.errors import InvalidGame, MaxIterExceeded, NoInteriorPointFound
 from arat_homotopy.game_model import AratGame, validate
-from arat_homotopy.homotopy_core import find_interior_point, is_strictly_feasible
+from arat_homotopy.homotopy_core import find_interior_point
 from arat_homotopy.oracle import evaluate_pure_pair, value_iteration
 from arat_homotopy.vlcp_builder import build_vlcp, to_equivalent_lcp
 
@@ -139,17 +140,11 @@ class TestSolveCommand:
                                       "ineq_player_ii": True}
         assert doc["residual"] <= 1e-6
 
-    def test_example1_bundled_hint_falls_back_to_auto(self, capsys):
-        # the bundled reference start is not strictly interior here, so
-        # solve traces from the computed start and still converges
+    def test_example1_bundled_hint_falls_back_to_auto(self):
+        # solve takes no start: it traces from the computed one
         lcp = to_equivalent_lcp(build_vlcp(make_example1()))
-        hint = np.loadtxt(FIXTURES / "example1_x0.txt", delimiter=",")
-        assert not is_strictly_feasible(lcp.M, lcp.q, hint)
-        assert cli.main(["solve", EX1]) == 0
-        assert "certificate: PASS" in capsys.readouterr().out
         start = cli.solve(make_example1()).result.path[0].u.x
         np.testing.assert_array_equal(start, find_interior_point(lcp))
-        assert not np.array_equal(start, hint)
 
     def test_trace_csv_matches_path(self, tmp_path):
         csv_path = tmp_path / "path.csv"
@@ -218,7 +213,7 @@ class TestSolveCommand:
     ], ids=["one_state", "two_states", "m1_100"])
     def test_start_without_player_ii_mass_shifts_r2(self, tmp_path, capsys,
                                                      monkeypatch, game, c2):
-        # the shift is read off the game, so the start is computed once
+        # the shift is decided without a failed start: one start is made
         calls = []
 
         def counted(lcp):
@@ -243,35 +238,50 @@ class TestSolveCommand:
         (0.5, -np.inf, "state 1: r2[1] = -inf is not finite"),
     ], ids=["beta_one", "r2_minus_inf"])
     def test_invalid_game_is_reported_as_given(self, beta, r2, message):
-        # the shift is decided before the build validates the game; the
-        # report still speaks of the game as given
+        # the game is validated before a shift is decided, so the report
+        # speaks of the game as given
         game = AratGame(beta=beta, r1=([2.0],), r2=([r2],),
                         p1=([[1.0]],), p2=([[0.0]],))
         with pytest.raises(InvalidGame, match=re.escape(message)):
             cli.solve(game)
 
-    @pytest.mark.parametrize("m1", [1, 3, 7])
+    @staticmethod
+    def start_fails(game):
+        try:
+            find_interior_point(to_equivalent_lcp(build_vlcp(game)))
+        except NoInteriorPointFound:
+            return True
+        return False
+
+    @pytest.mark.parametrize("m1", [1, 3, 7, 14, 15])
     def test_r2_shift_decided_exactly_at_the_boundary(self, m1):
         # a state without player-II mass leaves its row the slack
-        # r2 - 0.01 m1 whatever the lift: the shift is taken exactly when
-        # the unshifted start fails, on either side of 0.01 k
-        for k in range(1, 12):
-            r2 = 0.01 * k
+        # r2 - 0.01 m1 whatever the lift, and its rounding depends on m1:
+        # the shift is taken exactly when the unshifted start fails, on
+        # either side of 0.01 k
+        for k in range(1, 16):
             for ulps in (-2, -1, 0, 1, 2):
-                value = r2
+                value = 0.01 * k
                 for _ in range(abs(ulps)):
                     value = float(np.nextafter(value, np.sign(ulps) * np.inf))
                 game = AratGame(beta=0.5, r1=(np.arange(m1) % 3.0,),
                                 r2=([value],), p1=(np.ones((m1, 1)),),
                                 p2=([[0.0]],))
-                lcp = to_equivalent_lcp(build_vlcp(game))
-                try:
-                    find_interior_point(lcp)
-                    fails = False
-                except NoInteriorPointFound:
-                    fails = True
                 answer = cli.solve(game, max_steps=1)
-                assert (answer.value_shift > 0.0) == fails, (k, ulps)
+                assert (answer.value_shift > 0.0) == self.start_fails(game), \
+                    (k, ulps)
+
+    @pytest.mark.parametrize("mass", [1e-20, 1e-16])
+    def test_nearly_massless_state_shifts_r2(self, mass):
+        # M u = 0.5 * mass > 0 on the player-II row, so K ~ 1 / mass and
+        # the row's slack is lost to rounding: the start fails there, r2
+        # is shifted by 2.01 and the shifted game certifies
+        game = AratGame(beta=0.5, r1=([2.0],), r2=([-1.0],),
+                        p1=([[1.0]],), p2=([[mass]],))
+        assert self.start_fails(game)
+        answer = cli.solve(game)
+        assert answer.value_shift == pytest.approx(4.02, rel=1e-15)
+        assert answer.passed
 
     @pytest.mark.parametrize("flags", [
         ["--max-steps", "0"], ["--max-steps", "-1"],
@@ -627,11 +637,10 @@ class TestLargeRewards:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
 
-    def test_solve_overflowing_lift_after_r2_shift_warns_nothing(self,
-                                                                 tmp_path,
-                                                                 capsys):
-        # r2 is shifted (no player-II mass), then the lift K overflows
-        # and 0 * inf leaves every slack NaN: one line, no numpy warning
+    def test_solve_overflowing_lift_without_player_ii_mass(self, tmp_path,
+                                                           capsys):
+        # the lift K overflows and 0 * inf leaves every slack NaN, the
+        # player-I row's too, so r2 is not shifted: one line, no warning
         doc = {"beta": 0.5, "states": [{
             "playerI": {"rewards": [1e308], "transitions": [[1.0]]},
             "playerII": {"rewards": [-1.0], "transitions": [[0.0]]}}]}
@@ -725,3 +734,23 @@ class TestLogging:
         for err in errs[:2]:
             assert err.count("trace finished") == 1
         assert errs[2] == ""
+
+    def test_other_loggers_keep_their_level(self, monkeypatch, caplog):
+        # a host's loggers are untouched while a quiet call runs, and the
+        # call leaves no handler behind
+        caplog.set_level(logging.DEBUG)
+        monkeypatch.setenv("ARAT_HOMOTOPY_LOG", "quiet")
+        validate = cli.validate
+
+        def host_logs(game):
+            logging.getLogger("host").debug("inside the call")
+            return validate(game)
+
+        monkeypatch.setattr(cli, "validate", host_logs)
+        package = logging.getLogger("arat_homotopy")
+        handlers = list(package.handlers)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["validate", EX1]) == 0
+        assert "inside the call" in caplog.messages
+        assert logging.getLogger().level == logging.DEBUG
+        assert package.handlers == handlers

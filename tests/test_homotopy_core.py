@@ -10,14 +10,19 @@ from arat_homotopy.homotopy_core import (
     HomotopyPoint,
     eval_H,
     find_interior_point,
-    is_strictly_feasible,
     jac_full,
     jac_t,
     jac_u,
 )
 from arat_homotopy.vlcp_builder import SquareLcp, build_vlcp, to_equivalent_lcp
 
-from conftest import FIXTURES, jac_u0, make_example1, random_arat_game
+from conftest import (
+    FIXTURES,
+    is_strictly_feasible,
+    jac_u0,
+    make_example1,
+    random_arat_game,
+)
 
 
 def example1_instance():
