@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import logging
 import numbers
@@ -53,6 +54,8 @@ class GameFileError(ValueError):
 def _real(field: str, value: object) -> float:
     """A JSON number as a float; a string, a boolean or anything else
     that is not a real number raises TypeError."""
+    if type(value) in (float, int):  # what json gives, before the ABC check
+        return float(value)
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{field}: {value!r} is not a number")
     return float(value)
@@ -364,9 +367,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """:func:`build_parser`, built once per process."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     with _stderr_logging():
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         try:
             code = args.func(args)
             sys.stdout.flush()

@@ -130,61 +130,59 @@ def validate(game: AratGame) -> ValidationReport:
     if not (0.0 < game.beta < 1.0):
         v.append(f"discount beta={game.beta!r} is not in (0, 1)")
 
-    for s in range(game.d):
-        for player, m in (("I", game.m1[s]), ("II", game.m2[s])):
-            if m == 0:
-                v.append(f"state {s + 1}: player {player} has no actions")
-        for name, rewards in (("r1", game.r1[s]), ("r2", game.r2[s])):
-            for (idx,) in np.argwhere(~np.isfinite(rewards)):
-                v.append(
-                    f"state {s + 1}: {name}[{idx + 1}] = "
-                    f"{float(rewards[idx])!r} is not finite"
-                )
-        for name, block in (("p1", game.p1[s]), ("p2", game.p2[s])):
-            for idx, dest in np.argwhere(~np.isfinite(block)):
-                v.append(
-                    f"state {s + 1}: {name}[{idx + 1}][{dest + 1}] = "
-                    f"{float(block[idx, dest])!r} is not finite"
-                )
-            neg = np.argwhere(block < 0.0)
-            for idx, dest in neg:
-                v.append(
-                    f"state {s + 1}: {name}[{idx + 1}][{dest + 1}] = "
-                    f"{float(block[idx, dest])!r} is negative"
-                )
+    # Each check is one mask over the actions of all states stacked, and
+    # only its hits are walked.  A hit is kept as (state, check, text) and
+    # sorted by state, then check; one check finds its hits in state order.
+    d = game.d
+    hits: list[tuple[int, int, str]] = []
+    # per player, (state x action) arrays: which entries are actions, the
+    # row sums (NaN pads fail every comparison, as a NaN sum does) and
+    # whether the row is nonzero
+    acts, sums, nonzero = [], [], []
+    for k, (name, rewards, blocks) in enumerate(
+            (("I", game.r1, game.p1), ("II", game.r2, game.p2))):
+        counts = np.array([a.size for a in rewards])
+        state = np.repeat(np.arange(d), counts)
+        action = np.arange(state.size) - (np.cumsum(counts) - counts)[state]
+        r, p = np.concatenate(rewards), np.concatenate(blocks)
+        hits += [(s, k, f"state {s + 1}: player {name} has no actions")
+                 for s in np.flatnonzero(counts == 0)]
+        hits += [(state[a], 2 + k, f"state {state[a] + 1}: r{k + 1}"
+                  f"[{action[a] + 1}] = {float(r[a])!r} is not finite")
+                 for a in np.flatnonzero(~np.isfinite(r))]
+        for check, bad, what in ((4 + 2 * k, ~np.isfinite(p), "is not finite"),
+                                 (5 + 2 * k, p < 0.0, "is negative")):
+            hits += [(state[a], check, f"state {state[a] + 1}: p{k + 1}"
+                      f"[{action[a] + 1}][{dest + 1}] = {float(p[a, dest])!r} "
+                      f"{what}") for a, dest in np.argwhere(bad)]
+        acts.append(np.arange(counts.max()) < counts[:, None])
+        sums.append(np.full(acts[k].shape, np.nan))
+        sums[k][state, action] = p.sum(axis=1)
+        nonzero.append(np.zeros(acts[k].shape, dtype=bool))
+        nonzero[k][state, action] = p.any(axis=1)
+    v += [text for *_, text in sorted(hits, key=lambda h: h[:2])]
 
-    for s in range(game.d):
-        sums1 = game.p1[s].sum(axis=1)
-        sums2 = game.p2[s].sum(axis=1)
-        for i in range(game.m1[s]):
-            for j in range(game.m2[s]):
-                total = sums1[i] + sums2[j]
-                if abs(total - 1.0) > PROB_TOL:
-                    v.append(
-                        f"state {s + 1}, actions (i={i + 1}, j={j + 1}): "
-                        f"row sum {float(total)!r} != 1"
-                    )
-        if sums1.size and np.ptp(sums1) > PROB_TOL:
-            v.append(
-                f"state {s + 1}: player-I transition mass varies across "
-                f"actions ({sums1.tolist()})"
-            )
-        if sums2.size and np.ptp(sums2) > PROB_TOL:
-            v.append(
-                f"state {s + 1}: player-II transition mass varies across "
-                f"actions ({sums2.tolist()})"
-            )
+    # composed row sums of every action pair (i, j), state by state, i major
+    total = sums[0][:, :, None] + sums[1][:, None, :]
+    hits = [(s, 0, f"state {s + 1}, actions (i={i + 1}, j={j + 1}): row sum "
+                   f"{float(total[s, i, j])!r} != 1")
+            for s, i, j in np.argwhere(np.abs(total - 1.0) > PROB_TOL)]
+    for k, name in enumerate(("I", "II")):
+        spread = (sums[k].max(axis=1, where=acts[k], initial=-np.inf)
+                  - sums[k].min(axis=1, where=acts[k], initial=np.inf))
+        hits += [(s, 1 + k, f"state {s + 1}: player-{name} transition mass "
+                            f"varies across actions "
+                            f"({sums[k][s, acts[k][s]].tolist()})")
+                 for s in np.flatnonzero(spread > PROB_TOL)]
+    v += [text for *_, text in sorted(hits, key=lambda h: h[:2])]
 
     # Zero-row consistency: a single all-zero player-II row means that
     # player's transition mass in this state is zero, hence the whole
     # block must vanish.
-    for s in range(game.d):
-        block = game.p2[s]
-        zero_rows = [j for j in range(game.m2[s]) if not block[j].any()]
-        if zero_rows and block.any():
-            v.append(
-                f"state {s + 1}: player-II row {zero_rows[0] + 1} is all zero "
-                f"but the player-II block is nonzero (zero-row consistency)"
-            )
+    zero = acts[1] & ~nonzero[1]
+    for s in np.flatnonzero(zero.any(axis=1) & nonzero[1].any(axis=1)):
+        v.append(
+            f"state {s + 1}: player-II row {zero[s].argmax() + 1} is all zero "
+            f"but the player-II block is nonzero (zero-row consistency)"
+        )
     return ValidationReport(v)
-

@@ -26,6 +26,9 @@ from .vlcp_builder import SquareLcp
 #: Level of every eta copy in the computed start.
 _EPS_SMALL = 1e-2
 
+#: Unit roundoff of IEEE double precision.
+_UNIT_ROUNDOFF = 2.0 ** -53
+
 
 @dataclass(frozen=True)
 class HomotopyPoint:
@@ -218,7 +221,14 @@ def jac_t(inst: HomotopyInstance, v: np.ndarray) -> np.ndarray:
 
 
 def _computed_start(lcp: SquareLcp) -> tuple[np.ndarray, ...]:
-    """x0 = x_eta + K u of :func:`find_interior_point`, M x0 + q, a, b."""
+    """x0 = x_eta + K u of :func:`find_interior_point`, its slack
+    M x0 + q, the rows that slack lifts, a and b.
+
+    A row is lifted only if its computed slack exceeds
+    gamma_{n+1} (|M| |x0| + |q|), gamma_k = k u / (1 - k u) with u the
+    unit roundoff, which bounds the rounding of that slack (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 3): a slack of
+    a few ulps of the row's terms may be no slack at all."""
     m, q, n = lcp.M, lcp.q, lcp.n
     x_eta, u = np.zeros(n), np.zeros(n)
     for j, rng in enumerate(lcp.J):
@@ -230,12 +240,14 @@ def _computed_start(lcp: SquareLcp) -> tuple[np.ndarray, ...]:
     b = m @ u
     lift = b > 0.0
     # an overflowing K gives a point (NaN where 0 * inf) whose slack is
-    # NaN, which every "> 0" check of the callers rejects
+    # NaN, which lifts no row
     with np.errstate(over="ignore", invalid="ignore"):
         k = 1.0 + float(np.max(-a[lift] / b[lift], initial=0.0))
         x = x_eta + k * u
         slack = m @ x + q
-    return x, slack, a, b
+        gamma = (n + 1) * _UNIT_ROUNDOFF / (1.0 - (n + 1) * _UNIT_ROUNDOFF)
+        lifted = slack > gamma * (np.abs(m) @ np.abs(x) + np.abs(q))
+    return x, slack, lifted, a, b
 
 
 def find_interior_point(lcp: SquareLcp) -> np.ndarray:
@@ -253,12 +265,14 @@ def find_interior_point(lcp: SquareLcp) -> np.ndarray:
     the player-I rows, so in exact arithmetic only a player-II row of a
     state without player-II transition mass (b = 0) can fail: its slack
     is r2 - 0.01 * m1(s), whatever K is (see :func:`r2_shift`).  In
-    floating point K b_r can be lost against a much larger reward.
-    NoInteriorPointFound names a row whose slack is not positive."""
-    x, slack, a, b = _computed_start(lcp)
-    if x.min() > 0.0 and slack.min() > 0.0:
+    floating point K b_r can be lost against a much larger reward, so a
+    row counts as lifted only if its slack exceeds the rounding bound of
+    :func:`_computed_start`.  NoInteriorPointFound names the unlifted row
+    with the smallest slack."""
+    x, slack, lifted, a, b = _computed_start(lcp)
+    if x.min() > 0.0 and lifted.all():
         return x
-    row, half = int(np.argmin(slack)), lcp.k // 2
+    row, half = int(np.argmin(np.where(lifted, np.inf, slack))), lcp.k // 2
     block = next(j for j, rng in enumerate(lcp.J) if row in rng)
     where = (f"the player-II row {row - lcp.J[block].start + 1} of state "
              f"{block - half + 1}" if block >= half else f"row {row + 1}")
@@ -271,11 +285,12 @@ def find_interior_point(lcp: SquareLcp) -> np.ndarray:
 def r2_shift(lcp: SquareLcp) -> float:
     """The c2 to add to r2 (q on the player-II rows) of a game-built
     problem before its start is computed: 0 unless the computed start
-    leaves player-II rows, and only such rows, without positive slack.
-    Then c2 = 1 + 0.01 max m1 - min r2 leaves every player-II row a slack
-    of at least 1 without the xi copies; no shift lifts a player-I row."""
+    leaves player-II rows, and only such rows, unlifted, by the rule
+    :func:`find_interior_point` checks.  Then c2 = 1 + 0.01 max m1 -
+    min r2 leaves every player-II row a slack of at least 1 without the
+    xi copies; no shift lifts a player-I row."""
     first_ii = lcp.J[lcp.k // 2].start
-    unlifted = ~(_computed_start(lcp)[1] > 0.0)
+    unlifted = ~_computed_start(lcp)[2]
     if unlifted[:first_ii].any() or not unlifted[first_ii:].any():
         return 0.0
     m1 = max(len(rng) for rng in lcp.J[:lcp.k // 2])

@@ -14,7 +14,6 @@ submatrix.  None of them shares code with the homotopy path.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -29,6 +28,10 @@ log = logging.getLogger(__name__)
 
 #: Largest LCP dimension the support enumeration will attempt.
 ENUMERATION_GUARD = 20
+
+#: Most supports whose principal systems one stacked solve takes; a
+#: chunk holds _CHUNK k x k systems, 13 MB at k = 20.
+_CHUNK = 4096
 
 #: Relative slack on the one-shot deviation inequalities in certify.
 _DEVIATION_SLACK = 1e-9
@@ -183,7 +186,12 @@ def enumerate_lcp(m: np.ndarray, q: np.ndarray,
     singular, so only supports with at most one column from each group
     of equal columns are visited: prod (|J| + 1) supports over the
     groups J instead of 2^n (the blocks of a game-built M).
-    Rank-deficient supports are skipped.  The result is deduplicated and
+
+    The supports of one size are solved together, up to ``_CHUNK`` of
+    them in one stacked ``np.linalg.solve``, so memory stays
+    O(_CHUNK n^2); each system is solved, and w = M z + q formed, exactly
+    as it would be alone.  Rank-deficient supports are skipped.  The
+    result is deduplicated (the first support in bitmask order wins) and
     lexicographically sorted, hence deterministic.
     """
     m = np.asarray(m, dtype=float)
@@ -194,37 +202,85 @@ def enumerate_lcp(m: np.ndarray, q: np.ndarray,
     feas_tol = 1e-10
     _, group = np.unique(m.T, axis=0, return_inverse=True)
     group = group.ravel()
-    # per group: no column, or the bit of one of its columns
-    choices = [(0,) + tuple(1 << int(i) for i in np.flatnonzero(group == g))
-               for g in range(group.max() + 1)]
+    # every support as a bitmask, per group no column or the bit of one
+    # of its columns, in increasing order, and its size; the masks are
+    # Python ints once a bit would not fit an int64
+    dtype = np.int64 if n < 63 else object
+    masks = np.zeros(1, dtype=dtype)
+    sizes = np.zeros(1, dtype=np.int64)
+    for g in range(group.max() + 1):
+        columns = np.flatnonzero(group == g)
+        bits = np.array([0] + [1 << int(i) for i in columns], dtype=dtype)
+        masks = (masks[:, None] + bits).ravel()
+        sizes = (sizes[:, None] + (bits != 0)).ravel()
+    order = np.argsort(masks)
+    masks, sizes = masks[order], sizes[order]
+    shifts = np.arange(n).astype(dtype)
+
+    found: list[tuple[np.ndarray, ...]] = []  # masks, z, w of the feasible
+    for k in range(n + 1):
+        of_size = masks[sizes == k]
+        for lo in range(0, of_size.size, _CHUNK):
+            chunk = of_size[lo:lo + _CHUNK]
+            alpha = np.nonzero(chunk[:, None] >> shifts & 1)[1].reshape(
+                chunk.size, k)
+            z = np.zeros((chunk.size, n))
+            if k:
+                sub = m[alpha[:, :, None], alpha[:, None, :]]
+                z[np.arange(chunk.size)[:, None], alpha] = _solve_each(
+                    sub, -q[alpha], alpha)
+            idx = np.flatnonzero(np.isfinite(z).all(axis=1)
+                                 & ~(z.min(axis=1) < -feas_tol))
+            # one matrix-vector product per support, as for a lone z
+            w = np.matmul(m, z[idx][..., None])[..., 0] + q
+            keep = ~(w.min(axis=1) < -feas_tol)
+            idx, w = idx[keep], w[keep]
+            # refuse wildly ill-conditioned supports; the SVDs behind
+            # cond run only on the feasible ones
+            if k and idx.size:
+                keep = ~(np.linalg.cond(sub[idx]) > 1e12)
+                for a in alpha[idx[~keep]]:
+                    log.debug("support %s skipped: ill-conditioned",
+                              a.tolist())
+                idx, w = idx[keep], w[keep]
+            found.append((chunk[idx], z[idx], w))
+    masks, z, w = (np.concatenate(parts) for parts in zip(*found))
+    order = np.argsort(masks)
+    z = np.where(np.abs(z) < feas_tol, 0.0, z)[order]
+    w = np.where(np.abs(w) < feas_tol, 0.0, w)[order]
     solutions: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-    for mask in sorted(map(sum, itertools.product(*choices))):
-        alpha = [i for i in range(n) if mask >> i & 1]
-        z = np.zeros(n)
-        if alpha:
-            sub = m[np.ix_(alpha, alpha)]
-            rhs = -q[alpha]
-            try:
-                z_alpha = np.linalg.solve(sub, rhs)
-            except np.linalg.LinAlgError:
-                log.debug("support %s skipped: singular", alpha)
-                continue
-            if not np.all(np.isfinite(z_alpha)):
-                continue
-            z[alpha] = z_alpha
-        w = m @ z + q
-        if z.min() < -feas_tol or w.min() < -feas_tol:
-            continue
-        # refuse wildly ill-conditioned supports; the SVD behind cond
-        # runs only on the feasible ones
-        if alpha and np.linalg.cond(sub) > 1e12:
-            log.debug("support %s skipped: ill-conditioned", alpha)
-            continue
-        z = np.where(np.abs(z) < feas_tol, 0.0, z)
-        w = np.where(np.abs(w) < feas_tol, 0.0, w)
-        key = tuple(np.round(z, 9)) + tuple(np.round(w, 9))
-        solutions.setdefault(key, (z, w))
+    for zi, wi, z_key, w_key in zip(z, w, np.round(z, 9), np.round(w, 9)):
+        solutions.setdefault(tuple(z_key) + tuple(w_key), (zi, wi))
     return [solutions[k] for k in sorted(solutions)]
+
+
+def _solve_each(sub: np.ndarray, rhs: np.ndarray,
+                alpha: np.ndarray) -> np.ndarray:
+    """The solution of every stacked system sub[c] z = rhs[c], NaN where
+    sub[c] is singular.
+
+    ``solve`` calls a system singular where LU with partial pivoting
+    meets an exact zero pivot, which the same factorization behind
+    ``slogdet`` reports as sign 0.  Those systems, common among the
+    principal submatrices of a sparse game, are replaced in ``sub`` by
+    the identity, so that one stacked solve takes the whole chunk
+    instead of raising.  Should it raise all the same, each system is
+    solved alone."""
+    singular = np.linalg.slogdet(sub)[0] == 0
+    for a in alpha[singular]:
+        log.debug("support %s skipped: singular", a.tolist())
+    sub[singular] = np.eye(sub.shape[-1])
+    try:
+        out = np.linalg.solve(sub, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full(rhs.shape, np.nan)
+        for c in np.flatnonzero(~singular):
+            try:
+                out[c] = np.linalg.solve(sub[c], rhs[c])
+            except np.linalg.LinAlgError:
+                log.debug("support %s skipped: singular", alpha[c].tolist())
+    out[singular] = np.nan
+    return out
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from arat_homotopy.game_model import AratGame
+from arat_homotopy.game_model import PROB_TOL, AratGame
 from arat_homotopy.homotopy_core import HomotopyInstance
 from arat_homotopy.oracle import GameSolution, enumerate_lcp
 from arat_homotopy.vlcp_builder import SquareLcp
@@ -176,17 +176,17 @@ def jac_u0(inst: HomotopyInstance, v: np.ndarray) -> tuple[np.ndarray, float]:
     return j0, det
 
 
-def enumerate_lcp_all_supports(m: np.ndarray, q: np.ndarray
+def enumerate_lcp_all_supports(m: np.ndarray, q: np.ndarray, masks=None
                                ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Reference for :func:`enumerate_lcp`: the plain walk over all 2^n
-    supports in increasing bitmask order, with the same skips, dedup and
-    sort."""
+    supports (or over the bitmasks ``masks``) in increasing bitmask
+    order, one support at a time, with the same skips, dedup and sort."""
     m = np.asarray(m, dtype=float)
     q = np.asarray(q, dtype=float)
     n = q.size
     feas_tol = 1e-10
     solutions: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-    for mask in range(1 << n):
+    for mask in sorted(masks) if masks is not None else range(1 << n):
         alpha = [i for i in range(n) if mask >> i & 1]
         z = np.zeros(n)
         if alpha:
@@ -208,6 +208,49 @@ def enumerate_lcp_all_supports(m: np.ndarray, q: np.ndarray
         key = tuple(np.round(z, 9)) + tuple(np.round(w, 9))
         solutions.setdefault(key, (z, w))
     return [solutions[k] for k in sorted(solutions)]
+
+
+def validate_per_state(game: AratGame) -> list[str]:
+    """Reference for :func:`validate`: the same checks and messages, state
+    by state and action pair by action pair; returns the violations."""
+    v: list[str] = []
+    if not (0.0 < game.beta < 1.0):
+        v.append(f"discount beta={game.beta!r} is not in (0, 1)")
+    for s in range(game.d):
+        for player, m in (("I", game.m1[s]), ("II", game.m2[s])):
+            if m == 0:
+                v.append(f"state {s + 1}: player {player} has no actions")
+        for name, rewards in (("r1", game.r1[s]), ("r2", game.r2[s])):
+            for (idx,) in np.argwhere(~np.isfinite(rewards)):
+                v.append(f"state {s + 1}: {name}[{idx + 1}] = "
+                         f"{float(rewards[idx])!r} is not finite")
+        for name, block in (("p1", game.p1[s]), ("p2", game.p2[s])):
+            for mask, what in ((~np.isfinite(block), "is not finite"),
+                               (block < 0.0, "is negative")):
+                for idx, dest in np.argwhere(mask):
+                    v.append(f"state {s + 1}: {name}[{idx + 1}][{dest + 1}]"
+                             f" = {float(block[idx, dest])!r} {what}")
+    for s in range(game.d):
+        sums1 = game.p1[s].sum(axis=1)
+        sums2 = game.p2[s].sum(axis=1)
+        for i in range(game.m1[s]):
+            for j in range(game.m2[s]):
+                total = sums1[i] + sums2[j]
+                if abs(total - 1.0) > PROB_TOL:
+                    v.append(f"state {s + 1}, actions (i={i + 1}, "
+                             f"j={j + 1}): row sum {float(total)!r} != 1")
+        for player, sums in (("I", sums1), ("II", sums2)):
+            if sums.size and np.ptp(sums) > PROB_TOL:
+                v.append(f"state {s + 1}: player-{player} transition mass "
+                         f"varies across actions ({sums.tolist()})")
+    for s in range(game.d):
+        block = game.p2[s]
+        zero_rows = [j for j in range(game.m2[s]) if not block[j].any()]
+        if zero_rows and block.any():
+            v.append(f"state {s + 1}: player-II row {zero_rows[0] + 1} is "
+                     f"all zero but the player-II block is nonzero "
+                     f"(zero-row consistency)")
+    return v
 
 
 def value_iteration_sup_norm(game: AratGame, tol: float = 1e-10,

@@ -271,16 +271,33 @@ class TestSolveCommand:
                 assert (answer.value_shift > 0.0) == self.start_fails(game), \
                     (k, ulps)
 
-    @pytest.mark.parametrize("mass", [1e-20, 1e-16])
+    @pytest.mark.parametrize("mass", [1e-20, 1e-16, 1e-15])
     def test_nearly_massless_state_shifts_r2(self, mass):
         # M u = 0.5 * mass > 0 on the player-II row, so K ~ 1 / mass and
-        # the row's slack is lost to rounding: the start fails there, r2
-        # is shifted by 2.01 and the shifted game certifies
+        # the row's slack is lost to rounding (at 1e-15 a slack of one ulp
+        # of the row's terms is left, inside their rounding bound): the
+        # start fails there, r2 is shifted by 2.01 and the shifted game
+        # certifies
         game = AratGame(beta=0.5, r1=([2.0],), r2=([-1.0],),
                         p1=([[1.0]],), p2=([[mass]],))
         assert self.start_fails(game)
         answer = cli.solve(game)
         assert answer.value_shift == pytest.approx(4.02, rel=1e-15)
+        assert answer.passed
+
+    @pytest.mark.parametrize("ulps", [1, 2])
+    def test_slack_of_a_few_ulps_shifts_r2(self, ulps):
+        # no player-II mass and r2 = 0.01 m1 + a few ulps: the start's
+        # slack on that row is below the rounding bound of its terms, so
+        # it counts as unlifted, r2 is shifted, and the game certifies
+        value = 0.01
+        for _ in range(ulps):
+            value = float(np.nextafter(value, np.inf))
+        game = AratGame(beta=0.5, r1=([2.0],), r2=([value],),
+                        p1=([[1.0]],), p2=([[0.0]],))
+        assert self.start_fails(game)
+        answer = cli.solve(game)
+        assert answer.value_shift > 0.0
         assert answer.passed
 
     @pytest.mark.parametrize("flags", [
@@ -332,6 +349,24 @@ class TestSolveCommand:
         assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
         assert "certificate: PASS" in proc.stdout
+
+
+class TestInProcessReuse:
+    def test_no_setting_leaks_into_the_next_call(self, tmp_path, capsys):
+        # one process, several calls: each call reads only its own flags
+        assert cli.main(["oracle", EX1, "--guard", "3"]) == 0
+        assert "enumeration skipped" in capsys.readouterr().out
+        assert cli.main(["oracle", EX1]) == 0
+        out = capsys.readouterr().out
+        assert "enumeration skipped" not in out
+        assert "z = 6.5 0 5.5 0 7.5 0 0 8.5" in out
+        json_out = tmp_path / "r.json"
+        assert cli.main(["solve", EX1, "--json-out", str(json_out)]) == 0
+        assert json_out.exists()
+        json_out.unlink()
+        assert cli.main(["solve", EX1]) == 0
+        assert "certificate: PASS" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestValidateOnce:
@@ -417,6 +452,14 @@ class TestOracleCommand:
         assert code == 0
         assert "value: 14 14" in out
         assert "z = 6.5 0 5.5 0 7.5 0 0 8.5" in out
+
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_output_matches_committed_fixture(self, name, capsys):
+        # the committed listing is the reference: value iteration and the
+        # enumeration must not move it by a byte
+        assert cli.main(["oracle", str(FIXTURES / f"{name}.json")]) == 0
+        assert capsys.readouterr().out == (
+            FIXTURES / f"{name}_oracle.txt").read_text(encoding="utf-8")
 
     def test_single_state_geometric_value(self, tmp_path, capsys):
         game = AratGame(beta=0.5, r1=([0.5],), r2=([0.5],),

@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 
 from arat_homotopy.game_model import AratGame, validate
 
-from conftest import composed_reward, composed_transition, make_example1
+from conftest import (
+    composed_reward,
+    composed_transition,
+    make_example1,
+    validate_per_state,
+)
 
 
 def reward_matrix(game, s):
@@ -114,6 +119,65 @@ class TestValidate:
         report = validate(game)
         assert not report.ok
         assert f"state 1: player {player} has no actions" in report.violations
+
+    def test_report_text_and_order(self):
+        # one game with every kind of violation but a state without
+        # actions: the report is checked line by line, in order
+        nan, inf = np.nan, np.inf
+        game = AratGame(
+            beta=1.0,
+            r1=([nan, 1.0], [1.0]),
+            r2=([2.0, -inf], [1.0, 2.0, 3.0]),
+            p1=([[0.5, -0.25], [0.25, 0.25]], [[nan, 0.5]]),
+            p2=([[0.5, 0.0], [0.25, inf]],
+                [[0.75, -0.25], [0.0, 0.0], [0.5, 0.0]]),
+        )
+        assert validate(game).violations == [
+            "discount beta=1.0 is not in (0, 1)",
+            "state 1: r1[1] = nan is not finite",
+            "state 1: r2[2] = -inf is not finite",
+            "state 1: p1[1][2] = -0.25 is negative",
+            "state 1: p2[2][2] = inf is not finite",
+            "state 2: p1[1][1] = nan is not finite",
+            "state 2: p2[1][2] = -0.25 is negative",
+            "state 1, actions (i=1, j=1): row sum 0.75 != 1",
+            "state 1, actions (i=1, j=2): row sum inf != 1",
+            "state 1, actions (i=2, j=2): row sum inf != 1",
+            "state 1: player-I transition mass varies across actions "
+            "([0.25, 0.5])",
+            "state 1: player-II transition mass varies across actions "
+            "([0.5, inf])",
+            "state 2: player-II transition mass varies across actions "
+            "([0.5, 0.0, 0.5])",
+            "state 2: player-II row 2 is all zero but the player-II block "
+            "is nonzero (zero-row consistency)",
+        ]
+
+    def test_matches_per_state_reference(self):
+        # seeded games with every kind of violation, states without
+        # actions and all-zero rows; entries drawn from a small set so
+        # that hits are common
+        rng = np.random.default_rng(4)
+        entries = np.array([0.0, 0.0, 0.25, 0.5, 0.5, 1.0, -0.25, 1e-13,
+                            np.nan, np.inf, -np.inf])
+        with np.errstate(invalid="ignore", over="ignore"):
+            for _ in range(300):
+                d = int(rng.integers(1, 4))
+                counts = rng.integers(0, 4, size=(2, d))
+                counts[:, rng.random(d) < 0.8] |= 1
+                rewards = [tuple(rng.choice(entries, size=m) for m in c)
+                           for c in counts]
+                blocks = [tuple(rng.choice(entries, size=(m, d))
+                                if rng.random() < 0.5 else
+                                np.full((m, d), rng.choice(entries[:6]) / d)
+                                for m in c) for c in counts]
+                for block in blocks[1]:
+                    if len(block) and rng.random() < 0.3:
+                        block[rng.integers(len(block))] = 0.0
+                game = AratGame(beta=float(rng.choice([0.5, 1.0, np.nan])),
+                                r1=rewards[0], r2=rewards[1],
+                                p1=blocks[0], p2=blocks[1])
+                assert validate(game).violations == validate_per_state(game)
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arat_homotopy import oracle
 from arat_homotopy.errors import SizeGuardExceeded
 from arat_homotopy.game_model import AratGame, validate
 from arat_homotopy.oracle import (
@@ -344,18 +347,55 @@ class TestEnumerateLcp:
             self._assert_same(enumerate_lcp(m, q),
                               enumerate_lcp_all_supports(m, q))
 
+    @pytest.mark.parametrize("zero_column, unscreened", [
+        (False, False), (True, False), (True, True)])
+    def test_matches_all_supports_across_chunks(self, monkeypatch,
+                                                zero_column, unscreened):
+        # n = 15 distinct columns: 6,435 supports each of sizes 7 and 8,
+        # more than one stacked chunk; a zero column makes a singular
+        # system in every chunk that holds it, and with slogdet made to
+        # call every system regular those chunks raise and are solved one
+        # system at a time
+        assert math.comb(15, 7) > oracle._CHUNK
+        if unscreened:
+            monkeypatch.setattr(np.linalg, "slogdet", lambda a: (
+                np.ones(a.shape[:-2]), np.zeros(a.shape[:-2])))
+        rng = np.random.default_rng(21)
+        m = rng.normal(size=(15, 15)) + 4.0 * np.eye(15)
+        if zero_column:
+            m[:, 6] = 0.0
+        q = rng.normal(size=15)
+        self._assert_same(enumerate_lcp(m, q),
+                          enumerate_lcp_all_supports(m, q))
+
+    def test_matches_grouped_supports_past_63_columns(self):
+        # one state with 32 actions per player: n = 64, and 33^2 supports
+        # whose bitmasks do not fit an int64
+        rng = np.random.default_rng(8)
+        game = AratGame(beta=0.9, r1=(rng.uniform(0.5, 6.0, 32),),
+                        r2=(rng.uniform(0.5, 6.0, 32),),
+                        p1=(np.full((32, 1), 0.25),),
+                        p2=(np.full((32, 1), 0.75),))
+        lcp = to_equivalent_lcp(build_vlcp(game))
+        assert lcp.n == 64
+        masks = [sum(bits) for bits in itertools.product(
+            *([0] + [1 << i for i in block] for block in lcp.J))]
+        self._assert_same(enumerate_lcp(lcp.M, lcp.q, guard=64),
+                          enumerate_lcp_all_supports(lcp.M, lcp.q, masks))
+
     @staticmethod
     def _count_solves(monkeypatch, m, q) -> int:
-        calls = []
+        # systems solved: a stacked call counts its leading dimension
+        shapes = []
         solve = np.linalg.solve
 
         def counting_solve(a, b):
-            calls.append(a.shape)
+            shapes.append(a.shape)
             return solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
         enumerate_lcp(m, q)
-        return len(calls)
+        return sum(math.prod(shape[:-2]) for shape in shapes)
 
     def test_visits_one_column_per_block_on_example1(self, monkeypatch):
         # four blocks of two equal columns: 3^4 supports, and the empty
