@@ -22,7 +22,6 @@ PROB_TOL = 1e-12
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
     a.setflags(write=False)
     return a
 
@@ -36,6 +35,17 @@ class AratGame:
         action, r2[s] one per player-II action.
     p1, p2: per-state transition components, p1[s] is (actions x states),
         rows indexed by player-I actions; p2[s] likewise for player II.
+
+    The game is stored once, as a copy of the inputs, with one row per
+    action: player I's actions state by state, then player II's.  These
+    stacked arrays are read-only, and r1, r2, p1 and p2 are views of them.
+
+    r: every action's reward, shape (K,).
+    p: the matching transition rows, shape (K, d).
+    start: the first row of each of the 2d blocks; block s is player I's
+        state s, block d + s player II's state s.
+    block: the block of every row.
+    m1, m2: the action count per state of player I and of player II.
     """
 
     beta: float
@@ -43,12 +53,18 @@ class AratGame:
     r2: tuple[np.ndarray, ...]
     p1: tuple[np.ndarray, ...]
     p2: tuple[np.ndarray, ...]
+    r: np.ndarray = field(init=False, compare=False, repr=False)
+    p: np.ndarray = field(init=False, compare=False, repr=False)
+    start: np.ndarray = field(init=False, compare=False, repr=False)
+    block: np.ndarray = field(init=False, compare=False, repr=False)
+    m1: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    m2: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        r1 = tuple(_freeze(np.atleast_1d(a)) for a in self.r1)
-        r2 = tuple(_freeze(np.atleast_1d(a)) for a in self.r2)
-        p1 = tuple(_freeze(np.atleast_2d(a)) for a in self.p1)
-        p2 = tuple(_freeze(np.atleast_2d(a)) for a in self.p2)
+        r1 = [np.ravel(np.asarray(a, dtype=float)) for a in self.r1]
+        r2 = [np.ravel(np.asarray(a, dtype=float)) for a in self.r2]
+        p1 = [np.atleast_2d(np.asarray(a, dtype=float)) for a in self.p1]
+        p2 = [np.atleast_2d(np.asarray(a, dtype=float)) for a in self.p2]
         d = len(r1)
         if not (len(r2) == len(p1) == len(p2) == d) or d == 0:
             raise ValueError("r1, r2, p1, p2 must all have one entry per state")
@@ -63,26 +79,30 @@ class AratGame:
                     f"state {s + 1}: player-II transitions must be "
                     f"{r2[s].size} x {d}, got {p2[s].shape}"
                 )
-        object.__setattr__(self, "r1", r1)
-        object.__setattr__(self, "r2", r2)
-        object.__setattr__(self, "p1", p1)
-        object.__setattr__(self, "p2", p2)
-        object.__setattr__(self, "beta", float(self.beta))
+        counts = tuple(a.size for a in r1 + r2)
+        end = np.cumsum(counts)
+        # concatenate copies, so the caller's arrays are neither frozen
+        # nor able to change the game
+        r = _freeze(np.concatenate(r1 + r2))
+        p = _freeze(np.concatenate(p1 + p2))
+        rows = [slice(e - c, e) for c, e in zip(counts, end.tolist())]
+        stored = {
+            "beta": float(self.beta), "r": r, "p": p,
+            "start": _freeze(end - counts),
+            "block": _freeze(np.repeat(np.arange(2 * d), counts)),
+            "m1": counts[:d], "m2": counts[d:],
+            "r1": tuple(r[k] for k in rows[:d]),
+            "r2": tuple(r[k] for k in rows[d:]),
+            "p1": tuple(p[k] for k in rows[:d]),
+            "p2": tuple(p[k] for k in rows[d:]),
+        }
+        for name, value in stored.items():
+            object.__setattr__(self, name, value)
 
     @property
     def d(self) -> int:
         """Number of states."""
-        return len(self.r1)
-
-    @property
-    def m1(self) -> tuple[int, ...]:
-        """Player-I action count per state."""
-        return tuple(a.size for a in self.r1)
-
-    @property
-    def m2(self) -> tuple[int, ...]:
-        """Player-II action count per state."""
-        return tuple(a.size for a in self.r2)
+        return len(self.m1)
 
     def shifted(self, c1: float, c2: float) -> "AratGame":
         """Return a copy with r1 shifted by c1 and r2 by c2."""
@@ -111,6 +131,7 @@ class ValidationReport:
         return "\n".join(self.violations)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf and NaN sums are reported
 def validate(game: AratGame) -> ValidationReport:
     """Check every structural invariant of an additive game.
 
@@ -130,57 +151,54 @@ def validate(game: AratGame) -> ValidationReport:
     if not (0.0 < game.beta < 1.0):
         v.append(f"discount beta={game.beta!r} is not in (0, 1)")
 
-    # Each check is one mask over the actions of all states stacked, and
-    # only its hits are walked.  A hit is kept as (state, check, text) and
-    # sorted by state, then check; one check finds its hits in state order.
-    d = game.d
-    hits: list[tuple[int, int, str]] = []
-    # per player, (state x action) arrays: which entries are actions, the
-    # row sums (NaN pads fail every comparison, as a NaN sum does) and
-    # whether the row is nonzero
-    acts, sums, nonzero = [], [], []
-    for k, (name, rewards, blocks) in enumerate(
-            (("I", game.r1, game.p1), ("II", game.r2, game.p2))):
-        counts = np.array([a.size for a in rewards])
-        state = np.repeat(np.arange(d), counts)
-        action = np.arange(state.size) - (np.cumsum(counts) - counts)[state]
-        r, p = np.concatenate(rewards), np.concatenate(blocks)
-        hits += [(s, k, f"state {s + 1}: player {name} has no actions")
-                 for s in np.flatnonzero(counts == 0)]
-        hits += [(state[a], 2 + k, f"state {state[a] + 1}: r{k + 1}"
-                  f"[{action[a] + 1}] = {float(r[a])!r} is not finite")
-                 for a in np.flatnonzero(~np.isfinite(r))]
-        for check, bad, what in ((4 + 2 * k, ~np.isfinite(p), "is not finite"),
-                                 (5 + 2 * k, p < 0.0, "is negative")):
-            hits += [(state[a], check, f"state {state[a] + 1}: p{k + 1}"
-                      f"[{action[a] + 1}][{dest + 1}] = {float(p[a, dest])!r} "
-                      f"{what}") for a, dest in np.argwhere(bad)]
-        acts.append(np.arange(counts.max()) < counts[:, None])
-        sums.append(np.full(acts[k].shape, np.nan))
-        sums[k][state, action] = p.sum(axis=1)
-        nonzero.append(np.zeros(acts[k].shape, dtype=bool))
-        nonzero[k][state, action] = p.any(axis=1)
+    # Each check is one mask over the stacked actions, and only its hits
+    # are walked.  A hit is kept as (state, check, text) and sorted by
+    # state, then check; one check finds its hits in state order.
+    d, r, p, block = game.d, game.r, game.p, game.block
+    state, player = block % d, block // d
+    action = np.arange(r.size) - game.start[block]
+    counts = np.array(game.m1 + game.m2)
+    name = ("I", "II")
+    hits = [(b % d, b // d, f"state {b % d + 1}: player {name[b // d]} has "
+                            f"no actions") for b in np.flatnonzero(counts == 0)]
+    hits += [(state[a], 2 + player[a], f"state {state[a] + 1}: r{player[a] + 1}"
+              f"[{action[a] + 1}] = {float(r[a])!r} is not finite")
+             for a in np.flatnonzero(~np.isfinite(r))]
+    for check, bad, what in ((4, ~np.isfinite(p), "is not finite"),
+                             (5, p < 0.0, "is negative")):
+        hits += [(state[a], check + 2 * player[a], f"state {state[a] + 1}: "
+                  f"p{player[a] + 1}[{action[a] + 1}][{dest + 1}] = "
+                  f"{float(p[a, dest])!r} {what}")
+                 for a, dest in np.argwhere(bad)]
     v += [text for *_, text in sorted(hits, key=lambda h: h[:2])]
 
+    # (block x action) arrays: which entries are actions, the row sums
+    # (NaN pads fail every comparison, as a NaN sum does) and whether the
+    # row is nonzero; blocks d.. are player II's
+    acts = np.arange(counts.max()) < counts[:, None]
+    sums = np.full(acts.shape, np.nan)
+    sums[block, action] = p.sum(axis=1)
+    nonzero = np.zeros(acts.shape, dtype=bool)
+    nonzero[block, action] = p.any(axis=1)
+
     # composed row sums of every action pair (i, j), state by state, i major
-    total = sums[0][:, :, None] + sums[1][:, None, :]
+    total = sums[:d, :, None] + sums[d:, None, :]
     hits = [(s, 0, f"state {s + 1}, actions (i={i + 1}, j={j + 1}): row sum "
                    f"{float(total[s, i, j])!r} != 1")
             for s, i, j in np.argwhere(np.abs(total - 1.0) > PROB_TOL)]
-    for k, name in enumerate(("I", "II")):
-        spread = (sums[k].max(axis=1, where=acts[k], initial=-np.inf)
-                  - sums[k].min(axis=1, where=acts[k], initial=np.inf))
-        hits += [(s, 1 + k, f"state {s + 1}: player-{name} transition mass "
-                            f"varies across actions "
-                            f"({sums[k][s, acts[k][s]].tolist()})")
-                 for s in np.flatnonzero(spread > PROB_TOL)]
+    spread = (sums.max(axis=1, where=acts, initial=-np.inf)
+              - sums.min(axis=1, where=acts, initial=np.inf))
+    hits += [(b % d, 1 + b // d, f"state {b % d + 1}: player-{name[b // d]} "
+                                 f"transition mass varies across actions "
+                                 f"({sums[b, acts[b]].tolist()})")
+             for b in np.flatnonzero(spread > PROB_TOL)]
     v += [text for *_, text in sorted(hits, key=lambda h: h[:2])]
 
     # Zero-row consistency: a single all-zero player-II row means that
     # player's transition mass in this state is zero, hence the whole
     # block must vanish.
-    zero = acts[1] & ~nonzero[1]
-    for s in np.flatnonzero(zero.any(axis=1) & nonzero[1].any(axis=1)):
+    zero = acts[d:] & ~nonzero[d:]
+    for s in np.flatnonzero(zero.any(axis=1) & nonzero[d:].any(axis=1)):
         v.append(
             f"state {s + 1}: player-II row {zero[s].argmax() + 1} is all zero "
             f"but the player-II block is nonzero (zero-row consistency)"

@@ -1,12 +1,12 @@
 """Interior homotopy between a known point and the complementarity system.
 
 For a square problem (A, q) and a strictly feasible anchor
-u0 = (x0, y1_0, y2_0), the map H(u, t) deforms, as t runs from 1 to 0,
-a system solved exactly by u0 into one whose solutions solve the LCP:
+u0 = (x0, 1, 1), the map H(u, t) deforms, as t runs from 1 to 0, a
+system solved exactly by u0 into one whose solutions solve the LCP:
 
     block 1:  (1-t) [(A + A^T) x + q - y1 - A^T y2] + t (x - x0)
-    block 2:  Y1 x - t Y1_0 x0 + (1-t) X (A x + q)
-    block 3:  Y2 (A x + q) - t Y2_0 (A x0 + q)
+    block 2:  Y1 x - t x0 + (1-t) X (A x + q)
+    block 3:  Y2 (A x + q) - t (A x0 + q)
 
 with X, Y1, Y2 the diagonal matrices of x, y1, y2.  At t = 0 nonnegative
 solutions force the componentwise products x * (A x + q) to vanish.
@@ -70,49 +70,39 @@ class HomotopyPoint:
 class HomotopyInstance:
     """Problem data plus a strictly interior anchor point.
 
-    Requires finite A, q and anchor, with x0 > 0, y1_0 > 0, y2_0 > 0 and
-    A x0 + q > 0 strictly.  The terms of the map that depend
-    only on the data (A + A^T, the anchor slack y0 = A x0 + q and the
-    anchor products y1_0 x0, y2_0 y0) are computed once here, as is the
-    anchor's flat vector v0 = (x0, y1_0, y2_0, 1) where the path starts.
+    The anchor is u0 = (x0, 1, 1): y1 and y2 start at ones.  Requires
+    finite A, q and x0, with x0 > 0 and A x0 + q > 0 strictly.  The
+    inputs are copied.  The terms of the map that depend only on the
+    data (A + A^T and the anchor slack y0 = A x0 + q) are computed once
+    here, as is the anchor's flat vector v0 = (x0, 1, 1, 1) where the
+    path starts.
     """
 
     A: np.ndarray
     q: np.ndarray
     x0: np.ndarray
-    y1_0: np.ndarray
-    y2_0: np.ndarray
     a_sym: np.ndarray = field(init=False, repr=False, compare=False)
     y0: np.ndarray = field(init=False, repr=False, compare=False)
-    y1x0: np.ndarray = field(init=False, repr=False, compare=False)
-    y2y0: np.ndarray = field(init=False, repr=False, compare=False)
     v0: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.A, dtype=float)
-        vecs = {}
-        for name in ("q", "x0", "y1_0", "y2_0"):
-            vecs[name] = np.asarray(getattr(self, name), dtype=float)
-        n = vecs["q"].size
-        if a.shape != (n, n) or any(v.size != n for v in vecs.values()):
+        a = np.array(self.A, dtype=float)
+        q = np.array(self.q, dtype=float)
+        x0 = np.array(self.x0, dtype=float)
+        n = q.size
+        if a.shape != (n, n) or x0.size != n:
             raise ValueError("A must be n x n and all vectors length n")
-        if not all(np.isfinite(w).all() for w in (a, *vecs.values())):
+        if not all(np.isfinite(w).all() for w in (a, q, x0)):
             raise ValueError("A, q and the anchor must be finite")
-        y0 = a @ vecs["x0"] + vecs["q"]
+        y0 = a @ x0 + q
         # "not (min > 0)" so that a NaN slack fails as well
-        anchor = (vecs["x0"], vecs["y1_0"], vecs["y2_0"], y0)
-        if not all(w.min() > 0.0 for w in anchor):
+        if not (x0.min() > 0.0 and y0.min() > 0.0):
             raise ValueError(
-                "anchor must be strictly interior: x0 > 0, y1_0 > 0, "
-                "y2_0 > 0 and A x0 + q > 0"
+                "anchor must be strictly interior: x0 > 0 and A x0 + q > 0"
             )
-        vecs["A"] = a
-        vecs["a_sym"] = a + a.T
-        vecs["y0"] = y0
-        vecs["y1x0"] = vecs["y1_0"] * vecs["x0"]
-        vecs["y2y0"] = vecs["y2_0"] * y0
-        vecs["v0"] = np.concatenate(
-            [vecs["x0"], vecs["y1_0"], vecs["y2_0"], [1.0]])
+        e = np.ones(n)
+        vecs = {"A": a, "q": q, "x0": x0, "a_sym": a + a.T, "y0": y0,
+                "v0": np.concatenate([x0, e, e, [1.0]])}
         for name, v in vecs.items():
             v.setflags(write=False)
             object.__setattr__(self, name, v)
@@ -123,10 +113,8 @@ class HomotopyInstance:
 
     @classmethod
     def from_lcp(cls, lcp: SquareLcp, x0: np.ndarray) -> "HomotopyInstance":
-        """The instance anchored at x0 with y1_0 = y2_0 = 1."""
-        e = np.ones(lcp.n)
-        return cls(A=lcp.M, q=lcp.q, x0=np.asarray(x0, dtype=float),
-                   y1_0=e, y2_0=e)
+        """The instance of the problem ``lcp`` anchored at x0."""
+        return cls(A=lcp.M, q=lcp.q, x0=x0)
 
 
 def _split(inst: HomotopyInstance, v: np.ndarray):
@@ -148,8 +136,8 @@ def _dh_dt(inst: HomotopyInstance, x: np.ndarray, y1: np.ndarray,
     """dH/dt at (x, y1, y2), given ax_q = A x + q; H is affine in t."""
     return np.concatenate([
         (x - inst.x0) - _stationarity(inst, x, y1, y2),
-        -inst.y1x0 - x * ax_q,
-        -inst.y2y0,
+        -inst.x0 - x * ax_q,
+        -inst.y0,
     ])
 
 
@@ -165,8 +153,8 @@ def eval_H(inst: HomotopyInstance, v: np.ndarray) -> np.ndarray:
     x, y1, y2, t = _split(inst, v)
     ax_q = inst.A @ x + inst.q
     b1 = (1.0 - t) * _stationarity(inst, x, y1, y2) + t * (x - inst.x0)
-    b2 = y1 * x - t * inst.y1x0 + (1.0 - t) * (x * ax_q)
-    b3 = y2 * ax_q - t * inst.y2y0
+    b2 = y1 * x - t * inst.x0 + (1.0 - t) * (x * ax_q)
+    b3 = y2 * ax_q - t * inst.y0
     return np.concatenate([b1, b2, b3])
 
 
@@ -176,8 +164,8 @@ def jac_full(inst: HomotopyInstance, v: np.ndarray) -> np.ndarray:
     Column blocks x, y1, y2 (the square part dH/du), then dH/dt:
 
         (1-t)(A + A^T) + tI      -(1-t)I   -(1-t)A^T   (x - x0) - g
-        Y1 + (1-t)(S + X A)       X         0          -Y1_0 x0 - X s
-        Y2 A                      0         S          -Y2_0 y0
+        Y1 + (1-t)(S + X A)       X         0          -x0 - X s
+        Y2 A                      0         S          -y0
 
     with s = A x + q, S = diag(s) and g the first block of the limit
     system.  Zero blocks are left as allocated.

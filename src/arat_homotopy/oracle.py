@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -57,9 +58,9 @@ def value_iteration(game: AratGame, tol: float = 1e-10,
     In an additive game the stage matrix of state s is a_i + b_j, with
     a = r1[s] + beta p1[s] v and b = r2[s] + beta p2[s] v, so its pure
     saddle value is max a + min b (Raghavan, Tijs & Vrieze, JOTA 47,
-    1985).  The actions of both players in all states are stacked once
-    per call, r = (r1, r2) and beta P = beta (p1; p2); a sweep is then
-    one matrix-vector product r + beta P v, sliced into a and b, and one
+    1985).  The game stores the actions of both players in all states
+    stacked, r = (r1, r2) and P = (p1; p2); a sweep is then one
+    matrix-vector product r + beta P v, sliced into a and b, and one
     segmented max and min, O((sum m1 + sum m2) d) flops.
 
     The greedy pair of a sweep, the smallest-index argmax of each
@@ -90,26 +91,20 @@ def value_iteration(game: AratGame, tol: float = 1e-10,
             if m == 0:
                 raise ValueError(f"state {s + 1}: player {player} has no "
                                  f"actions")
-    beta, d = game.beta, game.d
-    r1, r2 = np.concatenate(game.r1), np.concatenate(game.r2)
+    beta, d, r, start, block = game.beta, game.d, game.r, game.start, game.block
+    k = int(start[d])  # player I's rows come first
+    o1, o2 = start[:d], start[d:] - k  # each block's first row in x[:k], x[k:]
     if max_iter is None:
         max_iter = 100_000
         threshold = tol * (1.0 - beta) / (2.0 * beta) if beta > 0 else tol
         # R / 2 and a difference of logarithms stay finite where R
         # overflows or threshold / R underflows
-        half_bound = float(np.abs(r1).max()) / 2 + float(np.abs(r2).max()) / 2
+        half_bound = (float(np.abs(r[:k]).max()) / 2
+                      + float(np.abs(r[k:]).max()) / 2)
         if 0 < beta and 0 < threshold / 2 < half_bound:
             max_iter = max(max_iter, math.ceil(1.0 + (
                 math.log(threshold / 2) - math.log(half_bound)) / math.log(beta)))
-    r = np.concatenate((r1, r2))
-    bp = beta * np.vstack(game.p1 + game.p2)
-    k = r1.size
-    # first row of each state's block in the stacked arrays, player I's
-    # blocks then player II's, and the block of every row
-    o1 = np.cumsum((0,) + game.m1[:-1])
-    o2 = np.cumsum((0,) + game.m2[:-1])
-    starts = np.concatenate((o1, k + o2))
-    block = np.repeat(np.arange(2 * d), game.m1 + game.m2)
+    bp = beta * game.p
     rows = np.arange(r.size)
 
     def sweep(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -127,7 +122,7 @@ def value_iteration(game: AratGame, tol: float = 1e-10,
             raise OverflowError(f"sweep {it} left the float range")
         # stacked row of each block's first best entry
         pair = np.minimum.reduceat(np.where(x == best[block], rows, r.size),
-                                   starts)
+                                   start)
         if np.array_equal(pair, checked):
             continue
         checked = pair
@@ -153,7 +148,8 @@ def evaluate_pure_pair(game: AratGame, strategy_i: Sequence[int],
     Solves (I - beta P) v = r where row s of P is the composed transition
     p1[s][i] + p2[s][j] under the pair's actions (i, j) in state s, and r
     the composed reward r1[s][i] + r2[s][j].  Raises ValueError unless
-    each strategy holds one valid 0-based action per state.
+    each strategy holds one valid 0-based action per state, an integer
+    (numpy's included, a bool not).
     """
     d = game.d
     for player, strategy, counts in (("I", strategy_i, game.m1),
@@ -163,16 +159,15 @@ def evaluate_pure_pair(game: AratGame, strategy_i: Sequence[int],
                              f"{len(strategy)}, need one action for each "
                              f"of {d} states")
         for s, (a, m) in enumerate(zip(strategy, counts)):
-            if not 0 <= a < m:
+            # start + strategy would turn a bool or a float into a row
+            if (isinstance(a, bool) or not isinstance(a, numbers.Integral)
+                    or not 0 <= a < m):
                 raise ValueError(f"state {s + 1}: player-{player} action "
                                  f"index {a!r} is not in 0..{m - 1}")
-    p = np.empty((d, d))
-    r = np.empty(d)
-    for s in range(d):
-        i, j = strategy_i[s], strategy_ii[s]
-        p[s] = game.p1[s][i] + game.p2[s][j]
-        r[s] = game.r1[s][i] + game.r2[s][j]
-    return np.linalg.solve(np.eye(d) - game.beta * p, r)
+    pair = game.start + np.array([*strategy_i, *strategy_ii], dtype=np.int64)
+    i, j = pair[:d], pair[d:]
+    return np.linalg.solve(np.eye(d) - game.beta * (game.p[i] + game.p[j]),
+                           game.r[i] + game.r[j])
 
 
 def enumerate_lcp(m: np.ndarray, q: np.ndarray,

@@ -46,7 +46,7 @@ HomotopyPoint view for the result.
 
 The positivity gate guards x, the slack A x + q, and y2 - exactly the
 coordinates whose strict positivity is invariant along any solution
-branch with t > 0 (the middle block of the map forces t y1_0 x0 = 0 at
+branch with t > 0 (the middle block of the map forces t x0 = 0 at
 x_i = 0, and the bottom block pins the slack and y2 signs through their
 products).  y1 is deliberately not gated: it is an affine function of
 the rest, dips below zero transiently on real paths, and returns to the

@@ -32,8 +32,8 @@ class VlcpInstance:
     block_sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.A, dtype=float)
-        q = np.asarray(self.q, dtype=float)
+        a = np.array(self.A, dtype=float)  # a copy, frozen
+        q = np.array(self.q, dtype=float)
         a.setflags(write=False)
         q.setflags(write=False)
         object.__setattr__(self, "A", a)
@@ -59,8 +59,8 @@ class SquareLcp:
     J: tuple[range, ...]
 
     def __post_init__(self) -> None:
-        m_mat = np.asarray(self.M, dtype=float)
-        q = np.asarray(self.q, dtype=float)
+        m_mat = np.array(self.M, dtype=float)  # a copy, frozen
+        q = np.array(self.q, dtype=float)
         m_mat.setflags(write=False)
         q.setflags(write=False)
         object.__setattr__(self, "M", m_mat)
@@ -112,20 +112,16 @@ def build_vlcp(game: AratGame) -> VlcpInstance:
     if not report.ok:
         raise InvalidGame(f"invalid game:\n{report}")
     d = game.d
-    block_sizes = game.m1 + game.m2
-    rows_i = sum(game.m1)
-    m = rows_i + sum(game.m2)
-    sign = np.repeat([-1.0, 1.0], (rows_i, m - rows_i))
-    half = sign[:, None] * game.beta * np.vstack(game.p1 + game.p2)
+    sign = np.where(game.block < d, -1.0, 1.0)
+    half = sign[:, None] * game.beta * game.p
     a = np.hstack((half, half))
     # E sits in the other player's half: block b (player I's state b,
     # then player II's state b - d) has it in column (b + d) mod 2d,
     # with the sign opposite to that row's transition term
-    block = np.repeat(np.arange(2 * d), block_sizes)
-    a[np.arange(m), (block + d) % (2 * d)] -= sign
+    a[np.arange(game.r.size), (game.block + d) % (2 * d)] -= sign
     a += 0.0  # canonicalize -0.0 entries from negated zero probabilities
-    q = sign * np.concatenate(game.r1 + game.r2)
-    return VlcpInstance(A=a, q=q, block_sizes=block_sizes)
+    q = sign * game.r
+    return VlcpInstance(A=a, q=q, block_sizes=game.m1 + game.m2)
 
 
 def to_equivalent_lcp(v: VlcpInstance) -> SquareLcp:

@@ -168,8 +168,8 @@ def jac_u0(inst: HomotopyInstance, v: np.ndarray) -> tuple[np.ndarray, float]:
     zero = np.zeros((n, n))
     j0 = np.vstack([
         np.hstack([-t * np.eye(n), zero, zero]),
-        np.hstack([-t * np.diag(inst.y1_0), -t * np.diag(inst.x0), zero]),
-        np.hstack([-t * np.diag(inst.y2_0) @ inst.A, zero,
+        np.hstack([-t * np.eye(n), -t * np.diag(inst.x0), zero]),
+        np.hstack([-t * inst.A, zero,
                    -t * np.diag(inst.y0)]),
     ])
     det = float((-1.0) ** (3 * n) * t ** (3 * n) * np.prod(inst.x0 * inst.y0))

@@ -717,6 +717,27 @@ class TestLargeRewards:
         assert proc.stderr.endswith(" left the float range\n")
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("verb", ["validate", "oracle", "solve", "build"])
+    def test_overflowing_row_sum_warns_nothing(self, tmp_path, capsys, verb):
+        # a player-I row sums to inf: the report says so, and no numpy
+        # warning comes ahead of it
+        doc = {"beta": 0.5, "states": [
+            {"playerI": {"rewards": [1.0], "transitions": [[1e308, 1e308]]},
+             "playerII": {"rewards": [0.0], "transitions": [[0.0, 0.0]]}},
+            {"playerI": {"rewards": [1.0], "transitions": [[0.5, 0.5]]},
+             "playerII": {"rewards": [0.0], "transitions": [[0.0, 0.0]]}},
+        ]}
+        path = write_game(tmp_path, doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([verb, path])
+        captured = capsys.readouterr()
+        assert code == 1
+        report = captured.out if verb == "validate" else captured.err
+        assert report.startswith("invalid game:\n")
+        assert "row sum inf != 1" in report
+        assert "Warning" not in captured.err
+
 
 class TestBuildCommand:
     @pytest.mark.parametrize("name", ["example1", "example2"])

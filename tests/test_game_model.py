@@ -185,6 +185,51 @@ class TestValidate:
                      p1=([[0.5]],), p2=([[0.5]],))
 
 
+class TestStackedStore:
+    def test_store_matches_the_per_state_tuples(self):
+        # random shapes, states without actions included: the stacked
+        # rows are player I's state by state, then player II's
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            d = int(rng.integers(1, 5))
+            counts = rng.integers(0, 4, size=(2, d))
+            r = [tuple(rng.normal(size=m) for m in c) for c in counts]
+            p = [tuple(rng.uniform(size=(m, d)) for m in c) for c in counts]
+            game = AratGame(beta=0.5, r1=r[0], r2=r[1], p1=p[0], p2=p[1])
+            assert game.m1 == tuple(counts[0].tolist())
+            assert game.m2 == tuple(counts[1].tolist())
+            rows = [(k, s, a) for k in range(2) for s in range(d)
+                    for a in range(counts[k][s])]
+            assert game.r.shape == (len(rows),)
+            assert game.p.shape == (len(rows), d)
+            for row, (k, s, a) in enumerate(rows):
+                assert game.r[row] == r[k][s][a]
+                assert np.array_equal(game.p[row], p[k][s][a])
+                assert game.block[row] == k * d + s
+                assert row - game.start[k * d + s] == a
+            for k, (rewards, blocks) in enumerate(
+                    ((game.r1, game.p1), (game.r2, game.p2))):
+                for s in range(d):
+                    assert game.start[k * d + s] == sum(
+                        counts[0]) * k + sum(counts[k][:s])
+                    assert np.array_equal(rewards[s], r[k][s])
+                    assert np.array_equal(blocks[s], p[k][s])
+                    assert rewards[s].base is game.r
+                    assert blocks[s].base is game.p
+            for a in (game.r, game.p, game.start, game.block,
+                      *game.r1, *game.r2, *game.p1, *game.p2):
+                assert not a.flags.writeable
+
+    def test_caller_arrays_stay_writable_and_apart(self):
+        r, p = np.array([1.0, 2.0]), np.array([[0.5], [0.5]])
+        game = AratGame(beta=0.5, r1=(r,), r2=(np.array([1.0]),),
+                        p1=(p,), p2=(np.array([[0.5]]),))
+        assert r.flags.writeable and p.flags.writeable
+        r[0], p[0, 0] = 9.0, 9.0
+        assert game.r1[0][0] == game.r[0] == 1.0
+        assert game.p1[0][0, 0] == game.p[0, 0] == 0.5
+
+
 class TestComposedQuantities:
     def test_example1_reward_matrices(self, example1):
         np.testing.assert_allclose(

@@ -116,9 +116,9 @@ class TestJacobians:
         eye = np.eye(n)
         np.testing.assert_allclose(ju[:n, :n], eye, atol=1e-14)
         np.testing.assert_allclose(ju[:n, n:], np.zeros((n, 2 * n)), atol=1e-14)
-        np.testing.assert_allclose(ju[n:2 * n, :n], np.diag(inst.y1_0), atol=1e-14)
+        np.testing.assert_allclose(ju[n:2 * n, :n], eye, atol=1e-14)
         np.testing.assert_allclose(ju[n:2 * n, n:2 * n], np.diag(inst.x0), atol=1e-14)
-        np.testing.assert_allclose(ju[2 * n:, :n], np.diag(inst.y2_0) @ inst.A, atol=1e-14)
+        np.testing.assert_allclose(ju[2 * n:, :n], inst.A, atol=1e-14)
         np.testing.assert_allclose(ju[2 * n:, 2 * n:], np.diag(inst.y0), atol=1e-14)
 
     def test_jac_t_block1_at_anchor_is_negated_stationarity(self):
@@ -126,7 +126,7 @@ class TestJacobians:
         n = inst.n
         a, q = inst.A, inst.q
         jt = jac_t(inst, inst.v0)
-        expected = -((a + a.T) @ inst.x0 + q - inst.y1_0 - a.T @ inst.y2_0)
+        expected = -((a + a.T) @ inst.x0 + q - 1.0 - a.T @ np.ones(n))
         np.testing.assert_allclose(jt[:n], expected, atol=1e-13)
 
     def test_jac_full_is_u_then_t(self):
@@ -258,9 +258,15 @@ class TestInstanceInvariants:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
                 HomotopyInstance.from_lcp(lcp, np.array([1.0, bad]))
-            with pytest.raises(ValueError, match="finite"):
-                HomotopyInstance(A=lcp.M, q=lcp.q, x0=np.ones(2),
-                                 y1_0=np.array([bad, 1.0]), y2_0=np.ones(2))
+
+    def test_caller_arrays_stay_writable_and_apart(self):
+        a, q, x0 = np.eye(2), np.ones(2), np.ones(2)
+        inst = HomotopyInstance(A=a, q=q, x0=x0)
+        assert a.flags.writeable and q.flags.writeable and x0.flags.writeable
+        a[0, 0], q[0], x0[0] = 9.0, 9.0, 9.0
+        assert inst.A[0, 0] == inst.q[0] == inst.x0[0] == 1.0
+        for w in (inst.A, inst.q, inst.x0, inst.a_sym, inst.y0, inst.v0):
+            assert not w.flags.writeable
 
     def test_nan_data_rejected(self):
         q = np.array([1.0, np.nan])
@@ -279,12 +285,12 @@ class TestInstanceInvariants:
 
     def test_block3_product_identity_on_path_points(self):
         # any H = 0 point with t in (0,1) satisfies
-        # y2 * (A x + q) = t * y2_0 * (A x0 + q) componentwise
+        # y2 * (A x + q) = t * (A x0 + q) componentwise
         from arat_homotopy.path_tracer import trace
 
         lcp, inst = example1_instance()
         result = trace(inst)
-        anchor = inst.y2_0 * inst.y0
+        anchor = inst.y0
         for pt in result.path[1:]:
             if not (0.0 < pt.u.t < 1.0):
                 continue

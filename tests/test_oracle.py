@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -271,6 +272,16 @@ class TestEvaluatePurePair:
         game = AratGame(beta=0.5, r1=([0.5],), r2=([0.5],),
                         p1=([[0.5]],), p2=([[0.5]],))
         np.testing.assert_allclose(evaluate_pure_pair(game, (0,), (0,)), [2.0])
+
+    @pytest.mark.parametrize("action", [0.5, 0.0, True, "0"])
+    @pytest.mark.parametrize("check", [evaluate_pure_pair, certify])
+    def test_non_integer_action_raises(self, example1, check, action):
+        with pytest.raises(ValueError,
+                           match=f"state 2: player-II action index "
+                                 f"{re.escape(repr(action))} is not in"):
+            check(example1, (0, 0), (0, action))
+        with pytest.raises(ValueError, match="state 1: player-I action"):
+            check(example1, (action, 0), (0, 1))
 
 
 class TestEnumerateLcp:

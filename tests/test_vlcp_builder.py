@@ -85,6 +85,17 @@ class TestBuildVlcp:
         assert not inst.A.flags.writeable
         assert not inst.q.flags.writeable
 
+    def test_caller_arrays_stay_writable_and_apart(self):
+        # each constructor freezes a copy, not the caller's array
+        a, q = np.ones((2, 2)), np.ones(2)
+        vlcp = VlcpInstance(A=a, q=q, block_sizes=(1, 1))
+        lcp = SquareLcp(M=a, q=q, J=(range(0, 1), range(1, 2)))
+        assert a.flags.writeable and q.flags.writeable
+        a[0, 0], q[0] = 9.0, 9.0
+        for m, rhs in ((vlcp.A, vlcp.q), (lcp.M, lcp.q)):
+            assert not m.flags.writeable and not rhs.flags.writeable
+            assert m[0, 0] == rhs[0] == 1.0
+
 
 class TestEquivalentLcp:
     def test_example1_dimensions_and_ranges(self, example1):
