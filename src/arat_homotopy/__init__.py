@@ -20,7 +20,6 @@ from .errors import (
 from .game_model import AratGame, ValidationReport, validate
 from .homotopy_core import (
     HomotopyInstance,
-    HomotopyPoint,
     eval_H,
     find_interior_point,
     jac_full,
@@ -68,7 +67,6 @@ __all__ = [
     "to_equivalent_lcp",
     "recover_vlcp_solution",
     "HomotopyInstance",
-    "HomotopyPoint",
     "eval_H",
     "jac_u",
     "jac_t",

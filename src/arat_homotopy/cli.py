@@ -114,7 +114,7 @@ def load_game(path: str | Path) -> AratGame:
 
 def write_trace_csv(path: str | Path, result: TraceResult) -> None:
     """One row per accepted path point, full precision scientific notation."""
-    n = result.final.x.size
+    n = result.path[-1].x.size
     cols = (
         ["step", "t", "residual", "step_length", "det_sign"]
         + [f"x_{i + 1}" for i in range(n)]
@@ -123,11 +123,9 @@ def write_trace_csv(path: str | Path, result: TraceResult) -> None:
     )
     lines = [",".join(cols)]
     for step, pt in enumerate(result.path):
-        row = [str(step), f"{pt.u.t:.17e}", f"{pt.residual:.17e}",
+        row = [str(step), f"{pt.t:.17e}", f"{pt.residual:.17e}",
                f"{pt.step_length:.17e}", str(pt.det_sign)]
-        row += [f"{v:.17e}" for v in pt.u.x]
-        row += [f"{v:.17e}" for v in pt.u.y1]
-        row += [f"{v:.17e}" for v in pt.u.y2]
+        row += [f"{v:.17e}" for v in pt.v[:-1]]  # x, y1, y2
         lines.append(",".join(row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -160,7 +158,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Answer:
     """What :func:`solve` found: the trace and, if it converged, the
     certificate of the pure pair read off its endpoint (pair, exact
@@ -219,7 +217,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "status": result.status.value,
         "detail": result.detail,
         "steps": steps,
-        "final_t": result.final.t,
+        "final_t": result.path[-1].t,
         "residual": result.path[-1].residual,
         "value_shift": answer.value_shift,
         "value": None, "strategy_player_i": None,

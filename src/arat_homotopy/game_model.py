@@ -26,7 +26,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AratGame:
     """An additive-reward additive-transition discounted game.
 
@@ -53,12 +53,12 @@ class AratGame:
     r2: tuple[np.ndarray, ...]
     p1: tuple[np.ndarray, ...]
     p2: tuple[np.ndarray, ...]
-    r: np.ndarray = field(init=False, compare=False, repr=False)
-    p: np.ndarray = field(init=False, compare=False, repr=False)
-    start: np.ndarray = field(init=False, compare=False, repr=False)
-    block: np.ndarray = field(init=False, compare=False, repr=False)
-    m1: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    m2: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    r: np.ndarray = field(init=False, repr=False)
+    p: np.ndarray = field(init=False, repr=False)
+    start: np.ndarray = field(init=False, repr=False)
+    block: np.ndarray = field(init=False, repr=False)
+    m1: tuple[int, ...] = field(init=False, repr=False)
+    m2: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         r1 = [np.ravel(np.asarray(a, dtype=float)) for a in self.r1]

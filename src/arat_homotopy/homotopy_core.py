@@ -30,43 +30,7 @@ _EPS_SMALL = 1e-2
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
-@dataclass(frozen=True)
-class HomotopyPoint:
-    """Read-only view of a path location v = (x, y1, y2, t).
-
-    The tracer works on the flat vector alone; this view is built once
-    per accepted point for output, and its parts are slices of v.
-    """
-
-    v: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.v, dtype=float).view()
-        v.setflags(write=False)
-        object.__setattr__(self, "v", v)
-
-    @property
-    def _n(self) -> int:
-        return (self.v.size - 1) // 3
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.v[:self._n]
-
-    @property
-    def y1(self) -> np.ndarray:
-        return self.v[self._n:2 * self._n]
-
-    @property
-    def y2(self) -> np.ndarray:
-        return self.v[2 * self._n:3 * self._n]
-
-    @property
-    def t(self) -> float:
-        return float(self.v[-1])
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HomotopyInstance:
     """Problem data plus a strictly interior anchor point.
 
@@ -81,9 +45,9 @@ class HomotopyInstance:
     A: np.ndarray
     q: np.ndarray
     x0: np.ndarray
-    a_sym: np.ndarray = field(init=False, repr=False, compare=False)
-    y0: np.ndarray = field(init=False, repr=False, compare=False)
-    v0: np.ndarray = field(init=False, repr=False, compare=False)
+    a_sym: np.ndarray = field(init=False, repr=False)
+    y0: np.ndarray = field(init=False, repr=False)
+    v0: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         a = np.array(self.A, dtype=float)

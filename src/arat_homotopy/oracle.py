@@ -38,7 +38,7 @@ _CHUNK = 4096
 _DEVIATION_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GameSolution:
     """Value vector and pure stationary strategies (0-based actions)."""
 
@@ -84,7 +84,7 @@ def value_iteration(game: AratGame, tol: float = 1e-10,
     has no action in some state, OverflowError once a sweep leaves the
     float range, and MaxIterExceeded after ``max_iter`` sweeps.
     """
-    if tol <= 0:
+    if not (tol > 0):  # a NaN tol fails as well
         raise ValueError("tol must be positive")
     for s in range(game.d):
         for player, m in (("I", game.m1[s]), ("II", game.m2[s])):
@@ -278,7 +278,7 @@ def _solve_each(sub: np.ndarray, rhs: np.ndarray,
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CertificateReport:
     """Verdict of :func:`certify` on a pure pair (0-based actions) and
     the pair's exact value."""

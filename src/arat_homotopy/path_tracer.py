@@ -41,8 +41,8 @@ partial pivoting is the tracer's only factorization, and LAPACK is
 called directly.  _M is 1 because one pass already brings most trial
 corrections below a residual of 1e-10; a second pass doubles the cost
 of every trial.  The whole walk works on flat vectors
-v = (x, y1, y2, t); each accepted vector is wrapped once in a read-only
-HomotopyPoint view for the result.
+v = (x, y1, y2, t); each accepted vector is frozen into a PathPoint,
+whose x, y1, y2 and t are views of it.
 
 The positivity gate guards x, the slack A x + q, and y2 - exactly the
 coordinates whose strict positivity is invariant along any solution
@@ -65,14 +65,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import NotConverged, SingularJacobian
-from .homotopy_core import (
-    HomotopyInstance,
-    HomotopyPoint,
-    eval_H,
-    jac_full,
-    jac_t,
-    jac_u,
-)
+from .homotopy_core import HomotopyInstance, eval_H, jac_full, jac_t, jac_u
 from .vlcp_builder import SquareLcp, VlcpSolution, recover_vlcp_solution
 
 log = logging.getLogger(__name__)
@@ -218,19 +211,51 @@ class TraceStatus(Enum):
     SINGULAR_JACOBIAN = "SingularJacobian"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathPoint:
-    u: HomotopyPoint
+    """An accepted location v = (x, y1, y2, t), read-only, with its
+    residual ||H(v)||, the predictor step that reached it and the sign
+    of det(dH/du) at the point it was reached from; x, y1, y2 and t are
+    views of v."""
+
+    v: np.ndarray
     residual: float
     step_length: float
     det_sign: int
 
+    def __post_init__(self) -> None:
+        v = np.asarray(self.v, dtype=float).view()
+        v.setflags(write=False)
+        object.__setattr__(self, "v", v)
 
-@dataclass(frozen=True)
+    @property
+    def _n(self) -> int:
+        return (self.v.size - 1) // 3
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.v[:self._n]
+
+    @property
+    def y1(self) -> np.ndarray:
+        return self.v[self._n:2 * self._n]
+
+    @property
+    def y2(self) -> np.ndarray:
+        return self.v[2 * self._n:-1]
+
+    @property
+    def t(self) -> float:
+        return float(self.v[-1])
+
+
+@dataclass(frozen=True, eq=False)
 class TraceResult:
+    """How the walk ended and every accepted point; ``path[-1]`` is the
+    endpoint."""
+
     status: TraceStatus
     path: tuple[PathPoint, ...]
-    final: HomotopyPoint
     detail: str = ""
 
 
@@ -258,8 +283,7 @@ def trace(inst: HomotopyInstance, max_steps: int = MAX_STEPS) -> TraceResult:
     current = inst.v0
 
     res0 = float(np.linalg.norm(eval_H(inst, current)))
-    path = [PathPoint(u=HomotopyPoint(current), residual=res0,
-                      step_length=0.0, det_sign=1)]
+    path = [PathPoint(current, residual=res0, step_length=0.0, det_sign=1)]
     status: TraceStatus | None = None
     detail = ""
 
@@ -334,7 +358,7 @@ def trace(inst: HomotopyInstance, max_steps: int = MAX_STEPS) -> TraceResult:
         if accepted is None:
             break
         current = accepted
-        path.append(PathPoint(u=HomotopyPoint(current), residual=accepted_r,
+        path.append(PathPoint(current, residual=accepted_r,
                               step_length=accepted_a, det_sign=sign))
         if abs(current[-1]) <= _EPS1:
             status = TraceStatus.CONVERGED
@@ -344,18 +368,18 @@ def trace(inst: HomotopyInstance, max_steps: int = MAX_STEPS) -> TraceResult:
             detail = f"iterate norm exceeded {_BOUND_B!r}"
             break
 
-    return TraceResult(status=status, path=tuple(path), final=path[-1].u,
-                       detail=detail)
+    return TraceResult(status=status, path=tuple(path), detail=detail)
 
 
 def extract_solution(result: TraceResult, lcp: SquareLcp) -> VlcpSolution:
     """Read the vertical solution and pure pair off a converged endpoint.
 
-    Uses z = final x and w = M z + q as they stand; no tolerance decides
-    here whether the endpoint is complementary.  The pair it yields is
-    the candidate that ``oracle.certify`` accepts or rejects.
+    Uses z = x of the endpoint ``path[-1]`` and w = M z + q as they
+    stand; no tolerance decides here whether the endpoint is
+    complementary.  The pair it yields is the candidate that
+    ``oracle.certify`` accepts or rejects.
     """
     if result.status is not TraceStatus.CONVERGED:
         raise NotConverged(f"trace ended with status {result.status.value}")
-    z = result.final.x
+    z = result.path[-1].x
     return recover_vlcp_solution(lcp, z, lcp.M @ z + lcp.q)

@@ -22,7 +22,7 @@ from .errors import InvalidGame
 from .game_model import AratGame, validate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VlcpInstance:
     """Vertical problem: read-only m x k matrix A, q with one entry per
     row, and the row count of each column's block (consecutive rows)."""
@@ -50,9 +50,11 @@ class VlcpInstance:
             raise ValueError("q must have one entry per row")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SquareLcp:
-    """Equivalent square problem; J maps block j to its copied columns."""
+    """Equivalent square problem; J maps block j to its copied columns.
+    The ranges of J must be non-empty, of step 1, and tile 0..n-1 in
+    order."""
 
     M: np.ndarray
     q: np.ndarray
@@ -69,6 +71,12 @@ class SquareLcp:
         n = q.size
         if m_mat.shape != (n, n):
             raise ValueError("M must be square and match q")
+        starts = [0] + [rng.stop for rng in self.J]
+        if starts[-1] != n or any(rng.step != 1 or rng.start != s
+                                  or rng.stop <= s
+                                  for rng, s in zip(self.J, starts)):
+            raise ValueError(f"J must tile 0..{n - 1} in order with "
+                             f"non-empty ranges of step 1, got {self.J}")
 
     @property
     def n(self) -> int:
@@ -79,18 +87,15 @@ class SquareLcp:
         return len(self.J)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VlcpSolution:
     """Solution recovered in vertical coordinates.
 
-    x stacks eta(1..d) then xi(1..d); value = eta + xi.  Strategies hold
-    0-based pure action indices.
+    x stacks eta(1..d) then xi(1..d); value = eta + xi = x[:d] + x[d:].
+    Strategies hold 0-based pure action indices.
     """
 
     x: np.ndarray
-    w: np.ndarray
-    eta: np.ndarray
-    xi: np.ndarray
     value: np.ndarray
     strategy_i: tuple[int, ...]
     strategy_ii: tuple[int, ...]
@@ -154,13 +159,13 @@ def recover_vlcp_solution(lcp: SquareLcp, z: Sequence[float],
                          f"number, an eta and a xi block per state")
     if z.size != n or w.size != n:
         raise ValueError("z and w must have the LCP dimension")
-    if np.max(np.abs(lcp.M @ z + lcp.q - w)) > 1e-6 * (1.0 + np.abs(lcp.q).max()):
+    # "not (gap <= bound)" so that a NaN in z or w fails as well
+    gap = np.max(np.abs(lcp.M @ z + lcp.q - w))
+    if not (gap <= 1e-6 * (1.0 + np.abs(lcp.q).max())):
         raise ValueError("w is not M z + q for this problem")
 
     x = np.array([z[list(rng)].sum() for rng in lcp.J])
     d = lcp.k // 2
-    eta = x[:d].copy()
-    xi = x[d:].copy()
     actions = tuple(int(np.argmin(w[list(rng)])) for rng in lcp.J)
-    return VlcpSolution(x=x, w=w, eta=eta, xi=xi, value=eta + xi,
+    return VlcpSolution(x=x, value=x[:d] + x[d:],
                         strategy_i=actions[:d], strategy_ii=actions[d:])

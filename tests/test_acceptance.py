@@ -17,7 +17,6 @@ from arat_homotopy import cli
 from arat_homotopy.game_model import validate
 from arat_homotopy.homotopy_core import (
     HomotopyInstance,
-    HomotopyPoint,
     eval_H,
     find_interior_point,
     jac_full,
@@ -178,16 +177,14 @@ def test_criterion_6_homotopy_endpoints():
         rng = np.random.default_rng(66)
         a, q, n = inst.A, inst.q, inst.n
         for _ in range(20):
-            p = HomotopyPoint(np.concatenate([rng.uniform(0.1, 4.0, n),
-                                              rng.uniform(0.1, 4.0, n),
-                                              rng.uniform(0.1, 4.0, n),
-                                              [0.0]]))
+            x, y1, y2 = rng.uniform(0.1, 4.0, (3, n))
             expected = np.concatenate([
-                (a + a.T) @ p.x + q - p.y1 - a.T @ p.y2,
-                p.y1 * p.x + p.x * (a @ p.x + q),
-                p.y2 * (a @ p.x + q),
+                (a + a.T) @ x + q - y1 - a.T @ y2,
+                y1 * x + x * (a @ x + q),
+                y2 * (a @ x + q),
             ])
-            np.testing.assert_allclose(eval_H(inst, p.v), expected,
+            v = np.concatenate([x, y1, y2, [0.0]])
+            np.testing.assert_allclose(eval_H(inst, v), expected,
                                        rtol=0.0, atol=1e-12)
 
 

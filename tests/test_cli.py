@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 from arat_homotopy import cli
 from arat_homotopy.errors import InvalidGame, MaxIterExceeded, NoInteriorPointFound
 from arat_homotopy.game_model import AratGame, validate
-from arat_homotopy.homotopy_core import find_interior_point
+from arat_homotopy.homotopy_core import HomotopyInstance, find_interior_point
 from arat_homotopy.oracle import evaluate_pure_pair, value_iteration
+from arat_homotopy.path_tracer import extract_solution
 from arat_homotopy.vlcp_builder import build_vlcp, to_equivalent_lcp
 
 from conftest import (
@@ -143,7 +144,7 @@ class TestSolveCommand:
     def test_example1_bundled_hint_falls_back_to_auto(self):
         # solve takes no start: it traces from the computed one
         lcp = to_equivalent_lcp(build_vlcp(make_example1()))
-        start = cli.solve(make_example1()).result.path[0].u.x
+        start = cli.solve(make_example1()).result.path[0].x
         np.testing.assert_array_equal(start, find_interior_point(lcp))
 
     def test_trace_csv_matches_path(self, tmp_path):
@@ -163,7 +164,20 @@ class TestSolveCommand:
         # row count equals the (deterministic) library solve's path length
         result = cli.solve(make_example1()).result
         assert len(lines) - 1 == len(result.path)
-        np.testing.assert_array_equal(ts, [pt.u.t for pt in result.path])
+        np.testing.assert_array_equal(ts, [pt.t for pt in result.path])
+        # every other column round-trips its path point exactly
+        assert header[5:] == ([f"x_{i}" for i in range(1, 9)]
+                              + [f"y1_{i}" for i in range(1, 9)]
+                              + [f"y2_{i}" for i in range(1, 9)])
+        for line, pt in zip(lines[1:], result.path):
+            cells = line.split(",")
+            assert float(cells[2]) == pt.residual
+            assert float(cells[3]) == pt.step_length
+            assert int(cells[4]) == pt.det_sign
+            coords = np.array([float(c) for c in cells[5:]])
+            np.testing.assert_array_equal(coords[:8], pt.x)
+            np.testing.assert_array_equal(coords[8:16], pt.y1)
+            np.testing.assert_array_equal(coords[16:], pt.y2)
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         outs = []
@@ -367,6 +381,29 @@ class TestInProcessReuse:
         assert cli.main(["solve", EX1]) == 0
         assert "certificate: PASS" in capsys.readouterr().out
         assert list(tmp_path.iterdir()) == []
+
+
+def test_array_holding_types_compare_by_identity():
+    # a generated __eq__ would compare the arrays (ValueError on more
+    # than one element) and a frozen one would leave hash to raise
+    def build():
+        game = make_example1()
+        vlcp = build_vlcp(game)
+        lcp = to_equivalent_lcp(vlcp)
+        inst = HomotopyInstance.from_lcp(lcp, find_interior_point(lcp))
+        answer = cli.solve(game)
+        return (game, vlcp, lcp, inst, answer, answer.result,
+                answer.result.path[-1], extract_solution(answer.result, lcp),
+                answer.certificate, value_iteration(game))
+
+    first, second = build(), build()
+    assert {type(a).__name__ for a in first} == {
+        "AratGame", "VlcpInstance", "SquareLcp", "HomotopyInstance",
+        "Answer", "TraceResult", "PathPoint", "VlcpSolution",
+        "CertificateReport", "GameSolution"}
+    for a, b in zip(first, second):
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
 
 
 class TestValidateOnce:

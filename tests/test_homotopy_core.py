@@ -7,7 +7,6 @@ from arat_homotopy.errors import NoInteriorPointFound
 from arat_homotopy.game_model import AratGame
 from arat_homotopy.homotopy_core import (
     HomotopyInstance,
-    HomotopyPoint,
     eval_H,
     find_interior_point,
     jac_full,
@@ -45,12 +44,13 @@ def fd_jacobian(inst, v0, h=1e-6):
 
 
 def random_point(rng, n, t_range=(0.05, 0.95)):
-    return HomotopyPoint(np.concatenate([
+    """A flat vector v = (x, y1, y2, t) with positive x, y1 and y2."""
+    return np.concatenate([
         rng.uniform(0.2, 3.0, n),
         rng.uniform(0.2, 3.0, n),
         rng.uniform(0.2, 3.0, n),
         [rng.uniform(*t_range)],
-    ]))
+    ])
 
 
 class TestEvalH:
@@ -65,21 +65,21 @@ class TestEvalH:
         rng = np.random.default_rng(11)
         a, q, n = inst.A, inst.q, inst.n
         for _ in range(10):
-            p = random_point(rng, n, t_range=(0.0, 0.0))
-            x, y1, y2 = p.x, p.y1, p.y2
+            v = random_point(rng, n, t_range=(0.0, 0.0))
+            x, y1, y2 = np.split(v[:-1], 3)
             expected = np.concatenate([
                 (a + a.T) @ x + q - y1 - a.T @ y2,
                 y1 * x + x * (a @ x + q),
                 y2 * (a @ x + q),
             ])
-            np.testing.assert_allclose(eval_H(inst, p.v), expected, atol=1e-13)
+            np.testing.assert_allclose(eval_H(inst, v), expected, atol=1e-13)
 
     def test_affine_in_t(self):
         _, inst = example1_instance()
         rng = np.random.default_rng(5)
         for _ in range(10):
-            p0 = random_point(rng, inst.n)
-            mk = lambda t: np.append(p0.v[:-1], t)
+            v0 = random_point(rng, inst.n)
+            mk = lambda t: np.append(v0[:-1], t)
             mid = eval_H(inst, mk(0.5))
             avg = 0.5 * (eval_H(inst, mk(0.0)) + eval_H(inst, mk(1.0)))
             np.testing.assert_allclose(mid, avg, rtol=0, atol=1e-12)
@@ -89,7 +89,7 @@ class TestEvalH:
         with pytest.raises(ValueError):
             eval_H(inst, np.append(np.ones(9), 0.5))
         # a vector missing its t entry is rejected by every entry point
-        v = random_point(np.random.default_rng(13), inst.n).v
+        v = random_point(np.random.default_rng(13), inst.n)
         for fn in (eval_H, jac_full, jac_u, jac_t):
             with pytest.raises(ValueError):
                 fn(inst, v[:-1])
@@ -101,9 +101,9 @@ class TestJacobians:
         rng = np.random.default_rng(2024)
         worst = 0.0
         for _ in range(100):
-            p = random_point(rng, inst.n)
-            exact = jac_full(inst, p.v)
-            approx = fd_jacobian(inst, p.v)
+            v = random_point(rng, inst.n)
+            exact = jac_full(inst, v)
+            approx = fd_jacobian(inst, v)
             err = np.abs(exact - approx).max()
             rel = err / max(1.0, np.abs(exact).max())
             worst = max(worst, rel)
@@ -132,7 +132,7 @@ class TestJacobians:
     def test_jac_full_is_u_then_t(self):
         _, inst = example1_instance()
         rng = np.random.default_rng(8)
-        v = random_point(rng, inst.n).v
+        v = random_point(rng, inst.n)
         jf = jac_full(inst, v)
         np.testing.assert_array_equal(jf[:, :-1], jac_u(inst, v))
         np.testing.assert_array_equal(jf[:, -1], jac_t(inst, v))
@@ -153,8 +153,8 @@ class TestAnchorJacobian:
         _, inst = example1_instance()
         rng = np.random.default_rng(3)
         for t in (1.0, 0.5, 0.1):
-            p = random_point(rng, inst.n, t_range=(t, t))
-            j0, det = jac_u0(inst, p.v)
+            v = random_point(rng, inst.n, t_range=(t, t))
+            j0, det = jac_u0(inst, v)
             sign, logabs = np.linalg.slogdet(j0)
             det_lu = sign * np.exp(logabs)
             assert abs(det - det_lu) <= 1e-10 * abs(det_lu)
@@ -292,12 +292,12 @@ class TestInstanceInvariants:
         result = trace(inst)
         anchor = inst.y0
         for pt in result.path[1:]:
-            if not (0.0 < pt.u.t < 1.0):
+            if not (0.0 < pt.t < 1.0):
                 continue
-            lhs = pt.u.y2 * (inst.A @ pt.u.x + inst.q)
+            lhs = pt.y2 * (inst.A @ pt.x + inst.q)
             # the identity is exact on the path; accepted points sit
             # within their recorded residual of it
             np.testing.assert_allclose(
-                lhs, pt.u.t * anchor, atol=max(1e-10, pt.residual)
+                lhs, pt.t * anchor, atol=max(1e-10, pt.residual)
             )
-            assert (inst.A @ pt.u.x + inst.q).min() > 0.0
+            assert (inst.A @ pt.x + inst.q).min() > 0.0

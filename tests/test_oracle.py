@@ -83,6 +83,12 @@ class TestValueIteration:
         with pytest.raises(ValueError):
             pure_saddle(np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
+    def test_tol_must_be_positive(self, example1, tol):
+        # a NaN tol would pass "tol <= 0" and sweep to MaxIterExceeded
+        with pytest.raises(ValueError, match="tol must be positive"):
+            value_iteration(example1, tol=tol)
+
     def test_example1_stops_after_one_sweep(self, example1):
         # the greedy pair of the first sweep from v = 0 is optimal, so
         # its check passes at v* = 7 + 7 beta / (1 - beta) = 14 at once

@@ -7,7 +7,6 @@ from scipy.linalg import lapack
 from arat_homotopy.errors import NotConverged, SingularJacobian
 from arat_homotopy.homotopy_core import (
     HomotopyInstance,
-    HomotopyPoint,
     eval_H,
     find_interior_point,
     jac_full,
@@ -196,8 +195,8 @@ class TestMinNorm:
         # the path passes a fold near t ~ 0.24 (test_fold_is_navigated)
         _, inst = instance_for(example1)
         for pt in trace(inst).path:
-            j = jac_full(inst, pt.u.v)
-            h = eval_H(inst, pt.u.v)
+            j = jac_full(inst, pt.v)
+            h = eval_H(inst, pt.v)
             ref = np.linalg.pinv(j) @ h
             err = np.linalg.norm(minnorm_solve(j, h) - ref)
             assert err <= 1e-12 * np.linalg.norm(ref)
@@ -314,7 +313,7 @@ class TestTrace:
         lcp, inst = instance_for(example1)
         result = trace(inst)
         assert result.status is TraceStatus.CONVERGED
-        assert abs(result.final.t) <= _EPS1
+        assert abs(result.path[-1].t) <= _EPS1
         sol = extract_solution(result, lcp)
         np.testing.assert_allclose(sol.value, [14.0, 14.0], atol=1e-4)
         assert sol.strategy_i == (0, 0)
@@ -328,8 +327,8 @@ class TestTrace:
         sol = extract_solution(result, lcp)
         assert certify(example2, sol.strategy_i, sol.strategy_ii).passed
         # frozen from the oracle: eta = (8.25, 5.5), xi = (5.75, 8.5)
-        np.testing.assert_allclose(sol.eta, [8.25, 5.5], atol=1e-4)
-        np.testing.assert_allclose(sol.xi, [5.75, 8.5], atol=1e-4)
+        np.testing.assert_allclose(sol.x[:2], [8.25, 5.5], atol=1e-4)
+        np.testing.assert_allclose(sol.x[2:], [5.75, 8.5], atol=1e-4)
 
     def test_example2_from_the_papers_start(self, example2):
         # a caller's own anchor goes through the stages, not solve
@@ -337,27 +336,27 @@ class TestTrace:
         x0 = np.loadtxt(FIXTURES / "example2_x0.txt", delimiter=",")
         result = trace(HomotopyInstance.from_lcp(lcp, x0))
         assert result.status is TraceStatus.CONVERGED
-        np.testing.assert_array_equal(result.path[0].u.x, x0)
+        np.testing.assert_array_equal(result.path[0].x, x0)
         sol = extract_solution(result, lcp)
         assert certify(example2, sol.strategy_i, sol.strategy_ii).passed
 
     def test_path_invariants(self, example1):
         lcp, inst = instance_for(example1)
         result = trace(inst)
-        assert result.path[0].u.t == 1.0
+        assert result.path[0].t == 1.0
         for pt in result.path:
             assert pt.residual <= _R_ACCEPT
             # gated components stay strictly positive on accepted points
-            assert pt.u.x.min() > 0.0
-            assert pt.u.y2.min() > 0.0
-            assert (inst.A @ pt.u.x + inst.q).min() > 0.0
+            assert pt.x.min() > 0.0
+            assert pt.y2.min() > 0.0
+            assert (inst.A @ pt.x + inst.q).min() > 0.0
 
     def test_endpoint_certificate(self, example1):
         lcp, inst = instance_for(example1)
         result = trace(inst)
-        z = result.final.x
+        z = result.path[-1].x
         w = inst.A @ z + inst.q
-        res = float(np.linalg.norm(eval_H(inst, result.final.v)))
+        res = float(np.linalg.norm(eval_H(inst, result.path[-1].v)))
         assert res <= 1e-6 * (1.0 + np.linalg.norm(inst.q))
         assert min(z.min(), w.min()) >= -1e-8
         assert np.abs(z * w).max() <= 1e-6
@@ -369,7 +368,7 @@ class TestTrace:
         assert r1.status == r2.status
         assert len(r1.path) == len(r2.path)
         for p1, p2 in zip(r1.path, r2.path):
-            np.testing.assert_array_equal(p1.u.v, p2.u.v)
+            np.testing.assert_array_equal(p1.v, p2.v)
             assert p1.residual == p2.residual
             assert p1.step_length == p2.step_length
             assert p1.det_sign == p2.det_sign
@@ -385,15 +384,16 @@ class TestTrace:
         _, inst = instance_for(example1)
         result = trace(inst, max_steps=1)
         assert result.status is TraceStatus.MAX_STEPS
-        assert result.final is result.path[-1].u
-        assert abs(result.final.t) > _EPS1
+        # the endpoint is the point after the one step allowed
+        assert len(result.path) == 2
+        assert abs(result.path[-1].t) > _EPS1
 
     def test_fold_is_navigated(self, example1):
         # the example-1 path turns around near t ~ 0.24; the trace must
         # pass through with the orientation rule (t rises then falls)
         _, inst = instance_for(example1)
         result = trace(inst)
-        ts = [pt.u.t for pt in result.path]
+        ts = [pt.t for pt in result.path]
         rises = any(b > a for a, b in zip(ts, ts[1:]))
         assert rises
         assert any(s == -1 for s in
@@ -415,19 +415,20 @@ class TestExtractSolution:
             n = q.size
             lcp = SquareLcp(M=np.eye(n), q=q,
                             J=tuple(range(p, p + 1) for p in range(n)))
-            final = HomotopyPoint(np.concatenate([np.zeros(n), q,
-                                                  np.zeros(n + 1)]))
+            v = np.concatenate([np.zeros(n), q, np.zeros(n + 1)])
             result = TraceResult(
                 status=TraceStatus.CONVERGED,
-                path=(),
-                final=final,
+                path=(PathPoint(v, residual=0.0, step_length=0.0,
+                                det_sign=1),),
             )
             if n % 2:
                 with pytest.raises(ValueError, match="3 blocks"):
                     extract_solution(result, lcp)
                 continue
             sol = extract_solution(result, lcp)
-            np.testing.assert_array_equal(sol.w, q)
+            # the pair is read off w = M z + q = q, one row per block
+            assert sol.strategy_i == (0, 0) and sol.strategy_ii == (0, 0)
+            np.testing.assert_array_equal(sol.x, np.zeros(n))
             np.testing.assert_array_equal(sol.value, np.zeros(2))
 
     def test_small_negatives_clamped(self, example1):
@@ -436,8 +437,8 @@ class TestExtractSolution:
         w = lcp.M @ z + lcp.q
         result = TraceResult(
             status=TraceStatus.CONVERGED,
-            path=(),
-            final=HomotopyPoint(np.concatenate([z, w, z, [0.0]])),
+            path=(PathPoint(np.concatenate([z, w, z, [0.0]]), residual=0.0,
+                            step_length=0.0, det_sign=1),),
         )
         # no clamping: tiny negatives pass through, and the block sums
         # they land in stay positive

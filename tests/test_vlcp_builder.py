@@ -124,6 +124,20 @@ class TestEquivalentLcp:
         )
         np.testing.assert_array_equal(lcp.M, a)
 
+    @pytest.mark.parametrize("blocks", [
+        (range(0, 1),),                 # too short: row 1 in no block
+        (range(0, 3), range(3, 5)),     # too long: rows past n
+        (range(0, 1), range(1, 1), range(1, 2)),  # an empty block
+        (range(1, 2), range(0, 1)),     # out of order
+        (range(0, 2, 2),),              # step 2
+        (range(0, 2), range(1, 2)),     # overlap
+    ])
+    def test_blocks_must_tile_the_rows(self, blocks):
+        # unchecked, a short J fails in find_interior_point (StopIteration)
+        # and a long one in recover_vlcp_solution (IndexError)
+        with pytest.raises(ValueError, match="J must tile"):
+            SquareLcp(M=np.eye(2), q=np.array([1.0, -1.0]), J=blocks)
+
     @given(
         z=arrays(np.float64, 8,
                  elements=st.floats(0, 10, allow_nan=False, width=32)),
@@ -144,8 +158,8 @@ class TestRecoverSolution:
         w = lcp.M @ z + lcp.q
         sol = recover_vlcp_solution(lcp, z, w)
         np.testing.assert_allclose(sol.x, [6.5, 5.5, 7.5, 8.5])
-        np.testing.assert_allclose(sol.eta, [6.5, 5.5])
-        np.testing.assert_allclose(sol.xi, [7.5, 8.5])
+        np.testing.assert_allclose(sol.x[:2], [6.5, 5.5])  # eta
+        np.testing.assert_allclose(sol.x[2:], [7.5, 8.5])  # xi
         np.testing.assert_allclose(sol.value, [14.0, 14.0])
         assert sol.strategy_i == (0, 0)
         assert sol.strategy_ii == (0, 1)
@@ -157,7 +171,8 @@ class TestRecoverSolution:
                                      range(3, 4)))
         sol = recover_vlcp_solution(lcp, np.zeros(4), q)
         np.testing.assert_array_equal(sol.x, np.zeros(4))
-        np.testing.assert_array_equal(sol.w, q)
+        # the pair is read off w = q, one row per block
+        assert sol.strategy_i == (0, 0) and sol.strategy_ii == (0, 0)
         np.testing.assert_array_equal(sol.value, np.zeros(2))
 
     def test_complementarity_breach_reported(self, example1):
@@ -169,6 +184,13 @@ class TestRecoverSolution:
         w = np.abs(w) + 0.5
         with pytest.raises(ValueError, match=r"M z \+ q"):
             recover_vlcp_solution(lcp, z, w)
+
+    def test_nan_point_is_refused(self, example1):
+        # NaN fails the check that w is M z + q, as a wrong w does
+        lcp = to_equivalent_lcp(build_vlcp(example1))
+        z = np.full(lcp.n, np.nan)
+        with pytest.raises(ValueError, match=r"M z \+ q"):
+            recover_vlcp_solution(lcp, z, z)
 
     def test_odd_block_count_skips_value_recovery(self):
         # no game has an odd block count, so recovery refuses one
