@@ -193,8 +193,9 @@ def solve(game: AratGame, max_steps: int = MAX_STEPS) -> Answer:
         lcp = to_equivalent_lcp(build_vlcp(game.shifted(0.0, c2)))
     start = find_interior_point(lcp)
     result = trace(HomotopyInstance.from_lcp(lcp, start), max_steps)
-    log.info("trace finished: %s after %d accepted steps",
-             result.status.value, len(result.path) - 1)
+    log.info("trace finished: %s after %d accepted steps and %d rejected "
+             "trials", result.status.value, len(result.path) - 1,
+             result.rejected)
     if result.status is not TraceStatus.CONVERGED:
         return Answer(result, value_shift)
     sol = extract_solution(result, lcp)
@@ -217,6 +218,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "status": result.status.value,
         "detail": result.detail,
         "steps": steps,
+        "rejected_trials": result.rejected,
         "final_t": result.path[-1].t,
         "residual": result.path[-1].residual,
         "value_shift": answer.value_shift,

@@ -2,11 +2,20 @@
 
 Each outer step computes a unit tangent whose orientation comes from the
 sign of det(dH/du) (keeping the bordered determinant negative along the
-path), takes a predictor step of length _L0**k for k = 0, 1, ..., and
-projects back with a three-stage minimum-norm corrector repeated _M
-times.  Steps are shortened until the residual gate and the positivity
-gate hold; the walk ends when |t| <= _EPS1.  The endpoint is not judged
-here: the game answer read from it is certified exactly downstream (see
+path), then climbs down a ladder of trials: rung k takes a predictor
+step of length _L0**k and projects back with a three-stage minimum-norm
+corrector repeated _M times, and the first trial to pass the residual
+gate and the positivity gate is accepted.  The first step's ladder
+starts at rung 0 (a = 1); after a step is accepted at rung L the next
+ladder starts at rung max(0, L - 1), so the step length grows by one
+rung per accepted step (Allgower & Georg, Introduction to Numerical
+Continuation Methods, 2003, ch. 6).  A ladder that started above rung 0
+never ends the walk on its own: when it would (NoProgress, or
+SingularJacobian at the _A0 floor), the rungs above its start are
+tried first, from a = 1, and the failure stands only if they fail too,
+so a failure status always means the whole ladder from a = 1 failed.
+The walk ends when |t| <= _EPS1.  The endpoint is not judged here: the
+game answer read from it is certified exactly downstream (see
 ``oracle.certify``).
 
 Step control is fixed; the step budget is the only value a caller sets
@@ -19,7 +28,8 @@ constants:
                     shrinking down to _A0 instead of stopping at _EPS3
   _EPS3      1e-5   shortest regular predictor step; a failing trial
                     below it ends the walk as NoProgress
-  _L0        0.5    step base: trial k has length _L0**k
+  _L0        0.5    step base: rung k has length _L0**k; a ladder starts
+                    one rung above the last accepted one
   _M         1      corrector passes per trial
   _A0        1e-8   progress floor: the shortest trial step at all
   _R_ACCEPT  1.0    residual gate: a trial needs ||H|| <= _R_ACCEPT
@@ -252,11 +262,13 @@ class PathPoint:
 @dataclass(frozen=True, eq=False)
 class TraceResult:
     """How the walk ended and every accepted point; ``path[-1]`` is the
-    endpoint."""
+    endpoint.  ``rejected`` counts the trial points of the walk that
+    failed a gate or raised SingularJacobian."""
 
     status: TraceStatus
     path: tuple[PathPoint, ...]
     detail: str = ""
+    rejected: int = 0
 
 
 def _positivity_gate(inst: HomotopyInstance, v: np.ndarray) -> bool:
@@ -268,6 +280,53 @@ def _positivity_gate(inst: HomotopyInstance, v: np.ndarray) -> bool:
         and (inst.A @ x + inst.q).min() > 0.0
         and v[2 * n:3 * n].min() > 0.0
     )
+
+
+# what _trial returns for a failed trial after which the ladder goes on
+_NEXT_RUNG = (None, 0.0, None)
+
+
+def _trial(inst: HomotopyInstance, current: np.ndarray, tau: np.ndarray,
+           a: float) -> tuple[np.ndarray | None, float,
+                              tuple[TraceStatus, str] | None]:
+    """One rung of the step ladder: predict ``current + a * tau``, correct
+    and gate.  Returns (vector, residual, None) when the trial passes
+    both gates, ``_NEXT_RUNG`` when it fails and a shorter step may still
+    pass, and (None, 0.0, (status, detail)) when its failure ends
+    the walk."""
+    try:
+        cand = corrector(inst, current + a * tau)
+    except SingularJacobian as exc:
+        # shrinking pulls the candidate back toward the current
+        # point, where the tangent factorization just succeeded
+        if a > _A0:
+            return _NEXT_RUNG
+        return None, 0.0, (TraceStatus.SINGULAR_JACOBIAN, str(exc))
+    t = float(cand[-1])
+    dt = abs(t - float(current[-1]))
+    if not (0.0 < dt < 1.0):
+        # t moved implausibly; shrink while there is progress to give up
+        if min(a, float(np.linalg.norm(cand - current))) > _A0:
+            return _NEXT_RUNG
+    r = float(np.linalg.norm(eval_H(inst, cand)))
+    if r <= _R_ACCEPT and _positivity_gate(inst, cand):
+        return cand, r, None
+    if a > _EPS3:
+        return _NEXT_RUNG
+    # Parked next to the target hyperplane: the endgame needs predictor
+    # steps comparable to |t| itself, so the ladder continues below
+    # _EPS3 down to the progress floor _A0 rather than stopping with a
+    # weak |t| < _EPS2 endpoint.
+    near_target = dt < _EPS2 and abs(t) < _EPS2
+    if near_target and a > _A0:
+        return _NEXT_RUNG
+    if near_target:
+        detail = (f"stalled within eps2 of the target hyperplane "
+                  f"(|t| = {abs(t)!r}) without meeting the acceptance gates")
+    else:
+        detail = (f"step length fell below eps3 with residual {r!r} "
+                  f"at t = {t!r}")
+    return None, 0.0, (TraceStatus.NO_PROGRESS, detail)
 
 
 def trace(inst: HomotopyInstance, max_steps: int = MAX_STEPS) -> TraceResult:
@@ -286,6 +345,8 @@ def trace(inst: HomotopyInstance, max_steps: int = MAX_STEPS) -> TraceResult:
     path = [PathPoint(current, residual=res0, step_length=0.0, det_sign=1)]
     status: TraceStatus | None = None
     detail = ""
+    start = 0  # the rung the next step's ladder starts at
+    rejected = 0
 
     while status is None:
         if len(path) > max_steps:
@@ -299,67 +360,32 @@ def trace(inst: HomotopyInstance, max_steps: int = MAX_STEPS) -> TraceResult:
             detail = str(exc)
             break
 
-        level = 0
-        accepted = None
-        accepted_r = 0.0
-        accepted_a = 0.0
+        level, held = start, None
         while True:
             a = _L0 ** level
-            try:
-                cand = corrector(inst, current + a * tau)
-            except SingularJacobian as exc:
-                # shrinking pulls the candidate back toward the current
-                # point, where the tangent factorization just succeeded
-                if a > _A0:
-                    level += 1
-                    continue
-                status = TraceStatus.SINGULAR_JACOBIAN
-                detail = str(exc)
+            cand, r, verdict = _trial(inst, current, tau, a)
+            if cand is not None:
                 break
-            t = float(cand[-1])
-            dt = abs(t - float(current[-1]))
-            if not (0.0 < dt < 1.0):
-                # t moved implausibly; shrink while there is progress to give up
-                progress = min(a, float(np.linalg.norm(cand - current)))
-                if progress > _A0:
-                    level += 1
+            rejected += 1
+            if verdict is None:
+                level += 1
+                if held is None or level < start:
                     continue
-            r = float(np.linalg.norm(eval_H(inst, cand)))
-            if r <= _R_ACCEPT and _positivity_gate(inst, cand):
-                accepted = cand
-                accepted_r = r
-                accepted_a = a
-                break
-            if a > _EPS3:
-                level += 1
+                verdict = held  # the retry is back at the warm start
+            elif held is None and start:
+                # a warm start never ends the walk on its own: the rungs
+                # above it are tried first, from a = 1
+                held, level = verdict, 0
                 continue
-            # Parked next to the target hyperplane: the endgame needs
-            # predictor steps comparable to |t| itself, so the retry
-            # ladder continues below _EPS3 down to the progress floor _A0
-            # rather than stopping with a weak |t| < _EPS2 endpoint.
-            near_target = dt < _EPS2 and abs(t) < _EPS2
-            if near_target and a > _A0:
-                level += 1
-                continue
-            status = TraceStatus.NO_PROGRESS
-            if near_target:
-                detail = (
-                    f"stalled within eps2 of the target hyperplane "
-                    f"(|t| = {abs(t)!r}) without meeting the "
-                    f"acceptance gates"
-                )
-            else:
-                detail = (
-                    f"step length fell below eps3 with residual {r!r} "
-                    f"at t = {t!r}"
-                )
             break
 
-        if accepted is None:
+        if cand is None:
+            status, detail = verdict
             break
-        current = accepted
-        path.append(PathPoint(current, residual=accepted_r,
-                              step_length=accepted_a, det_sign=sign))
+        current = cand
+        path.append(PathPoint(current, residual=r, step_length=a,
+                              det_sign=sign))
+        start = max(0, level - 1)
         if abs(current[-1]) <= _EPS1:
             status = TraceStatus.CONVERGED
             break
@@ -368,7 +394,8 @@ def trace(inst: HomotopyInstance, max_steps: int = MAX_STEPS) -> TraceResult:
             detail = f"iterate norm exceeded {_BOUND_B!r}"
             break
 
-    return TraceResult(status=status, path=tuple(path), detail=detail)
+    return TraceResult(status=status, path=tuple(path), detail=detail,
+                       rejected=rejected)
 
 
 def extract_solution(result: TraceResult, lcp: SquareLcp) -> VlcpSolution:

@@ -53,8 +53,8 @@ class VlcpInstance:
 @dataclass(frozen=True, eq=False)
 class SquareLcp:
     """Equivalent square problem; J maps block j to its copied columns.
-    The ranges of J must be non-empty, of step 1, and tile 0..n-1 in
-    order."""
+    Every block of J must be a range, and the ranges must be non-empty,
+    of step 1, and tile 0..n-1 in order."""
 
     M: np.ndarray
     q: np.ndarray
@@ -71,12 +71,15 @@ class SquareLcp:
         n = q.size
         if m_mat.shape != (n, n):
             raise ValueError("M must be square and match q")
+        bad_j = ValueError(f"J must tile 0..{n - 1} in order with "
+                           f"non-empty ranges of step 1, got {self.J}")
+        if not all(isinstance(rng, range) for rng in self.J):
+            raise bad_j
         starts = [0] + [rng.stop for rng in self.J]
         if starts[-1] != n or any(rng.step != 1 or rng.start != s
                                   or rng.stop <= s
                                   for rng, s in zip(self.J, starts)):
-            raise ValueError(f"J must tile 0..{n - 1} in order with "
-                             f"non-empty ranges of step 1, got {self.J}")
+            raise bad_j
 
     @property
     def n(self) -> int:

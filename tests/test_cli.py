@@ -140,6 +140,13 @@ class TestSolveCommand:
         assert doc["certificate"] == {"ineq_player_i": True,
                                       "ineq_player_ii": True}
         assert doc["residual"] <= 1e-6
+        assert sorted(doc) == [
+            "certificate", "detail", "final_t", "rejected_trials", "residual",
+            "status", "steps", "strategy_player_i", "strategy_player_ii",
+            "value", "value_shift"]
+        result = cli.solve(make_example1()).result
+        assert doc["steps"] == len(result.path) - 1
+        assert doc["rejected_trials"] == result.rejected > 0
 
     def test_example1_bundled_hint_falls_back_to_auto(self):
         # solve takes no start: it traces from the computed one
@@ -819,7 +826,9 @@ class TestLogging:
         code = cli.main(["solve", EX1])
         err = capsys.readouterr().err
         assert code == 0
-        assert "trace finished" in err
+        result = cli.solve(make_example1()).result
+        assert (f"trace finished: Converged after {len(result.path) - 1} "
+                f"accepted steps and {result.rejected} rejected trials") in err
 
     def test_each_call_logs_to_its_own_stderr(self, monkeypatch):
         # in-process callers redirect stderr per call: each call's lines

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
+from arat_homotopy import path_tracer
 from arat_homotopy.errors import NotConverged, SingularJacobian
 from arat_homotopy.homotopy_core import (
     HomotopyInstance,
@@ -33,7 +34,7 @@ from arat_homotopy.path_tracer import (
 )
 from arat_homotopy.vlcp_builder import SquareLcp, build_vlcp, to_equivalent_lcp
 
-from conftest import FIXTURES, make_example1
+from conftest import FIXTURES, make_example1, random_arat_game
 
 
 def instance_for(game):
@@ -398,6 +399,115 @@ class TestTrace:
         assert rises
         assert any(s == -1 for s in
                    [pt.det_sign for pt in result.path[1:]])
+
+
+def rung(a: float) -> int:
+    """The ladder rung k of a step length a = _L0**k."""
+    return round(float(np.log(a) / np.log(_L0)))
+
+
+def stub_ladder(monkeypatch, refuse):
+    """Stub the tracer's corrector so that it refuses a trial whenever
+    ``refuse(step, rung)`` holds: it returns the prediction with x_1 = -1,
+    which the positivity gate rejects.  Other trials are corrected as
+    usual.  Returns the rungs tried, one list per step, filled as the
+    trace runs."""
+    tried = []
+    currents = []
+    real_tangent, real_corrector = path_tracer.tangent, path_tracer.corrector
+
+    def spy_tangent(inst, v):
+        tried.append([])
+        currents.append(v.copy())
+        return real_tangent(inst, v)
+
+    def stub_corrector(inst, v):
+        # the tangent is a unit vector, so the distance is the length
+        k = rung(float(np.linalg.norm(v - currents[-1])))
+        tried[-1].append(k)
+        if refuse(len(tried) - 1, k):
+            bad = v.copy()
+            bad[0] = -1.0
+            return bad
+        return real_corrector(inst, v)
+
+    monkeypatch.setattr(path_tracer, "tangent", spy_tangent)
+    monkeypatch.setattr(path_tracer, "corrector", stub_corrector)
+    return tried
+
+
+# the first rung at or below _EPS3, where a failing trial far from the
+# target hyperplane ends the walk
+EPS3_RUNG = int(np.ceil(np.log(_EPS3) / np.log(_L0)))
+
+
+class TestStepLadder:
+    def test_each_ladder_starts_one_rung_above_the_last_accepted(
+            self, monkeypatch, example1):
+        # every third step refuses its four longest trials
+        _, inst = instance_for(example1)
+        tried = stub_ladder(monkeypatch,
+                            lambda step, k: step % 3 == 0 and k < 4)
+        result = trace(inst, max_steps=12)
+        accepted = [rung(pt.step_length) for pt in result.path[1:]]
+        assert len(accepted) == len(tried) == 12
+        assert [rungs[-1] for rungs in tried] == accepted
+        assert tried[0][0] == 0
+        for k in range(1, 12):
+            assert tried[k][0] == max(0, accepted[k - 1] - 1)
+        assert tried[1][0] == accepted[0] - 1 >= 3  # the rule was exercised
+        assert result.rejected == sum(len(r) for r in tried) - 12
+
+    def test_warm_ladder_retries_from_a_equals_one_before_no_progress(
+            self, monkeypatch, example1):
+        # step 0 is accepted at rung 5; step 1 refuses every trial, so its
+        # ladder runs from rung 4 down to the eps3 rung, then rungs 0-3
+        _, inst = instance_for(example1)
+        tried = stub_ladder(monkeypatch,
+                            lambda step, k: k < 5 if step == 0 else True)
+        result = trace(inst)
+        assert result.status is TraceStatus.NO_PROGRESS
+        assert "fell below eps3" in result.detail
+        assert len(result.path) == 2
+        assert result.path[1].step_length == _L0 ** 5
+        assert tried[1] == list(range(4, EPS3_RUNG + 1)) + [0, 1, 2, 3]
+        assert result.rejected == 5 + len(tried[1])
+
+    def test_the_retry_from_a_equals_one_can_accept(self, monkeypatch,
+                                                    example1):
+        # as above, but step 1 takes rung 1 once the retry reaches it
+        _, inst = instance_for(example1)
+        tried = stub_ladder(
+            monkeypatch, lambda step, k: k < 5 if step == 0 else
+            (step == 1 and k != 1))
+        result = trace(inst, max_steps=3)
+        assert result.status is TraceStatus.MAX_STEPS
+        assert tried[1] == list(range(4, EPS3_RUNG + 1)) + [0, 1]
+        assert result.path[2].step_length == _L0
+        assert tried[2][0] == 0
+
+    def test_corrector_calls_pinned_on_a_deep_ladder_game(self, monkeypatch):
+        # a path whose ladders reach rung 19; when every ladder started
+        # at a = 1, the same 52 steps took 183 corrector calls
+        game = random_arat_game(np.random.default_rng(15), d_max=3,
+                                actions_max=2)
+        lcp, inst = instance_for(game)
+        calls = []
+        real_corrector = path_tracer.corrector
+
+        def counted(inst, v):
+            calls.append(v)
+            return real_corrector(inst, v)
+
+        monkeypatch.setattr(path_tracer, "corrector", counted)
+        result = trace(inst)
+        assert result.status is TraceStatus.CONVERGED
+        assert max(rung(pt.step_length) for pt in result.path[1:]) == 19
+        assert len(result.path) - 1 == 52
+        assert len(calls) == 82
+        assert result.rejected == 82 - 52
+        sol = extract_solution(result, lcp)
+        assert certify(game, sol.strategy_i, sol.strategy_ii).passed
 
 
 class TestExtractSolution:

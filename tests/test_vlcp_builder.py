@@ -131,6 +131,9 @@ class TestEquivalentLcp:
         (range(1, 2), range(0, 1)),     # out of order
         (range(0, 2, 2),),              # step 2
         (range(0, 2), range(1, 2)),     # overlap
+        ([0], [1]),                     # index lists, not ranges
+        ((0,), range(1, 2)),            # one block a tuple
+        (range(0, 1), 1),               # one block a bare index
     ])
     def test_blocks_must_tile_the_rows(self, blocks):
         # unchecked, a short J fails in find_interior_point (StopIteration)
