@@ -81,45 +81,97 @@ class HomotopyInstance:
         return cls(A=lcp.M, q=lcp.q, x0=x0)
 
 
-def _split(inst: HomotopyInstance, v: np.ndarray):
-    """(x, y1, y2, t) of v = (x, y1, y2, t); the arrays are views."""
+def _parts(inst: HomotopyInstance, v: np.ndarray):
+    """x, y1, y2 and t of v = (x, y1, y2, t), the arrays as views, and
+    the slack s = A x + q."""
     n = inst.n
     if v.shape != (3 * n + 1,):
         raise ValueError("point dimension does not match the instance")
-    return v[:n], v[n:2 * n], v[2 * n:3 * n], float(v[-1])
+    x = v[:n]
+    s = inst.A @ x
+    s += inst.q
+    return x, v[n:2 * n], v[2 * n:3 * n], float(v[-1]), s
 
 
 def _stationarity(inst: HomotopyInstance, x: np.ndarray, y1: np.ndarray,
                   y2: np.ndarray) -> np.ndarray:
     """(A + A^T) x + q - y1 - A^T y2, the limit system's first block."""
-    return inst.a_sym @ x + inst.q - y1 - inst.A.T @ y2
+    g = inst.a_sym @ x
+    g += inst.q
+    g -= y1
+    g -= inst.A.T @ y2
+    return g
 
 
 def _dh_dt(inst: HomotopyInstance, x: np.ndarray, y1: np.ndarray,
-           y2: np.ndarray, ax_q: np.ndarray) -> np.ndarray:
-    """dH/dt at (x, y1, y2), given ax_q = A x + q; H is affine in t."""
-    return np.concatenate([
-        (x - inst.x0) - _stationarity(inst, x, y1, y2),
-        -inst.x0 - x * ax_q,
-        -inst.y0,
-    ])
-
-
-def _block_diag(j: np.ndarray, row: int, col: int, n: int) -> np.ndarray:
-    """Writable view of the diagonal of the n x n block of j at (row, col)."""
-    width = j.shape[1]
-    start = row * width + col
-    return j.reshape(-1)[start:start + n * (width + 1):width + 1]
+           y2: np.ndarray, s: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """dH/dt at (x, y1, y2), given s = A x + q, written into ``out``;
+    H is affine in t."""
+    n = inst.n
+    b1, b2 = out[:n], out[n:2 * n]
+    np.subtract(x, inst.x0, out=b1)
+    b1 -= _stationarity(inst, x, y1, y2)
+    # -x0 - X s as -(X s + x0): rounding to nearest is sign-symmetric
+    np.multiply(x, s, out=b2)
+    b2 += inst.x0
+    np.negative(b2, out=b2)
+    np.negative(inst.y0, out=out[2 * n:])
+    return out
 
 
 def eval_H(inst: HomotopyInstance, v: np.ndarray) -> np.ndarray:
     """The stacked 3n residual of the deformation map at (u, t)."""
-    x, y1, y2, t = _split(inst, v)
-    ax_q = inst.A @ x + inst.q
-    b1 = (1.0 - t) * _stationarity(inst, x, y1, y2) + t * (x - inst.x0)
-    b2 = y1 * x - t * inst.x0 + (1.0 - t) * (x * ax_q)
-    b3 = y2 * ax_q - t * inst.y0
-    return np.concatenate([b1, b2, b3])
+    x, y1, y2, t, s = _parts(inst, v)
+    n, c = inst.n, 1.0 - t
+    h = np.empty(3 * n)
+    b1, b2, b3 = h[:n], h[n:2 * n], h[2 * n:]
+    g = _stationarity(inst, x, y1, y2)
+    g *= c
+    np.subtract(x, inst.x0, out=b1)
+    b1 *= t
+    b1 += g
+    np.multiply(y1, x, out=b2)
+    b2 -= t * inst.x0
+    xs = x * s
+    xs *= c
+    b2 += xs
+    np.multiply(y2, s, out=b3)
+    b3 -= t * inst.y0
+    return h
+
+
+def _fill_du(inst: HomotopyInstance, j: np.ndarray, x: np.ndarray,
+             y1: np.ndarray, y2: np.ndarray, t: float,
+             s: np.ndarray) -> None:
+    """Write dH/du into the first 3n columns of the zeroed C-ordered j.
+
+    The diagonal of the n x n block at (row, col) is a strided view of
+    j's flat buffer: it starts at row * width + col and steps width + 1.
+    """
+    a, n = inst.A, inst.n
+    c = 1.0 - t
+    width = j.shape[1]
+    flat = j.reshape(-1)
+    step, span = width + 1, n * (width + 1)
+    top, mid, bot = j[:n], j[n:2 * n], j[2 * n:]
+
+    np.multiply(c, inst.a_sym, out=top[:, :n])
+    flat[:span:step] += t
+    flat[n:n + span:step] = -c
+    np.multiply(-c, a.T, out=top[:, 2 * n:3 * n])
+
+    # Y1 + (1-t)(S + X A), summed in the order the formula reads
+    np.multiply(x[:, None], a, out=mid[:, :n])
+    k = n * width
+    d = flat[k:k + span:step]
+    d += s
+    mid[:, :n] *= c
+    d += y1
+    flat[k + n:k + n + span:step] = x
+
+    np.multiply(y2[:, None], a, out=bot[:, :n])
+    k = 2 * n * step
+    flat[k:k + span:step] = s
 
 
 def jac_full(inst: HomotopyInstance, v: np.ndarray) -> np.ndarray:
@@ -134,42 +186,28 @@ def jac_full(inst: HomotopyInstance, v: np.ndarray) -> np.ndarray:
     with s = A x + q, S = diag(s) and g the first block of the limit
     system.  Zero blocks are left as allocated.
     """
-    x, y1, y2, t = _split(inst, v)
-    a, n = inst.A, inst.n
-    c = 1.0 - t
-    ax_q = a @ x + inst.q
+    x, y1, y2, t, s = _parts(inst, v)
+    n = inst.n
     j = np.zeros((3 * n, 3 * n + 1))
-    top, mid, bot = j[:n], j[n:2 * n], j[2 * n:]
-
-    np.multiply(c, inst.a_sym, out=top[:, :n])
-    _block_diag(j, 0, 0, n)[:] += t
-    _block_diag(j, 0, n, n)[:] = -c
-    np.multiply(-c, a.T, out=top[:, 2 * n:3 * n])
-
-    # Y1 + (1-t)(S + X A), summed in the order the formula reads
-    np.multiply(x[:, None], a, out=mid[:, :n])
-    d = _block_diag(j, n, 0, n)
-    d += ax_q
-    mid[:, :n] *= c
-    d += y1
-    _block_diag(j, n, n, n)[:] = x
-
-    np.multiply(y2[:, None], a, out=bot[:, :n])
-    _block_diag(j, 2 * n, 2 * n, n)[:] = ax_q
-
-    j[:, -1] = _dh_dt(inst, x, y1, y2, ax_q)
+    _fill_du(inst, j, x, y1, y2, t, s)
+    _dh_dt(inst, x, y1, y2, s, j[:, -1])
     return j
 
 
 def jac_u(inst: HomotopyInstance, v: np.ndarray) -> np.ndarray:
-    """Exact 3n x 3n derivative with respect to (x, y1, y2)."""
-    return jac_full(inst, v)[:, :-1]
+    """Exact 3n x 3n derivative with respect to (x, y1, y2): the first
+    3n columns of :func:`jac_full`, C-ordered."""
+    x, y1, y2, t, s = _parts(inst, v)
+    n = inst.n
+    j = np.zeros((3 * n, 3 * n))
+    _fill_du(inst, j, x, y1, y2, t, s)
+    return j
 
 
 def jac_t(inst: HomotopyInstance, v: np.ndarray) -> np.ndarray:
     """Exact 3n derivative with respect to t (the last column of jac_full)."""
-    x, y1, y2, _ = _split(inst, v)
-    return _dh_dt(inst, x, y1, y2, inst.A @ x + inst.q)
+    x, y1, y2, _, s = _parts(inst, v)
+    return _dh_dt(inst, x, y1, y2, s, np.empty(3 * inst.n))
 
 
 def _computed_start(lcp: SquareLcp) -> tuple[np.ndarray, ...]:

@@ -43,10 +43,14 @@ constants:
 The values must keep _EPS2 > _EPS3 > _EPS1 > 0, _A0 > 0 and 0 < _L0 < 1.
 
 Cost of one step: the tangent takes one guarded LU of dH/du, which gives
-both the direction and the determinant sign.  Each trial point then
-costs _M corrector passes, and each pass builds two wide Jacobians,
-evaluates the map twice and does three minimum-norm solves, each from
-one guarded LU of the transposed Jacobian (``minnorm_solve``).  LU with
+both the direction and the determinant sign; it factors (dH/du)^T, which
+is how LAPACK reads the C-ordered matrix, so nothing is copied, and
+solves with the transposed factors.  Each trial point then costs _M
+corrector passes, and each pass builds two wide Jacobians, evaluates the
+map twice and does three minimum-norm solves, each from one guarded LU
+of the transposed Jacobian (``minnorm_solve``); with one column more
+than rows, the shortest solution then takes a closed form.  The map and
+its Jacobians are written into one fresh array per call.  LU with
 partial pivoting is the tracer's only factorization, and LAPACK is
 called directly.  _M is 1 because one pass already brings most trial
 corrections below a residual of 1e-10; a second pass doubles the cost
@@ -67,6 +71,7 @@ true branch and stalls the walk.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -108,11 +113,19 @@ def det_sign_lu(lu: np.ndarray, piv: np.ndarray) -> int:
 
 
 def _lu_with_guard(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LU factorization that raises SingularJacobian on bad conditioning."""
-    anorm = np.linalg.norm(a, 1)
-    lu, piv, _ = lapack.dgetrf(a)
-    rcond, info = lapack.dgecon(lu, anorm, norm="1")
-    if info != 0 or not np.isfinite(rcond) or rcond < _RCOND_MIN:
+    """LU factorization P a^T = L U that raises SingularJacobian when
+    the 1-norm reciprocal condition estimate of a is below _RCOND_MIN.
+
+    a^T of a C-ordered a is Fortran-ordered, so dgetrf factors it in
+    a's own buffer (a is overwritten) without a copy.  The estimate is
+    dgecon's infinity-norm one of a^T, which is the 1-norm one of a;
+    det(a^T) = det(a), and ``dgetrs(lu, piv, b, trans=1)`` solves
+    a x = b.
+    """
+    anorm = np.abs(a).sum(axis=0).max()  # the 1-norm of a
+    lu, piv, _ = lapack.dgetrf(a.T, overwrite_a=1)
+    rcond, info = lapack.dgecon(lu, anorm, norm="I")
+    if info != 0 or not math.isfinite(rcond) or rcond < _RCOND_MIN:
         raise SingularJacobian(
             f"derivative matrix has reciprocal condition {rcond!r}"
         )
@@ -128,13 +141,16 @@ def minnorm_solve(j: np.ndarray, h: np.ndarray) -> np.ndarray:
     reads U^T (L1^T e1 + L2^T e2) = h, so its solutions are e1 = a - B e2
     for any e2, where U^T g = h and L1^T [a | B] = [g | L2^T].  The
     shortest takes e2 = c with (B^T B + I) c = B^T a, and d = P^T e has
-    the norm of e.  For square J (k = 0) this is the plain LU solve.
+    the norm of e.  For square J (k = 0) this is the plain LU solve.  For
+    k = 1, the tracer's 3n x (3n+1) Jacobians, B is one column b and
+    c = (b . a) / (1 + b . b) in closed form; a larger k solves the
+    k x k system by Cholesky (dposv).
 
     The gate is the 1-norm reciprocal condition estimate of U (dtrcon):
     it measures the r rows of J^T that pivoting chose, not J itself.
     Since pivoting ranges over all c rows, any J of full row rank passes,
     including a 3n x (3n+1) Jacobian at a fold where dH/du is singular.
-    A non-finite B (NaN or overflow in the rows left out of U) is
+    A non-finite B^T B (NaN or overflow in the rows left out of U) is
     rejected as well.
     """
     rows, cols = j.shape
@@ -144,7 +160,7 @@ def minnorm_solve(j: np.ndarray, h: np.ndarray) -> np.ndarray:
     lu, piv, info = lapack.dgetrf(j.T)
     # dtrcon takes the order from the leading dimension: pass U square
     rcond, _ = lapack.dtrcon(lu[:rows], norm="1", uplo="U", diag="N")
-    if info != 0 or not np.isfinite(rcond) or rcond < _RCOND_MIN:
+    if info != 0 or not math.isfinite(rcond) or rcond < _RCOND_MIN:
         raise SingularJacobian(
             f"correction system has reciprocal condition {rcond!r}"
         )
@@ -154,14 +170,26 @@ def minnorm_solve(j: np.ndarray, h: np.ndarray) -> np.ndarray:
     rhs[:, 1:] = lu[rows:].T
     ab, _ = lapack.dtrtrs(lu, rhs, lower=1, trans=1, unitdiag=1,
                           overwrite_b=1)
-    a, b = ab[:, 0], ab[:, 1:]
-    e = a
-    if k:
+    a = ab[:, 0]
+    if k == 1:
+        b = ab[:, 1]
+        bb = b @ b
+        if not math.isfinite(bb):
+            raise SingularJacobian("correction system has non-finite factors")
+        c = (b @ a) / (1.0 + bb)
+        e = np.empty(cols)
+        np.multiply(b, -c, out=e[:rows])
+        e[:rows] += a
+        e[rows] = c
+    elif k:
+        b = ab[:, 1:]
         gram = b.T @ b + np.eye(k)
         if not np.isfinite(gram).all():
             raise SingularJacobian("correction system has non-finite factors")
         _, c, _ = lapack.dposv(gram, b.T @ a)
         e = np.concatenate((a - b @ c, c))
+    else:
+        e = a
     return lapack.dlaswp(e[:, None], piv, inc=-1, overwrite_a=1)[:, 0]
 
 
@@ -195,12 +223,15 @@ def tangent(inst: HomotopyInstance, v: np.ndarray) -> tuple[np.ndarray, int]:
     orientation through folds.  At the anchor no flip happens: there
     dH/du is block lower triangular with diagonal blocks I, X0 and
     diag(A x0 + q), so its determinant is positive on every instance
-    that HomotopyInstance accepts.  One guarded LU of dH/du gives both s
-    and the sign; the guard already rejects a zero pivot.
+    that HomotopyInstance accepts.  One guarded LU of (dH/du)^T gives
+    both s and the sign (det of the transpose is the same); the guard
+    already rejects a zero pivot.
     """
     lu, piv = _lu_with_guard(jac_u(inst, v))
-    s, _ = lapack.dgetrs(lu, piv, jac_t(inst, v))
-    raw = np.concatenate([s, [-1.0]])
+    raw = np.empty(v.size)
+    raw[:-1] = lapack.dgetrs(lu, piv, jac_t(inst, v), trans=1,
+                             overwrite_b=1)[0]
+    raw[-1] = -1.0
     raw /= np.linalg.norm(raw)
     sign = det_sign_lu(lu, piv)
     return (raw if sign > 0 else -raw), sign

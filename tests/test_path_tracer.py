@@ -100,7 +100,8 @@ class TestDetSign:
             ju = jac_u(inst, v)
             _, sign = tangent(inst, v)
             assert sign == np.sign(np.linalg.det(ju))
-            piv = lapack.dgetrf(ju)[1]
+            # the tangent factors J_u^T, whose pivots differ from J_u's
+            piv = lapack.dgetrf(ju.T)[1]
             odd_swaps += np.count_nonzero(piv != np.arange(piv.size)) % 2
         assert odd_swaps > 0
 
@@ -182,15 +183,17 @@ class TestMinNorm:
 
     def test_nan_entry_rejected(self):
         # a NaN ends up either in U (the gated factor) or in the rows
-        # pivoting leaves out of U; every position must raise
+        # pivoting leaves out of U; every position must raise, on the
+        # Cholesky branch (k = 3) and on the closed-form one (k = 1)
         rng = np.random.default_rng(14)
-        base = rng.normal(size=(4, 7))
-        for row in range(4):
-            for col in range(7):
-                j = base.copy()
-                j[row, col] = np.nan
-                with pytest.raises(SingularJacobian):
-                    minnorm_solve(j, np.ones(4))
+        for rows, cols in ((4, 7), (4, 5)):
+            base = rng.normal(size=(rows, cols))
+            for row in range(rows):
+                for col in range(cols):
+                    j = base.copy()
+                    j[row, col] = np.nan
+                    with pytest.raises(SingularJacobian):
+                        minnorm_solve(j, np.ones(rows))
 
     def test_matches_pseudoinverse_along_example1_path(self, example1):
         # the path passes a fold near t ~ 0.24 (test_fold_is_navigated)
