@@ -178,19 +178,18 @@ class Answer:
 def solve(game: AratGame, max_steps: int = MAX_STEPS) -> Answer:
     """The paper's pipeline: game -> vertical LCP -> square LCP ->
     interior homotopy from the computed start -> pure pair read off the
-    endpoint, certified exactly on ``game`` (:func:`certify`).  r2 is
-    shifted first if that start leaves player-II rows unlifted
-    (:func:`r2_shift`); optimal pure pairs do not move under the shift.
+    endpoint, certified exactly on ``game`` (:func:`certify`).  If that
+    start leaves player-II rows unlifted, the built problem is traced
+    with r2 shifted (:func:`r2_shift`); the game is built and validated
+    once, and optimal pure pairs do not move under the shift.
     An invalid game raises InvalidGame; a lift lost to rounding against
     a reward near 1e16 times larger raises NoInteriorPointFound.  To
     trace from your own x0: ``trace(HomotopyInstance.from_lcp(lcp, x0))``.
     """
-    lcp = to_equivalent_lcp(build_vlcp(game))
-    c2 = r2_shift(lcp)
+    lcp, c2 = r2_shift(to_equivalent_lcp(build_vlcp(game)))
     value_shift = c2 / (1.0 - game.beta)
     if c2:
         log.info("r2 shifted by %s (value offset %s)", c2, value_shift)
-        lcp = to_equivalent_lcp(build_vlcp(game.shifted(0.0, c2)))
     start = find_interior_point(lcp)
     result = trace(HomotopyInstance.from_lcp(lcp, start), max_steps)
     log.info("trace finished: %s after %d accepted steps and %d rejected "

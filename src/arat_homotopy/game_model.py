@@ -21,7 +21,11 @@ import numpy as np
 PROB_TOL = 1e-12
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
+def _freeze(a, dtype=float) -> np.ndarray:
+    """A read-only copy of ``a`` as an array of ``dtype``: the caller's
+    array stays writable, and a later write to it does not reach the
+    copy.  Every constructor stores its arrays through this."""
+    a = np.array(a, dtype=dtype)
     a.setflags(write=False)
     return a
 
@@ -81,15 +85,13 @@ class AratGame:
                 )
         counts = tuple(a.size for a in r1 + r2)
         end = np.cumsum(counts)
-        # concatenate copies, so the caller's arrays are neither frozen
-        # nor able to change the game
         r = _freeze(np.concatenate(r1 + r2))
         p = _freeze(np.concatenate(p1 + p2))
         rows = [slice(e - c, e) for c, e in zip(counts, end.tolist())]
         stored = {
             "beta": float(self.beta), "r": r, "p": p,
-            "start": _freeze(end - counts),
-            "block": _freeze(np.repeat(np.arange(2 * d), counts)),
+            "start": _freeze(end - counts, int),
+            "block": _freeze(np.repeat(np.arange(2 * d), counts), int),
             "m1": counts[:d], "m2": counts[d:],
             "r1": tuple(r[k] for k in rows[:d]),
             "r2": tuple(r[k] for k in rows[d:]),
@@ -103,16 +105,6 @@ class AratGame:
     def d(self) -> int:
         """Number of states."""
         return len(self.m1)
-
-    def shifted(self, c1: float, c2: float) -> "AratGame":
-        """Return a copy with r1 shifted by c1 and r2 by c2."""
-        return AratGame(
-            beta=self.beta,
-            r1=tuple(a + c1 for a in self.r1),
-            r2=tuple(a + c2 for a in self.r2),
-            p1=self.p1,
-            p2=self.p2,
-        )
 
 
 @dataclass

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoInteriorPointFound
+from .game_model import _freeze
 from .vlcp_builder import SquareLcp
 
 #: Level of every eta copy in the computed start.
@@ -50,9 +51,8 @@ class HomotopyInstance:
     v0: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        a = np.array(self.A, dtype=float)
-        q = np.array(self.q, dtype=float)
-        x0 = np.array(self.x0, dtype=float)
+        a, q, x0 = (np.asarray(w, dtype=float)
+                    for w in (self.A, self.q, self.x0))
         n = q.size
         if a.shape != (n, n) or x0.size != n:
             raise ValueError("A must be n x n and all vectors length n")
@@ -68,8 +68,7 @@ class HomotopyInstance:
         vecs = {"A": a, "q": q, "x0": x0, "a_sym": a + a.T, "y0": y0,
                 "v0": np.concatenate([x0, e, e, [1.0]])}
         for name, v in vecs.items():
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _freeze(v))
 
     @property
     def n(self) -> int:
@@ -272,16 +271,21 @@ def find_interior_point(lcp: SquareLcp) -> np.ndarray:
     )
 
 
-def r2_shift(lcp: SquareLcp) -> float:
-    """The c2 to add to r2 (q on the player-II rows) of a game-built
-    problem before its start is computed: 0 unless the computed start
-    leaves player-II rows, and only such rows, unlifted, by the rule
-    :func:`find_interior_point` checks.  Then c2 = 1 + 0.01 max m1 -
-    min r2 leaves every player-II row a slack of at least 1 without the
-    xi copies; no shift lifts a player-I row."""
+def r2_shift(lcp: SquareLcp) -> tuple[SquareLcp, float]:
+    """The problem to trace and the c2 added to r2 (q on the player-II
+    rows) of the game-built ``lcp`` to make it: ``lcp`` itself and 0
+    unless its computed start leaves player-II rows, and only such rows,
+    unlifted, by the rule :func:`find_interior_point` checks.  Then
+    c2 = 1 + 0.01 max m1 - min r2 leaves every player-II row a slack of
+    at least 1 without the xi copies, and the problem is a copy of
+    ``lcp`` with c2 added to those rows of q, as if built from the game
+    with r2 shifted; no shift lifts a player-I row."""
     first_ii = lcp.J[lcp.k // 2].start
     unlifted = ~_computed_start(lcp)[2]
     if unlifted[:first_ii].any() or not unlifted[first_ii:].any():
-        return 0.0
+        return lcp, 0.0
     m1 = max(len(rng) for rng in lcp.J[:lcp.k // 2])
-    return float(1.0 + _EPS_SMALL * m1 - lcp.q[first_ii:].min())
+    c2 = float(1.0 + _EPS_SMALL * m1 - lcp.q[first_ii:].min())
+    q = lcp.q.copy()
+    q[first_ii:] += c2
+    return SquareLcp(M=lcp.M, q=q, J=lcp.J), c2

@@ -55,8 +55,8 @@ partial pivoting is the tracer's only factorization, and LAPACK is
 called directly.  _M is 1 because one pass already brings most trial
 corrections below a residual of 1e-10; a second pass doubles the cost
 of every trial.  The whole walk works on flat vectors
-v = (x, y1, y2, t); each accepted vector is frozen into a PathPoint,
-whose x, y1, y2 and t are views of it.
+v = (x, y1, y2, t); each accepted vector is copied into a read-only
+PathPoint, whose x, y1, y2 and t are views of that copy.
 
 The positivity gate guards x, the slack A x + q, and y2 - exactly the
 coordinates whose strict positivity is invariant along any solution
@@ -70,7 +70,6 @@ true branch and stalls the walk.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -80,10 +79,9 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import NotConverged, SingularJacobian
+from .game_model import _freeze
 from .homotopy_core import HomotopyInstance, eval_H, jac_full, jac_t, jac_u
 from .vlcp_builder import SquareLcp, VlcpSolution, recover_vlcp_solution
-
-log = logging.getLogger(__name__)
 
 # Step control; the module docstring gives each value's meaning.
 _EPS1 = 1e-7
@@ -133,30 +131,30 @@ def _lu_with_guard(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def minnorm_solve(j: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Minimum-norm solution of the underdetermined system J d = h.
+    """Minimum-norm solution of J d = h, for J square (k = 0) or with one
+    column more than rows (k = 1, the tracer's 3n x (3n+1) Jacobians);
+    any other k = c - r raises ValueError.
 
-    J is r x c with k = c - r >= 0.  One LU with partial pivoting over all
-    c rows of J^T gives P J^T = L U, where L = [L1; L2] stacks an r x r
-    unit lower triangle L1 on a k x r block L2.  With e = P d the system
-    reads U^T (L1^T e1 + L2^T e2) = h, so its solutions are e1 = a - B e2
-    for any e2, where U^T g = h and L1^T [a | B] = [g | L2^T].  The
-    shortest takes e2 = c with (B^T B + I) c = B^T a, and d = P^T e has
-    the norm of e.  For square J (k = 0) this is the plain LU solve.  For
-    k = 1, the tracer's 3n x (3n+1) Jacobians, B is one column b and
-    c = (b . a) / (1 + b . b) in closed form; a larger k solves the
-    k x k system by Cholesky (dposv).
+    One LU with partial pivoting over all c rows of J^T gives
+    P J^T = L U, where L stacks an r x r unit lower triangle L1 on k
+    rows l2.  With e = P d the system reads U^T (L1^T e1 + l2^T e2) = h,
+    so for k = 1 its solutions are e1 = a - b e2 for any scalar e2,
+    where U^T g = h and L1^T [a | b] = [g | l2^T].  The shortest takes
+    e2 = c = (b . a) / (1 + b . b), and d = P^T e has the norm of e.
+    For k = 0 this is the plain LU solve, e = a.
 
     The gate is the 1-norm reciprocal condition estimate of U (dtrcon):
     it measures the r rows of J^T that pivoting chose, not J itself.
     Since pivoting ranges over all c rows, any J of full row rank passes,
     including a 3n x (3n+1) Jacobian at a fold where dH/du is singular.
-    A non-finite B^T B (NaN or overflow in the rows left out of U) is
+    A non-finite b . b (NaN or overflow in the row left out of U) is
     rejected as well.
     """
     rows, cols = j.shape
-    if rows > cols:
-        raise ValueError("minnorm_solve needs a square or wide matrix")
     k = cols - rows
+    if k not in (0, 1):
+        raise ValueError("minnorm_solve needs a square matrix or one with "
+                         "one column more than rows")
     lu, piv, info = lapack.dgetrf(j.T)
     # dtrcon takes the order from the leading dimension: pass U square
     rcond, _ = lapack.dtrcon(lu[:rows], norm="1", uplo="U", diag="N")
@@ -165,13 +163,13 @@ def minnorm_solve(j: np.ndarray, h: np.ndarray) -> np.ndarray:
             f"correction system has reciprocal condition {rcond!r}"
         )
     g, _ = lapack.dtrtrs(lu, h, trans=1)
-    rhs = np.empty((k + 1, rows)).T  # Fortran order, columns g and L2^T
+    rhs = np.empty((k + 1, rows)).T  # Fortran order, columns g and l2^T
     rhs[:, 0] = g
     rhs[:, 1:] = lu[rows:].T
     ab, _ = lapack.dtrtrs(lu, rhs, lower=1, trans=1, unitdiag=1,
                           overwrite_b=1)
     a = ab[:, 0]
-    if k == 1:
+    if k:
         b = ab[:, 1]
         bb = b @ b
         if not math.isfinite(bb):
@@ -181,13 +179,6 @@ def minnorm_solve(j: np.ndarray, h: np.ndarray) -> np.ndarray:
         np.multiply(b, -c, out=e[:rows])
         e[:rows] += a
         e[rows] = c
-    elif k:
-        b = ab[:, 1:]
-        gram = b.T @ b + np.eye(k)
-        if not np.isfinite(gram).all():
-            raise SingularJacobian("correction system has non-finite factors")
-        _, c, _ = lapack.dposv(gram, b.T @ a)
-        e = np.concatenate((a - b @ c, c))
     else:
         e = a
     return lapack.dlaswp(e[:, None], piv, inc=-1, overwrite_a=1)[:, 0]
@@ -254,10 +245,10 @@ class TraceStatus(Enum):
 
 @dataclass(frozen=True, eq=False)
 class PathPoint:
-    """An accepted location v = (x, y1, y2, t), read-only, with its
-    residual ||H(v)||, the predictor step that reached it and the sign
-    of det(dH/du) at the point it was reached from; x, y1, y2 and t are
-    views of v."""
+    """An accepted location v = (x, y1, y2, t), a read-only copy of the
+    input, with its residual ||H(v)||, the predictor step that reached
+    it and the sign of det(dH/du) at the point it was reached from; x,
+    y1, y2 and t are views of v."""
 
     v: np.ndarray
     residual: float
@@ -265,9 +256,7 @@ class PathPoint:
     det_sign: int
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.v, dtype=float).view()
-        v.setflags(write=False)
-        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "v", _freeze(self.v))
 
     @property
     def _n(self) -> int:

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidGame
-from .game_model import AratGame, validate
+from .game_model import AratGame, _freeze, validate
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,10 +32,7 @@ class VlcpInstance:
     block_sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        a = np.array(self.A, dtype=float)  # a copy, frozen
-        q = np.array(self.q, dtype=float)
-        a.setflags(write=False)
-        q.setflags(write=False)
+        a, q = _freeze(self.A), _freeze(self.q)
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "block_sizes", tuple(int(b) for b in self.block_sizes))
@@ -61,10 +58,7 @@ class SquareLcp:
     J: tuple[range, ...]
 
     def __post_init__(self) -> None:
-        m_mat = np.array(self.M, dtype=float)  # a copy, frozen
-        q = np.array(self.q, dtype=float)
-        m_mat.setflags(write=False)
-        q.setflags(write=False)
+        m_mat, q = _freeze(self.M), _freeze(self.q)
         object.__setattr__(self, "M", m_mat)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "J", tuple(self.J))

@@ -84,6 +84,13 @@ def random_arat_game(rng: np.random.Generator, *, d_max: int = 2,
                     p1=tuple(p1), p2=tuple(p2))
 
 
+def shifted_game(game: AratGame, c1: float, c2: float) -> AratGame:
+    """A copy of ``game`` with r1 shifted by c1 and r2 by c2."""
+    return AratGame(beta=game.beta, r1=tuple(a + c1 for a in game.r1),
+                    r2=tuple(a + c2 for a in game.r2), p1=game.p1,
+                    p2=game.p2)
+
+
 def composed_reward(game: AratGame, s: int, i: int, j: int) -> float:
     """Reward paid by player II to player I in state ``s`` under (i, j)."""
     return float(game.r1[s][i] + game.r2[s][j])

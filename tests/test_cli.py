@@ -22,8 +22,13 @@ from arat_homotopy.errors import InvalidGame, MaxIterExceeded, NoInteriorPointFo
 from arat_homotopy.game_model import AratGame, validate
 from arat_homotopy.homotopy_core import HomotopyInstance, find_interior_point
 from arat_homotopy.oracle import evaluate_pure_pair, value_iteration
-from arat_homotopy.path_tracer import extract_solution
-from arat_homotopy.vlcp_builder import build_vlcp, to_equivalent_lcp
+from arat_homotopy.path_tracer import PathPoint, extract_solution
+from arat_homotopy.vlcp_builder import (
+    SquareLcp,
+    VlcpInstance,
+    build_vlcp,
+    to_equivalent_lcp,
+)
 
 from conftest import (
     FIXTURES,
@@ -81,16 +86,26 @@ class TestValidateCommand:
          "state 2, playerII: transitions: False is not a number"),
         ("rewards", 10**400,
          "state 2, playerII: int too large to convert to float"),
+        # the document's shape: its top level, its states, a row's length
+        ("document", [], "top level must be a JSON object"),
+        ("states", [], "'states' must be a non-empty array"),
+        ("row", [0.5],
+         "state 2, playerII: every transition row needs 2 entries"),
     ])
     def test_non_number_or_huge_integer_is_a_parse_error(
             self, tmp_path, capsys, where, value, message):
         doc = game_to_doc(make_example1())
-        if where == "beta":
-            doc["beta"] = value
+        player = doc["states"][1]["playerII"]
+        if where == "document":
+            doc = value
+        elif where in ("beta", "states"):
+            doc[where] = value
         elif where == "rewards":
-            doc["states"][1]["playerII"]["rewards"][0] = value
+            player["rewards"][0] = value
+        elif where == "row":
+            player["transitions"][0] = value
         else:
-            doc["states"][1]["playerII"]["transitions"][0][0] = value
+            player["transitions"][0][0] = value
         for verb in ("validate", "oracle"):
             assert cli.main([verb, write_game(tmp_path, doc)]) == 2
             err = capsys.readouterr().err
@@ -413,6 +428,39 @@ def test_array_holding_types_compare_by_identity():
         assert len({a, b, a}) == 2
 
 
+# type -> (build it around the caller's array a, the array's data, the
+# stored arrays that hold a's values)
+STORES_A_COPY = {
+    "AratGame": (lambda a: AratGame(beta=0.5, r1=(a,), r2=(a,),
+                                    p1=([[0.5]],), p2=([[0.5]],)),
+                 [2.0], lambda g: (g.r1[0], g.r2[0])),
+    "VlcpInstance": (lambda a: VlcpInstance(A=a, q=a[0], block_sizes=(1, 1)),
+                     [[2.0, 1.0], [0.0, 3.0]], lambda v: (v.A, v.q)),
+    "SquareLcp": (lambda a: SquareLcp(M=a, q=a[0], J=(range(1), range(1, 2))),
+                  [[2.0, 1.0], [0.0, 3.0]], lambda lcp: (lcp.M, lcp.q)),
+    "HomotopyInstance": (lambda a: HomotopyInstance(A=np.eye(2), q=a, x0=a),
+                         [1.0, 2.0], lambda inst: (inst.q, inst.x0)),
+    "PathPoint": (lambda a: PathPoint(a, residual=0.0, step_length=0.0,
+                                      det_sign=1),
+                  [1.0, 2.0, 3.0, 0.5], lambda pt: (pt.v,)),
+}
+
+
+@pytest.mark.parametrize("make, data, stored", STORES_A_COPY.values(),
+                         ids=STORES_A_COPY.keys())
+def test_constructor_stores_a_read_only_copy(make, data, stored):
+    # the caller's array stays writable, and writing to it later does
+    # not reach the object
+    a = np.array(data)
+    obj = make(a)
+    kept = [w.copy() for w in stored(obj)]
+    assert a.flags.writeable
+    assert not any(w.flags.writeable for w in stored(obj))
+    a += 99.0
+    for w, k in zip(stored(obj), kept):
+        np.testing.assert_array_equal(w, k)
+
+
 class TestValidateOnce:
     @pytest.mark.parametrize("verb", ["solve", "oracle", "build"])
     def test_each_verb_validates_once(self, verb, monkeypatch, capsys):
@@ -429,6 +477,30 @@ class TestValidateOnce:
         monkeypatch.setattr(vlcp_builder, "validate", counted)
         assert cli.main([verb, EX1]) == 0
         assert len(calls) == 1
+
+    def test_solve_with_r2_shift_builds_and_validates_once(self,
+                                                           monkeypatch):
+        # the shift is applied to the built problem, not to a rebuilt game
+        from arat_homotopy import vlcp_builder
+
+        calls = []
+
+        def counted(name, real):
+            def call(game):
+                calls.append(name)
+                return real(game)
+            return call
+
+        monkeypatch.setattr(cli, "validate", counted("validate", validate))
+        monkeypatch.setattr(vlcp_builder, "validate",
+                            counted("validate", validate))
+        monkeypatch.setattr(cli, "build_vlcp",
+                            counted("build_vlcp", build_vlcp))
+        game = AratGame(beta=0.5, r1=([2.0],), r2=([-1.0],),
+                        p1=([[1.0]],), p2=([[0.0]],))
+        answer = cli.solve(game)
+        assert answer.value_shift > 0.0 and answer.passed
+        assert sorted(calls) == ["build_vlcp", "validate"]
 
     @pytest.mark.parametrize("fixture", [EX1, EX2],
                              ids=["example1", "example2"])

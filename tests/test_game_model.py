@@ -13,6 +13,7 @@ from conftest import (
     composed_reward,
     composed_transition,
     make_example1,
+    shifted_game,
     validate_per_state,
 )
 
@@ -277,7 +278,7 @@ class TestShiftInvariance:
     @settings(max_examples=40, deadline=None)
     def test_uniform_shift_moves_every_entry_by_constant(self, c1, c2):
         game = make_example1()
-        shifted = game.shifted(c1, c2)
+        shifted = shifted_game(game, c1, c2)
         for s in range(game.d):
             np.testing.assert_allclose(
                 reward_matrix(shifted, s),
@@ -289,7 +290,7 @@ class TestShiftInvariance:
         # argmax/argmin of each state matrix (plus any fixed continuation
         # term) are invariant under a constant shift of all entries
         v = np.array([2.0, -3.0])
-        shifted = example1.shifted(5.0, -2.5)
+        shifted = shifted_game(example1, 5.0, -2.5)
         for s in range(example1.d):
             def aux(game):
                 q = reward_matrix(game, s).copy()

@@ -26,6 +26,7 @@ from conftest import (
     make_example2,
     pure_saddle,
     random_arat_game,
+    shifted_game,
     stage_matrix,
     value_iteration_sup_norm,
 )
@@ -255,7 +256,8 @@ class TestShiftCovariance:
     def test_value_shifts_by_constant_over_one_minus_beta(self, example1):
         c1, c2 = 2.5, -1.25
         base = value_iteration(example1, tol=1e-11)
-        shifted = value_iteration(example1.shifted(c1, c2), tol=1e-11)
+        shifted = value_iteration(shifted_game(example1, c1, c2),
+                                  tol=1e-11)
         offset = (c1 + c2) / (1.0 - example1.beta)
         np.testing.assert_allclose(shifted.v, base.v + offset, atol=1e-8)
         assert shifted.strategy_i == base.strategy_i

@@ -118,8 +118,8 @@ class TestMinNorm:
     def test_interleaved_shapes_match_pseudoinverse(self):
         # alternating shapes, square and wide, through one kernel
         rng = np.random.default_rng(9)
-        shapes = [(1, 2), (4, 7), (24, 25), (3, 3), (10, 31), (24, 25),
-                  (1, 2), (4, 7), (10, 31), (3, 3)]
+        shapes = [(1, 2), (4, 5), (24, 25), (3, 3), (10, 11), (24, 25),
+                  (1, 2), (4, 5), (10, 11), (3, 3)]
         for rows, cols in shapes:
             j = rng.normal(size=(rows, cols))
             h = rng.normal(size=rows)
@@ -137,9 +137,15 @@ class TestMinNorm:
         with pytest.raises(ValueError):
             minnorm_solve(np.ones((3, 2)), np.ones(3))
 
+    def test_more_than_one_extra_column_rejected(self):
+        # the tracer's systems are 3n x (3n+1); a wider one has no route
+        for rows, cols in ((1, 3), (4, 7), (10, 31)):
+            with pytest.raises(ValueError, match="one column more"):
+                minnorm_solve(np.ones((rows, cols)), np.ones(rows))
+
     def test_wide_system_minimum_norm(self):
         rng = np.random.default_rng(0)
-        j = rng.normal(size=(4, 7))
+        j = rng.normal(size=(4, 5))
         h = rng.normal(size=4)
         d = minnorm_solve(j, h)
         np.testing.assert_allclose(j @ d, h, atol=1e-12)
@@ -176,17 +182,17 @@ class TestMinNorm:
 
     def test_repeated_row_rejected(self):
         rng = np.random.default_rng(13)
-        j = rng.normal(size=(5, 8))
+        j = rng.normal(size=(5, 6))
         j[3] = j[1]
         with pytest.raises(SingularJacobian):
             minnorm_solve(j, np.ones(5))
 
     def test_nan_entry_rejected(self):
-        # a NaN ends up either in U (the gated factor) or in the rows
+        # a NaN ends up either in U (the gated factor) or in the row
         # pivoting leaves out of U; every position must raise, on the
-        # Cholesky branch (k = 3) and on the closed-form one (k = 1)
+        # square solve (k = 0) and on the closed-form one (k = 1)
         rng = np.random.default_rng(14)
-        for rows, cols in ((4, 7), (4, 5)):
+        for rows, cols in ((4, 4), (4, 5)):
             base = rng.normal(size=(rows, cols))
             for row in range(rows):
                 for col in range(cols):
@@ -511,6 +517,108 @@ class TestStepLadder:
         assert result.rejected == 82 - 52
         sol = extract_solution(result, lcp)
         assert certify(game, sol.strategy_i, sol.strategy_ii).passed
+
+
+class TestTraceEndings:
+    def test_singular_tangent_ends_the_walk(self, monkeypatch, example1):
+        # the third tangent (after two accepted steps) cannot be factored
+        _, inst = instance_for(example1)
+        real_tangent, calls = path_tracer.tangent, []
+
+        def tangent(inst, v):
+            calls.append(v)
+            if len(calls) == 3:
+                raise SingularJacobian("derivative matrix has reciprocal "
+                                       "condition 0.0")
+            return real_tangent(inst, v)
+
+        monkeypatch.setattr(path_tracer, "tangent", tangent)
+        result = trace(inst)
+        assert result.status is TraceStatus.SINGULAR_JACOBIAN
+        assert result.detail == ("derivative matrix has reciprocal "
+                                 "condition 0.0")
+        assert len(result.path) == 3
+
+    def test_singular_corrector_ends_the_walk_at_the_floor(self, monkeypatch,
+                                                           example1):
+        # every trial raises: the first ladder runs from a = 1 down to the
+        # first rung at or below _A0, and only that one ends the walk
+        _, inst = instance_for(example1)
+
+        def corrector(inst, v):
+            raise SingularJacobian("correction system has reciprocal "
+                                   "condition 0.0")
+
+        monkeypatch.setattr(path_tracer, "corrector", corrector)
+        result = trace(inst)
+        assert result.status is TraceStatus.SINGULAR_JACOBIAN
+        assert result.detail == ("correction system has reciprocal "
+                                 "condition 0.0")
+        assert len(result.path) == 1
+        floor = int(np.ceil(np.log(_A0) / np.log(_L0)))
+        assert _L0 ** floor <= _A0 < _L0 ** (floor - 1)
+        assert result.rejected == floor + 1
+
+    def test_coordinate_beyond_the_bound_ends_the_walk(self, monkeypatch,
+                                                       example1):
+        _, inst = instance_for(example1)
+        bound = 0.5 * float(np.abs(inst.v0[:-1]).max())
+        monkeypatch.setattr(path_tracer, "_BOUND_B", bound)
+        result = trace(inst)
+        assert result.status is TraceStatus.PATH_UNBOUNDED
+        assert result.detail == f"iterate norm exceeded {bound!r}"
+        assert len(result.path) == 2
+
+    def test_stall_next_to_the_target_hyperplane(self, monkeypatch,
+                                                 example1):
+        # every trial that lands below t = 5e-4 is refused, so the walk
+        # creeps up to that level; its last ladder fails within _EPS2 of
+        # t = 0 and goes on below _EPS3 down to the progress floor
+        _, inst = instance_for(example1)
+        level = 5e-4
+        real_tangent, currents = path_tracer.tangent, []
+        real_corrector, lengths = path_tracer.corrector, []
+
+        def tangent(inst, v):
+            currents.append(v)
+            return real_tangent(inst, v)
+
+        def corrector(inst, v):
+            lengths.append(float(np.linalg.norm(v - currents[-1])))
+            cand = real_corrector(inst, v)
+            if cand[-1] < level:
+                cand[0] = -1.0  # fails the positivity gate
+            return cand
+
+        monkeypatch.setattr(path_tracer, "tangent", tangent)
+        monkeypatch.setattr(path_tracer, "corrector", corrector)
+        result = trace(inst)
+        assert result.status is TraceStatus.NO_PROGRESS
+        assert result.detail.startswith("stalled within eps2 of the target "
+                                        "hyperplane")
+        assert level <= result.path[-1].t < _EPS2
+        assert min(lengths) <= _A0
+
+    def test_implausible_dt_shrinks_the_step(self, monkeypatch, example1):
+        # the first step's three longest trials return a point next to
+        # the current one (dt = 0) that both gates would accept; the
+        # ladder shrinks past them and accepts the fourth
+        _, inst = instance_for(example1)
+        real_corrector, calls = path_tracer.corrector, []
+
+        def corrector(inst, v):
+            calls.append(v)
+            if len(calls) > 3:
+                return real_corrector(inst, v)
+            cand = inst.v0.copy()
+            cand[inst.n] += 1e-6  # y1, which no gate reads
+            return cand
+
+        monkeypatch.setattr(path_tracer, "corrector", corrector)
+        result = trace(inst, max_steps=1)
+        assert result.path[1].step_length == _L0 ** 3
+        assert result.rejected == 3
+        assert result.path[1].t < 1.0
 
 
 class TestExtractSolution:
