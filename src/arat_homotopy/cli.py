@@ -61,6 +61,14 @@ def _real(field: str, value: object) -> float:
     return float(value)
 
 
+def _reals(field: str, values: object) -> list:
+    """A JSON array of numbers as floats: an array that holds only floats
+    as it is, any other entry by entry through :func:`_real`."""
+    if type(values) is list and {*map(type, values)} <= {float}:
+        return values
+    return [_real(field, v) for v in values]
+
+
 def parse_game_doc(doc: object) -> AratGame:
     """Build a game from a parsed JSON document, checking the schema."""
     if not isinstance(doc, dict):
@@ -73,38 +81,35 @@ def parse_game_doc(doc: object) -> AratGame:
     if not isinstance(states, list) or not states:
         raise GameFileError("'states' must be a non-empty array")
     d = len(states)
-    r1, r2, p1, p2 = [], [], [], []
+    # the stacked rows, gathered per player (player I's, then player II's)
+    rewards, rows, counts = ([], []), ([], []), ([], [])
     for s, entry in enumerate(states):
-        for player, rewards, transitions in (
-            ("playerI", r1, p1),
-            ("playerII", r2, p2),
-        ):
+        for k, player in enumerate(("playerI", "playerII")):
             try:
                 block = entry[player]
-                rew = [_real("rewards", v) for v in block["rewards"]]
-                rows = [[_real("transitions", v) for v in row]
-                        for row in block["transitions"]]
+                rew = _reals("rewards", block["rewards"])
+                trans = [_reals("transitions", row)
+                         for row in block["transitions"]]
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise GameFileError(
                     f"state {s + 1}, {player}: {exc}"
                 ) from exc
-            if len(rows) != len(rew):
+            if len(trans) != len(rew):
                 raise GameFileError(
                     f"state {s + 1}, {player}: {len(rew)} rewards but "
-                    f"{len(rows)} transition rows"
+                    f"{len(trans)} transition rows"
                 )
-            if any(len(row) != d for row in rows):
+            if any(len(row) != d for row in trans):
                 raise GameFileError(
                     f"state {s + 1}, {player}: every transition row needs "
                     f"{d} entries"
                 )
-            rewards.append(np.array(rew))
-            transitions.append(np.array(rows).reshape(len(rew), d))
-    try:
-        return AratGame(beta=beta, r1=tuple(r1), r2=tuple(r2),
-                        p1=tuple(p1), p2=tuple(p2))
-    except ValueError as exc:
-        raise GameFileError(str(exc)) from exc
+            rewards[k].extend(rew)
+            rows[k].extend(trans)
+            counts[k].append(len(rew))
+    r = np.array(rewards[0] + rewards[1], dtype=float)
+    p = np.array(rows[0] + rows[1], dtype=float).reshape(r.size, d)
+    return AratGame.from_stacked(beta, r, p, *counts)
 
 
 def load_game(path: str | Path) -> AratGame:

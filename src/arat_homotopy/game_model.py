@@ -13,6 +13,7 @@ all user-facing messages are 1-based (the CLI parser is the boundary).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -43,6 +44,7 @@ class AratGame:
     The game is stored once, as a copy of the inputs, with one row per
     action: player I's actions state by state, then player II's.  These
     stacked arrays are read-only, and r1, r2, p1 and p2 are views of them.
+    :meth:`from_stacked` builds a game from that layout directly.
 
     r: every action's reward, shape (K,).
     p: the matching transition rows, shape (K, d).
@@ -83,20 +85,48 @@ class AratGame:
                     f"state {s + 1}: player-II transitions must be "
                     f"{r2[s].size} x {d}, got {p2[s].shape}"
                 )
-        counts = tuple(a.size for a in r1 + r2)
-        end = np.cumsum(counts)
-        r = _freeze(np.concatenate(r1 + r2))
-        p = _freeze(np.concatenate(p1 + p2))
-        rows = [slice(e - c, e) for c, e in zip(counts, end.tolist())]
+        self._store(self.beta, np.concatenate(r1 + r2),
+                    np.concatenate(p1 + p2), tuple(a.size for a in r1 + r2))
+
+    @classmethod
+    def from_stacked(cls, beta: float, r, p, m1, m2) -> AratGame:
+        """The game whose stacked rows are ``r`` (shape (K,)) and ``p``
+        (shape (K, d)), with ``m1[s]`` and ``m2[s]`` actions in state s,
+        K = sum(m1) + sum(m2); stores a read-only copy, as the per-state
+        constructor does.  Sizes that do not agree raise ValueError."""
+        counts = (*map(int, m1), *map(int, m2))
+        d = len(m1)
+        r, p = np.asarray(r, dtype=float), np.asarray(p, dtype=float)
+        if len(m2) != d or d == 0 or min(counts) < 0:
+            raise ValueError("m1 and m2 must give a nonnegative action "
+                             "count for every state, and d >= 1")
+        k = sum(counts)
+        if r.shape != (k,) or p.shape != (k, d):
+            raise ValueError(
+                f"r must be ({k},) and p {k} x {d} for these action counts, "
+                f"got {r.shape} and {p.shape}"
+            )
+        game = object.__new__(cls)
+        game._store(beta, r, p, counts)
+        return game
+
+    def _store(self, beta: float, r, p, counts: tuple[int, ...]) -> None:
+        """Store the game: read-only copies of the stacked ``r`` and ``p``,
+        the layout of ``counts`` (the action count of each of the 2d
+        blocks) and r1..p2 as views of r and p."""
+        d = len(counts) // 2
+        r, p = _freeze(r), _freeze(p)
+        end = list(accumulate(counts))
+        start = [0, *end[:-1]]
+        r_rows = [r[a:e] for a, e in zip(start, end)]
+        p_rows = [p[a:e] for a, e in zip(start, end)]
         stored = {
-            "beta": float(self.beta), "r": r, "p": p,
-            "start": _freeze(end - counts, int),
-            "block": _freeze(np.repeat(np.arange(2 * d), counts), int),
+            "beta": float(beta), "r": r, "p": p,
+            "start": _freeze(start, int),
+            "block": _freeze(np.arange(2 * d).repeat(counts), int),
             "m1": counts[:d], "m2": counts[d:],
-            "r1": tuple(r[k] for k in rows[:d]),
-            "r2": tuple(r[k] for k in rows[d:]),
-            "p1": tuple(p[k] for k in rows[:d]),
-            "p2": tuple(p[k] for k in rows[d:]),
+            "r1": tuple(r_rows[:d]), "r2": tuple(r_rows[d:]),
+            "p1": tuple(p_rows[:d]), "p2": tuple(p_rows[d:]),
         }
         for name, value in stored.items():
             object.__setattr__(self, name, value)

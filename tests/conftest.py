@@ -121,6 +121,23 @@ def game_to_doc(game: AratGame) -> dict:
     }
 
 
+def assert_same_store(game: AratGame, reference: AratGame) -> None:
+    """``game`` stores exactly what ``reference`` stores: the same beta,
+    m1 and m2, and r, p, start and block equal byte for byte and
+    read-only, with r1..p2 read-only views of r and p."""
+    assert (game.beta, game.m1, game.m2) == (
+        reference.beta, reference.m1, reference.m2)
+    for name in ("r", "p", "start", "block"):
+        a, b = getattr(game, name), getattr(reference, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape,
+                                                   b.tobytes())
+        assert not a.flags.writeable
+    for views, base in (((*game.r1, *game.r2), game.r),
+                        ((*game.p1, *game.p2), game.p)):
+        for view in views:
+            assert view.base is base and not view.flags.writeable
+
+
 def stage_matrix(game: AratGame, s: int, v: np.ndarray) -> np.ndarray:
     """Auxiliary one-shot matrix of state ``s``, entry by entry: composed
     reward plus discounted continuation at ``v``."""

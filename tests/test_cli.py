@@ -32,10 +32,12 @@ from arat_homotopy.vlcp_builder import (
 
 from conftest import (
     FIXTURES,
+    assert_same_store,
     composed_reward,
     composed_transition,
     game_to_doc,
     make_example1,
+    make_example2,
     make_two_absorbing_states,
     random_arat_game,
 )
@@ -123,6 +125,34 @@ class TestValidateCommand:
         np.testing.assert_array_equal(parsed.r1[0], game.r1[0])
         np.testing.assert_array_equal(parsed.p1[0], game.p1[0])
 
+        # integer entries (rewards such as 4, rows such as [1, 0]) take
+        # the entry-by-entry route and store what the floats store
+        def integers(x):
+            if isinstance(x, float) and x.is_integer():
+                return int(x)
+            if isinstance(x, list):
+                return [integers(v) for v in x]
+            if isinstance(x, dict):
+                return {k: integers(v) for k, v in x.items()}
+            return x
+
+        unit_rows = {"beta": 0.5, "states": [
+            {"playerI": {"rewards": [4.0, 1.5],
+                         "transitions": [[1.0, 0.0], [0.0, 1.0]]},
+             "playerII": {"rewards": [3.0], "transitions": [[0.0, 0.0]]}},
+            {"playerI": {"rewards": [2.0], "transitions": [[0.0, 1.0]]},
+             "playerII": {"rewards": [-1.0], "transitions": [[0.0, 0.0]]}},
+        ]}
+        for doc in (game_to_doc(game), unit_rows):
+            written = {"beta": doc["beta"],
+                       "states": integers(doc["states"])}
+            first = written["states"][0]["playerI"]
+            assert type(first["rewards"][0]) is int
+            assert first["rewards"][0] == 4
+            assert 0 in first["transitions"][0]
+            assert_same_store(cli.parse_game_doc(written),
+                              cli.parse_game_doc(doc))
+
     def test_negative_probability_exits_1_with_index(self, tmp_path, capsys):
         doc = game_to_doc(make_example1())
         doc["states"][0]["playerI"]["transitions"][0][0] = -0.5
@@ -136,6 +166,26 @@ class TestValidateCommand:
         doc = game_to_doc(make_example1())
         doc["states"][0]["playerI"]["rewards"].append(1.0)
         assert cli.main(["validate", write_game(tmp_path, doc)]) == 2
+
+
+def _empty_action_game() -> AratGame:
+    """Player I has no action in state 1 (a game validate rejects)."""
+    return AratGame(beta=0.5, r1=([], [1.0]), r2=([1.0], [2.0, 3.0]),
+                    p1=(np.zeros((0, 2)), [[0.5, 0.5]]),
+                    p2=([[0.5, 0.0]], [[0.0, 0.5], [0.5, 0.0]]))
+
+
+@pytest.mark.parametrize("game", [
+    make_example1(), make_example2(),
+    *(random_arat_game(np.random.default_rng(seed), d_max=5, actions_max=3)
+      for seed in range(20)),
+    _empty_action_game(),
+], ids=["example1", "example2", *(f"random{seed}" for seed in range(20)),
+        "empty_actions"])
+def test_parser_stores_what_the_per_state_constructor_stores(game):
+    parsed = cli.parse_game_doc(game_to_doc(game))
+    assert_same_store(parsed, game)
+    assert validate(parsed).violations == validate(game).violations
 
 
 class TestSolveCommand:
@@ -434,6 +484,9 @@ STORES_A_COPY = {
     "AratGame": (lambda a: AratGame(beta=0.5, r1=(a,), r2=(a,),
                                     p1=([[0.5]],), p2=([[0.5]],)),
                  [2.0], lambda g: (g.r1[0], g.r2[0])),
+    "AratGame.from_stacked": (
+        lambda a: AratGame.from_stacked(0.5, a, [[0.5], [0.5]], (1,), (1,)),
+        [2.0, 1.0], lambda g: (g.r, g.r1[0], g.r2[0])),
     "VlcpInstance": (lambda a: VlcpInstance(A=a, q=a[0], block_sizes=(1, 1)),
                      [[2.0, 1.0], [0.0, 3.0]], lambda v: (v.A, v.q)),
     "SquareLcp": (lambda a: SquareLcp(M=a, q=a[0], J=(range(1), range(1, 2))),

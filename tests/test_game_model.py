@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from arat_homotopy.game_model import AratGame, validate
 
 from conftest import (
+    assert_same_store,
     composed_reward,
     composed_transition,
     make_example1,
@@ -229,6 +230,32 @@ class TestStackedStore:
         r[0], p[0, 0] = 9.0, 9.0
         assert game.r1[0][0] == game.r[0] == 1.0
         assert game.p1[0][0, 0] == game.p[0, 0] == 0.5
+
+
+class TestFromStacked:
+    def test_stores_what_the_per_state_constructor_stores(self):
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            d = int(rng.integers(1, 5))
+            counts = rng.integers(0, 4, size=(2, d))
+            r = [tuple(rng.normal(size=m) for m in c) for c in counts]
+            p = [tuple(rng.uniform(size=(m, d)) for m in c) for c in counts]
+            game = AratGame(beta=0.5, r1=r[0], r2=r[1], p1=p[0], p2=p[1])
+            stacked = AratGame.from_stacked(
+                0.5, np.concatenate(r[0] + r[1]),
+                np.concatenate(p[0] + p[1]).reshape(-1, d), *counts)
+            assert_same_store(stacked, game)
+
+    @pytest.mark.parametrize("r, p, m1, m2, message", [
+        ([1.0, 2.0], [[0.5], [0.5]], (2,), (1,), "r must be"),  # r.size != 3
+        ([1.0, 2.0, 3.0], [[0.5], [0.5]], (2,), (1,), "r must be"),  # 2 x 1
+        ([1.0, 2.0, 3.0], [[0.5, 0.0]] * 3, (2,), (1,), "r must be"),  # 3 x 2
+        ([1.0, 2.0, 3.0], [[0.5]] * 3, (2,), (1, 0), "m1 and m2"),
+        ([], np.zeros((0, 0)), (), (), "m1 and m2"),  # d = 0
+    ])
+    def test_sizes_that_do_not_agree_raise(self, r, p, m1, m2, message):
+        with pytest.raises(ValueError, match=message):
+            AratGame.from_stacked(0.5, r, p, m1, m2)
 
 
 class TestComposedQuantities:
