@@ -13,7 +13,6 @@ from .errors import (
     InvalidGame,
     MaxIterExceeded,
     NoInteriorPointFound,
-    NotConverged,
     SingularJacobian,
     SizeGuardExceeded,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "InvalidGame",
     "MaxIterExceeded",
     "NoInteriorPointFound",
-    "NotConverged",
     "SingularJacobian",
     "SizeGuardExceeded",
 ]

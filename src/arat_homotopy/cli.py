@@ -189,14 +189,14 @@ def solve(game: AratGame, max_steps: int = MAX_STEPS) -> Answer:
     once, and optimal pure pairs do not move under the shift.
     An invalid game raises InvalidGame; a lift lost to rounding against
     a reward near 1e16 times larger raises NoInteriorPointFound.  To
-    trace from your own x0: ``trace(HomotopyInstance.from_lcp(lcp, x0))``.
+    trace from your own x0: ``trace(HomotopyInstance(lcp.M, lcp.q, x0))``.
     """
     lcp, c2 = r2_shift(to_equivalent_lcp(build_vlcp(game)))
     value_shift = c2 / (1.0 - game.beta)
     if c2:
         log.info("r2 shifted by %s (value offset %s)", c2, value_shift)
     start = find_interior_point(lcp)
-    result = trace(HomotopyInstance.from_lcp(lcp, start), max_steps)
+    result = trace(HomotopyInstance(lcp.M, lcp.q, start), max_steps)
     log.info("trace finished: %s after %d accepted steps and %d rejected "
              "trials", result.status.value, len(result.path) - 1,
              result.rejected)

@@ -21,9 +21,5 @@ class NoInteriorPointFound(AratHomotopyError):
     """The computed starting point is not strictly feasible."""
 
 
-class NotConverged(AratHomotopyError):
-    """Solution extraction was requested from a trace that did not converge."""
-
-
 class MaxIterExceeded(AratHomotopyError):
     """Fixed-point iteration hit its iteration cap before reaching tolerance."""

@@ -12,6 +12,7 @@ all user-facing messages are 1-based (the CLI parser is the boundary).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -29,6 +30,18 @@ def _freeze(a, dtype=float) -> np.ndarray:
     a = np.array(a, dtype=dtype)
     a.setflags(write=False)
     return a
+
+
+def _counts(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints; an entry that is not an integer
+    (numpy's included, a bool not) raises ValueError naming ``what``."""
+    values = tuple(values)
+    # plain ints, what the parser and the builder give, skip the ABC test
+    if not {*map(type, values)} <= {int} and any(
+            isinstance(v, bool) or not isinstance(v, numbers.Integral)
+            for v in values):
+        raise ValueError(f"{what} must be integers, got {values!r}")
+    return tuple(map(int, values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +107,7 @@ class AratGame:
         (shape (K, d)), with ``m1[s]`` and ``m2[s]`` actions in state s,
         K = sum(m1) + sum(m2); stores a read-only copy, as the per-state
         constructor does.  Sizes that do not agree raise ValueError."""
-        counts = (*map(int, m1), *map(int, m2))
+        counts = _counts((*m1, *m2), "action counts")
         d = len(m1)
         r, p = np.asarray(r, dtype=float), np.asarray(p, dtype=float)
         if len(m2) != d or d == 0 or min(counts) < 0:

@@ -74,11 +74,6 @@ class HomotopyInstance:
     def n(self) -> int:
         return self.q.size
 
-    @classmethod
-    def from_lcp(cls, lcp: SquareLcp, x0: np.ndarray) -> "HomotopyInstance":
-        """The instance of the problem ``lcp`` anchored at x0."""
-        return cls(A=lcp.M, q=lcp.q, x0=x0)
-
 
 def _parts(inst: HomotopyInstance, v: np.ndarray):
     """x, y1, y2 and t of v = (x, y1, y2, t), the arrays as views, and
@@ -288,4 +283,4 @@ def r2_shift(lcp: SquareLcp) -> tuple[SquareLcp, float]:
     c2 = float(1.0 + _EPS_SMALL * m1 - lcp.q[first_ii:].min())
     q = lcp.q.copy()
     q[first_ii:] += c2
-    return SquareLcp(M=lcp.M, q=q, J=lcp.J), c2
+    return SquareLcp(M=lcp.M, q=q, block_sizes=lcp.block_sizes), c2

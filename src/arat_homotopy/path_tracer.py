@@ -78,7 +78,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import NotConverged, SingularJacobian
+from .errors import SingularJacobian
 from .game_model import _freeze
 from .homotopy_core import HomotopyInstance, eval_H, jac_full, jac_t, jac_u
 from .vlcp_builder import SquareLcp, VlcpSolution, recover_vlcp_solution
@@ -427,6 +427,6 @@ def extract_solution(result: TraceResult, lcp: SquareLcp) -> VlcpSolution:
     ``oracle.certify`` accepts or rejects.
     """
     if result.status is not TraceStatus.CONVERGED:
-        raise NotConverged(f"trace ended with status {result.status.value}")
+        raise ValueError(f"trace ended with status {result.status.value}")
     z = result.path[-1].x
     return recover_vlcp_solution(lcp, z, lcp.M @ z + lcp.q)

@@ -12,14 +12,14 @@ square LCP; solutions map back by summing the duplicated variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidGame
-from .game_model import AratGame, _freeze, validate
+from .game_model import AratGame, _counts, _freeze, validate
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,47 +33,44 @@ class VlcpInstance:
 
     def __post_init__(self) -> None:
         a, q = _freeze(self.A), _freeze(self.q)
-        object.__setattr__(self, "A", a)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "block_sizes", tuple(int(b) for b in self.block_sizes))
+        sizes = _counts(self.block_sizes, "block sizes")
         m, k = a.shape
         if k < 1 or m < k:
             raise ValueError(f"need m >= k >= 1, got {m} x {k}")
-        if len(self.block_sizes) != k:
+        if len(sizes) != k:
             raise ValueError("one block size per column required")
-        if any(b < 1 for b in self.block_sizes) or sum(self.block_sizes) != m:
+        if min(sizes) < 1 or sum(sizes) != m:
             raise ValueError("block sizes must be >= 1 and sum to the row count")
         if q.size != m:
             raise ValueError("q must have one entry per row")
+        for name, value in {"A": a, "q": q, "block_sizes": sizes}.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True, eq=False)
 class SquareLcp:
-    """Equivalent square problem; J maps block j to its copied columns.
-    Every block of J must be a range, and the ranges must be non-empty,
-    of step 1, and tile 0..n-1 in order."""
+    """Equivalent square problem: n x n M, q, and the copy count of each
+    vertical column.  J, derived from those sizes, maps block j to its
+    copied columns: consecutive ranges that tile 0..n-1 in order."""
 
     M: np.ndarray
     q: np.ndarray
-    J: tuple[range, ...]
+    block_sizes: tuple[int, ...]
+    J: tuple[range, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         m_mat, q = _freeze(self.M), _freeze(self.q)
-        object.__setattr__(self, "M", m_mat)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "J", tuple(self.J))
+        sizes = _counts(self.block_sizes, "block sizes")
         n = q.size
         if m_mat.shape != (n, n):
             raise ValueError("M must be square and match q")
-        bad_j = ValueError(f"J must tile 0..{n - 1} in order with "
-                           f"non-empty ranges of step 1, got {self.J}")
-        if not all(isinstance(rng, range) for rng in self.J):
-            raise bad_j
-        starts = [0] + [rng.stop for rng in self.J]
-        if starts[-1] != n or any(rng.step != 1 or rng.start != s
-                                  or rng.stop <= s
-                                  for rng, s in zip(self.J, starts)):
-            raise bad_j
+        if min(sizes, default=0) < 1 or sum(sizes) != n:
+            raise ValueError(f"block sizes must be >= 1 and sum to {n}, "
+                             f"got {sizes}")
+        stored = {"M": m_mat, "q": q, "block_sizes": sizes, "J": tuple(
+            range(end - b, end) for b, end in zip(sizes, accumulate(sizes)))}
+        for name, value in stored.items():
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -132,9 +129,8 @@ def to_equivalent_lcp(v: VlcpInstance) -> SquareLcp:
     ``np.repeat`` along the columns keeps M in C order, so products with
     M sum in the same order whatever the block sizes.
     """
-    ends = tuple(accumulate(v.block_sizes))
-    blocks = tuple(range(end - b, end) for b, end in zip(v.block_sizes, ends))
-    return SquareLcp(M=np.repeat(v.A, v.block_sizes, axis=1), q=v.q, J=blocks)
+    return SquareLcp(M=np.repeat(v.A, v.block_sizes, axis=1), q=v.q,
+                     block_sizes=v.block_sizes)
 
 
 def recover_vlcp_solution(lcp: SquareLcp, z: Sequence[float],

@@ -140,7 +140,7 @@ def test_criterion_5_jacobian_suite():
     with criterion(5, "jacobians: 100-point finite-difference sweep <= 1e-5, "
                       "anchor determinant formula to 1e-10"):
         lcp = to_equivalent_lcp(build_vlcp(make_example1()))
-        inst = HomotopyInstance.from_lcp(lcp, find_interior_point(lcp))
+        inst = HomotopyInstance(lcp.M, lcp.q, find_interior_point(lcp))
         n = inst.n
         rng = np.random.default_rng(515)
         h = 1e-6
@@ -171,7 +171,7 @@ def test_criterion_6_homotopy_endpoints():
     with criterion(6, "endpoints: H(u0, 1) = 0 to 1e-13 scale, H(., 0) is "
                       "the limit system to machine precision"):
         lcp = to_equivalent_lcp(build_vlcp(make_example1()))
-        inst = HomotopyInstance.from_lcp(lcp, find_interior_point(lcp))
+        inst = HomotopyInstance(lcp.M, lcp.q, find_interior_point(lcp))
         scale = 1.0 + max(np.abs(inst.q).max(), np.abs(inst.v0[:-1]).max())
         assert np.abs(eval_H(inst, inst.v0)).max() <= 1e-13 * scale
         rng = np.random.default_rng(66)
@@ -194,7 +194,7 @@ def test_criterion_7_tangent_sign():
                       "example 1 and 20 random problems"):
         instances = []
         lcp = to_equivalent_lcp(build_vlcp(make_example1()))
-        instances.append(HomotopyInstance.from_lcp(lcp, find_interior_point(lcp)))
+        instances.append(HomotopyInstance(lcp.M, lcp.q, find_interior_point(lcp)))
         rng = np.random.default_rng(1212)
         while len(instances) < 21:
             n = int(rng.integers(2, 7))
@@ -203,8 +203,8 @@ def test_criterion_7_tangent_sign():
             y0 = rng.uniform(0.2, 1.5, n)
             q = y0 - a @ x0
             lcp_r = SquareLcp(M=a, q=q,
-                              J=tuple(range(i, i + 1) for i in range(n)))
-            instances.append(HomotopyInstance.from_lcp(lcp_r, x0))
+                              block_sizes=(1,) * n)
+            instances.append(HomotopyInstance(lcp_r.M, lcp_r.q, x0))
         for inst in instances:
             tau, det_sign = tangent(inst, inst.v0)
             assert det_sign == 1

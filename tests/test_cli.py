@@ -462,7 +462,7 @@ def test_array_holding_types_compare_by_identity():
         game = make_example1()
         vlcp = build_vlcp(game)
         lcp = to_equivalent_lcp(vlcp)
-        inst = HomotopyInstance.from_lcp(lcp, find_interior_point(lcp))
+        inst = HomotopyInstance(lcp.M, lcp.q, find_interior_point(lcp))
         answer = cli.solve(game)
         return (game, vlcp, lcp, inst, answer, answer.result,
                 answer.result.path[-1], extract_solution(answer.result, lcp),
@@ -489,7 +489,7 @@ STORES_A_COPY = {
         [2.0, 1.0], lambda g: (g.r, g.r1[0], g.r2[0])),
     "VlcpInstance": (lambda a: VlcpInstance(A=a, q=a[0], block_sizes=(1, 1)),
                      [[2.0, 1.0], [0.0, 3.0]], lambda v: (v.A, v.q)),
-    "SquareLcp": (lambda a: SquareLcp(M=a, q=a[0], J=(range(1), range(1, 2))),
+    "SquareLcp": (lambda a: SquareLcp(M=a, q=a[0], block_sizes=(1, 1)),
                   [[2.0, 1.0], [0.0, 3.0]], lambda lcp: (lcp.M, lcp.q)),
     "HomotopyInstance": (lambda a: HomotopyInstance(A=np.eye(2), q=a, x0=a),
                          [1.0, 2.0], lambda inst: (inst.q, inst.x0)),
@@ -909,7 +909,8 @@ class TestLargeRewards:
 
 
 class TestBuildCommand:
-    @pytest.mark.parametrize("name", ["example1", "example2"])
+    @pytest.mark.parametrize("name", ["example1", "example2",
+                                      "uneven_blocks"])
     def test_output_matches_committed_fixture(self, name, capsys):
         # the committed output is the reference: a change to how the
         # problem is built must not move it by a byte

@@ -12,6 +12,7 @@ from arat_homotopy.homotopy_core import (
     jac_full,
     jac_t,
     jac_u,
+    r2_shift,
 )
 from arat_homotopy.vlcp_builder import SquareLcp, build_vlcp, to_equivalent_lcp
 
@@ -27,7 +28,7 @@ from conftest import (
 def example1_instance():
     lcp = to_equivalent_lcp(build_vlcp(make_example1()))
     x0 = find_interior_point(lcp)
-    return lcp, HomotopyInstance.from_lcp(lcp, x0)
+    return lcp, HomotopyInstance(lcp.M, lcp.q, x0)
 
 
 def fd_jacobian(inst, v0, h=1e-6):
@@ -141,9 +142,8 @@ class TestJacobians:
 class TestAnchorJacobian:
     def test_scalar_example(self):
         # n = 1, A = (1), q = (1), x0 = (1): det = (-1)^3 t^3 * 1 * 2
-        lcp = SquareLcp(M=np.array([[1.0]]), q=np.array([1.0]),
-                        J=(range(0, 1),))
-        inst = HomotopyInstance.from_lcp(lcp, np.array([1.0]))
+        lcp = SquareLcp(M=np.array([[1.0]]), q=np.array([1.0]), block_sizes=(1,))
+        inst = HomotopyInstance(lcp.M, lcp.q, np.array([1.0]))
         for t in (1.0, 0.5, 0.1):
             j0, det = jac_u0(inst, np.array([1.0, 1.0, 1.0, t]))
             assert det == pytest.approx(-2.0 * t ** 3, rel=1e-12)
@@ -164,8 +164,8 @@ class TestAnchorJacobian:
         n = 3
         a = np.diag([0.5, 0.25, 0.125])
         q = np.ones(n) - a @ np.ones(n)
-        lcp = SquareLcp(M=a, q=q, J=tuple(range(i, i + 1) for i in range(n)))
-        inst = HomotopyInstance.from_lcp(lcp, np.ones(n))
+        lcp = SquareLcp(M=a, q=q, block_sizes=(1,) * n)
+        inst = HomotopyInstance(lcp.M, lcp.q, np.ones(n))
         _, det = jac_u0(inst, inst.v0)
         assert det == pytest.approx((-1.0) ** (3 * n), rel=1e-12)
 
@@ -188,7 +188,7 @@ class TestInteriorPoint:
         x0 = np.loadtxt(FIXTURES / "example1_x0.txt", delimiter=",")
         assert not is_strictly_feasible(lcp.M, lcp.q, x0)
         with pytest.raises(ValueError, match="strictly interior"):
-            HomotopyInstance.from_lcp(lcp, x0)
+            HomotopyInstance(lcp.M, lcp.q, x0)
 
     def test_positive_q_game_needs_no_lift(self):
         # all r1 < 0 and r2 > 0 make q > 0: no row needs the xi copies,
@@ -219,7 +219,7 @@ class TestInteriorPoint:
         # x > 0 forces M x + q = -x + q < 0 in the first row
         m = -np.eye(2)
         q = np.array([0.0, 1.0])
-        lcp = SquareLcp(M=m, q=q, J=(range(0, 1), range(1, 2)))
+        lcp = SquareLcp(M=m, q=q, block_sizes=(1, 1))
         with pytest.raises(NoInteriorPointFound):
             find_interior_point(lcp)
 
@@ -241,6 +241,19 @@ class TestInteriorPoint:
                 "player-II row 1 of state 2 cannot be lifted")):
             find_interior_point(lcp)
 
+    def test_r2_shift_keeps_the_blocks(self):
+        # three player-I actions and two player-II actions without mass:
+        # the shifted copy differs from the built problem only in q
+        game = AratGame(beta=0.5, r1=([2.0, 1.0, 0.5],), r2=([-1.0, 0.0],),
+                        p1=(np.ones((3, 1)),), p2=(np.zeros((2, 1)),))
+        lcp = to_equivalent_lcp(build_vlcp(game))
+        shifted, c2 = r2_shift(lcp)
+        assert c2 > 0.0 and shifted is not lcp
+        assert shifted.block_sizes == lcp.block_sizes == (3, 2)
+        assert shifted.J == lcp.J == (range(0, 3), range(3, 5))
+        assert np.array_equal(shifted.M, lcp.M)
+        np.testing.assert_array_equal(shifted.q[3:], lcp.q[3:] + c2)
+
 
 class TestInstanceInvariants:
     def test_boundary_anchor_rejected(self):
@@ -249,15 +262,15 @@ class TestInstanceInvariants:
         bad = x0.copy()
         bad[0] = 0.0
         with pytest.raises(ValueError, match="strictly interior"):
-            HomotopyInstance.from_lcp(lcp, bad)
+            HomotopyInstance(lcp.M, lcp.q, bad)
 
     def test_nan_anchor_rejected(self):
         # NaN compares False both ways, so "min <= 0" cannot catch it;
         # let through, it fails only later, as a singular Jacobian
-        lcp = SquareLcp(M=np.eye(2), q=np.ones(2), J=(range(0, 1), range(1, 2)))
+        lcp = SquareLcp(M=np.eye(2), q=np.ones(2), block_sizes=(1, 1))
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
-                HomotopyInstance.from_lcp(lcp, np.array([1.0, bad]))
+                HomotopyInstance(lcp.M, lcp.q, np.array([1.0, bad]))
 
     def test_caller_arrays_stay_writable_and_apart(self):
         a, q, x0 = np.eye(2), np.ones(2), np.ones(2)
@@ -270,18 +283,18 @@ class TestInstanceInvariants:
 
     def test_nan_data_rejected(self):
         q = np.array([1.0, np.nan])
-        lcp = SquareLcp(M=np.eye(2), q=q, J=(range(0, 1), range(1, 2)))
+        lcp = SquareLcp(M=np.eye(2), q=q, block_sizes=(1, 1))
         with pytest.raises(ValueError, match="finite"):
-            HomotopyInstance.from_lcp(lcp, np.ones(2))
-        lcp = SquareLcp(M=np.array([[1.0, np.inf], [0.0, 1.0]]), q=np.ones(2),
-                        J=(range(0, 1), range(1, 2)))
+            HomotopyInstance(lcp.M, lcp.q, np.ones(2))
+        lcp = SquareLcp(M=np.array([[1.0, np.inf], [0.0, 1.0]]),
+                        q=np.ones(2), block_sizes=(1, 1))
         with pytest.raises(ValueError, match="finite"):
-            HomotopyInstance.from_lcp(lcp, np.ones(2))
+            HomotopyInstance(lcp.M, lcp.q, np.ones(2))
 
     def test_infeasible_slack_rejected(self):
         lcp = to_equivalent_lcp(build_vlcp(make_example1()))
         with pytest.raises(ValueError, match="strictly interior"):
-            HomotopyInstance.from_lcp(lcp, np.full(lcp.n, 1e-4))
+            HomotopyInstance(lcp.M, lcp.q, np.full(lcp.n, 1e-4))
 
     def test_block3_product_identity_on_path_points(self):
         # any H = 0 point with t in (0,1) satisfies

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import lapack
 
 from arat_homotopy import path_tracer
-from arat_homotopy.errors import NotConverged, SingularJacobian
+from arat_homotopy.errors import SingularJacobian
 from arat_homotopy.homotopy_core import (
     HomotopyInstance,
     eval_H,
@@ -39,7 +39,7 @@ from conftest import FIXTURES, make_example1, random_arat_game
 
 def instance_for(game):
     lcp = to_equivalent_lcp(build_vlcp(game))
-    return lcp, HomotopyInstance.from_lcp(lcp, find_interior_point(lcp))
+    return lcp, HomotopyInstance(lcp.M, lcp.q, find_interior_point(lcp))
 
 
 def random_feasible_instance(rng, n):
@@ -48,8 +48,8 @@ def random_feasible_instance(rng, n):
     x0 = rng.uniform(0.5, 2.0, n)
     y0 = rng.uniform(0.2, 1.5, n)
     q = y0 - a @ x0
-    lcp = SquareLcp(M=a, q=q, J=tuple(range(i, i + 1) for i in range(n)))
-    return HomotopyInstance.from_lcp(lcp, x0)
+    lcp = SquareLcp(M=a, q=q, block_sizes=(1,) * n)
+    return HomotopyInstance(lcp.M, lcp.q, x0)
 
 
 class TestStepBudget:
@@ -344,7 +344,7 @@ class TestTrace:
         # a caller's own anchor goes through the stages, not solve
         lcp = to_equivalent_lcp(build_vlcp(example2))
         x0 = np.loadtxt(FIXTURES / "example2_x0.txt", delimiter=",")
-        result = trace(HomotopyInstance.from_lcp(lcp, x0))
+        result = trace(HomotopyInstance(lcp.M, lcp.q, x0))
         assert result.status is TraceStatus.CONVERGED
         np.testing.assert_array_equal(result.path[0].x, x0)
         sol = extract_solution(result, lcp)
@@ -626,7 +626,8 @@ class TestExtractSolution:
         _, inst = instance_for(example1)
         result = trace(inst, max_steps=1)
         lcp = to_equivalent_lcp(build_vlcp(example1))
-        with pytest.raises(NotConverged):
+        with pytest.raises(ValueError, match="trace ended with status "
+                                             "MaxSteps"):
             extract_solution(result, lcp)
 
     def test_trivial_lcp_with_positive_q(self):
@@ -634,8 +635,7 @@ class TestExtractSolution:
         # so it is refused
         for q in (np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0, 4.0])):
             n = q.size
-            lcp = SquareLcp(M=np.eye(n), q=q,
-                            J=tuple(range(p, p + 1) for p in range(n)))
+            lcp = SquareLcp(M=np.eye(n), q=q, block_sizes=(1,) * n)
             v = np.concatenate([np.zeros(n), q, np.zeros(n + 1)])
             result = TraceResult(
                 status=TraceStatus.CONVERGED,

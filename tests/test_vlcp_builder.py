@@ -89,7 +89,7 @@ class TestBuildVlcp:
         # each constructor freezes a copy, not the caller's array
         a, q = np.ones((2, 2)), np.ones(2)
         vlcp = VlcpInstance(A=a, q=q, block_sizes=(1, 1))
-        lcp = SquareLcp(M=a, q=q, J=(range(0, 1), range(1, 2)))
+        lcp = SquareLcp(M=a, q=q, block_sizes=(1, 1))
         assert a.flags.writeable and q.flags.writeable
         a[0, 0], q[0] = 9.0, 9.0
         for m, rhs in ((vlcp.A, vlcp.q), (lcp.M, lcp.q)):
@@ -124,22 +124,32 @@ class TestEquivalentLcp:
         )
         np.testing.assert_array_equal(lcp.M, a)
 
+    def test_blocks_are_derived_from_their_sizes(self):
+        lcp = SquareLcp(M=np.eye(6), q=np.ones(6), block_sizes=(2, 1, 3))
+        assert lcp.block_sizes == (2, 1, 3) and lcp.k == 3
+        assert lcp.J == (range(0, 2), range(2, 3), range(3, 6))
+
+    def test_blocks_are_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            SquareLcp(M=np.eye(2), q=np.ones(2), block_sizes=(1, 1),
+                      J=(range(0, 1), range(1, 2)))
+
     @pytest.mark.parametrize("blocks", [
-        (range(0, 1),),                 # too short: row 1 in no block
-        (range(0, 3), range(3, 5)),     # too long: rows past n
-        (range(0, 1), range(1, 1), range(1, 2)),  # an empty block
-        (range(1, 2), range(0, 1)),     # out of order
-        (range(0, 2, 2),),              # step 2
-        (range(0, 2), range(1, 2)),     # overlap
-        ([0], [1]),                     # index lists, not ranges
-        ((0,), range(1, 2)),            # one block a tuple
-        (range(0, 1), 1),               # one block a bare index
+        (1,),           # too few: row 2 in no block
+        (1, 1, 1),      # too many: a block past n
+        (0, 2),         # an empty first block
+        (2, 0),         # an empty last block
+        (1, 0, 1),      # an empty block between two
+        (3, -1),        # a negative size, the sum n
+        (-1, 3),        # a negative size first
+        (1, 2),         # a sum past n
+        (),             # no block
     ])
     def test_blocks_must_tile_the_rows(self, blocks):
-        # unchecked, a short J fails in find_interior_point (StopIteration)
-        # and a long one in recover_vlcp_solution (IndexError)
-        with pytest.raises(ValueError, match="J must tile"):
-            SquareLcp(M=np.eye(2), q=np.array([1.0, -1.0]), J=blocks)
+        # the blocks are derived from their sizes, so only sizes that do
+        # not tile 0..n-1 are left to refuse
+        with pytest.raises(ValueError, match="block sizes must be >= 1"):
+            SquareLcp(M=np.eye(2), q=np.array([1.0, -1.0]), block_sizes=blocks)
 
     @given(
         z=arrays(np.float64, 8,
@@ -170,8 +180,7 @@ class TestRecoverSolution:
     def test_zero_solution_for_nonnegative_q(self):
         m = np.eye(4)
         q = np.array([1.0, 2.0, 0.5, 3.0])
-        lcp = SquareLcp(M=m, q=q, J=(range(0, 1), range(1, 2), range(2, 3),
-                                     range(3, 4)))
+        lcp = SquareLcp(M=m, q=q, block_sizes=(1, 1, 1, 1))
         sol = recover_vlcp_solution(lcp, np.zeros(4), q)
         np.testing.assert_array_equal(sol.x, np.zeros(4))
         # the pair is read off w = q, one row per block
@@ -199,7 +208,7 @@ class TestRecoverSolution:
         # no game has an odd block count, so recovery refuses one
         m = np.eye(3)
         q = np.array([1.0, 1.0, 1.0])
-        lcp = SquareLcp(M=m, q=q, J=(range(0, 1), range(1, 2), range(2, 3)))
+        lcp = SquareLcp(M=m, q=q, block_sizes=(1, 1, 1))
         with pytest.raises(ValueError, match="3 blocks"):
             recover_vlcp_solution(lcp, np.zeros(3), q)
 
@@ -248,14 +257,14 @@ class TestMatrixClassChecks:
 
     def test_vbe_e_identity(self):
         lcp = SquareLcp(M=np.eye(3), q=np.zeros(3),
-                        J=(range(0, 1), range(1, 2), range(2, 3)))
+                        block_sizes=(1, 1, 1))
         assert verify_vbe_e(lcp) is True
         assert verify_vbr0_enum(lcp) is True
 
     def test_guard_exceeded(self):
         n = 30
         lcp = SquareLcp(M=np.eye(n), q=np.zeros(n),
-                        J=tuple(range(i, i + 1) for i in range(n)))
+                        block_sizes=(1,) * n)
         with pytest.raises(SizeGuardExceeded):
             verify_vbe_e(lcp)
 
@@ -268,3 +277,23 @@ class TestMatrixClassChecks:
             if lcp.n > 12:
                 continue
             assert verify_vbe_e(lcp) is True
+
+
+# each constructor that takes counts, given one bad count
+TAKES_COUNTS = {
+    "VlcpInstance": lambda c: VlcpInstance(A=np.eye(2), q=np.ones(2),
+                                           block_sizes=(1, c)),
+    "SquareLcp": lambda c: SquareLcp(M=np.eye(2), q=np.ones(2),
+                                     block_sizes=(1, c)),
+    "AratGame.from_stacked": lambda c: AratGame.from_stacked(
+        0.5, [1.0, 1.0], [[0.5], [0.5]], (c,), (1,)),
+}
+
+
+@pytest.mark.parametrize("count", [2.9, True, "1"])
+@pytest.mark.parametrize("build", TAKES_COUNTS.values(), ids=TAKES_COUNTS)
+def test_counts_must_be_integers(build, count):
+    # int() would read 2.9 as 2 and True or '1' as 1
+    with pytest.raises(ValueError, match="must be integers"):
+        build(count)
+    assert build(np.int64(1)) is not None
