@@ -35,6 +35,7 @@ from .oracle import (
     CertificateReport,
     certify,
     enumerate_lcp,
+    evaluate_pure_pair,
     value_iteration,
 )
 from .path_tracer import MAX_STEPS, TraceResult, TraceStatus, extract_solution, trace
@@ -284,10 +285,13 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     print(f"enumerated complementarity solutions: {len(solutions)}")
     for idx, (z, w) in enumerate(solutions, start=1):
         rec = recover_vlcp_solution(lcp, z, w)
+        # the pair's own value: eta + xi of the unshifted LCP is not the
+        # game's value when some r2 < 0
+        value = evaluate_pure_pair(game, rec.strategy_i, rec.strategy_ii)
         print(f"  solution {idx}:")
         print("    z = " + " ".join(f"{v:.10g}" for v in z))
         print("    w = " + " ".join(f"{v:.10g}" for v in w))
-        print("    value = " + " ".join(f"{v:.10g}" for v in rec.value))
+        print("    value = " + " ".join(f"{v:.10g}" for v in value))
         print(f"    strategies: player I {_one_based(rec.strategy_i)}, "
               f"player II {_one_based(rec.strategy_ii)}")
     return EXIT_OK

@@ -52,9 +52,12 @@ of the transposed Jacobian (``minnorm_solve``); with one column more
 than rows, the shortest solution then takes a closed form.  The map and
 its Jacobians are written into one fresh array per call.  LU with
 partial pivoting is the tracer's only factorization, and LAPACK is
-called directly.  _M is 1 because one pass already brings most trial
-corrections below a residual of 1e-10; a second pass doubles the cost
-of every trial.  The whole walk works on flat vectors
+called directly, through scipy's wrappers (``scipy.linalg.lapack``).
+They are imported on the first factorization (``_lapack``), not with
+this module, so a process that never traces (``validate``, ``build``,
+``oracle``) never loads scipy.  _M is 1 because one pass already
+brings most trial corrections below a residual of 1e-10; a second pass
+doubles the cost of every trial.  The whole walk works on flat vectors
 v = (x, y1, y2, t); each accepted vector is copied into a read-only
 PathPoint, whose x, y1, y2 and t are views of that copy.
 
@@ -70,13 +73,13 @@ true branch and stalls the walk.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import SingularJacobian
 from .game_model import _freeze
@@ -94,6 +97,14 @@ _R_ACCEPT = 1.0
 _RCOND_MIN = 1e-12
 _BOUND_B = 1e8
 MAX_STEPS = 10_000
+
+
+@functools.cache
+def _lapack():
+    """scipy's LAPACK wrappers, imported on the first call, so that a
+    process that never factors does not pay for importing scipy.linalg."""
+    from scipy.linalg import lapack
+    return lapack
 
 
 def det_sign_lu(lu: np.ndarray, piv: np.ndarray) -> int:
@@ -120,6 +131,7 @@ def _lu_with_guard(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     det(a^T) = det(a), and ``dgetrs(lu, piv, b, trans=1)`` solves
     a x = b.
     """
+    lapack = _lapack()
     anorm = np.abs(a).sum(axis=0).max()  # the 1-norm of a
     lu, piv, _ = lapack.dgetrf(a.T, overwrite_a=1)
     rcond, info = lapack.dgecon(lu, anorm, norm="I")
@@ -155,6 +167,7 @@ def minnorm_solve(j: np.ndarray, h: np.ndarray) -> np.ndarray:
     if k not in (0, 1):
         raise ValueError("minnorm_solve needs a square matrix or one with "
                          "one column more than rows")
+    lapack = _lapack()
     lu, piv, info = lapack.dgetrf(j.T)
     # dtrcon takes the order from the leading dimension: pass U square
     rcond, _ = lapack.dtrcon(lu[:rows], norm="1", uplo="U", diag="N")
@@ -220,8 +233,8 @@ def tangent(inst: HomotopyInstance, v: np.ndarray) -> tuple[np.ndarray, int]:
     """
     lu, piv = _lu_with_guard(jac_u(inst, v))
     raw = np.empty(v.size)
-    raw[:-1] = lapack.dgetrs(lu, piv, jac_t(inst, v), trans=1,
-                             overwrite_b=1)[0]
+    raw[:-1] = _lapack().dgetrs(lu, piv, jac_t(inst, v), trans=1,
+                                overwrite_b=1)[0]
     raw[-1] = -1.0
     raw /= np.linalg.norm(raw)
     sign = det_sign_lu(lu, piv)

@@ -639,6 +639,20 @@ class TestOracleCommand:
         assert code == 0
         assert "value: 2" in out
 
+    def test_enumerated_value_is_the_pairs_value_with_negative_r2(
+            self, tmp_path, capsys):
+        # with r2 < 0, eta + xi of the unshifted LCP's solution reads
+        # 2.667 5.333; the pair's own value is the game's, 2.25 3.25
+        doc = json.loads((FIXTURES / "uneven_blocks.json").read_text(
+            encoding="utf-8"))
+        doc["states"][1]["playerII"]["rewards"] = [-1.0]
+        code = cli.main(["oracle", write_game(tmp_path, doc)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert lines[0] == "value: 2.25 3.25"
+        enumerated = [line for line in lines if line.startswith("    value = ")]
+        assert enumerated == ["    value = 2.25 3.25"]
+
     def test_enumeration_skipped_past_guard(self, tmp_path, capsys):
         # 6 states x 3 actions per player per state: n = 36 > 20
         d, acts = 6, 3
@@ -906,6 +920,37 @@ class TestLargeRewards:
         assert report.startswith("invalid game:\n")
         assert "row sum inf != 1" in report
         assert "Warning" not in captured.err
+
+
+class TestColdStart:
+    """Only the tracer factors, so only ``solve`` loads scipy.linalg."""
+
+    def test_scipy_linalg_loads_on_the_first_factorization(self):
+        # a fresh interpreter: this test session has imported scipy
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from arat_homotopy import cli\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m.split('.')[:2] == ['scipy', 'linalg'])\n"
+            "codes = {}\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for verb in ('validate', 'build', 'oracle'):\n"
+            "        codes[verb] = cli.main([verb, sys.argv[1]])\n"
+            "    before = loaded()\n"
+            "    codes['solve'] = cli.main(['solve', sys.argv[1]])\n"
+            "print(json.dumps([codes, before, 'scipy.linalg' in loaded()]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, EX1],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        codes, before, after = json.loads(proc.stdout)
+        assert codes == {"validate": 0, "build": 0, "oracle": 0, "solve": 0}
+        assert before == []
+        assert after
 
 
 class TestBuildCommand:
