@@ -2,7 +2,9 @@
 
 Verbs: ``validate`` (invariant report), ``solve`` (full homotopy pipeline;
 the pure pair read off the endpoint is certified exactly), ``oracle``
-(value iteration plus exhaustive LCP enumeration), ``build`` (print the
+(value iteration, plus exhaustive enumeration of the square LCP; the
+vertical and square problems are built only when their dimension
+n = sum m1 + sum m2 is at most ``--guard``), ``build`` (print the
 constructed matrices as JSON).  :func:`solve` is the same pipeline as a
 library call.
 
@@ -34,6 +36,7 @@ from .oracle import (
     ENUMERATION_GUARD,
     CertificateReport,
     certify,
+    check_enumeration_size,
     enumerate_lcp,
     evaluate_pure_pair,
     value_iteration,
@@ -267,7 +270,16 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     game = _read_game(args.game)
     if game is None:
         return EXIT_PARSE
-    lcp = to_equivalent_lcp(build_vlcp(game))
+    # n = sum m1 + sum m2, the square LCP's dimension: past the guard
+    # neither problem is built, and the game is validated here instead
+    try:
+        check_enumeration_size(game.r.size, args.guard)
+    except SizeGuardExceeded as exc:
+        skipped = exc
+        validate(game).raise_if_invalid()
+    else:
+        skipped = None
+        lcp = to_equivalent_lcp(build_vlcp(game))
     try:
         sol = value_iteration(game)
     except (MaxIterExceeded, OverflowError) as exc:
@@ -277,11 +289,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     print(f"strategies: player I {_one_based(sol.strategy_i)}, "
           f"player II {_one_based(sol.strategy_ii)} "
           f"({sol.iterations} sweeps, residual {sol.residual:.3e})")
-    try:
-        solutions = enumerate_lcp(lcp.M, lcp.q, guard=args.guard)
-    except SizeGuardExceeded as exc:
-        print(f"enumeration skipped: {exc}")
+    if skipped is not None:
+        print(f"enumeration skipped: {skipped}")
         return EXIT_OK
+    solutions = enumerate_lcp(lcp.M, lcp.q, guard=args.guard)
     print(f"enumerated complementarity solutions: {len(solutions)}")
     for idx, (z, w) in enumerate(solutions, start=1):
         rec = recover_vlcp_solution(lcp, z, w)
@@ -365,7 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
                        allow_abbrev=False)
     p.add_argument("game", help="path to the game JSON file")
     p.add_argument("--guard", type=int, default=ENUMERATION_GUARD,
-                   help="largest dimension enumerated exhaustively")
+                   help="largest dimension n = sum m1 + sum m2 of the "
+                        "square LCP enumerated exhaustively; the vertical "
+                        "and square problems are built only up to it")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("build", help="print the built matrices as JSON",

@@ -18,6 +18,8 @@ from itertools import accumulate
 
 import numpy as np
 
+from .errors import InvalidGame
+
 #: Absolute tolerance on probability row sums.  Inputs are typically exact
 #: rationals, so only rounding noise is tolerated.
 PROB_TOL = 1e-12
@@ -164,6 +166,11 @@ class ValidationReport:
         if self.ok:
             return "valid additive game"
         return "\n".join(self.violations)
+
+    def raise_if_invalid(self) -> None:
+        """Raise InvalidGame, whose message holds this report, unless ok."""
+        if not self.ok:
+            raise InvalidGame(f"invalid game:\n{self}")
 
 
 @np.errstate(over="ignore", invalid="ignore")  # inf and NaN sums are reported

@@ -170,6 +170,13 @@ def evaluate_pure_pair(game: AratGame, strategy_i: Sequence[int],
                            game.r[i] + game.r[j])
 
 
+def check_enumeration_size(n: int, guard: int = ENUMERATION_GUARD) -> None:
+    """Raise SizeGuardExceeded if n, the dimension of a square LCP, exceeds
+    ``guard``, the largest that :func:`enumerate_lcp` enumerates."""
+    if n > guard:
+        raise SizeGuardExceeded(f"n={n} exceeds enumeration guard {guard}")
+
+
 def enumerate_lcp(m: np.ndarray, q: np.ndarray,
                   guard: int = ENUMERATION_GUARD) -> list[tuple[np.ndarray, np.ndarray]]:
     """All solutions of ``w = M z + q, z, w >= 0, z circ w = 0`` by brute force.
@@ -192,8 +199,7 @@ def enumerate_lcp(m: np.ndarray, q: np.ndarray,
     m = np.asarray(m, dtype=float)
     q = np.asarray(q, dtype=float)
     n = q.size
-    if n > guard:
-        raise SizeGuardExceeded(f"n={n} exceeds enumeration guard {guard}")
+    check_enumeration_size(n, guard)
     feas_tol = 1e-10
     _, group = np.unique(m.T, axis=0, return_inverse=True)
     group = group.ravel()

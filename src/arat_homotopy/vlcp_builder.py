@@ -18,7 +18,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidGame
 from .game_model import AratGame, _counts, _freeze, validate
 
 
@@ -107,9 +106,7 @@ def build_vlcp(game: AratGame) -> VlcpInstance:
 
     where E has a 1 wherever the row's state equals the column's state.
     """
-    report = validate(game)
-    if not report.ok:
-        raise InvalidGame(f"invalid game:\n{report}")
+    validate(game).raise_if_invalid()
     d = game.d
     sign = np.where(game.block < d, -1.0, 1.0)
     half = sign[:, None] * game.beta * game.p

@@ -515,8 +515,12 @@ def test_constructor_stores_a_read_only_copy(make, data, stored):
 
 
 class TestValidateOnce:
-    @pytest.mark.parametrize("verb", ["solve", "oracle", "build"])
-    def test_each_verb_validates_once(self, verb, monkeypatch, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["solve", EX1], ["oracle", EX1], ["build", EX1],
+        # n = 8 > 3: the oracle validates without building a problem
+        ["oracle", EX1, "--guard", "3"],
+    ], ids=["solve", "oracle", "build", "oracle-guard-3"])
+    def test_each_verb_validates_once(self, argv, monkeypatch, capsys):
         from arat_homotopy import vlcp_builder
 
         calls = []
@@ -528,7 +532,7 @@ class TestValidateOnce:
         # both places a verb can look the name up
         monkeypatch.setattr(cli, "validate", counted)
         monkeypatch.setattr(vlcp_builder, "validate", counted)
-        assert cli.main([verb, EX1]) == 0
+        assert cli.main(argv) == 0
         assert len(calls) == 1
 
     def test_solve_with_r2_shift_builds_and_validates_once(self,
@@ -629,6 +633,38 @@ class TestOracleCommand:
         assert cli.main(["oracle", str(FIXTURES / f"{name}.json")]) == 0
         assert capsys.readouterr().out == (
             FIXTURES / f"{name}_oracle.txt").read_text(encoding="utf-8")
+
+    def test_past_guard_builds_neither_problem(self, monkeypatch, capsys):
+        # n = sum m1 + sum m2 = 8 > 3: the listing ends at the skip line,
+        # and nothing is built to get there
+        def refuse(*_):
+            raise AssertionError("a problem was built past the guard")
+
+        monkeypatch.setattr(cli, "build_vlcp", refuse)
+        monkeypatch.setattr(cli, "to_equivalent_lcp", refuse)
+        assert cli.main(["oracle", EX1, "--guard", "3"]) == 0
+        assert capsys.readouterr().out == (
+            FIXTURES / "example1_oracle_guard3.txt").read_text(
+                encoding="utf-8")
+
+    @pytest.mark.parametrize("edit", ["beta", "row_sum"])
+    def test_invalid_game_same_report_either_side_of_guard(
+            self, tmp_path, capsys, edit):
+        doc = game_to_doc(make_example1())
+        if edit == "beta":
+            doc["beta"] = 1.5
+        else:
+            doc["states"][0]["playerII"]["transitions"][0][0] = 0.2
+        path = write_game(tmp_path, doc)
+        seen = []
+        for guard in ("3", "8", "20"):  # n = 8
+            code = cli.main(["oracle", path, "--guard", guard])
+            captured = capsys.readouterr()
+            seen.append((code, captured.out, captured.err))
+        assert seen[0] == seen[1] == seen[2]
+        code, out, err = seen[0]
+        assert code == 1 and out == ""
+        assert err.startswith("invalid game:\n")
 
     def test_single_state_geometric_value(self, tmp_path, capsys):
         game = AratGame(beta=0.5, r1=([0.5],), r2=([0.5],),

@@ -666,3 +666,49 @@ class TestExtractSolution:
         sol = extract_solution(result, lcp)
         assert sol.x.min() >= 0.0
         np.testing.assert_allclose(sol.value, [14.0, 14.0], atol=1e-6)
+
+
+def small_mix_games() -> list:
+    """Twelve seeded games in the shape of the benchmark's ``small_mix``
+    workload: d <= 8, at most 3 actions per player."""
+    rng = np.random.default_rng(10)
+    return [random_arat_game(rng, d_max=8, actions_max=3) for _ in range(12)]
+
+
+def trace_to_pair(game):
+    """The endpoint of the game's trace (budget 1000) and the pair read
+    off it, each block's smallest-index argmin slack row."""
+    lcp, inst = instance_for(game)
+    result = trace(inst, 1000)
+    assert result.status is TraceStatus.CONVERGED
+    sol = extract_solution(result, lcp)
+    return result.path[-1], (sol.strategy_i, sol.strategy_ii)
+
+
+class TestSpuriousEndpoints:
+    """Some converged endpoints are spurious: y1_i = -w_i < 0 where
+    x_i > 0, so x and the slack w are not complementary there.  This is a
+    property of the paper's map, not of the step control: a tighter
+    tracer ends at the same spurious endpoints.  A change to the map
+    must update both assertions below (the spurious games, and the pair
+    the tighter tracer reaches) and say why."""
+
+    def test_spurious_count_is_pinned(self):
+        spurious = []
+        for k, game in enumerate(small_mix_games()):
+            end, _ = trace_to_pair(game)
+            if end.y1.min() < -1e-3:
+                spurious.append(k)
+        # all 12 traces converge; 3 endpoints are spurious
+        assert spurious == [0, 9, 10]
+
+    @pytest.mark.parametrize("k", [9, 10])
+    def test_tighter_tracer_reaches_the_same_pair(self, monkeypatch, k):
+        game = small_mix_games()[k]
+        _, pair = trace_to_pair(game)
+        # a residual gate 1e6 times tighter and two corrector passes
+        monkeypatch.setattr(path_tracer, "_R_ACCEPT", 1e-6)
+        monkeypatch.setattr(path_tracer, "_M", 2)
+        end, tight_pair = trace_to_pair(game)
+        assert end.y1.min() < -1e-3
+        assert tight_pair == pair
