@@ -52,10 +52,14 @@ of the transposed Jacobian (``minnorm_solve``); with one column more
 than rows, the shortest solution then takes a closed form.  The map and
 its Jacobians are written into one fresh array per call.  LU with
 partial pivoting is the tracer's only factorization, and LAPACK is
-called directly, through scipy's wrappers (``scipy.linalg.lapack``).
-They are imported on the first factorization (``_lapack``), not with
-this module, so a process that never traces (``validate``, ``build``,
-``oracle``) never loads scipy.  _M is 1 because one pass already
+called directly, through scipy's compiled wrappers: the six routines it
+calls (dgetrf, dgecon, dtrcon, dtrtrs, dgetrs, dlaswp) are those of
+the extension module ``scipy.linalg._flapack``, the same objects that
+``scipy.linalg.lapack`` re-exports.  That module is loaded on the first
+factorization (``_lapack``), not with this module, so a process that
+never traces (``validate``, ``build``, ``oracle``) never loads scipy,
+and it is loaded by itself, so ``solve`` does not run the
+``scipy.linalg`` package either.  _M is 1 because one pass already
 brings most trial corrections below a residual of 1e-10; a second pass
 doubles the cost of every trial.  The whole walk works on flat vectors
 v = (x, y1, y2, t); each accepted vector is copied into a read-only
@@ -74,7 +78,10 @@ true branch and stalls the walk.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -101,10 +108,26 @@ MAX_STEPS = 10_000
 
 @functools.cache
 def _lapack():
-    """scipy's LAPACK wrappers, imported on the first call, so that a
-    process that never factors does not pay for importing scipy.linalg."""
-    from scipy.linalg import lapack
-    return lapack
+    """scipy's LAPACK wrappers, loaded on the first call, so that a
+    process that never factors does not load them.
+
+    Only the extension module ``scipy.linalg._flapack`` is loaded, from
+    the package directory, without running the ``scipy.linalg``
+    package, whose import costs far more time and memory than the
+    module.  An install whose compiled modules do not sit in the
+    package directory gives no spec there; it imports the whole
+    package and uses ``scipy.linalg.lapack``, which re-exports the
+    same routines.
+    """
+    import scipy
+    spec = importlib.machinery.PathFinder.find_spec(
+        "scipy.linalg._flapack", [os.path.join(scipy.__path__[0], "linalg")])
+    if spec is None:
+        from scipy.linalg import lapack
+        return lapack
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def det_sign_lu(lu: np.ndarray, piv: np.ndarray) -> int:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import importlib.machinery
 import io
 import json
 import logging
@@ -14,10 +15,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arat_homotopy import cli
+from arat_homotopy import cli, path_tracer
 from arat_homotopy.errors import InvalidGame, MaxIterExceeded, NoInteriorPointFound
 from arat_homotopy.game_model import AratGame, validate
 from arat_homotopy.homotopy_core import HomotopyInstance, find_interior_point
@@ -959,34 +961,77 @@ class TestLargeRewards:
 
 
 class TestColdStart:
-    """Only the tracer factors, so only ``solve`` loads scipy.linalg."""
+    """Only the tracer factors, and it loads scipy's LAPACK extension
+    module by itself, so no verb runs the ``scipy.linalg`` package."""
 
-    def test_scipy_linalg_loads_on_the_first_factorization(self):
-        # a fresh interpreter: this test session has imported scipy
+    ROUTINES = ("dgetrf", "dgecon", "dtrcon", "dtrtrs", "dgetrs", "dlaswp")
+
+    def test_no_verb_loads_the_scipy_linalg_package(self):
+        # a fresh interpreter: this test session has imported scipy.linalg
         script = (
             "import contextlib, io, json, sys\n"
-            "from arat_homotopy import cli\n"
+            "from arat_homotopy import cli, path_tracer\n"
             "def loaded():\n"
             "    return sorted(m for m in sys.modules\n"
             "                  if m.split('.')[:2] == ['scipy', 'linalg'])\n"
-            "codes = {}\n"
+            "codes, after = {}, {}\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    for verb in ('validate', 'build', 'oracle'):\n"
+            "    for verb in ('validate', 'build', 'oracle', 'solve'):\n"
             "        codes[verb] = cli.main([verb, sys.argv[1]])\n"
-            "    before = loaded()\n"
-            "    codes['solve'] = cli.main(['solve', sys.argv[1]])\n"
-            "print(json.dumps([codes, before, 'scipy.linalg' in loaded()]))\n"
+            "        after[verb] = loaded()\n"
+            "import scipy.linalg.lapack\n"
+            "same = [getattr(scipy.linalg.lapack, name)\n"
+            "        is getattr(path_tracer._lapack(), name)\n"
+            "        for name in sys.argv[2:]]\n"
+            "print(json.dumps([codes, after, same]))\n"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", script, EX1],
+            [sys.executable, "-c", script, EX1, *self.ROUTINES],
             capture_output=True, text=True, timeout=120,
             env={**os.environ, "PYTHONPATH": str(SRC)},
         )
         assert proc.returncode == 0, proc.stderr
-        codes, before, after = json.loads(proc.stdout)
+        codes, after, same = json.loads(proc.stdout)
         assert codes == {"validate": 0, "build": 0, "oracle": 0, "solve": 0}
-        assert before == []
-        assert after
+        assert after["validate"] == after["build"] == after["oracle"] == []
+        # the extension module is all there is; the interpreter itself
+        # lists a single-phase extension in sys.modules when it loads one
+        assert set(after["solve"]) <= {"scipy.linalg._flapack"}
+        assert same == [True] * len(self.ROUTINES)
+
+    def test_loads_after_the_scipy_linalg_package(self):
+        module = sys.modules["scipy.linalg._flapack"]
+        path_tracer._lapack.cache_clear()
+        try:
+            routines = path_tracer._lapack()
+            for name in self.ROUTINES:
+                assert getattr(routines, name) is getattr(
+                    scipy.linalg.lapack, name)
+            # scipy's own module is left in place
+            assert sys.modules["scipy.linalg._flapack"] is module
+        finally:
+            path_tracer._lapack.cache_clear()
+
+    def test_imports_the_package_where_the_module_is_not_found(
+            self, monkeypatch, capsys):
+        find_spec = importlib.machinery.PathFinder.find_spec
+
+        def no_flapack(name, path=None, target=None):
+            if name == "scipy.linalg._flapack":
+                return None
+            return find_spec(name, path, target)
+
+        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                            no_flapack)
+        path_tracer._lapack.cache_clear()
+        try:
+            assert path_tracer._lapack() is scipy.linalg.lapack
+            assert cli.main(["solve", EX1]) == 0
+            out = capsys.readouterr().out
+            assert "status: Converged (52 accepted steps)" in out
+            assert "certificate: PASS" in out
+        finally:
+            path_tracer._lapack.cache_clear()
 
 
 class TestBuildCommand:
