@@ -14,6 +14,11 @@ never ends the walk on its own: when it would (NoProgress, or
 SingularJacobian at the _A0 floor), the rungs above its start are
 tried first, from a = 1, and the failure stands only if they fail too,
 so a failure status always means the whole ladder from a = 1 failed.
+A rung whose prediction t + a tau_t is at or below 0 is refused without
+a correction when a > _A0 (see the positivity gate below): near the
+target the path runs straight into t = 0, and most rungs of each
+ladder overshoot it there.  The floor rung is always corrected, so the
+ladder ends where it would without the rule.
 The walk ends when |t| <= _EPS1.  The endpoint is not judged here: the
 game answer read from it is certified exactly downstream (see
 ``oracle.certify``).
@@ -45,12 +50,13 @@ The values must keep _EPS2 > _EPS3 > _EPS1 > 0, _A0 > 0 and 0 < _L0 < 1.
 Cost of one step: the tangent takes one guarded LU of dH/du, which gives
 both the direction and the determinant sign; it factors (dH/du)^T, which
 is how LAPACK reads the C-ordered matrix, so nothing is copied, and
-solves with the transposed factors.  Each trial point then costs _M
-corrector passes, and each pass builds two wide Jacobians, evaluates the
-map twice and does three minimum-norm solves, each from one guarded LU
-of the transposed Jacobian (``minnorm_solve``); with one column more
-than rows, the shortest solution then takes a closed form.  The map and
-its Jacobians are written into one fresh array per call.  LU with
+solves with the transposed factors.  A rung refused for crossing t = 0
+costs one vector update and no factorization.  Each other trial point
+costs _M corrector passes, and each pass builds two wide Jacobians,
+evaluates the map twice and does three minimum-norm solves, each from
+one guarded LU of the transposed Jacobian (``minnorm_solve``); with one
+column more than rows, the shortest solution then takes a closed form.
+The map and its Jacobians are written into one fresh array per call.  LU with
 partial pivoting is the tracer's only factorization, and LAPACK is
 called directly, through scipy's compiled wrappers: the six routines it
 calls (dgetrf, dgecon, dtrcon, dtrtrs, dgetrs, dlaswp) are those of
@@ -69,8 +75,14 @@ The positivity gate guards x, the slack A x + q, and y2 - exactly the
 coordinates whose strict positivity is invariant along any solution
 branch with t > 0 (the middle block of the map forces t x0 = 0 at
 x_i = 0, and the bottom block pins the slack and y2 signs through their
-products).  y1 is deliberately not gated: it is an affine function of
-the rest, dips below zero transiently on real paths, and returns to the
+products).  The same block rules out t <= 0: on H = 0 with x and the
+slack s = A x + q strictly positive, it reads y2 * s = t y0 with
+y0 = A x0 + q > 0, so y2 <= 0 and the gate refuses the point.  A
+prediction at t <= 0 can only pass if the corrector pulls t back above
+0, which is rare, so such a prediction is not corrected at all.
+
+y1 is deliberately not gated: it is an affine function of the rest,
+dips below zero transiently on real paths, and returns to the
 nonnegative slack vector in the t -> 0 limit.  Gating it rejects the
 true branch and stalls the walk.
 """
@@ -319,7 +331,8 @@ class PathPoint:
 class TraceResult:
     """How the walk ended and every accepted point; ``path[-1]`` is the
     endpoint.  ``rejected`` counts the trial points of the walk that
-    failed a gate or raised SingularJacobian."""
+    failed a gate or raised SingularJacobian, and the rungs refused
+    uncorrected because their prediction crossed t = 0."""
 
     status: TraceStatus
     path: tuple[PathPoint, ...]
@@ -349,9 +362,13 @@ def _trial(inst: HomotopyInstance, current: np.ndarray, tau: np.ndarray,
     and gate.  Returns (vector, residual, None) when the trial passes
     both gates, ``_NEXT_RUNG`` when it fails and a shorter step may still
     pass, and (None, 0.0, (status, detail)) when its failure ends
-    the walk."""
+    the walk.  Above _A0 a prediction at t <= 0 is refused without a
+    correction: the module docstring says why it cannot pass."""
+    pred = current + a * tau
+    if a > _A0 and pred[-1] <= 0.0:
+        return _NEXT_RUNG
     try:
-        cand = corrector(inst, current + a * tau)
+        cand = corrector(inst, pred)
     except SingularJacobian as exc:
         # shrinking pulls the candidate back toward the current
         # point, where the tangent factorization just succeeded

@@ -448,6 +448,8 @@ def stub_ladder(monkeypatch, refuse):
 # the first rung at or below _EPS3, where a failing trial far from the
 # target hyperplane ends the walk
 EPS3_RUNG = int(np.ceil(np.log(_EPS3) / np.log(_L0)))
+# the first rung at or below the progress floor _A0
+FLOOR_RUNG = int(np.ceil(np.log(_A0) / np.log(_L0)))
 
 
 class TestStepLadder:
@@ -497,26 +499,124 @@ class TestStepLadder:
 
     def test_corrector_calls_pinned_on_a_deep_ladder_game(self, monkeypatch):
         # a path whose ladders reach rung 19; when every ladder started
-        # at a = 1, the same 52 steps took 183 corrector calls
-        game = random_arat_game(np.random.default_rng(15), d_max=3,
-                                actions_max=2)
+        # at a = 1, the same 52 steps took 183 corrector calls, and when
+        # rungs whose prediction crosses t = 0 were still corrected, 82.
+        # Every one of the 30 refused rungs crosses, so each corrector
+        # call is an accepted step.
+        game = deep_ladder_game()
         lcp, inst = instance_for(game)
-        calls = []
-        real_corrector = path_tracer.corrector
-
-        def counted(inst, v):
-            calls.append(v)
-            return real_corrector(inst, v)
-
-        monkeypatch.setattr(path_tracer, "corrector", counted)
+        calls = spy_corrector(monkeypatch)
         result = trace(inst)
         assert result.status is TraceStatus.CONVERGED
         assert max(rung(pt.step_length) for pt in result.path[1:]) == 19
         assert len(result.path) - 1 == 52
-        assert len(calls) == 82
-        assert result.rejected == 82 - 52
+        assert len(calls) == 52
+        assert result.rejected == 30
         sol = extract_solution(result, lcp)
         assert certify(game, sol.strategy_i, sol.strategy_ii).passed
+
+
+def deep_ladder_game():
+    return random_arat_game(np.random.default_rng(15), d_max=3,
+                            actions_max=2)
+
+
+def spy_corrector(monkeypatch) -> list:
+    """Record every vector the tracer's corrector is called on."""
+    calls = []
+    real_corrector = path_tracer.corrector
+
+    def counted(inst, v):
+        calls.append(v.copy())
+        return real_corrector(inst, v)
+
+    monkeypatch.setattr(path_tracer, "corrector", counted)
+    return calls
+
+
+class TestCrossingRungs:
+    """A rung whose prediction t + a tau_t is at or below 0 is refused
+    without a correction: on H = 0 with x and the slack s strictly
+    positive, block 3 reads y2 * s = t y0, so t <= 0 forces y2 <= 0,
+    which the positivity gate refuses."""
+
+    @pytest.mark.parametrize("make_game", [make_example1, deep_ladder_game],
+                             ids=["example1", "deep_ladder"])
+    def test_no_corrector_input_crosses(self, monkeypatch, make_game):
+        _, inst = instance_for(make_game())
+        calls = spy_corrector(monkeypatch)
+        result = trace(inst)
+        assert result.status is TraceStatus.CONVERGED
+        assert min(v[-1] for v in calls) > 0.0
+        # the same count as when crossing rungs were corrected and then
+        # refused by the positivity gate
+        assert result.rejected == 30
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_crossing_rungs_are_skipped(self, monkeypatch, example1, k):
+        # the first tangent is stretched to tau_t = -1.5 * 2**k at t = 1,
+        # so rung j predicts t = 1 - 1.5 * 2**(k - j): rungs 0..k cross
+        _, inst = instance_for(example1)
+        real_tangent, taus = path_tracer.tangent, []
+
+        def tangent(inst, v):
+            tau, sign = real_tangent(inst, v)
+            if not taus:
+                tau = tau * (1.5 * 2 ** k / -tau[-1])
+            taus.append(tau)
+            return tau, sign
+
+        monkeypatch.setattr(path_tracer, "tangent", tangent)
+        calls = spy_corrector(monkeypatch)
+        result = trace(inst, max_steps=1)
+        tried = [rung((v[-1] - 1.0) / taus[0][-1]) for v in calls]
+        assert tried == list(range(k + 1, k + 1 + len(tried)))
+        assert rung(result.path[1].step_length) == tried[-1]
+        assert result.rejected == tried[-1]
+
+    @pytest.mark.parametrize("failure", ["singular", "positivity"])
+    def test_walk_past_the_target_ends_at_the_floor(self, monkeypatch,
+                                                     example1, failure):
+        # the walk starts at t = -1e-4 and heads down, so every rung
+        # crosses; only the floor rung is corrected, and it fails as every
+        # rung did when each was corrected
+        _, inst = instance_for(example1)
+        v0 = inst.v0.copy()
+        v0[-1] = -1e-4
+        object.__setattr__(inst, "v0", v0)
+        calls = []
+
+        def corrector(inst, v):
+            calls.append(v.copy())
+            if failure == "singular":
+                raise SingularJacobian("correction system has reciprocal "
+                                       "condition 0.0")
+            bad = v.copy()
+            bad[0] = -1.0  # fails the positivity gate
+            return bad
+
+        real_trial, rungs = path_tracer._trial, []
+
+        def trial(inst, current, tau, a):
+            rungs.append(rung(a))
+            assert len(rungs) <= 2 * FLOOR_RUNG, "the ladder does not end"
+            return real_trial(inst, current, tau, a)
+
+        monkeypatch.setattr(path_tracer, "corrector", corrector)
+        monkeypatch.setattr(path_tracer, "_trial", trial)
+        result = trace(inst)
+        assert rungs == list(range(FLOOR_RUNG + 1))
+        assert len(calls) == 1
+        assert (np.linalg.norm(calls[0] - v0)
+                == pytest.approx(_L0 ** FLOOR_RUNG))
+        assert len(result.path) == 1
+        assert result.rejected == FLOOR_RUNG + 1
+        if failure == "singular":
+            assert result.status is TraceStatus.SINGULAR_JACOBIAN
+        else:
+            assert result.status is TraceStatus.NO_PROGRESS
+            assert result.detail.startswith("stalled within eps2 of the "
+                                            "target hyperplane")
 
 
 class TestTraceEndings:
@@ -555,9 +655,8 @@ class TestTraceEndings:
         assert result.detail == ("correction system has reciprocal "
                                  "condition 0.0")
         assert len(result.path) == 1
-        floor = int(np.ceil(np.log(_A0) / np.log(_L0)))
-        assert _L0 ** floor <= _A0 < _L0 ** (floor - 1)
-        assert result.rejected == floor + 1
+        assert _L0 ** FLOOR_RUNG <= _A0 < _L0 ** (FLOOR_RUNG - 1)
+        assert result.rejected == FLOOR_RUNG + 1
 
     def test_coordinate_beyond_the_bound_ends_the_walk(self, monkeypatch,
                                                        example1):
