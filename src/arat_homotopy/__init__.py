@@ -1,9 +1,12 @@
 """Solver for discounted zero-sum stochastic games with additive structure.
 
 Pipeline: game -> vertical complementarity problem -> equivalent square
-LCP -> interior homotopy traced by a high-order predictor-corrector ->
-pure stationary strategies read off the endpoint, certified exactly by
-Shapley's one-shot deviation inequalities at the pair's own value.
+LCP and its strictly feasible start -> interior homotopy traced by a
+high-order predictor-corrector -> the pure stationary pair read off the
+endpoint's slack, certified exactly by Shapley's one-shot deviation
+inequalities at the pair's own value.  ``vlcp_builder`` owns the game's
+block layout both ways (the problems, the start, the readout);
+``homotopy_core`` holds only the map and its derivatives.
 ``solve(game)`` runs it in one call and returns an ``Answer``.  Value
 iteration and LCP enumeration remain as independent oracles.
 """
@@ -17,14 +20,7 @@ from .errors import (
     SizeGuardExceeded,
 )
 from .game_model import AratGame, ValidationReport, validate
-from .homotopy_core import (
-    HomotopyInstance,
-    eval_H,
-    find_interior_point,
-    jac_full,
-    jac_t,
-    jac_u,
-)
+from .homotopy_core import HomotopyInstance, eval_H, jac_full, jac_t, jac_u
 from .oracle import (
     CertificateReport,
     GameSolution,
@@ -45,8 +41,8 @@ from .path_tracer import (
 from .vlcp_builder import (
     SquareLcp,
     VlcpInstance,
-    VlcpSolution,
     build_vlcp,
+    find_interior_point,
     recover_vlcp_solution,
     to_equivalent_lcp,
 )
@@ -61,7 +57,6 @@ __all__ = [
     "validate",
     "VlcpInstance",
     "SquareLcp",
-    "VlcpSolution",
     "build_vlcp",
     "to_equivalent_lcp",
     "recover_vlcp_solution",

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InvalidGame, MaxIterExceeded, NoInteriorPointFound, SizeGuardExceeded
 from .game_model import AratGame, validate
-from .homotopy_core import HomotopyInstance, find_interior_point, r2_shift
+from .homotopy_core import HomotopyInstance
 from .oracle import (
     ENUMERATION_GUARD,
     CertificateReport,
@@ -42,7 +42,13 @@ from .oracle import (
     value_iteration,
 )
 from .path_tracer import MAX_STEPS, TraceResult, TraceStatus, extract_solution, trace
-from .vlcp_builder import build_vlcp, recover_vlcp_solution, to_equivalent_lcp
+from .vlcp_builder import (
+    build_vlcp,
+    find_interior_point,
+    r2_shift,
+    recover_vlcp_solution,
+    to_equivalent_lcp,
+)
 
 log = logging.getLogger("arat_homotopy.cli")  # under ``python -m`` too
 
@@ -206,9 +212,8 @@ def solve(game: AratGame, max_steps: int = MAX_STEPS) -> Answer:
              result.rejected)
     if result.status is not TraceStatus.CONVERGED:
         return Answer(result, value_shift)
-    sol = extract_solution(result, lcp)
     return Answer(result, value_shift,
-                  certify(game, sol.strategy_i, sol.strategy_ii))
+                  certify(game, *extract_solution(result, lcp)))
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -295,16 +300,16 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     solutions = enumerate_lcp(lcp.M, lcp.q, guard=args.guard)
     print(f"enumerated complementarity solutions: {len(solutions)}")
     for idx, (z, w) in enumerate(solutions, start=1):
-        rec = recover_vlcp_solution(lcp, z, w)
+        strategy_i, strategy_ii = recover_vlcp_solution(lcp, w)
         # the pair's own value: eta + xi of the unshifted LCP is not the
         # game's value when some r2 < 0
-        value = evaluate_pure_pair(game, rec.strategy_i, rec.strategy_ii)
+        value = evaluate_pure_pair(game, strategy_i, strategy_ii)
         print(f"  solution {idx}:")
         print("    z = " + " ".join(f"{v:.10g}" for v in z))
         print("    w = " + " ".join(f"{v:.10g}" for v in w))
         print("    value = " + " ".join(f"{v:.10g}" for v in value))
-        print(f"    strategies: player I {_one_based(rec.strategy_i)}, "
-              f"player II {_one_based(rec.strategy_ii)}")
+        print(f"    strategies: player I {_one_based(strategy_i)}, "
+              f"player II {_one_based(strategy_ii)}")
     return EXIT_OK
 
 

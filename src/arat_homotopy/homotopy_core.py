@@ -11,7 +11,9 @@ system solved exactly by u0 into one whose solutions solve the LCP:
 with X, Y1, Y2 the diagonal matrices of x, y1, y2.  At t = 0 nonnegative
 solutions force the componentwise products x * (A x + q) to vanish.
 The map and its derivatives take a location as the flat vector
-v = (x, y1, y2, t).
+v = (x, y1, y2, t).  This module knows only (A, q, x0), not how a game
+lays out its blocks; the game's start is
+``vlcp_builder.find_interior_point``.
 """
 
 from __future__ import annotations
@@ -20,15 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoInteriorPointFound
 from .game_model import _freeze
-from .vlcp_builder import SquareLcp
-
-#: Level of every eta copy in the computed start.
-_EPS_SMALL = 1e-2
-
-#: Unit roundoff of IEEE double precision.
-_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,85 +196,3 @@ def jac_t(inst: HomotopyInstance, v: np.ndarray) -> np.ndarray:
     """Exact 3n derivative with respect to t (the last column of jac_full)."""
     x, y1, y2, _, s = _parts(inst, v)
     return _dh_dt(inst, x, y1, y2, s, np.empty(3 * inst.n))
-
-
-def _computed_start(lcp: SquareLcp) -> tuple[np.ndarray, ...]:
-    """x0 = x_eta + K u of :func:`find_interior_point`, its slack
-    M x0 + q, the rows that slack lifts, a and b.
-
-    A row is lifted only if its computed slack exceeds
-    gamma_{n+1} (|M| |x0| + |q|), gamma_k = k u / (1 - k u) with u the
-    unit roundoff, which bounds the rounding of that slack (Higham,
-    Accuracy and Stability of Numerical Algorithms, ch. 3): a slack of
-    a few ulps of the row's terms may be no slack at all."""
-    m, q, n = lcp.M, lcp.q, lcp.n
-    x_eta, u = np.zeros(n), np.zeros(n)
-    for j, rng in enumerate(lcp.J):
-        if j < lcp.k // 2:
-            x_eta[rng.start:rng.stop] = _EPS_SMALL
-        else:
-            u[rng.start:rng.stop] = 1.0 / len(rng)
-    a = m @ x_eta + q
-    b = m @ u
-    lift = b > 0.0
-    # an overflowing K gives a point (NaN where 0 * inf) whose slack is
-    # NaN, which lifts no row
-    with np.errstate(over="ignore", invalid="ignore"):
-        k = 1.0 + float(np.max(-a[lift] / b[lift], initial=0.0))
-        x = x_eta + k * u
-        slack = m @ x + q
-        gamma = (n + 1) * _UNIT_ROUNDOFF / (1.0 - (n + 1) * _UNIT_ROUNDOFF)
-        lifted = slack > gamma * (np.abs(m) @ np.abs(x) + np.abs(q))
-    return x, slack, lifted, a, b
-
-
-def find_interior_point(lcp: SquareLcp) -> np.ndarray:
-    """A strictly feasible start x0 > 0 with M x0 + q > 0.
-
-    Every eta copy (the first half of the blocks) is set to 0.01, giving
-    x_eta, and u puts 1/|J_j| on each copy of xi block j, so that every
-    xi(s) sums to 1.  With a = M x_eta + q and b = M u, the start is
-    x_eta + K u with
-
-        K = 1 + max(0, max over rows with b_r > 0 of -a_r / b_r),
-
-    which leaves every row with b_r > 0 a slack of at least b_r.  On a
-    game-built matrix b >= 0 on every row, and b = 1 - beta * mass > 0 on
-    the player-I rows, so in exact arithmetic only a player-II row of a
-    state without player-II transition mass (b = 0) can fail: its slack
-    is r2 - 0.01 * m1(s), whatever K is (see :func:`r2_shift`).  In
-    floating point K b_r can be lost against a much larger reward, so a
-    row counts as lifted only if its slack exceeds the rounding bound of
-    :func:`_computed_start`.  NoInteriorPointFound names the unlifted row
-    with the smallest slack."""
-    x, slack, lifted, a, b = _computed_start(lcp)
-    if x.min() > 0.0 and lifted.all():
-        return x
-    row, half = int(np.argmin(np.where(lifted, np.inf, slack))), lcp.k // 2
-    block = next(j for j, rng in enumerate(lcp.J) if row in rng)
-    where = (f"the player-II row {row - lcp.J[block].start + 1} of state "
-             f"{block - half + 1}" if block >= half else f"row {row + 1}")
-    raise NoInteriorPointFound(
-        f"{where} cannot be lifted: its entry of M u is {float(b[row])!r} "
-        f"and its slack without the xi copies is {float(a[row])!r}"
-    )
-
-
-def r2_shift(lcp: SquareLcp) -> tuple[SquareLcp, float]:
-    """The problem to trace and the c2 added to r2 (q on the player-II
-    rows) of the game-built ``lcp`` to make it: ``lcp`` itself and 0
-    unless its computed start leaves player-II rows, and only such rows,
-    unlifted, by the rule :func:`find_interior_point` checks.  Then
-    c2 = 1 + 0.01 max m1 - min r2 leaves every player-II row a slack of
-    at least 1 without the xi copies, and the problem is a copy of
-    ``lcp`` with c2 added to those rows of q, as if built from the game
-    with r2 shifted; no shift lifts a player-I row."""
-    first_ii = lcp.J[lcp.k // 2].start
-    unlifted = ~_computed_start(lcp)[2]
-    if unlifted[:first_ii].any() or not unlifted[first_ii:].any():
-        return lcp, 0.0
-    m1 = max(len(rng) for rng in lcp.J[:lcp.k // 2])
-    c2 = float(1.0 + _EPS_SMALL * m1 - lcp.q[first_ii:].min())
-    q = lcp.q.copy()
-    q[first_ii:] += c2
-    return SquareLcp(M=lcp.M, q=q, block_sizes=lcp.block_sizes), c2

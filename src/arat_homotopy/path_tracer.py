@@ -103,7 +103,7 @@ import numpy as np
 from .errors import SingularJacobian
 from .game_model import _freeze
 from .homotopy_core import HomotopyInstance, eval_H, jac_full, jac_t, jac_u
-from .vlcp_builder import SquareLcp, VlcpSolution, recover_vlcp_solution
+from .vlcp_builder import SquareLcp, recover_vlcp_solution
 
 # Step control; the module docstring gives each value's meaning.
 _EPS1 = 1e-7
@@ -471,15 +471,17 @@ def trace(inst: HomotopyInstance, max_steps: int = MAX_STEPS) -> TraceResult:
                        rejected=rejected)
 
 
-def extract_solution(result: TraceResult, lcp: SquareLcp) -> VlcpSolution:
-    """Read the vertical solution and pure pair off a converged endpoint.
+def extract_solution(result: TraceResult,
+                     lcp: SquareLcp) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The pure pair ``(strategy_i, strategy_ii)`` read off a converged
+    endpoint.
 
     Uses z = x of the endpoint ``path[-1]`` and w = M z + q as they
     stand; no tolerance decides here whether the endpoint is
-    complementary.  The pair it yields is the candidate that
-    ``oracle.certify`` accepts or rejects.
+    complementary.  The pair is the candidate that ``oracle.certify``
+    accepts or rejects.
     """
     if result.status is not TraceStatus.CONVERGED:
         raise ValueError(f"trace ended with status {result.status.value}")
     z = result.path[-1].x
-    return recover_vlcp_solution(lcp, z, lcp.M @ z + lcp.q)
+    return recover_vlcp_solution(lcp, lcp.M @ z + lcp.q)

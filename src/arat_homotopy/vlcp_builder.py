@@ -7,7 +7,15 @@ for every column j, x_j times the product of w over block j zero.  The
 columns are, per state, the player-II share ``eta(s)`` and the player-I
 share ``xi(s)`` of the value, with ``eta(s) + xi(s) = v(s)``.
 Duplicating each column once per row of its block yields an equivalent
-square LCP; solutions map back by summing the duplicated variables.
+square LCP; a solution's vertical variables are the sums of each
+column's copies.
+
+This is the only module that knows the game's block layout: the eta
+blocks (player I's rows) come first, the xi blocks (player II's rows)
+after.  It builds both problems, computes the square problem's strictly
+feasible start (:func:`find_interior_point`, after the r2 shift of
+:func:`r2_shift`), and reads an endpoint's slack back as the pure pair
+(:func:`recover_vlcp_solution`).
 """
 
 from __future__ import annotations
@@ -18,7 +26,14 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import NoInteriorPointFound
 from .game_model import AratGame, _counts, _freeze, validate
+
+#: Level of every eta copy in the computed start.
+_EPS_SMALL = 1e-2
+
+#: Unit roundoff of IEEE double precision.
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,20 +95,6 @@ class SquareLcp:
         return len(self.J)
 
 
-@dataclass(frozen=True, eq=False)
-class VlcpSolution:
-    """Solution recovered in vertical coordinates.
-
-    x stacks eta(1..d) then xi(1..d); value = eta + xi = x[:d] + x[d:].
-    Strategies hold 0-based pure action indices.
-    """
-
-    x: np.ndarray
-    value: np.ndarray
-    strategy_i: tuple[int, ...]
-    strategy_ii: tuple[int, ...]
-
-
 def build_vlcp(game: AratGame) -> VlcpInstance:
     """Assemble the vertical problem for an additive game; one that fails
     ``validate`` raises InvalidGame, whose message holds the report.
@@ -130,32 +131,111 @@ def to_equivalent_lcp(v: VlcpInstance) -> SquareLcp:
                      block_sizes=v.block_sizes)
 
 
-def recover_vlcp_solution(lcp: SquareLcp, z: Sequence[float],
-                          w: Sequence[float]) -> VlcpSolution:
-    """Map a square-LCP point back to vertical coordinates.
+def recover_vlcp_solution(
+        lcp: SquareLcp, w: Sequence[float]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The pure pair ``(strategy_i, strategy_ii)`` read off a square-LCP
+    slack w, as 0-based action indices.
 
-    Block variables are the sums of their column copies.  Each block's
-    pure action is its smallest-index argmin slack row.  Nothing here
-    judges feasibility or complementarity: the pair is only a candidate,
-    which ``oracle.certify`` checks exactly against the game.  Raises
-    ValueError unless the block count is even (an eta and a xi block per
-    state), as for every game-built problem.
+    Each block's pure action is its smallest-index argmin slack row: the
+    first half of the blocks are player I's states, the second half
+    player II's.  Nothing here judges feasibility or complementarity:
+    the pair is only a candidate, which ``oracle.certify`` checks exactly
+    against the game.  Raises ValueError unless the block count is even
+    (an eta and a xi block per state), as for every game-built problem,
+    and if w does not have the LCP dimension or holds a NaN.
     """
-    z = np.asarray(z, dtype=float)
     w = np.asarray(w, dtype=float)
-    n = lcp.n
     if lcp.k % 2 != 0:
         raise ValueError(f"{lcp.k} blocks: a game-built problem has an even "
                          f"number, an eta and a xi block per state")
-    if z.size != n or w.size != n:
-        raise ValueError("z and w must have the LCP dimension")
-    # "not (gap <= bound)" so that a NaN in z or w fails as well
-    gap = np.max(np.abs(lcp.M @ z + lcp.q - w))
-    if not (gap <= 1e-6 * (1.0 + np.abs(lcp.q).max())):
-        raise ValueError("w is not M z + q for this problem")
-
-    x = np.array([z[list(rng)].sum() for rng in lcp.J])
+    if w.shape != (lcp.n,):
+        raise ValueError("w must have the LCP dimension")
+    if np.isnan(w).any():
+        raise ValueError("w holds a NaN")
+    actions = tuple(int(np.argmin(w[rng.start:rng.stop])) for rng in lcp.J)
     d = lcp.k // 2
-    actions = tuple(int(np.argmin(w[list(rng)])) for rng in lcp.J)
-    return VlcpSolution(x=x, value=x[:d] + x[d:],
-                        strategy_i=actions[:d], strategy_ii=actions[d:])
+    return actions[:d], actions[d:]
+
+
+def _computed_start(lcp: SquareLcp) -> tuple[np.ndarray, ...]:
+    """x0 = x_eta + K u of :func:`find_interior_point`, its slack
+    M x0 + q, the rows that slack lifts, a and b.
+
+    A row is lifted only if its computed slack exceeds
+    gamma_{n+1} (|M| |x0| + |q|), gamma_k = k u / (1 - k u) with u the
+    unit roundoff, which bounds the rounding of that slack (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 3): a slack of
+    a few ulps of the row's terms may be no slack at all."""
+    m, q, n = lcp.M, lcp.q, lcp.n
+    x_eta, u = np.zeros(n), np.zeros(n)
+    for j, rng in enumerate(lcp.J):
+        if j < lcp.k // 2:
+            x_eta[rng.start:rng.stop] = _EPS_SMALL
+        else:
+            u[rng.start:rng.stop] = 1.0 / len(rng)
+    a = m @ x_eta + q
+    b = m @ u
+    lift = b > 0.0
+    # an overflowing K gives a point (NaN where 0 * inf) whose slack is
+    # NaN, which lifts no row
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = 1.0 + float(np.max(-a[lift] / b[lift], initial=0.0))
+        x = x_eta + k * u
+        slack = m @ x + q
+        gamma = (n + 1) * _UNIT_ROUNDOFF / (1.0 - (n + 1) * _UNIT_ROUNDOFF)
+        lifted = slack > gamma * (np.abs(m) @ np.abs(x) + np.abs(q))
+    return x, slack, lifted, a, b
+
+
+def find_interior_point(lcp: SquareLcp) -> np.ndarray:
+    """A strictly feasible start x0 > 0 with M x0 + q > 0.
+
+    Every eta copy (the first half of the blocks) is set to 0.01, giving
+    x_eta, and u puts 1/|J_j| on each copy of xi block j, so that every
+    xi(s) sums to 1.  With a = M x_eta + q and b = M u, the start is
+    x_eta + K u with
+
+        K = 1 + max(0, max over rows with b_r > 0 of -a_r / b_r),
+
+    which leaves every row with b_r > 0 a slack of at least b_r.  On a
+    game-built matrix b >= 0 on every row, and b = 1 - beta * mass > 0 on
+    the player-I rows, so in exact arithmetic only a player-II row of a
+    state without player-II transition mass (b = 0) can fail: its slack
+    is r2 - 0.01 * m1(s), whatever K is (see :func:`r2_shift`).  In
+    floating point K b_r can be lost against a much larger reward, so a
+    row counts as lifted only if its slack exceeds the rounding bound of
+    :func:`_computed_start`.  NoInteriorPointFound names the unlifted row
+    with the smallest slack."""
+    x, slack, lifted, a, b = _computed_start(lcp)
+    if x.min() > 0.0 and lifted.all():
+        return x
+    row, half = int(np.argmin(np.where(lifted, np.inf, slack))), lcp.k // 2
+    block = next(j for j, rng in enumerate(lcp.J) if row in rng)
+    player, state = ("II", block - half) if block >= half else ("I", block)
+    where = (f"the player-{player} row {row - lcp.J[block].start + 1} of "
+             f"state {state + 1}" if lcp.k % 2 == 0 else f"row {row + 1}")
+    raise NoInteriorPointFound(
+        f"{where} cannot be lifted: its entry of M u is {float(b[row])!r} "
+        f"and its slack without the xi copies is {float(a[row])!r}"
+    )
+
+
+def r2_shift(lcp: SquareLcp) -> tuple[SquareLcp, float]:
+    """The problem to trace and the c2 added to r2 (q on the player-II
+    rows) of the game-built ``lcp`` to make it: ``lcp`` itself and 0
+    unless its computed start leaves player-II rows, and only such rows,
+    unlifted, by the rule :func:`find_interior_point` checks.  Then
+    c2 = 1 + 0.01 max m1 - min r2 leaves every player-II row a slack of
+    at least 1 without the xi copies, and the problem is a copy of
+    ``lcp`` with c2 added to those rows of q, as if built from the game
+    with r2 shifted; no shift lifts a player-I row."""
+    first_ii = lcp.J[lcp.k // 2].start
+    unlifted = ~_computed_start(lcp)[2]
+    if unlifted[:first_ii].any() or not unlifted[first_ii:].any():
+        return lcp, 0.0
+    m1 = max(len(rng) for rng in lcp.J[:lcp.k // 2])
+    c2 = float(1.0 + _EPS_SMALL * m1 - lcp.q[first_ii:].min())
+    q = lcp.q.copy()
+    q[first_ii:] += c2
+    return SquareLcp(M=lcp.M, q=q, block_sizes=lcp.block_sizes), c2

@@ -179,6 +179,13 @@ def is_strictly_feasible(m: np.ndarray, q: np.ndarray, x: np.ndarray) -> bool:
     return bool(x.min() > 0.0 and (m @ x + q).min() > 0.0)
 
 
+def block_sums(lcp: SquareLcp, z: np.ndarray) -> np.ndarray:
+    """The vertical solution of a square-LCP point z: the sum of each
+    block's column copies, eta(1..d) then xi(1..d) for a game-built
+    problem, so that eta + xi is x[:d] + x[d:]."""
+    return np.array([np.asarray(z)[list(rng)].sum() for rng in lcp.J])
+
+
 def jac_u0(inst: HomotopyInstance, v: np.ndarray) -> tuple[np.ndarray, float]:
     """Derivative of the map with respect to the anchor at
     v = (x, y1, y2, t), and its closed-form determinant.

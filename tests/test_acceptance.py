@@ -15,12 +15,7 @@ import pytest
 
 from arat_homotopy import cli
 from arat_homotopy.game_model import validate
-from arat_homotopy.homotopy_core import (
-    HomotopyInstance,
-    eval_H,
-    find_interior_point,
-    jac_full,
-)
+from arat_homotopy.homotopy_core import HomotopyInstance, eval_H, jac_full
 from arat_homotopy.oracle import (
     certify,
     enumerate_lcp,
@@ -31,12 +26,14 @@ from arat_homotopy.path_tracer import corrector_core, tangent
 from arat_homotopy.vlcp_builder import (
     SquareLcp,
     build_vlcp,
+    find_interior_point,
     recover_vlcp_solution,
     to_equivalent_lcp,
 )
 
 from conftest import (
     FIXTURES,
+    block_sums,
     jac_u0,
     make_example1,
     make_example2,
@@ -270,10 +267,11 @@ def test_criterion_9_random_game_certificates():
             # recovering the oracle value and certified strategies
             matched = False
             for z, w in enumerate_lcp(lcp.M, lcp.q):
-                rec = recover_vlcp_solution(lcp, z, w)
-                report = certify(game, rec.strategy_i, rec.strategy_ii)
-                if (np.abs(rec.value - truth.v).max() <= 1e-6
-                        and np.abs(rec.value - report.value).max() <= 1e-6
+                report = certify(game, *recover_vlcp_solution(lcp, w))
+                x = block_sums(lcp, z)
+                eta_xi = x[:game.d] + x[game.d:]
+                if (np.abs(eta_xi - truth.v).max() <= 1e-6
+                        and np.abs(eta_xi - report.value).max() <= 1e-6
                         and report.passed):
                     matched = True
                     break

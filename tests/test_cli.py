@@ -22,13 +22,14 @@ from hypothesis import strategies as st
 from arat_homotopy import cli, path_tracer
 from arat_homotopy.errors import InvalidGame, MaxIterExceeded, NoInteriorPointFound
 from arat_homotopy.game_model import AratGame, validate
-from arat_homotopy.homotopy_core import HomotopyInstance, find_interior_point
+from arat_homotopy.homotopy_core import HomotopyInstance
 from arat_homotopy.oracle import evaluate_pure_pair, value_iteration
-from arat_homotopy.path_tracer import PathPoint, extract_solution
+from arat_homotopy.path_tracer import PathPoint
 from arat_homotopy.vlcp_builder import (
     SquareLcp,
     VlcpInstance,
     build_vlcp,
+    find_interior_point,
     to_equivalent_lcp,
 )
 
@@ -214,6 +215,19 @@ class TestSolveCommand:
         result = cli.solve(make_example1()).result
         assert doc["steps"] == len(result.path) - 1
         assert doc["rejected_trials"] == result.rejected > 0
+
+    def test_unequal_blocks_certify(self, capsys):
+        # 1 and 3 player-I actions, 2 and 1 player-II actions: the pair is
+        # read off blocks of four different sizes
+        code = cli.main(["solve", str(FIXTURES / "uneven_blocks.json")])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert lines[0].startswith("status: Converged (")
+        assert lines[1:] == [
+            "value: 2.75 5.75",
+            "  state 1: player I action 1, player II action 1",
+            "  state 2: player I action 1, player II action 1",
+            "certificate: PASS"]
 
     def test_example1_bundled_hint_falls_back_to_auto(self):
         # solve takes no start: it traces from the computed one
@@ -467,14 +481,14 @@ def test_array_holding_types_compare_by_identity():
         inst = HomotopyInstance(lcp.M, lcp.q, find_interior_point(lcp))
         answer = cli.solve(game)
         return (game, vlcp, lcp, inst, answer, answer.result,
-                answer.result.path[-1], extract_solution(answer.result, lcp),
-                answer.certificate, value_iteration(game))
+                answer.result.path[-1], answer.certificate,
+                value_iteration(game))
 
     first, second = build(), build()
     assert {type(a).__name__ for a in first} == {
         "AratGame", "VlcpInstance", "SquareLcp", "HomotopyInstance",
-        "Answer", "TraceResult", "PathPoint", "VlcpSolution",
-        "CertificateReport", "GameSolution"}
+        "Answer", "TraceResult", "PathPoint", "CertificateReport",
+        "GameSolution"}
     for a, b in zip(first, second):
         assert a == a and a != b
         assert len({a, b, a}) == 2
@@ -845,6 +859,10 @@ class TestLargeRewards:
     """Valid games whose rewards are too large for the float arithmetic
     end with one stderr line and exit 1."""
 
+    # the row the start fails on, named in game terms
+    PLAYER_I_UNLIFTED = ("no interior start: the player-I row 1 of state 1 "
+                         "cannot be lifted")
+
     @staticmethod
     def one_state(r1, r2):
         return {"beta": 0.5, "states": [{
@@ -867,7 +885,7 @@ class TestLargeRewards:
         # and no r2 shift helps a player-I row
         proc = self.run(tmp_path, "solve", self.one_state(1e17, 1.0))
         assert proc.returncode == 1
-        assert proc.stderr.startswith("no interior start: row 1 cannot be lifted")
+        assert proc.stderr.startswith(self.PLAYER_I_UNLIFTED)
         assert proc.stderr.count("\n") == 1
         assert proc.stdout == ""
 
@@ -885,7 +903,7 @@ class TestLargeRewards:
         assert cli.main(["solve", path]) == 1
         assert len(calls) == 1
         err = capsys.readouterr().err
-        assert err.startswith("no interior start: row 1 cannot be lifted")
+        assert err.startswith(self.PLAYER_I_UNLIFTED)
         assert err.count("\n") == 1
 
     def test_solve_overflowing_lift_warns_nothing(self, tmp_path, capsys):
@@ -914,7 +932,7 @@ class TestLargeRewards:
             code = cli.main(["solve", path])
         captured = capsys.readouterr()
         assert code == 1
-        assert captured.err.startswith("no interior start: row 1 cannot be lifted")
+        assert captured.err.startswith(self.PLAYER_I_UNLIFTED)
         assert captured.err.count("\n") == 1
         assert captured.out == ""
 

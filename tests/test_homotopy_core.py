@@ -3,26 +3,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from arat_homotopy.errors import NoInteriorPointFound
-from arat_homotopy.game_model import AratGame
-from arat_homotopy.homotopy_core import (
-    HomotopyInstance,
-    eval_H,
+from arat_homotopy.homotopy_core import HomotopyInstance, eval_H, jac_full, jac_t, jac_u
+from arat_homotopy.vlcp_builder import (
+    SquareLcp,
+    build_vlcp,
     find_interior_point,
-    jac_full,
-    jac_t,
-    jac_u,
-    r2_shift,
+    to_equivalent_lcp,
 )
-from arat_homotopy.vlcp_builder import SquareLcp, build_vlcp, to_equivalent_lcp
 
-from conftest import (
-    FIXTURES,
-    is_strictly_feasible,
-    jac_u0,
-    make_example1,
-    random_arat_game,
-)
+from conftest import FIXTURES, is_strictly_feasible, jac_u0, make_example1
 
 
 def example1_instance():
@@ -171,15 +160,8 @@ class TestAnchorJacobian:
 
 
 class TestInteriorPoint:
-    def test_example1_heuristic_is_feasible(self):
-        lcp = to_equivalent_lcp(build_vlcp(make_example1()))
-        x0 = find_interior_point(lcp)
-        assert is_strictly_feasible(lcp.M, lcp.q, x0)
-        # eta copies at 0.01; each xi(s) is K split over its two copies,
-        # with K = 1 + 5.005 / 0.75 set by the tightest player-I row
-        # (r1 = 5, slack -5.005 before the lift, M u = 1 - 0.5 * 0.5)
-        np.testing.assert_allclose(x0[:4], 0.01)
-        np.testing.assert_allclose(x0[4:], (1.0 + 5.005 / 0.75) / 2.0)
+    """The anchor the map accepts; the game's start itself is tested
+    with ``vlcp_builder``, which computes it."""
 
     def test_bundled_hint_for_example1_is_rejected(self):
         # the bundled reference starting vector has a negative slack in
@@ -189,70 +171,6 @@ class TestInteriorPoint:
         assert not is_strictly_feasible(lcp.M, lcp.q, x0)
         with pytest.raises(ValueError, match="strictly interior"):
             HomotopyInstance(lcp.M, lcp.q, x0)
-
-    def test_positive_q_game_needs_no_lift(self):
-        # all r1 < 0 and r2 > 0 make q > 0: no row needs the xi copies,
-        # so K = 1 and every xi(s) sums to exactly 1
-        base = make_example1()
-        game = AratGame(beta=base.beta, r1=tuple(-r for r in base.r1),
-                        r2=base.r2, p1=base.p1, p2=base.p2)
-        lcp = to_equivalent_lcp(build_vlcp(game))
-        assert lcp.q.min() > 0.0
-        x0 = find_interior_point(lcp)
-        assert is_strictly_feasible(lcp.M, lcp.q, x0)
-        np.testing.assert_allclose(x0[:4], 0.01)
-        for rng in lcp.J[2:]:
-            assert x0[list(rng)].sum() == pytest.approx(1.0, abs=1e-15)
-
-    def test_start_is_feasible_on_random_games(self):
-        # games whose player-I rows send mass to states with more
-        # player-II actions defeat a common level on the xi copies
-        rng = np.random.default_rng(0)
-        for k in range(400):
-            game = random_arat_game(rng, d_max=4, actions_max=3,
-                                    betas=(0.3, 0.5, 0.9, 0.99))
-            lcp = to_equivalent_lcp(build_vlcp(game))
-            x0 = find_interior_point(lcp)
-            assert is_strictly_feasible(lcp.M, lcp.q, x0), f"draw {k}"
-
-    def test_infeasible_problem_raises(self):
-        # x > 0 forces M x + q = -x + q < 0 in the first row
-        m = -np.eye(2)
-        q = np.array([0.0, 1.0])
-        lcp = SquareLcp(M=m, q=q, block_sizes=(1, 1))
-        with pytest.raises(NoInteriorPointFound):
-            find_interior_point(lcp)
-
-    def test_state_without_player_ii_mass_is_named(self):
-        # such a row's slack is r2 - 0.01 m1(s), whatever the lift
-        game = AratGame(beta=0.5, r1=([2.0],), r2=([-1.0],),
-                        p1=([[1.0]],), p2=([[0.0]],))
-        lcp = to_equivalent_lcp(build_vlcp(game))
-        with pytest.raises(NoInteriorPointFound, match=(
-                "player-II row 1 of state 1 cannot be lifted")):
-            find_interior_point(lcp)
-        # the message names the state that fails, not the first one; a
-        # reward equal to 0.01 m1(s) fails too (no strict slack is left)
-        game = AratGame(beta=0.5, r1=([2.0], [2.0]), r2=([1.0], [0.01]),
-                        p1=([[0.5, 0.5]], [[0.0, 1.0]]),
-                        p2=([[0.0, 0.0]], [[0.0, 0.0]]))
-        lcp = to_equivalent_lcp(build_vlcp(game))
-        with pytest.raises(NoInteriorPointFound, match=(
-                "player-II row 1 of state 2 cannot be lifted")):
-            find_interior_point(lcp)
-
-    def test_r2_shift_keeps_the_blocks(self):
-        # three player-I actions and two player-II actions without mass:
-        # the shifted copy differs from the built problem only in q
-        game = AratGame(beta=0.5, r1=([2.0, 1.0, 0.5],), r2=([-1.0, 0.0],),
-                        p1=(np.ones((3, 1)),), p2=(np.zeros((2, 1)),))
-        lcp = to_equivalent_lcp(build_vlcp(game))
-        shifted, c2 = r2_shift(lcp)
-        assert c2 > 0.0 and shifted is not lcp
-        assert shifted.block_sizes == lcp.block_sizes == (3, 2)
-        assert shifted.J == lcp.J == (range(0, 3), range(3, 5))
-        assert np.array_equal(shifted.M, lcp.M)
-        np.testing.assert_array_equal(shifted.q[3:], lcp.q[3:] + c2)
 
 
 class TestInstanceInvariants:

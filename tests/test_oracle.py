@@ -443,12 +443,11 @@ class TestEnumerateLcp:
 class TestCertify:
     def _candidate(self, game):
         lcp = to_equivalent_lcp(build_vlcp(game))
-        z, w = enumerate_lcp(lcp.M, lcp.q)[0]
-        return lcp, recover_vlcp_solution(lcp, z, w)
+        _, w = enumerate_lcp(lcp.M, lcp.q)[0]
+        return recover_vlcp_solution(lcp, w)
 
     def test_example1_enumerated_solution_passes(self, example1):
-        _, cand = self._candidate(example1)
-        report = certify(example1, cand.strategy_i, cand.strategy_ii)
+        report = certify(example1, *self._candidate(example1))
         assert report.passed
         assert report.violations == ()
 
@@ -485,7 +484,7 @@ class TestCertify:
             evaluate_pure_pair(example1, (0,), (0, 1))
 
     def test_non_saddle_strategies_fail_with_deviation_listed(self, example1):
-        _, cand = self._candidate(example1)
-        report = certify(example1, cand.strategy_i, (1, 0))
+        strategy_i, _ = self._candidate(example1)
+        report = certify(example1, strategy_i, (1, 0))
         assert not report.passed
         assert any("deviation" in v for v in report.violations)

@@ -6,13 +6,7 @@ from scipy.linalg import lapack
 
 from arat_homotopy import path_tracer
 from arat_homotopy.errors import SingularJacobian
-from arat_homotopy.homotopy_core import (
-    HomotopyInstance,
-    eval_H,
-    find_interior_point,
-    jac_full,
-    jac_u,
-)
+from arat_homotopy.homotopy_core import HomotopyInstance, eval_H, jac_full, jac_u
 from arat_homotopy.oracle import certify
 from arat_homotopy.path_tracer import (
     _A0,
@@ -32,9 +26,14 @@ from arat_homotopy.path_tracer import (
     tangent,
     trace,
 )
-from arat_homotopy.vlcp_builder import SquareLcp, build_vlcp, to_equivalent_lcp
+from arat_homotopy.vlcp_builder import (
+    SquareLcp,
+    build_vlcp,
+    find_interior_point,
+    to_equivalent_lcp,
+)
 
-from conftest import FIXTURES, make_example1, random_arat_game
+from conftest import FIXTURES, block_sums, make_example1, random_arat_game
 
 
 def instance_for(game):
@@ -324,21 +323,21 @@ class TestTrace:
         result = trace(inst)
         assert result.status is TraceStatus.CONVERGED
         assert abs(result.path[-1].t) <= _EPS1
-        sol = extract_solution(result, lcp)
-        np.testing.assert_allclose(sol.value, [14.0, 14.0], atol=1e-4)
-        assert sol.strategy_i == (0, 0)
-        assert sol.strategy_ii == (0, 1)
-        assert certify(example1, sol.strategy_i, sol.strategy_ii).passed
+        pair = extract_solution(result, lcp)
+        assert pair == ((0, 0), (0, 1))
+        assert certify(example1, *pair).passed
+        x = block_sums(lcp, result.path[-1].x)
+        np.testing.assert_allclose(x[:2] + x[2:], [14.0, 14.0], atol=1e-4)
 
     def test_example2_converges_to_certified_solution(self, example2):
         lcp, inst = instance_for(example2)
         result = trace(inst)
         assert result.status is TraceStatus.CONVERGED
-        sol = extract_solution(result, lcp)
-        assert certify(example2, sol.strategy_i, sol.strategy_ii).passed
+        assert certify(example2, *extract_solution(result, lcp)).passed
         # frozen from the oracle: eta = (8.25, 5.5), xi = (5.75, 8.5)
-        np.testing.assert_allclose(sol.x[:2], [8.25, 5.5], atol=1e-4)
-        np.testing.assert_allclose(sol.x[2:], [5.75, 8.5], atol=1e-4)
+        x = block_sums(lcp, result.path[-1].x)
+        np.testing.assert_allclose(x[:2], [8.25, 5.5], atol=1e-4)
+        np.testing.assert_allclose(x[2:], [5.75, 8.5], atol=1e-4)
 
     def test_example2_from_the_papers_start(self, example2):
         # a caller's own anchor goes through the stages, not solve
@@ -347,8 +346,7 @@ class TestTrace:
         result = trace(HomotopyInstance(lcp.M, lcp.q, x0))
         assert result.status is TraceStatus.CONVERGED
         np.testing.assert_array_equal(result.path[0].x, x0)
-        sol = extract_solution(result, lcp)
-        assert certify(example2, sol.strategy_i, sol.strategy_ii).passed
+        assert certify(example2, *extract_solution(result, lcp)).passed
 
     def test_path_invariants(self, example1):
         lcp, inst = instance_for(example1)
@@ -512,8 +510,7 @@ class TestStepLadder:
         assert len(result.path) - 1 == 52
         assert len(calls) == 52
         assert result.rejected == 30
-        sol = extract_solution(result, lcp)
-        assert certify(game, sol.strategy_i, sol.strategy_ii).passed
+        assert certify(game, *extract_solution(result, lcp)).passed
 
 
 def deep_ladder_game():
@@ -745,11 +742,8 @@ class TestExtractSolution:
                 with pytest.raises(ValueError, match="3 blocks"):
                     extract_solution(result, lcp)
                 continue
-            sol = extract_solution(result, lcp)
             # the pair is read off w = M z + q = q, one row per block
-            assert sol.strategy_i == (0, 0) and sol.strategy_ii == (0, 0)
-            np.testing.assert_array_equal(sol.x, np.zeros(n))
-            np.testing.assert_array_equal(sol.value, np.zeros(2))
+            assert extract_solution(result, lcp) == ((0, 0), (0, 0))
 
     def test_small_negatives_clamped(self, example1):
         lcp, inst = instance_for(example1)
@@ -760,11 +754,12 @@ class TestExtractSolution:
             path=(PathPoint(np.concatenate([z, w, z, [0.0]]), residual=0.0,
                             step_length=0.0, det_sign=1),),
         )
-        # no clamping: tiny negatives pass through, and the block sums
-        # they land in stay positive
-        sol = extract_solution(result, lcp)
-        assert sol.x.min() >= 0.0
-        np.testing.assert_allclose(sol.value, [14.0, 14.0], atol=1e-6)
+        # no clamping: tiny negatives pass through to w = M z + q, and
+        # the pair read off it is example 1's optimal one
+        assert extract_solution(result, lcp) == ((0, 0), (0, 1))
+        x = block_sums(lcp, z)
+        assert x.min() >= 0.0
+        np.testing.assert_allclose(x[:2] + x[2:], [14.0, 14.0], atol=1e-6)
 
 
 def small_mix_games() -> list:
@@ -780,8 +775,7 @@ def trace_to_pair(game):
     lcp, inst = instance_for(game)
     result = trace(inst, 1000)
     assert result.status is TraceStatus.CONVERGED
-    sol = extract_solution(result, lcp)
-    return result.path[-1], (sol.strategy_i, sol.strategy_ii)
+    return result.path[-1], extract_solution(result, lcp)
 
 
 class TestSpuriousEndpoints:

@@ -6,20 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from arat_homotopy.errors import SizeGuardExceeded
+from arat_homotopy.errors import NoInteriorPointFound, SizeGuardExceeded
 from arat_homotopy.game_model import AratGame
 from arat_homotopy.oracle import enumerate_lcp, value_iteration
 from arat_homotopy.vlcp_builder import (
     SquareLcp,
     VlcpInstance,
     build_vlcp,
+    find_interior_point,
+    r2_shift,
     recover_vlcp_solution,
     to_equivalent_lcp,
 )
 
 from conftest import (
+    block_sums,
     composed_reward,
     composed_transition,
+    is_strictly_feasible,
     make_example1,
     random_arat_game,
     verify_vbe_e,
@@ -160,8 +164,8 @@ class TestEquivalentLcp:
         # M z equals the vertical matrix applied to the block sums of z
         inst = build_vlcp(make_example1())
         lcp = to_equivalent_lcp(inst)
-        x = np.array([z[list(rng)].sum() for rng in lcp.J])
-        np.testing.assert_allclose(lcp.M @ z, inst.A @ x, atol=1e-9)
+        np.testing.assert_allclose(lcp.M @ z, inst.A @ block_sums(lcp, z),
+                                   atol=1e-9)
 
 
 class TestRecoverSolution:
@@ -169,40 +173,32 @@ class TestRecoverSolution:
         lcp = to_equivalent_lcp(build_vlcp(example1))
         z = np.array([6.5, 0.0, 5.5, 0.0, 7.5, 0.0, 0.0, 8.5])
         w = lcp.M @ z + lcp.q
-        sol = recover_vlcp_solution(lcp, z, w)
-        np.testing.assert_allclose(sol.x, [6.5, 5.5, 7.5, 8.5])
-        np.testing.assert_allclose(sol.x[:2], [6.5, 5.5])  # eta
-        np.testing.assert_allclose(sol.x[2:], [7.5, 8.5])  # xi
-        np.testing.assert_allclose(sol.value, [14.0, 14.0])
-        assert sol.strategy_i == (0, 0)
-        assert sol.strategy_ii == (0, 1)
+        assert recover_vlcp_solution(lcp, w) == ((0, 0), (0, 1))
+        x = block_sums(lcp, z)
+        np.testing.assert_allclose(x[:2], [6.5, 5.5])  # eta
+        np.testing.assert_allclose(x[2:], [7.5, 8.5])  # xi
+        np.testing.assert_allclose(x[:2] + x[2:], [14.0, 14.0])
 
     def test_zero_solution_for_nonnegative_q(self):
         m = np.eye(4)
         q = np.array([1.0, 2.0, 0.5, 3.0])
         lcp = SquareLcp(M=m, q=q, block_sizes=(1, 1, 1, 1))
-        sol = recover_vlcp_solution(lcp, np.zeros(4), q)
-        np.testing.assert_array_equal(sol.x, np.zeros(4))
         # the pair is read off w = q, one row per block
-        assert sol.strategy_i == (0, 0) and sol.strategy_ii == (0, 0)
-        np.testing.assert_array_equal(sol.value, np.zeros(2))
-
-    def test_complementarity_breach_reported(self, example1):
-        lcp = to_equivalent_lcp(build_vlcp(example1))
-        z = np.full(8, 1.0)
-        w = lcp.M @ z + lcp.q
-        # force a feasible-looking pair with visible products
-        z = np.abs(z)
-        w = np.abs(w) + 0.5
-        with pytest.raises(ValueError, match=r"M z \+ q"):
-            recover_vlcp_solution(lcp, z, w)
+        assert recover_vlcp_solution(lcp, q) == ((0, 0), (0, 0))
 
     def test_nan_point_is_refused(self, example1):
-        # NaN fails the check that w is M z + q, as a wrong w does
+        # argmin would read a NaN as the smallest slack; one NaN refuses
         lcp = to_equivalent_lcp(build_vlcp(example1))
-        z = np.full(lcp.n, np.nan)
-        with pytest.raises(ValueError, match=r"M z \+ q"):
-            recover_vlcp_solution(lcp, z, z)
+        w = np.ones(lcp.n)
+        w[3] = np.nan
+        with pytest.raises(ValueError, match="w holds a NaN"):
+            recover_vlcp_solution(lcp, w)
+
+    def test_wrong_size_slack_is_refused(self, example1):
+        lcp = to_equivalent_lcp(build_vlcp(example1))
+        for w in (np.ones(lcp.n - 1), np.ones((1, lcp.n))):
+            with pytest.raises(ValueError, match="LCP dimension"):
+                recover_vlcp_solution(lcp, w)
 
     def test_odd_block_count_skips_value_recovery(self):
         # no game has an odd block count, so recovery refuses one
@@ -210,21 +206,105 @@ class TestRecoverSolution:
         q = np.array([1.0, 1.0, 1.0])
         lcp = SquareLcp(M=m, q=q, block_sizes=(1, 1, 1))
         with pytest.raises(ValueError, match="3 blocks"):
-            recover_vlcp_solution(lcp, np.zeros(3), q)
+            recover_vlcp_solution(lcp, q)
+
+    def test_unequal_blocks_read_each_states_rows(self):
+        # blocks of 1 and 3 player-I rows, then 2 and 1 player-II rows:
+        # each block's action is its own argmin row, counted from 0
+        w = np.array([5.0, 4.0, 0.5, 3.0, 2.0, 1.0, 7.0])
+        lcp = SquareLcp(M=np.eye(7), q=w, block_sizes=(1, 3, 2, 1))
+        assert recover_vlcp_solution(lcp, w) == ((0, 1), (1, 0))
 
     def test_round_trip_all_enumerated_solutions(self, example1, example2):
         for game in (example1, example2):
             inst = build_vlcp(game)
             lcp = to_equivalent_lcp(inst)
             for z, w in enumerate_lcp(lcp.M, lcp.q):
-                sol = recover_vlcp_solution(lcp, z, w)
-                assert sol.x.min() >= -1e-8
-                np.testing.assert_allclose(
-                    inst.A @ sol.x + inst.q, w, atol=1e-8
-                )
+                x = block_sums(lcp, z)
+                assert x.min() >= -1e-8
+                np.testing.assert_allclose(inst.A @ x + inst.q, w, atol=1e-8)
                 for b, rng in enumerate(lcp.J):
-                    prod = sol.x[b] * np.prod(w[list(rng)])
+                    prod = x[b] * np.prod(w[list(rng)])
                     assert abs(prod) <= 1e-8
+
+
+class TestInteriorPoint:
+    def test_example1_heuristic_is_feasible(self):
+        lcp = to_equivalent_lcp(build_vlcp(make_example1()))
+        x0 = find_interior_point(lcp)
+        assert is_strictly_feasible(lcp.M, lcp.q, x0)
+        # eta copies at 0.01; each xi(s) is K split over its two copies,
+        # with K = 1 + 5.005 / 0.75 set by the tightest player-I row
+        # (r1 = 5, slack -5.005 before the lift, M u = 1 - 0.5 * 0.5)
+        np.testing.assert_allclose(x0[:4], 0.01)
+        np.testing.assert_allclose(x0[4:], (1.0 + 5.005 / 0.75) / 2.0)
+
+    def test_positive_q_game_needs_no_lift(self):
+        # all r1 < 0 and r2 > 0 make q > 0: no row needs the xi copies,
+        # so K = 1 and every xi(s) sums to exactly 1
+        base = make_example1()
+        game = AratGame(beta=base.beta, r1=tuple(-r for r in base.r1),
+                        r2=base.r2, p1=base.p1, p2=base.p2)
+        lcp = to_equivalent_lcp(build_vlcp(game))
+        assert lcp.q.min() > 0.0
+        x0 = find_interior_point(lcp)
+        assert is_strictly_feasible(lcp.M, lcp.q, x0)
+        np.testing.assert_allclose(x0[:4], 0.01)
+        for rng in lcp.J[2:]:
+            assert x0[list(rng)].sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_start_is_feasible_on_random_games(self):
+        # games whose player-I rows send mass to states with more
+        # player-II actions defeat a common level on the xi copies
+        rng = np.random.default_rng(0)
+        for k in range(400):
+            game = random_arat_game(rng, d_max=4, actions_max=3,
+                                    betas=(0.3, 0.5, 0.9, 0.99))
+            lcp = to_equivalent_lcp(build_vlcp(game))
+            x0 = find_interior_point(lcp)
+            assert is_strictly_feasible(lcp.M, lcp.q, x0), f"draw {k}"
+
+    def test_infeasible_problem_raises(self):
+        # x > 0 forces M x + q = -x + q < 0 in the first row, named in
+        # game terms when the block count is even, by number when not
+        for n, where in ((2, "the player-I row 1 of state 1"), (3, "row 1")):
+            m = -np.eye(n)
+            q = np.array([0.0] + [1.0] * (n - 1))
+            lcp = SquareLcp(M=m, q=q, block_sizes=(1,) * n)
+            with pytest.raises(NoInteriorPointFound,
+                               match=f"^{where} cannot be lifted"):
+                find_interior_point(lcp)
+
+    def test_state_without_player_ii_mass_is_named(self):
+        # such a row's slack is r2 - 0.01 m1(s), whatever the lift
+        game = AratGame(beta=0.5, r1=([2.0],), r2=([-1.0],),
+                        p1=([[1.0]],), p2=([[0.0]],))
+        lcp = to_equivalent_lcp(build_vlcp(game))
+        with pytest.raises(NoInteriorPointFound, match=(
+                "player-II row 1 of state 1 cannot be lifted")):
+            find_interior_point(lcp)
+        # the message names the state that fails, not the first one; a
+        # reward equal to 0.01 m1(s) fails too (no strict slack is left)
+        game = AratGame(beta=0.5, r1=([2.0], [2.0]), r2=([1.0], [0.01]),
+                        p1=([[0.5, 0.5]], [[0.0, 1.0]]),
+                        p2=([[0.0, 0.0]], [[0.0, 0.0]]))
+        lcp = to_equivalent_lcp(build_vlcp(game))
+        with pytest.raises(NoInteriorPointFound, match=(
+                "player-II row 1 of state 2 cannot be lifted")):
+            find_interior_point(lcp)
+
+    def test_r2_shift_keeps_the_blocks(self):
+        # three player-I actions and two player-II actions without mass:
+        # the shifted copy differs from the built problem only in q
+        game = AratGame(beta=0.5, r1=([2.0, 1.0, 0.5],), r2=([-1.0, 0.0],),
+                        p1=(np.ones((3, 1)),), p2=(np.zeros((2, 1)),))
+        lcp = to_equivalent_lcp(build_vlcp(game))
+        shifted, c2 = r2_shift(lcp)
+        assert c2 > 0.0 and shifted is not lcp
+        assert shifted.block_sizes == lcp.block_sizes == (3, 2)
+        assert shifted.J == lcp.J == (range(0, 3), range(3, 5))
+        assert np.array_equal(shifted.M, lcp.M)
+        np.testing.assert_array_equal(shifted.q[3:], lcp.q[3:] + c2)
 
 
 class TestShapleyInequalities:
@@ -233,16 +313,16 @@ class TestShapleyInequalities:
         # value: no player-I deviation gains, no player-II deviation saves
         for game in (example1, example2):
             lcp = to_equivalent_lcp(build_vlcp(game))
-            z, w = enumerate_lcp(lcp.M, lcp.q)[0]
-            sol = recover_vlcp_solution(lcp, z, w)
+            _, w = enumerate_lcp(lcp.M, lcp.q)[0]
+            strategy_i, strategy_ii = recover_vlcp_solution(lcp, w)
             v = value_iteration(game).v
             for s in range(game.d):
-                j0 = sol.strategy_ii[s]
+                j0 = strategy_ii[s]
                 for i in range(game.m1[s]):
                     lhs = composed_reward(game, s, i, j0) + game.beta * (
                         composed_transition(game, s, i, j0) @ v)
                     assert lhs <= v[s] + 1e-6
-                i0 = sol.strategy_i[s]
+                i0 = strategy_i[s]
                 for j in range(game.m2[s]):
                     lhs = composed_reward(game, s, i0, j) + game.beta * (
                         composed_transition(game, s, i0, j) @ v)
