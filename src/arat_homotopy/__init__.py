@@ -3,8 +3,9 @@
 Pipeline: game -> vertical complementarity problem -> equivalent square
 LCP and its strictly feasible start -> interior homotopy traced by a
 high-order predictor-corrector -> the pure stationary pair read off the
-endpoint's slack, certified exactly by Shapley's one-shot deviation
-inequalities at the pair's own value.  ``vlcp_builder`` owns the game's
+endpoint's slack, certified by Shapley's one-shot deviation
+inequalities at the pair's own value (one d x d solve) with a slack of
+1e-9 (1 + max |v|), which smaller gains pass.  ``vlcp_builder`` owns the game's
 block layout both ways (the problems, the start, the readout);
 ``homotopy_core`` holds only the map and its derivatives.
 ``solve(game)`` runs it in one call and returns an ``Answer``.  Value

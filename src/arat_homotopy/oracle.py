@@ -301,48 +301,50 @@ class CertificateReport:
         return self.ineq_player_i and self.ineq_player_ii
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite entries fail
 def certify(game: AratGame, strategy_i: Sequence[int],
             strategy_ii: Sequence[int]) -> CertificateReport:
-    """Check a pure stationary pair exactly.
+    """Check a pure stationary pair by Shapley's one-shot deviation
+    conditions at its own value v, from one d x d solve
+    (:func:`evaluate_pure_pair`).
 
-    The pair's value v is its own discounted value, from one d x d solve
-    (:func:`evaluate_pure_pair`).  At v no one-shot deviation may gain,
-    beyond a fixed slack of 1e-9 (1 + max |v|), for either player
-    (Shapley's optimality conditions); a pair that passes is an optimal
-    stationary pair and v is the game's value.  Raises ValueError unless
-    each strategy holds one valid 0-based action per state.
+    Every action's one-shot payoff at v is one product over the stacked
+    game, each player's rows against the other's action in the pair.
+    No deviation may gain more than a slack of 1e-9 (1 + max |v|), so
+    smaller gains pass.  A v(s) that is not finite fails both players
+    (its state is not compared further), a payoff that is not finite its
+    own player.  Violations come by state, player I before II, then by
+    action.  Raises ValueError unless each strategy holds one valid
+    0-based action per state.
     """
     v = evaluate_pure_pair(game, strategy_i, strategy_ii)
     si, sii = tuple(map(int, strategy_i)), tuple(map(int, strategy_ii))
-    slack = _DEVIATION_SLACK * (1.0 + float(np.abs(v).max()))
-    violations: list[str] = []
+    d, r, p, start, block = game.d, game.r, game.p, game.start, game.block
+    other = (start + [*si, *sii])[(block + d) % (2 * d)]  # opponent's row
+    payoff = r + r[other] + game.beta * (p + p[other]) @ v
+    state, second = block % d, block >= d
+    finite = np.isfinite(v)
+    slack = _DEVIATION_SLACK * (1.0 + float(np.abs(v[finite]).max(initial=0)))
+    bad = (np.where(second, payoff < v[state] - slack,
+                    payoff > v[state] + slack)
+           | ~np.isfinite(payoff)) & finite[state]
 
-    ineq_i = True
-    ineq_ii = True
-    for s in range(game.d):
-        # one-shot payoff of every player-I action against j*, and of
-        # every player-II action against i*, continuing at the value v
-        rows = (game.r1[s] + game.r2[s][sii[s]]
-                + game.beta * (game.p1[s] + game.p2[s][sii[s]]) @ v)
-        cols = (game.r1[s][si[s]] + game.r2[s]
-                + game.beta * (game.p1[s][si[s]] + game.p2[s]) @ v)
-        for i in np.flatnonzero(rows > v[s] + slack):
-            ineq_i = False
-            violations.append(
-                f"state {s + 1}: player-I deviation i={i + 1} attains "
-                f"{float(rows[i])!r} > value {float(v[s])!r}"
-            )
-        for j in np.flatnonzero(cols < v[s] - slack):
-            ineq_ii = False
-            violations.append(
-                f"state {s + 1}: player-II deviation j={j + 1} attains "
-                f"{float(cols[j])!r} < value {float(v[s])!r}"
-            )
+    hits = [(s, -1, f"state {s + 1}: value {float(v[s])!r} is not finite")
+            for s in np.flatnonzero(~finite)]
+    for a in np.flatnonzero(bad):
+        s, x = state[a], float(payoff[a])
+        player, act, cmp = ("II", "j", "<") if second[a] else ("I", "i", ">")
+        verdict = (f" {cmp} value {float(v[s])!r}" if math.isfinite(x)
+                   else ", which is not finite")
+        hits.append((s, a, f"state {s + 1}: player-{player} deviation "
+                           f"{act}={a - start[block[a]] + 1} attains {x!r}"
+                           f"{verdict}"))
+    hits.sort(key=lambda h: h[:2])
     return CertificateReport(
         strategy_i=si,
         strategy_ii=sii,
         value=v,
-        ineq_player_i=ineq_i,
-        ineq_player_ii=ineq_ii,
-        violations=tuple(violations),
+        ineq_player_i=bool(finite.all() and not bad[~second].any()),
+        ineq_player_ii=bool(finite.all() and not bad[second].any()),
+        violations=tuple(text for *_, text in hits),
     )

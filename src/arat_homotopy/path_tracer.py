@@ -19,9 +19,9 @@ a correction when a > _A0 (see the positivity gate below): near the
 target the path runs straight into t = 0, and most rungs of each
 ladder overshoot it there.  The floor rung is always corrected, so the
 ladder ends where it would without the rule.
-The walk ends when |t| <= _EPS1.  The endpoint is not judged here: the
-game answer read from it is certified exactly downstream (see
-``oracle.certify``).
+The walk ends when |t| <= _EPS1.  The endpoint is not judged here: its
+pure pair is certified downstream (``oracle.certify``: the value from
+one d x d solve, the deviations with a slack of 1e-9 (1 + max |v|)).
 
 Step control is fixed; the step budget is the only value a caller sets
 (``trace(inst, max_steps)``, the ``solve --max-steps`` flag).  The
@@ -38,9 +38,9 @@ constants:
   _M         1      corrector passes per trial
   _A0        1e-8   progress floor: the shortest trial step at all
   _R_ACCEPT  1.0    residual gate: a trial needs ||H|| <= _R_ACCEPT
-  _RCOND_MIN 1e-12  reciprocal condition estimate below which a
-                    factorization is rejected: of dH/du in the tangent,
-                    and of the U factor of J^T in ``minnorm_solve``
+  _RCOND_MIN 1e-12  a factorization P a^T = L U is rejected when the
+                    reciprocal condition estimate of U's leading square
+                    block is below this (``_lu_with_guard``)
   _BOUND_B   1e8    the walk ends as PathUnbounded once a coordinate of
                     (x, y1, y2) exceeds this in absolute value
   MAX_STEPS  10000  default budget of accepted steps
@@ -57,9 +57,10 @@ evaluates the map twice and does three minimum-norm solves, each from
 one guarded LU of the transposed Jacobian (``minnorm_solve``); with one
 column more than rows, the shortest solution then takes a closed form.
 The map and its Jacobians are written into one fresh array per call.  LU with
-partial pivoting is the tracer's only factorization, and LAPACK is
-called directly, through scipy's compiled wrappers: the six routines it
-calls (dgetrf, dgecon, dtrcon, dtrtrs, dgetrs, dlaswp) are those of
+partial pivoting is the tracer's only factorization, and every one is
+gated by the same rule (``_lu_with_guard``).  LAPACK is called
+directly, through scipy's compiled wrappers: the five routines it
+calls (dgetrf, dtrcon, dtrtrs, dgetrs, dlaswp) are those of
 the extension module ``scipy.linalg._flapack``, the same objects that
 ``scipy.linalg.lapack`` re-exports.  That module is loaded on the first
 factorization (``_lapack``), not with this module, so a process that
@@ -156,24 +157,22 @@ def det_sign_lu(lu: np.ndarray, piv: np.ndarray) -> int:
     return -1 if (swaps + negative) % 2 else 1
 
 
-def _lu_with_guard(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LU factorization P a^T = L U that raises SingularJacobian when
-    the 1-norm reciprocal condition estimate of a is below _RCOND_MIN.
+def _lu_with_guard(a: np.ndarray, what: str,
+                   overwrite: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """LU factorization P a^T = L U of an r x c matrix a, c >= r, that
+    raises SingularJacobian naming ``what`` when the 1-norm reciprocal
+    condition estimate (dtrcon) of U's leading r x r block is below
+    _RCOND_MIN or not finite; an exact zero pivot estimates 0.
 
-    a^T of a C-ordered a is Fortran-ordered, so dgetrf factors it in
-    a's own buffer (a is overwritten) without a copy.  The estimate is
-    dgecon's infinity-norm one of a^T, which is the 1-norm one of a;
-    det(a^T) = det(a), and ``dgetrs(lu, piv, b, trans=1)`` solves
-    a x = b.
+    a^T of a C-ordered a is Fortran-ordered, so dgetrf reads it without
+    a copy, and with ``overwrite`` factors it in a's own buffer.
     """
     lapack = _lapack()
-    anorm = np.abs(a).sum(axis=0).max()  # the 1-norm of a
-    lu, piv, _ = lapack.dgetrf(a.T, overwrite_a=1)
-    rcond, info = lapack.dgecon(lu, anorm, norm="I")
+    lu, piv, info = lapack.dgetrf(a.T, overwrite_a=overwrite)
+    # dtrcon takes the order from the leading dimension: pass U square
+    rcond, _ = lapack.dtrcon(lu[:a.shape[0]], norm="1", uplo="U", diag="N")
     if info != 0 or not math.isfinite(rcond) or rcond < _RCOND_MIN:
-        raise SingularJacobian(
-            f"derivative matrix has reciprocal condition {rcond!r}"
-        )
+        raise SingularJacobian(f"{what} has reciprocal condition {rcond!r}")
     return lu, piv
 
 
@@ -190,7 +189,7 @@ def minnorm_solve(j: np.ndarray, h: np.ndarray) -> np.ndarray:
     e2 = c = (b . a) / (1 + b . b), and d = P^T e has the norm of e.
     For k = 0 this is the plain LU solve, e = a.
 
-    The gate is the 1-norm reciprocal condition estimate of U (dtrcon):
+    The gate is that of every tracer factorization (``_lu_with_guard``):
     it measures the r rows of J^T that pivoting chose, not J itself.
     Since pivoting ranges over all c rows, any J of full row rank passes,
     including a 3n x (3n+1) Jacobian at a fold where dH/du is singular.
@@ -202,14 +201,8 @@ def minnorm_solve(j: np.ndarray, h: np.ndarray) -> np.ndarray:
     if k not in (0, 1):
         raise ValueError("minnorm_solve needs a square matrix or one with "
                          "one column more than rows")
+    lu, piv = _lu_with_guard(j, "correction system")
     lapack = _lapack()
-    lu, piv, info = lapack.dgetrf(j.T)
-    # dtrcon takes the order from the leading dimension: pass U square
-    rcond, _ = lapack.dtrcon(lu[:rows], norm="1", uplo="U", diag="N")
-    if info != 0 or not math.isfinite(rcond) or rcond < _RCOND_MIN:
-        raise SingularJacobian(
-            f"correction system has reciprocal condition {rcond!r}"
-        )
     g, _ = lapack.dtrtrs(lu, h, trans=1)
     rhs = np.empty((k + 1, rows)).T  # Fortran order, columns g and l2^T
     rhs[:, 0] = g
@@ -266,7 +259,8 @@ def tangent(inst: HomotopyInstance, v: np.ndarray) -> tuple[np.ndarray, int]:
     both s and the sign (det of the transpose is the same); the guard
     already rejects a zero pivot.
     """
-    lu, piv = _lu_with_guard(jac_u(inst, v))
+    lu, piv = _lu_with_guard(jac_u(inst, v), "derivative matrix",
+                             overwrite=True)
     raw = np.empty(v.size)
     raw[:-1] = _lapack().dgetrs(lu, piv, jac_t(inst, v), trans=1,
                                 overwrite_b=1)[0]

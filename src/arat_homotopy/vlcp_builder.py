@@ -140,7 +140,7 @@ def recover_vlcp_solution(
     Each block's pure action is its smallest-index argmin slack row: the
     first half of the blocks are player I's states, the second half
     player II's.  Nothing here judges feasibility or complementarity:
-    the pair is only a candidate, which ``oracle.certify`` checks exactly
+    the pair is only a candidate, which ``oracle.certify`` checks
     against the game.  Raises ValueError unless the block count is even
     (an eta and a xi block per state), as for every game-built problem,
     and if w does not have the LCP dimension or holds a NaN.

@@ -7,7 +7,12 @@ import pytest
 
 from arat_homotopy.game_model import PROB_TOL, AratGame
 from arat_homotopy.homotopy_core import HomotopyInstance
-from arat_homotopy.oracle import GameSolution, enumerate_lcp
+from arat_homotopy.oracle import (
+    CertificateReport,
+    GameSolution,
+    enumerate_lcp,
+    evaluate_pure_pair,
+)
 from arat_homotopy.vlcp_builder import SquareLcp
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -282,6 +287,38 @@ def validate_per_state(game: AratGame) -> list[str]:
                      f"all zero but the player-II block is nonzero "
                      f"(zero-row consistency)")
     return v
+
+
+def certify_per_state(game: AratGame, strategy_i, strategy_ii
+                      ) -> CertificateReport:
+    """Reference for :func:`certify` on finite games: the same value, slack
+    and messages, state by state, each player-I action against j* and
+    each player-II action against i*."""
+    v = evaluate_pure_pair(game, strategy_i, strategy_ii)
+    si, sii = tuple(map(int, strategy_i)), tuple(map(int, strategy_ii))
+    slack = 1e-9 * (1.0 + float(np.abs(v).max()))
+    violations: list[str] = []
+    ineq_i = ineq_ii = True
+    for s in range(game.d):
+        rows = (game.r1[s] + game.r2[s][sii[s]]
+                + game.beta * (game.p1[s] + game.p2[s][sii[s]]) @ v)
+        cols = (game.r1[s][si[s]] + game.r2[s]
+                + game.beta * (game.p1[s][si[s]] + game.p2[s]) @ v)
+        for i in np.flatnonzero(rows > v[s] + slack):
+            ineq_i = False
+            violations.append(
+                f"state {s + 1}: player-I deviation i={i + 1} attains "
+                f"{float(rows[i])!r} > value {float(v[s])!r}"
+            )
+        for j in np.flatnonzero(cols < v[s] - slack):
+            ineq_ii = False
+            violations.append(
+                f"state {s + 1}: player-II deviation j={j + 1} attains "
+                f"{float(cols[j])!r} < value {float(v[s])!r}"
+            )
+    return CertificateReport(strategy_i=si, strategy_ii=sii, value=v,
+                             ineq_player_i=ineq_i, ineq_player_ii=ineq_ii,
+                             violations=tuple(violations))
 
 
 def value_iteration_sup_norm(game: AratGame, tol: float = 1e-10,

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from arat_homotopy.oracle import (
 )
 from arat_homotopy.vlcp_builder import build_vlcp, recover_vlcp_solution, to_equivalent_lcp
 from conftest import (
+    certify_per_state,
     enumerate_lcp_all_supports,
     make_example1,
     make_example2,
@@ -488,3 +490,175 @@ class TestCertify:
         report = certify(example1, strategy_i, (1, 0))
         assert not report.passed
         assert any("deviation" in v for v in report.violations)
+
+
+_VIOLATION = re.compile(r"state (\d+): player-(I|II) deviation [ij]=(\d+) "
+                        r"attains (\S+) [<>] value \S+$")
+
+
+def _violations(report):
+    """(state, player, action), 1-based, and the payoff of each
+    deviation line of a certificate, in report order."""
+    keys, payoffs = [], []
+    for line in report.violations:
+        state, player, action, payoff = _VIOLATION.match(line).groups()
+        keys.append((int(state), player, int(action)))
+        payoffs.append(float(payoff))
+    return keys, np.array(payoffs)
+
+
+def _random_pair(rng, game):
+    """A random pure pair, or with probability 1/4 value iteration's."""
+    if rng.random() < 0.25:
+        sol = value_iteration(game)
+        return sol.strategy_i, sol.strategy_ii
+    return ([int(rng.integers(m)) for m in game.m1],
+            [int(rng.integers(m)) for m in game.m2])
+
+
+class TestCertifyParity:
+    """The stacked certificate against the per-state reference loop."""
+
+    def test_random_pairs_match_the_per_state_loop(self):
+        rng = np.random.default_rng(2024)
+        failing = 0
+        for _ in range(2500):
+            game = random_arat_game(rng, d_max=8, actions_max=3,
+                                    betas=(0.3, 0.5, 0.9, 0.99))
+            si, sii = _random_pair(rng, game)
+            report, reference = certify(game, si, sii), \
+                certify_per_state(game, si, sii)
+            assert (report.passed, report.ineq_player_i,
+                    report.ineq_player_ii) == (reference.passed,
+                                               reference.ineq_player_i,
+                                               reference.ineq_player_ii)
+            assert np.array_equal(report.value, reference.value)
+            keys, payoffs = _violations(report)
+            ref_keys, ref_payoffs = _violations(reference)
+            assert keys == ref_keys
+            # the one stacked product may round each payoff differently
+            assert np.all(np.abs(payoffs - ref_payoffs)
+                          <= 4 * np.spacing(np.abs(ref_payoffs)))
+            failing += not reference.passed
+        assert 1000 < failing < 2000  # both verdicts are exercised (1722)
+
+
+def _one_state(r1, r2, p1, p2, beta=0.5):
+    return AratGame(beta=beta, r1=(r1,), r2=(r2,), p1=(p1,), p2=(p2,))
+
+
+class TestCertifyNonFinite:
+    """A value or a payoff that is not finite fails, without a warning."""
+
+    @pytest.mark.parametrize("game", [
+        _one_state([1e308], [1e308], [[0.5]], [[0.5]]),
+        _one_state([1e308], [-1.0], [[1.0]], [[0.0]]),
+    ], ids=["reward-sum-overflows", "value-overflows"])
+    def test_infinite_value_fails_both_players(self, game):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = certify(game, (0,), (0,))
+        assert report.value.tolist() == [math.inf]
+        assert not report.passed
+        assert not report.ineq_player_i and not report.ineq_player_ii
+        assert report.violations == ("state 1: value inf is not finite",)
+
+    @pytest.mark.parametrize("r1, r2, payoff", [
+        ([-1e308, 1e308], [1e308], "inf"),
+        ([1e308, -1e308], [-1e308], "-inf"),
+    ])
+    def test_infinite_payoff_fails_its_own_player(self, r1, r2, payoff):
+        # the pair's rewards cancel (v = 0); player I's second action
+        # overflows, upward as a gain and downward as a loss alike
+        game = _one_state(r1, r2, [[0.5], [0.5]], [[0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = certify(game, (0,), (0,))
+        assert report.value.tolist() == [0.0]
+        assert not report.ineq_player_i and report.ineq_player_ii
+        assert report.violations == (
+            f"state 1: player-I deviation i=2 attains {payoff}, which is "
+            f"not finite",)
+
+
+def _relabelled(game, rng):
+    """The game with its states and each block's actions permuted, and
+    the maps of states and of (state, player) actions, old to new."""
+    states = rng.permutation(game.d)
+    r1, r2, p1, p2, actions = [], [], [], [], {}
+    for s in states:
+        for player, r, p, r_out, p_out in (
+                ("I", game.r1[s], game.p1[s], r1, p1),
+                ("II", game.r2[s], game.p2[s], r2, p2)):
+            rows = rng.permutation(r.size)
+            actions[s, player] = np.argsort(rows)
+            r_out.append(r[rows])
+            p_out.append(p[rows][:, states])
+    return (AratGame(beta=game.beta, r1=tuple(r1), r2=tuple(r2),
+                     p1=tuple(p1), p2=tuple(p2)),
+            np.argsort(states), actions)
+
+
+def _near_tie(c):
+    """Player I's second action gains 1e-4 c against the pair (1, 1)."""
+    return _one_state(np.array([1.0, 1.0 + 1e-4]) * c, np.array([1.0]) * c,
+                      [[0.5], [0.5]], [[0.5]])
+
+
+class TestCertifyMetamorphic:
+    """Transformed games whose certificate is known from the original."""
+
+    def test_relabelling_maps_verdict_and_violations(self):
+        rng = np.random.default_rng(77)
+        for _ in range(300):
+            game = random_arat_game(rng, d_max=5, actions_max=3)
+            si, sii = _random_pair(rng, game)
+            report = certify(game, si, sii)
+            new, state_map, action_map = _relabelled(game, rng)
+            new_si = [0] * game.d
+            new_sii = [0] * game.d
+            for s in range(game.d):
+                new_si[state_map[s]] = int(action_map[s, "I"][si[s]])
+                new_sii[state_map[s]] = int(action_map[s, "II"][sii[s]])
+            moved = certify(new, new_si, new_sii)
+            assert (moved.ineq_player_i, moved.ineq_player_ii) == (
+                report.ineq_player_i, report.ineq_player_ii)
+            np.testing.assert_allclose(moved.value[state_map], report.value,
+                                       rtol=1e-12)
+            mapped = sorted(
+                (int(state_map[s - 1]) + 1, player,
+                 int(action_map[s - 1, player][a - 1]) + 1)
+                for s, player, a in _violations(report)[0])
+            assert sorted(_violations(moved)[0]) == mapped
+
+    def test_rewards_times_two_to_the_twenty(self):
+        # scaling by a power of two is exact in every product and sum
+        rng = np.random.default_rng(78)
+        for _ in range(300):
+            game = random_arat_game(rng, d_max=5, actions_max=3)
+            si, sii = _random_pair(rng, game)
+            report = certify(game, si, sii)
+            scaled = certify(AratGame(
+                beta=game.beta, r1=tuple(r * 2.0**20 for r in game.r1),
+                r2=tuple(r * 2.0**20 for r in game.r2), p1=game.p1,
+                p2=game.p2), si, sii)
+            assert np.array_equal(scaled.value, report.value * 2.0**20)
+            assert (scaled.ineq_player_i, scaled.ineq_player_ii) == (
+                report.ineq_player_i, report.ineq_player_ii)
+            keys, payoffs = _violations(report)
+            scaled_keys, scaled_payoffs = _violations(scaled)
+            assert scaled_keys == keys
+            assert np.array_equal(scaled_payoffs, payoffs * 2.0**20)
+
+    def test_near_tie_fails_at_unit_scale(self):
+        report = certify(_near_tie(1.0), (0,), (0,))
+        assert not report.passed
+        assert _violations(report)[0] == [(1, "I", 2)]
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the slack 1e-9 (1 + max |v|) has an absolute part: at rewards "
+        "x 2^-20 the gain of 1e-4 x 2^-20 falls below 1e-9 and the pair "
+        "passes; the exact certificate decides this pair"))
+    def test_near_tie_fails_at_every_power_of_two(self):
+        report = certify(_near_tie(2.0**-20), (0,), (0,))
+        assert not report.passed

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import lapack
@@ -109,8 +111,20 @@ class TestDetSign:
         # sees det_sign_lu return 0
         for a in (np.array([[1.0, 0.0], [0.0, 0.0]]),
                   np.array([[1.0, 2.0], [2.0, 4.0]]), np.zeros((3, 3))):
-            with pytest.raises(SingularJacobian):
-                _lu_with_guard(a)
+            with pytest.raises(SingularJacobian, match=re.escape(
+                    "derivative matrix has reciprocal condition 0.0")):
+                _lu_with_guard(a, "derivative matrix", overwrite=True)
+
+    def test_tangent_at_the_origin_raises_the_derivative_message(self):
+        # at x = y1 = y2 = 0 and t = 1 on example 1, dH/du has an exact
+        # zero pivot; the real tangent reports it through the shared guard
+        _, inst = instance_for(make_example1())
+        v = np.zeros(3 * inst.n + 1)
+        v[-1] = 1.0
+        with pytest.raises(SingularJacobian) as err:
+            tangent(inst, v)
+        assert str(err.value) == ("derivative matrix has reciprocal "
+                                  "condition 0.0")
 
 
 class TestMinNorm:
@@ -161,7 +175,8 @@ class TestMinNorm:
 
     def test_singular_rejected(self):
         j = np.zeros((3, 4))
-        with pytest.raises(SingularJacobian):
+        with pytest.raises(SingularJacobian, match=re.escape(
+                "correction system has reciprocal condition 0.0")):
             minnorm_solve(j, np.ones(3))
 
     def test_fold_shape_with_singular_leading_block(self):
