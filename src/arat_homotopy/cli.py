@@ -57,10 +57,6 @@ EXIT_FAIL = 1
 EXIT_PARSE = 2
 
 
-class GameFileError(ValueError):
-    """The document does not match the game file schema."""
-
-
 def _real(field: str, value: object) -> float:
     """A JSON number as a float; a string, a boolean or anything else
     that is not a real number raises TypeError."""
@@ -80,16 +76,17 @@ def _reals(field: str, values: object) -> list:
 
 
 def parse_game_doc(doc: object) -> AratGame:
-    """Build a game from a parsed JSON document, checking the schema."""
+    """Build a game from a parsed JSON document, checking the schema; a
+    document that breaks it raises ValueError."""
     if not isinstance(doc, dict):
-        raise GameFileError("top level must be a JSON object")
+        raise ValueError("top level must be a JSON object")
     try:
         beta = _real("beta", doc["beta"])
         states = doc["states"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise GameFileError(f"missing or malformed field: {exc}") from exc
+        raise ValueError(f"missing or malformed field: {exc}") from exc
     if not isinstance(states, list) or not states:
-        raise GameFileError("'states' must be a non-empty array")
+        raise ValueError("'states' must be a non-empty array")
     d = len(states)
     # the stacked rows, gathered per player (player I's, then player II's)
     rewards, rows, counts = ([], []), ([], []), ([], [])
@@ -101,16 +98,16 @@ def parse_game_doc(doc: object) -> AratGame:
                 trans = [_reals("transitions", row)
                          for row in block["transitions"]]
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise GameFileError(
+                raise ValueError(
                     f"state {s + 1}, {player}: {exc}"
                 ) from exc
             if len(trans) != len(rew):
-                raise GameFileError(
+                raise ValueError(
                     f"state {s + 1}, {player}: {len(rew)} rewards but "
                     f"{len(trans)} transition rows"
                 )
             if any(len(row) != d for row in trans):
-                raise GameFileError(
+                raise ValueError(
                     f"state {s + 1}, {player}: every transition row needs "
                     f"{d} entries"
                 )
@@ -150,19 +147,17 @@ def _one_based(actions) -> list[int]:
 
 
 def _read_game(path: str) -> AratGame | None:
-    """load_game, or None after a parse error is reported on stderr."""
+    """load_game, or None after a parse error is reported on stderr;
+    ValueError covers JSONDecodeError, UnicodeDecodeError and a document
+    that does not match the game file schema."""
     try:
         return load_game(path)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError,
-            RecursionError, GameFileError) as exc:
+    except (OSError, RecursionError, ValueError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return None
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    game = _read_game(args.game)
-    if game is None:
-        return EXIT_PARSE
+def cmd_validate(args: argparse.Namespace, game: AratGame) -> int:
     report = validate(game)
     if report.ok:
         print("game file is a valid additive game")
@@ -216,13 +211,10 @@ def solve(game: AratGame, max_steps: int = MAX_STEPS) -> Answer:
                   certify(game, *extract_solution(result, lcp)))
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
+def cmd_solve(args: argparse.Namespace, game: AratGame) -> int:
     if args.max_steps < 1:
         print("bad tracer settings: max_steps must be at least 1",
               file=sys.stderr)
-        return EXIT_PARSE
-    game = _read_game(args.game)
-    if game is None:
         return EXIT_PARSE
     answer = solve(game, args.max_steps)
     result, cert = answer.result, answer.certificate
@@ -271,10 +263,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK if answer.passed else EXIT_FAIL
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
-    game = _read_game(args.game)
-    if game is None:
-        return EXIT_PARSE
+def cmd_oracle(args: argparse.Namespace, game: AratGame) -> int:
     # n = sum m1 + sum m2, the square LCP's dimension: past the guard
     # neither problem is built, and the game is validated here instead
     try:
@@ -313,10 +302,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_build(args: argparse.Namespace) -> int:
-    game = _read_game(args.game)
-    if game is None:
-        return EXIT_PARSE
+def cmd_build(args: argparse.Namespace, game: AratGame) -> int:
     vlcp = build_vlcp(game)
     lcp = to_equivalent_lcp(vlcp)
     doc = {
@@ -351,7 +337,9 @@ def _stderr_logging():
         pkg.setLevel(saved_level)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="arat-homotopy",
         description="Solve discounted zero-sum additive stochastic games "
@@ -394,17 +382,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """:func:`build_parser`, built once per process."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
     with _stderr_logging():
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
+        game = _read_game(args.game)
+        if game is None:
+            return EXIT_PARSE
         try:
-            code = args.func(args)
+            code = args.func(args, game)
             sys.stdout.flush()
             return code
         except InvalidGame as exc:

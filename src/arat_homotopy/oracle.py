@@ -141,6 +141,7 @@ def value_iteration(game: AratGame, tol: float = 1e-10,
     raise MaxIterExceeded(f"no fixed point within {max_iter} sweeps")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow reads inf
 def evaluate_pure_pair(game: AratGame, strategy_i: Sequence[int],
                        strategy_ii: Sequence[int]) -> np.ndarray:
     """Exact discounted value of a fixed pure stationary pair.

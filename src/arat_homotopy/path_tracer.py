@@ -9,11 +9,11 @@ gate and the positivity gate is accepted.  The first step's ladder
 starts at rung 0 (a = 1); after a step is accepted at rung L the next
 ladder starts at rung max(0, L - 1), so the step length grows by one
 rung per accepted step (Allgower & Georg, Introduction to Numerical
-Continuation Methods, 2003, ch. 6).  A ladder that started above rung 0
-never ends the walk on its own: when it would (NoProgress, or
-SingularJacobian at the _A0 floor), the rungs above its start are
-tried first, from a = 1, and the failure stands only if they fail too,
-so a failure status always means the whole ladder from a = 1 failed.
+Continuation Methods, 2003, ch. 6).  A ladder runs two rung ranges,
+start, start + 1, ... and then 0 ... start - 1; each range stops at its
+first walk-ending verdict (NoProgress, or SingularJacobian at the _A0
+floor), and the last such verdict stands, so a failure status always
+means the whole ladder from a = 1 failed.
 A rung whose prediction t + a tau_t is at or below 0 is refused without
 a correction when a > _A0 (see the positivity gate below): near the
 target the path runs straight into t = 0, and most rungs of each
@@ -93,6 +93,7 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -396,73 +397,72 @@ def _trial(inst: HomotopyInstance, current: np.ndarray, tau: np.ndarray,
     return None, 0.0, (TraceStatus.NO_PROGRESS, detail)
 
 
+def _ladder(inst: HomotopyInstance, current: np.ndarray, tau: np.ndarray,
+            start: int) -> tuple[int, tuple, int]:
+    """One step's ladder from rung ``start``, in two ranges (the module
+    docstring says which verdict stands): the rung it stopped at, the
+    ``_trial`` result that stands and the number of failed trials.
+
+    The open first range ends because the floor rung (a <= _A0) never
+    returns ``_NEXT_RUNG``: each of ``_trial``'s next-rung paths (the
+    crossing and implausible-dt refusals, the singular and near-target
+    continuations) needs a > _A0.
+    """
+    failed, ending = 0, None
+    for levels in (itertools.count(start), range(start)):
+        for level in levels:
+            outcome = _trial(inst, current, tau, _L0 ** level)
+            if outcome[0] is not None:
+                return level, outcome, failed
+            failed += 1
+            if outcome[2] is not None:
+                ending = outcome
+                break
+    return level, ending, failed
+
+
 def trace(inst: HomotopyInstance, max_steps: int = MAX_STEPS) -> TraceResult:
     """Follow the path from the anchor v0 (t = 1) toward t = 0, taking at
     most ``max_steps`` accepted steps (ValueError if it is below 1).
 
-    Numerical failure modes are reported through the result status, not
+    Each step's ladder (``_ladder``) tries rungs start, start + 1, ...
+    and, if that range ends the walk, 0 ... start - 1.  Numerical
+    failure modes are reported through the result status, not
     exceptions.  Every accepted point lands in the path, starting with
     the anchor itself at t = 1, so ``path[k]`` is the point after k steps.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
     current = inst.v0
-
     res0 = float(np.linalg.norm(eval_H(inst, current)))
     path = [PathPoint(current, residual=res0, step_length=0.0, det_sign=1)]
-    status: TraceStatus | None = None
-    detail = ""
     start = 0  # the rung the next step's ladder starts at
     rejected = 0
 
-    while status is None:
-        if len(path) > max_steps:
-            status = TraceStatus.MAX_STEPS
-            detail = f"no convergence within {max_steps} steps"
-            break
+    def ended(status: TraceStatus, detail: str = "") -> TraceResult:
+        return TraceResult(status=status, path=tuple(path), detail=detail,
+                           rejected=rejected)
+
+    while len(path) <= max_steps:
         try:
             tau, sign = tangent(inst, current)
         except SingularJacobian as exc:
-            status = TraceStatus.SINGULAR_JACOBIAN
-            detail = str(exc)
-            break
-
-        level, held = start, None
-        while True:
-            a = _L0 ** level
-            cand, r, verdict = _trial(inst, current, tau, a)
-            if cand is not None:
-                break
-            rejected += 1
-            if verdict is None:
-                level += 1
-                if held is None or level < start:
-                    continue
-                verdict = held  # the retry is back at the warm start
-            elif held is None and start:
-                # a warm start never ends the walk on its own: the rungs
-                # above it are tried first, from a = 1
-                held, level = verdict, 0
-                continue
-            break
-
+            return ended(TraceStatus.SINGULAR_JACOBIAN, str(exc))
+        level, (cand, r, verdict), failed = _ladder(inst, current, tau, start)
+        rejected += failed
         if cand is None:
-            status, detail = verdict
-            break
+            return ended(*verdict)
         current = cand
-        path.append(PathPoint(current, residual=r, step_length=a,
+        path.append(PathPoint(current, residual=r, step_length=_L0 ** level,
                               det_sign=sign))
         start = max(0, level - 1)
         if abs(current[-1]) <= _EPS1:
-            status = TraceStatus.CONVERGED
-            break
+            return ended(TraceStatus.CONVERGED)
         if np.abs(current[:-1]).max() > _BOUND_B:
-            status = TraceStatus.PATH_UNBOUNDED
-            detail = f"iterate norm exceeded {_BOUND_B!r}"
-            break
-
-    return TraceResult(status=status, path=tuple(path), detail=detail,
-                       rejected=rejected)
+            return ended(TraceStatus.PATH_UNBOUNDED,
+                         f"iterate norm exceeded {_BOUND_B!r}")
+    return ended(TraceStatus.MAX_STEPS,
+                 f"no convergence within {max_steps} steps")
 
 
 def extract_solution(result: TraceResult,

@@ -50,6 +50,15 @@ EX2 = str(FIXTURES / "example2.json")
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+VERBS = ["validate", "solve", "oracle", "build"]
+
+
+def assert_one_parse_error(capsys) -> None:
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("parse error:"), err
+
+
 def write_game(tmp_path: Path, doc: dict, name: str = "game.json") -> str:
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -63,13 +72,24 @@ class TestValidateCommand:
         assert code == 0
         assert out == "game file is a valid additive game\n"
 
-    def test_malformed_json_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_malformed_json_exits_2(self, tmp_path, capsys, verb):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
-        assert cli.main(["validate", str(path)]) == 2
+        assert cli.main([verb, str(path)]) == 2
+        assert_one_parse_error(capsys)
 
-    def test_missing_file_exits_2(self, tmp_path):
-        assert cli.main(["validate", str(tmp_path / "nope.json")]) == 2
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_missing_file_exits_2(self, tmp_path, capsys, verb):
+        assert cli.main([verb, str(tmp_path / "nope.json")]) == 2
+        assert_one_parse_error(capsys)
+
+    def test_unreadable_file_is_reported_before_a_bad_step_budget(
+            self, tmp_path, capsys):
+        # main reads the game before any verb looks at its flags
+        path = str(tmp_path / "nope.json")
+        assert cli.main(["solve", path, "--max-steps", "0"]) == 2
+        assert_one_parse_error(capsys)
 
     def test_non_utf8_file_is_a_parse_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

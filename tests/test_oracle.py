@@ -563,6 +563,17 @@ class TestCertifyNonFinite:
         assert not report.ineq_player_i and not report.ineq_player_ii
         assert report.violations == ("state 1: value inf is not finite",)
 
+    @pytest.mark.parametrize("game", [
+        _one_state([1e308], [1e308], [[0.5]], [[0.5]]),
+        _one_state([1e308], [-1.0], [[1.0]], [[0.0]]),
+    ], ids=["reward-sum-overflows", "value-overflows"])
+    def test_evaluate_pure_pair_alone_returns_inf_without_a_warning(self,
+                                                                    game):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = evaluate_pure_pair(game, (0,), (0,))
+        assert not np.isfinite(value).any()
+
     @pytest.mark.parametrize("r1, r2, payoff", [
         ([-1e308, 1e308], [1e308], "inf"),
         ([1e308, -1e308], [-1e308], "-inf"),

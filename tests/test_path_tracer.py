@@ -586,16 +586,20 @@ class TestCrossingRungs:
         assert rung(result.path[1].step_length) == tried[-1]
         assert result.rejected == tried[-1]
 
-    @pytest.mark.parametrize("failure", ["singular", "positivity"])
+    @pytest.mark.parametrize("failure", ["singular", "positivity",
+                                         "residual", "implausible_dt"])
     def test_walk_past_the_target_ends_at_the_floor(self, monkeypatch,
                                                      example1, failure):
         # the walk starts at t = -1e-4 and heads down, so every rung
         # crosses; only the floor rung is corrected, and it fails as every
-        # rung did when each was corrected
+        # rung did when each was corrected.  Whatever the failure, the
+        # floor rung ends the walk: no next-rung path of _trial is open
+        # at a <= _A0, which is what ends the ladder's first range
         _, inst = instance_for(example1)
         v0 = inst.v0.copy()
         v0[-1] = -1e-4
         object.__setattr__(inst, "v0", v0)
+        n = inst.n
         calls = []
 
         def corrector(inst, v):
@@ -604,6 +608,14 @@ class TestCrossingRungs:
                 raise SingularJacobian("correction system has reciprocal "
                                        "condition 0.0")
             bad = v.copy()
+            if failure == "residual":
+                # y1 is not gated: positivity passes, ||H|| does not
+                bad[n:2 * n] += 1e3
+                assert path_tracer._positivity_gate(inst, bad)
+                assert np.linalg.norm(eval_H(inst, bad)) > _R_ACCEPT
+                return bad
+            if failure == "implausible_dt":
+                bad[-1] = v0[-1]  # back at the current t: dt = 0
             bad[0] = -1.0  # fails the positivity gate
             return bad
 
