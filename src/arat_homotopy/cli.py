@@ -1,7 +1,9 @@
 """Command line interface: file ingestion, dispatch, machine outputs.
 
 Verbs: ``validate`` (invariant report), ``solve`` (full homotopy pipeline;
-the endpoint's pure pair is certified, see :func:`certify`), ``oracle``
+the answer is the first pair that passes :func:`certify` from three
+stages: the endpoint's pure pair, then the pairs read off the path's
+points, then Hoffman–Karp strategy iteration), ``oracle``
 (value iteration, plus exhaustive enumeration of the square LCP; the
 vertical and square problems are built only when their dimension
 n = sum m1 + sum m2 is at most ``--guard``), ``build`` (print the
@@ -10,8 +12,9 @@ library call.
 
 Game files are UTF-8 JSON; actions and states are 1-based in files and
 messages, 0-based inside the library.  Exit codes: 0 success, 1 invalid
-game / no convergence / failed certificate, 2 I/O, parse or flag error
-(a stdout closed by its reader included).
+game / no interior start / a pair that fails the certificate after all
+three stages, 2 I/O, parse or flag error (a stdout closed by its reader
+included).
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .oracle import (
     value_iteration,
 )
 from .path_tracer import MAX_STEPS, TraceResult, TraceStatus, extract_solution, trace
+from .strategy_iteration import hoffman_karp
 from .vlcp_builder import (
     build_vlcp,
     find_interior_point,
@@ -170,19 +174,23 @@ def cmd_validate(args: argparse.Namespace, game: AratGame) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Answer:
-    """What :func:`solve` found: the trace and, if it converged, the
-    certificate of the pure pair read off its endpoint (pair, exact
-    value and verdict, on the game as given), else None.
-    ``value_shift`` is c2 / (1 - beta) if r2 was shifted by c2, else 0."""
+    """What :func:`solve` found: the trace, the certificate of the pair
+    it answers with (pair, exact value and verdict, on the game as
+    given), and the stage that found that pair: ``endpoint``, ``path``
+    or ``strategy_iteration``.  ``rounds`` counts Hoffman–Karp rounds,
+    0 unless the stage is ``strategy_iteration``.  ``value_shift`` is
+    c2 / (1 - beta) if r2 was shifted by c2, else 0."""
 
     result: TraceResult
+    certificate: CertificateReport
+    stage: str
+    rounds: int = 0
     value_shift: float = 0.0
-    certificate: CertificateReport | None = None
 
     @property
     def passed(self) -> bool:
-        """True iff a pair was found and it passed the certificate."""
-        return self.certificate is not None and self.certificate.passed
+        """True iff the pair passed the certificate."""
+        return self.certificate.passed
 
 
 def solve(game: AratGame, max_steps: int = MAX_STEPS) -> Answer:
@@ -192,6 +200,17 @@ def solve(game: AratGame, max_steps: int = MAX_STEPS) -> Answer:
     start leaves player-II rows unlifted, the built problem is traced
     with r2 shifted (:func:`r2_shift`); the game is built and validated
     once, and optimal pure pairs do not move under the shift.
+
+    The answer comes from the first of three stages whose pair passes
+    the certificate, the only gate of each:
+
+    1. ``endpoint``: the pair of a converged endpoint;
+    2. ``path``: the last pair, read off the accepted path points, that
+       passes (also after a trace that did not converge);
+    3. ``strategy_iteration``: Hoffman–Karp from the pair of the path's
+       last point (:func:`hoffman_karp`); its pair is the answer,
+       passed or not.
+
     An invalid game raises InvalidGame; a lift lost to rounding against
     a reward near 1e16 times larger raises NoInteriorPointFound.  To
     trace from your own x0: ``trace(HomotopyInstance(lcp.M, lcp.q, x0))``.
@@ -205,10 +224,30 @@ def solve(game: AratGame, max_steps: int = MAX_STEPS) -> Answer:
     log.info("trace finished: %s after %d accepted steps and %d rejected "
              "trials", result.status.value, len(result.path) - 1,
              result.rejected)
-    if result.status is not TraceStatus.CONVERGED:
-        return Answer(result, value_shift)
-    return Answer(result, value_shift,
-                  certify(game, *extract_solution(result, lcp)))
+    judged = None  # the pair certified last
+    if result.status is TraceStatus.CONVERGED:
+        judged = extract_solution(result, lcp)
+        report = certify(game, *judged)
+        if report.passed:
+            return Answer(result, report, "endpoint", value_shift=value_shift)
+    # the path's pairs from its end back, each certified only where it
+    # differs from the pair read before it
+    last = None  # the pair of path[-1], where strategy iteration starts
+    for step in range(len(result.path) - 1, -1, -1):
+        pair = recover_vlcp_solution(
+            lcp, lcp.M @ result.path[step].x + lcp.q)
+        if last is None:
+            last = pair
+        if pair != judged:
+            judged = pair
+            report = certify(game, *pair)
+            if report.passed:
+                log.info("answered by the pair of path point %d", step)
+                return Answer(result, report, "path", value_shift=value_shift)
+    *pair, rounds = hoffman_karp(game, *last)
+    log.info("strategy iteration ended after %d rounds", rounds)
+    return Answer(result, certify(game, *pair), "strategy_iteration",
+                  rounds, value_shift)
 
 
 def cmd_solve(args: argparse.Namespace, game: AratGame) -> int:
@@ -219,7 +258,7 @@ def cmd_solve(args: argparse.Namespace, game: AratGame) -> int:
     answer = solve(game, args.max_steps)
     result, cert = answer.result, answer.certificate
     steps = len(result.path) - 1
-    doc: dict = {
+    doc = {
         "status": result.status.value,
         "detail": result.detail,
         "steps": steps,
@@ -227,26 +266,25 @@ def cmd_solve(args: argparse.Namespace, game: AratGame) -> int:
         "final_t": result.path[-1].t,
         "residual": result.path[-1].residual,
         "value_shift": answer.value_shift,
-        "value": None, "strategy_player_i": None,
-        "strategy_player_ii": None, "certificate": None,
+        "stage": answer.stage,
+        "strategy_iteration_rounds": answer.rounds,
+        "value": cert.value.tolist(),
+        "strategy_player_i": _one_based(cert.strategy_i),
+        "strategy_player_ii": _one_based(cert.strategy_ii),
+        "certificate": {"ineq_player_i": cert.ineq_player_i,
+                        "ineq_player_ii": cert.ineq_player_ii},
     }
-    if cert is not None:
-        doc["value"] = cert.value.tolist()
-        doc["strategy_player_i"] = _one_based(cert.strategy_i)
-        doc["strategy_player_ii"] = _one_based(cert.strategy_ii)
-        doc["certificate"] = {"ineq_player_i": cert.ineq_player_i,
-                              "ineq_player_ii": cert.ineq_player_ii}
-        print(f"status: {result.status.value} ({steps} accepted steps)")
-        print("value: " + " ".join(f"{v:.10g}" for v in cert.value))
-        for s, (i, j) in enumerate(zip(cert.strategy_i, cert.strategy_ii)):
-            print(f"  state {s + 1}: player I action {i + 1}, "
-                  f"player II action {j + 1}")
-        print(f"certificate: {'PASS' if cert.passed else 'FAIL'}")
-        for v in cert.violations:
-            print(f"  - {v}")
-    else:
-        print(f"status: {result.status.value}"
-              + (f" ({result.detail})" if result.detail else ""))
+    print(f"status: {result.status.value} ({steps} accepted steps"
+          + (f"; {result.detail})" if result.detail else ")"))
+    if answer.stage != "endpoint":
+        print(f"stage: {answer.stage}")
+    print("value: " + " ".join(f"{v:.10g}" for v in cert.value))
+    for s, (i, j) in enumerate(zip(cert.strategy_i, cert.strategy_ii)):
+        print(f"  state {s + 1}: player I action {i + 1}, "
+              f"player II action {j + 1}")
+    print(f"certificate: {'PASS' if cert.passed else 'FAIL'}")
+    for v in cert.violations:
+        print(f"  - {v}")
 
     try:
         if args.trace:

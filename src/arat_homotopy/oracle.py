@@ -9,7 +9,9 @@ its own value; direct policy evaluation of a pure stationary pair; and
 complementary-support enumeration for small square LCPs.  Enumeration
 visits only supports that hold at most one column from each group of
 identical columns of M; any other support has a singular principal
-submatrix.  None of them shares code with the homotopy path.
+submatrix.  None of them shares code with the homotopy path.  The
+certificate's one-shot payoffs (:func:`one_shot_payoffs`) are also how
+Hoffman–Karp strategy iteration judges a gain.
 """
 
 from __future__ import annotations
@@ -302,12 +304,34 @@ class CertificateReport:
         return self.ineq_player_i and self.ineq_player_ii
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow reads inf
+def one_shot_payoffs(game: AratGame, strategy_i: Sequence[int],
+                     strategy_ii: Sequence[int]
+                     ) -> tuple[np.ndarray, np.ndarray, float]:
+    """A pure pair's value v (:func:`evaluate_pure_pair`), every action's
+    one-shot payoff at v, and the slack a deviation must beat to gain.
+
+    The payoffs are one product over the stacked game, r + beta P v of
+    each player's rows composed with the other player's row in the pair,
+    so they come in the order of ``game.r``.  The slack is
+    1e-9 (1 + max |v|) over the finite entries of v.  :func:`certify`
+    and ``strategy_iteration`` judge gains by these alone.
+    """
+    v = evaluate_pure_pair(game, strategy_i, strategy_ii)
+    d, r, p, start, block = game.d, game.r, game.p, game.start, game.block
+    # each row's opponent row in the pair
+    other = (start + [*strategy_i, *strategy_ii])[(block + d) % (2 * d)]
+    payoff = r + r[other] + game.beta * (p + p[other]) @ v
+    scale = float(np.abs(v[np.isfinite(v)]).max(initial=0))
+    return v, payoff, _DEVIATION_SLACK * (1.0 + scale)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # non-finite entries fail
 def certify(game: AratGame, strategy_i: Sequence[int],
             strategy_ii: Sequence[int]) -> CertificateReport:
     """Check a pure stationary pair by Shapley's one-shot deviation
     conditions at its own value v, from one d x d solve
-    (:func:`evaluate_pure_pair`).
+    (:func:`one_shot_payoffs`).
 
     Every action's one-shot payoff at v is one product over the stacked
     game, each player's rows against the other's action in the pair.
@@ -318,14 +342,11 @@ def certify(game: AratGame, strategy_i: Sequence[int],
     action.  Raises ValueError unless each strategy holds one valid
     0-based action per state.
     """
-    v = evaluate_pure_pair(game, strategy_i, strategy_ii)
+    v, payoff, slack = one_shot_payoffs(game, strategy_i, strategy_ii)
     si, sii = tuple(map(int, strategy_i)), tuple(map(int, strategy_ii))
-    d, r, p, start, block = game.d, game.r, game.p, game.start, game.block
-    other = (start + [*si, *sii])[(block + d) % (2 * d)]  # opponent's row
-    payoff = r + r[other] + game.beta * (p + p[other]) @ v
+    d, start, block = game.d, game.start, game.block
     state, second = block % d, block >= d
     finite = np.isfinite(v)
-    slack = _DEVIATION_SLACK * (1.0 + float(np.abs(v[finite]).max(initial=0)))
     bad = (np.where(second, payoff < v[state] - slack,
                     payoff > v[state] + slack)
            | ~np.isfinite(payoff)) & finite[state]

@@ -23,13 +23,14 @@ from arat_homotopy import cli, path_tracer
 from arat_homotopy.errors import InvalidGame, MaxIterExceeded, NoInteriorPointFound
 from arat_homotopy.game_model import AratGame, validate
 from arat_homotopy.homotopy_core import HomotopyInstance
-from arat_homotopy.oracle import evaluate_pure_pair, value_iteration
+from arat_homotopy.oracle import certify, evaluate_pure_pair, value_iteration
 from arat_homotopy.path_tracer import PathPoint
 from arat_homotopy.vlcp_builder import (
     SquareLcp,
     VlcpInstance,
     build_vlcp,
     find_interior_point,
+    recover_vlcp_solution,
     to_equivalent_lcp,
 )
 
@@ -230,8 +231,11 @@ class TestSolveCommand:
         assert doc["residual"] <= 1e-6
         assert sorted(doc) == [
             "certificate", "detail", "final_t", "rejected_trials", "residual",
-            "status", "steps", "strategy_player_i", "strategy_player_ii",
-            "value", "value_shift"]
+            "stage", "status", "steps", "strategy_iteration_rounds",
+            "strategy_player_i", "strategy_player_ii", "value", "value_shift"]
+        assert (doc["stage"], doc["strategy_iteration_rounds"]) == (
+            "endpoint", 0)
+        assert "stage:" not in out  # printed only for the later stages
         result = cli.solve(make_example1()).result
         assert doc["steps"] == len(result.path) - 1
         assert doc["rejected_trials"] == result.rejected > 0
@@ -301,11 +305,68 @@ class TestSolveCommand:
         assert outs[0][1] == outs[1][1]
         assert outs[0][2] == outs[1][2]
 
-    def test_max_steps_one_exits_1(self, capsys):
-        code = cli.main(["solve", EX1, "--max-steps", "1"])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "MaxSteps" in out
+    def test_max_steps_one_answers_from_the_path(self, capsys, tmp_path):
+        # one step does not reach t = 0 ...
+        lcp = to_equivalent_lcp(build_vlcp(make_example1()))
+        result = path_tracer.trace(
+            HomotopyInstance(lcp.M, lcp.q, find_interior_point(lcp)), 1)
+        assert result.status is path_tracer.TraceStatus.MAX_STEPS
+        assert len(result.path) == 2
+        # ... but both points of that path read a certifying pair
+        json_out = tmp_path / "result.json"
+        code = cli.main(["solve", EX1, "--max-steps", "1",
+                         "--json-out", str(json_out)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert lines[:2] == ["status: MaxSteps (1 accepted steps; no "
+                             "convergence within 1 steps)", "stage: path"]
+        assert "certificate: PASS" in lines
+        doc = json.loads(json_out.read_text())
+        assert (doc["status"], doc["stage"], doc["strategy_iteration_rounds"],
+                doc["steps"]) == ("MaxSteps", "path", 0, 1)
+        assert doc["strategy_player_ii"] == [1, 2]
+
+    def test_no_progress_is_answered_by_the_last_certifying_path_pair(
+            self, monkeypatch, tmp_path, capsys):
+        # a small_mix pool game (d = 8) whose trace stalls at t ~ 0.007
+        path = str(FIXTURES / "small_mix_30.json")
+        game = cli.load_game(path)
+        result = cli.solve(game).result
+        judged = []
+
+        def counted(game, strategy_i, strategy_ii):
+            judged.append((strategy_i, strategy_ii))
+            return certify(game, strategy_i, strategy_ii)
+
+        monkeypatch.setattr(cli, "certify", counted)
+        json_out = tmp_path / "result.json"
+        code = cli.main(["solve", path, "--json-out", str(json_out)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert lines[0].startswith("status: NoProgress (65 accepted steps; "
+                                   "step length fell below eps3")
+        assert lines[1] == "stage: path"
+        doc = json.loads(json_out.read_text())
+        assert (doc["status"], doc["stage"], doc["steps"],
+                doc["rejected_trials"], doc["value_shift"]) == (
+            "NoProgress", "path", 65, 21, 0.0)
+        # the pairs of the path in order, one per run of equal pairs
+        lcp = to_equivalent_lcp(build_vlcp(game))
+        runs = []
+        for point in result.path:
+            pair = recover_vlcp_solution(lcp, lcp.M @ point.x + lcp.q)
+            if not runs or runs[-1] != pair:
+                runs.append(pair)
+        passing = [k for k, pair in enumerate(runs)
+                   if certify(game, *pair).passed]
+        # the answer is the last passing pair, and solve certified only
+        # the runs from the end back to it
+        answer = (tuple(a - 1 for a in doc["strategy_player_i"]),
+                  tuple(a - 1 for a in doc["strategy_player_ii"]))
+        assert answer == runs[passing[-1]]
+        assert judged == runs[::-1][:len(runs) - passing[-1]]
+        np.testing.assert_allclose(doc["value"], value_iteration(game).v,
+                                   atol=1e-6)
 
     def test_mass_to_larger_player_ii_state_solves(self, tmp_path, capsys):
         # state 1's player-I row sends all its mass to state 2, which has

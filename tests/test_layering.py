@@ -1,8 +1,10 @@
 """Which package modules a module may import, read from its source.
 
 The independent oracle (value iteration, enumeration, the certificate)
-shares no code with the homotopy, and the homotopy map knows nothing of
-the game's block layout, which ``vlcp_builder`` owns.
+shares no code with the homotopy, nor does Hoffman–Karp strategy
+iteration, which judges gains with the oracle's payoffs; and the
+homotopy map knows nothing of the game's block layout, which
+``vlcp_builder`` owns.
 """
 
 from __future__ import annotations
@@ -44,6 +46,12 @@ def test_imports_only_errors_and_game_model(module):
     imports = package_imports(PACKAGE / f"{module}.py")
     assert "game_model" in imports  # the reader sees relative imports
     assert imports <= {"errors", "game_model"}, imports
+
+
+def test_strategy_iteration_imports_only_the_oracle_and_game_model():
+    imports = package_imports(PACKAGE / "strategy_iteration.py")
+    assert {"game_model", "oracle"} <= imports
+    assert imports <= {"errors", "game_model", "oracle"}, imports
 
 
 def test_reader_sees_every_import_form(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
-from arat_homotopy import path_tracer
+from arat_homotopy import cli, path_tracer
 from arat_homotopy.errors import SingularJacobian
 from arat_homotopy.homotopy_core import HomotopyInstance, eval_H, jac_full, jac_u
 from arat_homotopy.oracle import certify
@@ -821,6 +821,14 @@ class TestSpuriousEndpoints:
                 spurious.append(k)
         # all 12 traces converge; 3 endpoints are spurious
         assert spurious == [0, 9, 10]
+
+    def test_solve_stages_are_pinned(self):
+        # the pair of a spurious endpoint can still be optimal (games 9
+        # and 10); game 0's is not, and a pair on its path answers
+        answers = [cli.solve(game, 1000) for game in small_mix_games()]
+        assert all(answer.passed for answer in answers)
+        assert [answer.stage for answer in answers] == (
+            ["path"] + ["endpoint"] * 11)
 
     @pytest.mark.parametrize("k", [9, 10])
     def test_tighter_tracer_reaches_the_same_pair(self, monkeypatch, k):
