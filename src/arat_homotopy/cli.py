@@ -1,9 +1,9 @@
 """Command line interface: file ingestion, dispatch, machine outputs.
 
 Verbs: ``validate`` (invariant report), ``solve`` (full homotopy pipeline;
-the answer is the first pair that passes :func:`certify` from three
-stages: the endpoint's pure pair, then the pairs read off the path's
-points, then Hoffman–Karp strategy iteration), ``oracle``
+the answer is the first pair read off the path's points, from the
+endpoint back, that passes :func:`certify`, else the pair of Hoffman–Karp
+strategy iteration), ``oracle``
 (value iteration, plus exhaustive enumeration of the square LCP; the
 vertical and square problems are built only when their dimension
 n = sum m1 + sum m2 is at most ``--guard``), ``build`` (print the
@@ -12,8 +12,8 @@ library call.
 
 Game files are UTF-8 JSON; actions and states are 1-based in files and
 messages, 0-based inside the library.  Exit codes: 0 success, 1 invalid
-game / no interior start / a pair that fails the certificate after all
-three stages, 2 I/O, parse or flag error (a stdout closed by its reader
+game / no interior start / a pair that fails the certificate after
+strategy iteration, 2 I/O, parse or flag error (a stdout closed by its reader
 included).
 """
 
@@ -201,15 +201,15 @@ def solve(game: AratGame, max_steps: int = MAX_STEPS) -> Answer:
     with r2 shifted (:func:`r2_shift`); the game is built and validated
     once, and optimal pure pairs do not move under the shift.
 
-    The answer comes from the first of three stages whose pair passes
-    the certificate, the only gate of each:
-
-    1. ``endpoint``: the pair of a converged endpoint;
-    2. ``path``: the last pair, read off the accepted path points, that
-       passes (also after a trace that did not converge);
-    3. ``strategy_iteration``: Hoffman–Karp from the pair of the path's
-       last point (:func:`hoffman_karp`); its pair is the answer,
-       passed or not.
+    One loop reads the pair of each accepted point
+    (:func:`extract_solution`), from ``path[-1]`` back to the anchor,
+    and certifies each pair that differs from the one read just before
+    it; the certificate is the only gate.  The first pair that passes
+    is the answer, at stage ``endpoint`` if it is ``path[-1]``'s on a
+    converged trace and at stage ``path`` otherwise.  If none passes,
+    Hoffman–Karp (:func:`hoffman_karp`) starts from ``path[-1]``'s pair,
+    and its pair is the answer, at stage ``strategy_iteration``, passed
+    or not.
 
     An invalid game raises InvalidGame; a lift lost to rounding against
     a reward near 1e16 times larger raises NoInteriorPointFound.  To
@@ -224,27 +224,20 @@ def solve(game: AratGame, max_steps: int = MAX_STEPS) -> Answer:
     log.info("trace finished: %s after %d accepted steps and %d rejected "
              "trials", result.status.value, len(result.path) - 1,
              result.rejected)
-    judged = None  # the pair certified last
-    if result.status is TraceStatus.CONVERGED:
-        judged = extract_solution(result, lcp)
-        report = certify(game, *judged)
-        if report.passed:
+    final, judged = len(result.path) - 1, None
+    for step in range(final, -1, -1):
+        pair = extract_solution(result.path[step], lcp)
+        if pair == judged:
+            continue
+        judged, report = pair, certify(game, *pair)
+        if not report.passed:
+            continue
+        if step == final and result.status is TraceStatus.CONVERGED:
             return Answer(result, report, "endpoint", value_shift=value_shift)
-    # the path's pairs from its end back, each certified only where it
-    # differs from the pair read before it
-    last = None  # the pair of path[-1], where strategy iteration starts
-    for step in range(len(result.path) - 1, -1, -1):
-        pair = recover_vlcp_solution(
-            lcp, lcp.M @ result.path[step].x + lcp.q)
-        if last is None:
-            last = pair
-        if pair != judged:
-            judged = pair
-            report = certify(game, *pair)
-            if report.passed:
-                log.info("answered by the pair of path point %d", step)
-                return Answer(result, report, "path", value_shift=value_shift)
-    *pair, rounds = hoffman_karp(game, *last)
+        log.info("answered by the pair of path point %d", step)
+        return Answer(result, report, "path", value_shift=value_shift)
+    *pair, rounds = hoffman_karp(
+        game, *extract_solution(result.path[-1], lcp))
     log.info("strategy iteration ended after %d rounds", rounds)
     return Answer(result, certify(game, *pair), "strategy_iteration",
                   rounds, value_shift)

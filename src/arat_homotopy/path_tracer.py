@@ -465,17 +465,14 @@ def trace(inst: HomotopyInstance, max_steps: int = MAX_STEPS) -> TraceResult:
                  f"no convergence within {max_steps} steps")
 
 
-def extract_solution(result: TraceResult,
+def extract_solution(point: PathPoint,
                      lcp: SquareLcp) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The pure pair ``(strategy_i, strategy_ii)`` read off a converged
-    endpoint.
+    """The pure pair ``(strategy_i, strategy_ii)`` read off an accepted
+    path point: each block's argmin row of the slack w = M x + q
+    (``recover_vlcp_solution``), with x of ``point`` as it stands.
 
-    Uses z = x of the endpoint ``path[-1]`` and w = M z + q as they
-    stand; no tolerance decides here whether the endpoint is
-    complementary.  The pair is the candidate that ``oracle.certify``
-    accepts or rejects.
+    No status and no tolerance is checked here, so every point of every
+    trace gives a pair; the pair is the candidate that
+    ``oracle.certify`` accepts or rejects.
     """
-    if result.status is not TraceStatus.CONVERGED:
-        raise ValueError(f"trace ended with status {result.status.value}")
-    z = result.path[-1].x
-    return recover_vlcp_solution(lcp, lcp.M @ z + lcp.q)
+    return recover_vlcp_solution(lcp, lcp.M @ point.x + lcp.q)

@@ -289,21 +289,28 @@ def validate_per_state(game: AratGame) -> list[str]:
     return v
 
 
+def per_state_payoffs(game: AratGame, strategy_i, strategy_ii,
+                      v: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each state's one-shot payoffs at v: player I's actions against j*
+    (rows) and player II's actions against i* (cols)."""
+    si, sii = tuple(map(int, strategy_i)), tuple(map(int, strategy_ii))
+    return [(game.r1[s] + game.r2[s][sii[s]]
+             + game.beta * (game.p1[s] + game.p2[s][sii[s]]) @ v,
+             game.r1[s][si[s]] + game.r2[s]
+             + game.beta * (game.p1[s][si[s]] + game.p2[s]) @ v)
+            for s in range(game.d)]
+
+
 def certify_per_state(game: AratGame, strategy_i, strategy_ii
                       ) -> CertificateReport:
     """Reference for :func:`certify` on finite games: the same value, slack
-    and messages, state by state, each player-I action against j* and
-    each player-II action against i*."""
+    and messages, state by state (:func:`per_state_payoffs`)."""
     v = evaluate_pure_pair(game, strategy_i, strategy_ii)
     si, sii = tuple(map(int, strategy_i)), tuple(map(int, strategy_ii))
     slack = 1e-9 * (1.0 + float(np.abs(v).max()))
     violations: list[str] = []
     ineq_i = ineq_ii = True
-    for s in range(game.d):
-        rows = (game.r1[s] + game.r2[s][sii[s]]
-                + game.beta * (game.p1[s] + game.p2[s][sii[s]]) @ v)
-        cols = (game.r1[s][si[s]] + game.r2[s]
-                + game.beta * (game.p1[s][si[s]] + game.p2[s]) @ v)
+    for s, (rows, cols) in enumerate(per_state_payoffs(game, si, sii, v)):
         for i in np.flatnonzero(rows > v[s] + slack):
             ineq_i = False
             violations.append(

@@ -1181,6 +1181,21 @@ class TestLogging:
         assert (f"trace finished: Converged after {len(result.path) - 1} "
                 f"accepted steps and {result.rejected} rejected trials") in err
 
+    @pytest.mark.parametrize("name, stage_lines", [
+        ("small_mix_30", ["answered by the pair of path point 65"]),
+        ("small_mix_28", ["strategy iteration ended after 2 rounds"]),
+        ("example1", []),
+    ])
+    def test_info_level_names_the_stage_past_the_endpoint(
+            self, name, stage_lines, capsys, monkeypatch):
+        # an answer from the endpoint's pair logs no stage line
+        monkeypatch.setenv("ARAT_HOMOTOPY_LOG", "info")
+        assert cli.main(["solve", str(FIXTURES / f"{name}.json")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line.removeprefix("INFO arat_homotopy.cli: ") for line in err
+                if "answered by" in line or "strategy iteration" in line
+                ] == stage_lines
+
     def test_each_call_logs_to_its_own_stderr(self, monkeypatch):
         # in-process callers redirect stderr per call: each call's lines
         # go to that call's stream, at that call's level, and only once

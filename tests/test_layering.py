@@ -4,7 +4,8 @@ The independent oracle (value iteration, enumeration, the certificate)
 shares no code with the homotopy, nor does Hoffman–Karp strategy
 iteration, which judges gains with the oracle's payoffs; and the
 homotopy map knows nothing of the game's block layout, which
-``vlcp_builder`` owns.
+``vlcp_builder`` owns.  The builder and the tracer reach neither the
+oracle nor the command line layer.
 """
 
 from __future__ import annotations
@@ -52,6 +53,17 @@ def test_strategy_iteration_imports_only_the_oracle_and_game_model():
     imports = package_imports(PACKAGE / "strategy_iteration.py")
     assert {"game_model", "oracle"} <= imports
     assert imports <= {"errors", "game_model", "oracle"}, imports
+
+
+@pytest.mark.parametrize("module, allowed", [
+    ("vlcp_builder", {"errors", "game_model"}),
+    ("path_tracer", {"errors", "game_model", "homotopy_core",
+                     "vlcp_builder"}),
+])
+def test_homotopy_side_imports_only_the_layers_below(module, allowed):
+    imports = package_imports(PACKAGE / f"{module}.py")
+    assert "game_model" in imports
+    assert imports <= allowed, imports
 
 
 def test_reader_sees_every_import_form(tmp_path):

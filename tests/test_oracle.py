@@ -18,6 +18,7 @@ from arat_homotopy.oracle import (
     certify,
     enumerate_lcp,
     evaluate_pure_pair,
+    one_shot_payoffs,
     value_iteration,
 )
 from arat_homotopy.vlcp_builder import build_vlcp, recover_vlcp_solution, to_equivalent_lcp
@@ -26,6 +27,7 @@ from conftest import (
     enumerate_lcp_all_supports,
     make_example1,
     make_example2,
+    per_state_payoffs,
     pure_saddle,
     random_arat_game,
     shifted_game,
@@ -545,6 +547,36 @@ class TestCertifyParity:
 
 def _one_state(r1, r2, p1, p2, beta=0.5):
     return AratGame(beta=beta, r1=(r1,), r2=(r2,), p1=(p1,), p2=(p2,))
+
+
+class TestOneShotPayoffs:
+    def test_payoffs_match_the_per_state_reference(self):
+        # game.r order: player I's rows state by state, then player II's
+        rng = np.random.default_rng(34)
+        for _ in range(200):
+            game = random_arat_game(rng, d_max=4, actions_max=3)
+            si = tuple(int(rng.integers(m)) for m in game.m1)
+            sii = tuple(int(rng.integers(m)) for m in game.m2)
+            v, payoff, slack = one_shot_payoffs(game, si, sii)
+            assert np.array_equal(v, evaluate_pure_pair(game, si, sii))
+            per_state = per_state_payoffs(game, si, sii, v)
+            reference = np.concatenate([rows for rows, _ in per_state]
+                                       + [cols for _, cols in per_state])
+            assert payoff.shape == game.r.shape
+            # the one stacked product may round the last digit differently
+            assert np.all(np.abs(payoff - reference)
+                          <= 4 * np.spacing(np.abs(reference)))
+            assert slack == 1e-9 * (1.0 + float(np.abs(v).max()))
+
+    @pytest.mark.parametrize("game", [
+        _one_state([1e308], [1e308], [[0.5]], [[0.5]]),
+        _one_state([1e308], [-1.0], [[1.0]], [[0.0]]),
+    ], ids=["reward-sum-overflows", "value-overflows"])
+    def test_slack_of_an_infinite_value_is_the_bare_tolerance(self, game):
+        # max |v| runs over the finite entries of v, here none
+        v, _, slack = one_shot_payoffs(game, (0,), (0,))
+        assert v.tolist() == [math.inf]
+        assert slack == 1e-9
 
 
 class TestCertifyNonFinite:

@@ -18,7 +18,6 @@ from arat_homotopy.path_tracer import (
     _L0,
     _R_ACCEPT,
     PathPoint,
-    TraceResult,
     TraceStatus,
     _lu_with_guard,
     corrector_core,
@@ -32,6 +31,7 @@ from arat_homotopy.vlcp_builder import (
     SquareLcp,
     build_vlcp,
     find_interior_point,
+    recover_vlcp_solution,
     to_equivalent_lcp,
 )
 
@@ -338,7 +338,7 @@ class TestTrace:
         result = trace(inst)
         assert result.status is TraceStatus.CONVERGED
         assert abs(result.path[-1].t) <= _EPS1
-        pair = extract_solution(result, lcp)
+        pair = extract_solution(result.path[-1], lcp)
         assert pair == ((0, 0), (0, 1))
         assert certify(example1, *pair).passed
         x = block_sums(lcp, result.path[-1].x)
@@ -348,7 +348,7 @@ class TestTrace:
         lcp, inst = instance_for(example2)
         result = trace(inst)
         assert result.status is TraceStatus.CONVERGED
-        assert certify(example2, *extract_solution(result, lcp)).passed
+        assert certify(example2, *extract_solution(result.path[-1], lcp)).passed
         # frozen from the oracle: eta = (8.25, 5.5), xi = (5.75, 8.5)
         x = block_sums(lcp, result.path[-1].x)
         np.testing.assert_allclose(x[:2], [8.25, 5.5], atol=1e-4)
@@ -361,7 +361,7 @@ class TestTrace:
         result = trace(HomotopyInstance(lcp.M, lcp.q, x0))
         assert result.status is TraceStatus.CONVERGED
         np.testing.assert_array_equal(result.path[0].x, x0)
-        assert certify(example2, *extract_solution(result, lcp)).passed
+        assert certify(example2, *extract_solution(result.path[-1], lcp)).passed
 
     def test_path_invariants(self, example1):
         lcp, inst = instance_for(example1)
@@ -525,7 +525,7 @@ class TestStepLadder:
         assert len(result.path) - 1 == 52
         assert len(calls) == 52
         assert result.rejected == 30
-        assert certify(game, *extract_solution(result, lcp)).passed
+        assert certify(game, *extract_solution(result.path[-1], lcp)).passed
 
 
 def deep_ladder_game():
@@ -745,13 +745,15 @@ class TestTraceEndings:
 
 
 class TestExtractSolution:
-    def test_not_converged_raises(self, example1):
-        _, inst = instance_for(example1)
-        result = trace(inst, max_steps=1)
-        lcp = to_equivalent_lcp(build_vlcp(example1))
-        with pytest.raises(ValueError, match="trace ended with status "
-                                             "MaxSteps"):
-            extract_solution(result, lcp)
+    def test_every_point_of_an_unconverged_trace_gives_its_pair(
+            self, example1):
+        # no status is checked: each point's pair is its slack's readout
+        lcp, inst = instance_for(example1)
+        result = trace(inst, max_steps=3)
+        assert result.status is TraceStatus.MAX_STEPS
+        for point in result.path:
+            assert extract_solution(point, lcp) == recover_vlcp_solution(
+                lcp, lcp.M @ point.x + lcp.q)
 
     def test_trivial_lcp_with_positive_q(self):
         # endpoint z = 0 gives w = q; an odd block count is no game's,
@@ -760,30 +762,23 @@ class TestExtractSolution:
             n = q.size
             lcp = SquareLcp(M=np.eye(n), q=q, block_sizes=(1,) * n)
             v = np.concatenate([np.zeros(n), q, np.zeros(n + 1)])
-            result = TraceResult(
-                status=TraceStatus.CONVERGED,
-                path=(PathPoint(v, residual=0.0, step_length=0.0,
-                                det_sign=1),),
-            )
+            point = PathPoint(v, residual=0.0, step_length=0.0, det_sign=1)
             if n % 2:
                 with pytest.raises(ValueError, match="3 blocks"):
-                    extract_solution(result, lcp)
+                    extract_solution(point, lcp)
                 continue
             # the pair is read off w = M z + q = q, one row per block
-            assert extract_solution(result, lcp) == ((0, 0), (0, 0))
+            assert extract_solution(point, lcp) == ((0, 0), (0, 0))
 
     def test_small_negatives_clamped(self, example1):
         lcp, inst = instance_for(example1)
         z = np.array([6.5, -5e-9, 5.5, 0.0, 7.5, 0.0, -1e-10, 8.5])
         w = lcp.M @ z + lcp.q
-        result = TraceResult(
-            status=TraceStatus.CONVERGED,
-            path=(PathPoint(np.concatenate([z, w, z, [0.0]]), residual=0.0,
-                            step_length=0.0, det_sign=1),),
-        )
+        point = PathPoint(np.concatenate([z, w, z, [0.0]]), residual=0.0,
+                          step_length=0.0, det_sign=1)
         # no clamping: tiny negatives pass through to w = M z + q, and
         # the pair read off it is example 1's optimal one
-        assert extract_solution(result, lcp) == ((0, 0), (0, 1))
+        assert extract_solution(point, lcp) == ((0, 0), (0, 1))
         x = block_sums(lcp, z)
         assert x.min() >= 0.0
         np.testing.assert_allclose(x[:2] + x[2:], [14.0, 14.0], atol=1e-6)
@@ -802,7 +797,7 @@ def trace_to_pair(game):
     lcp, inst = instance_for(game)
     result = trace(inst, 1000)
     assert result.status is TraceStatus.CONVERGED
-    return result.path[-1], extract_solution(result, lcp)
+    return result.path[-1], extract_solution(result.path[-1], lcp)
 
 
 class TestSpuriousEndpoints:
