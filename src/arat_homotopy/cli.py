@@ -1,8 +1,9 @@
 """Command line interface: file ingestion, dispatch, machine outputs.
 
 Verbs: ``validate`` (invariant report), ``solve`` (full homotopy pipeline;
-the answer is the first pair read off the path's points, from the
-endpoint back, that passes :func:`certify`, else the pair of Hoffman–Karp
+the answer is the start's own pair if it passes :func:`certify`, and
+then nothing is traced, else the first pair read off the path's points,
+from the endpoint back, that passes, else the pair of Hoffman–Karp
 strategy iteration), ``oracle``
 (value iteration, plus exhaustive enumeration of the square LCP; the
 vertical and square problems are built only when their dimension
@@ -29,6 +30,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -44,7 +46,14 @@ from .oracle import (
     evaluate_pure_pair,
     value_iteration,
 )
-from .path_tracer import MAX_STEPS, TraceResult, TraceStatus, extract_solution, trace
+from .path_tracer import (
+    MAX_STEPS,
+    PathPoint,
+    TraceResult,
+    TraceStatus,
+    extract_solution,
+    trace,
+)
 from .strategy_iteration import hoffman_karp
 from .vlcp_builder import (
     build_vlcp,
@@ -128,9 +137,10 @@ def load_game(path: str | Path) -> AratGame:
     return parse_game_doc(json.loads(text))
 
 
-def write_trace_csv(path: str | Path, result: TraceResult) -> None:
-    """One row per accepted path point, full precision scientific notation."""
-    n = result.path[-1].x.size
+def write_trace_csv(path: str | Path, n: int,
+                    points: Sequence[PathPoint]) -> None:
+    """One row per accepted path point of a problem of dimension n, full
+    precision scientific notation; no points writes the header alone."""
     cols = (
         ["step", "t", "residual", "step_length", "det_sign"]
         + [f"x_{i + 1}" for i in range(n)]
@@ -138,7 +148,7 @@ def write_trace_csv(path: str | Path, result: TraceResult) -> None:
         + [f"y2_{i + 1}" for i in range(n)]
     )
     lines = [",".join(cols)]
-    for step, pt in enumerate(result.path):
+    for step, pt in enumerate(points):
         row = [str(step), f"{pt.t:.17e}", f"{pt.residual:.17e}",
                f"{pt.step_length:.17e}", str(pt.det_sign)]
         row += [f"{v:.17e}" for v in pt.v[:-1]]  # x, y1, y2
@@ -174,14 +184,15 @@ def cmd_validate(args: argparse.Namespace, game: AratGame) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Answer:
-    """What :func:`solve` found: the trace, the certificate of the pair
-    it answers with (pair, exact value and verdict, on the game as
+    """What :func:`solve` found: the trace (``None`` if the anchor's
+    pair answered, so that no path was traced), the certificate of the
+    pair it answers with (pair, exact value and verdict, on the game as
     given), and the stage that found that pair: ``endpoint``, ``path``
     or ``strategy_iteration``.  ``rounds`` counts Hoffman–Karp rounds,
     0 unless the stage is ``strategy_iteration``.  ``value_shift`` is
     c2 / (1 - beta) if r2 was shifted by c2, else 0."""
 
-    result: TraceResult
+    result: TraceResult | None
     certificate: CertificateReport
     stage: str
     rounds: int = 0
@@ -196,13 +207,16 @@ class Answer:
 def solve(game: AratGame, max_steps: int = MAX_STEPS) -> Answer:
     """The paper's pipeline: game -> vertical LCP -> square LCP ->
     interior homotopy from the computed start -> pure pair read off the
-    endpoint, certified on ``game`` (:func:`certify`).  If that
+    path, certified on ``game`` (:func:`certify`).  If that
     start leaves player-II rows unlifted, the built problem is traced
     with r2 shifted (:func:`r2_shift`); the game is built and validated
     once, and optimal pure pairs do not move under the shift.
 
-    One loop reads the pair of each accepted point
-    (:func:`extract_solution`), from ``path[-1]`` back to the anchor,
+    The pair of the start x0, path point 0, is read
+    (:func:`extract_solution`) and certified first; if it passes, it is
+    the answer at stage ``path`` and nothing is traced (``result`` is
+    ``None``).  Otherwise the path is traced, and one loop reads the
+    pair of each accepted point, from ``path[-1]`` back to ``path[1]``,
     and certifies each pair that differs from the one read just before
     it; the certificate is the only gate.  The first pair that passes
     is the answer, at stage ``endpoint`` if it is ``path[-1]``'s on a
@@ -220,13 +234,21 @@ def solve(game: AratGame, max_steps: int = MAX_STEPS) -> Answer:
     if c2:
         log.info("r2 shifted by %s (value offset %s)", c2, value_shift)
     start = find_interior_point(lcp)
+    pair = extract_solution(start, lcp)
+    report = certify(game, *pair)
+    if report.passed:
+        log.info("answered by the pair of path point 0")
+        return Answer(None, report, "path", value_shift=value_shift)
     result = trace(HomotopyInstance(lcp.M, lcp.q, start), max_steps)
     log.info("trace finished: %s after %d accepted steps and %d rejected "
              "trials", result.status.value, len(result.path) - 1,
              result.rejected)
-    final, judged = len(result.path) - 1, None
-    for step in range(final, -1, -1):
-        pair = extract_solution(result.path[step], lcp)
+    # path[-1]'s pair, for Hoffman–Karp: the anchor's if no step was taken
+    final, judged, endpoint = len(result.path) - 1, None, pair
+    for step in range(final, 0, -1):  # path[0]'s pair was judged above
+        pair = extract_solution(result.path[step].x, lcp)
+        if step == final:
+            endpoint = pair
         if pair == judged:
             continue
         judged, report = pair, certify(game, *pair)
@@ -236,8 +258,7 @@ def solve(game: AratGame, max_steps: int = MAX_STEPS) -> Answer:
             return Answer(result, report, "endpoint", value_shift=value_shift)
         log.info("answered by the pair of path point %d", step)
         return Answer(result, report, "path", value_shift=value_shift)
-    *pair, rounds = hoffman_karp(
-        game, *extract_solution(result.path[-1], lcp))
+    *pair, rounds = hoffman_karp(game, *endpoint)
     log.info("strategy iteration ended after %d rounds", rounds)
     return Answer(result, certify(game, *pair), "strategy_iteration",
                   rounds, value_shift)
@@ -250,14 +271,18 @@ def cmd_solve(args: argparse.Namespace, game: AratGame) -> int:
         return EXIT_PARSE
     answer = solve(game, args.max_steps)
     result, cert = answer.result, answer.certificate
-    steps = len(result.path) - 1
-    doc = {
-        "status": result.status.value,
-        "detail": result.detail,
-        "steps": steps,
-        "rejected_trials": result.rejected,
-        "final_t": result.path[-1].t,
-        "residual": result.path[-1].residual,
+    # an anchor answer traced nothing: no status and no accepted step
+    doc = {"status": None, "detail": None, "steps": 0, "rejected_trials": 0,
+           "final_t": None, "residual": None}
+    if result is not None:
+        last = result.path[-1]
+        doc.update(status=result.status.value, detail=result.detail,
+                   steps=len(result.path) - 1,
+                   rejected_trials=result.rejected,
+                   final_t=last.t, residual=last.residual)
+        print(f"status: {result.status.value} ({doc['steps']} accepted steps"
+              + (f"; {result.detail})" if result.detail else ")"))
+    doc.update({
         "value_shift": answer.value_shift,
         "stage": answer.stage,
         "strategy_iteration_rounds": answer.rounds,
@@ -266,9 +291,7 @@ def cmd_solve(args: argparse.Namespace, game: AratGame) -> int:
         "strategy_player_ii": _one_based(cert.strategy_ii),
         "certificate": {"ineq_player_i": cert.ineq_player_i,
                         "ineq_player_ii": cert.ineq_player_ii},
-    }
-    print(f"status: {result.status.value} ({steps} accepted steps"
-          + (f"; {result.detail})" if result.detail else ")"))
+    })
     if answer.stage != "endpoint":
         print(f"stage: {answer.stage}")
     print("value: " + " ".join(f"{v:.10g}" for v in cert.value))
@@ -281,7 +304,8 @@ def cmd_solve(args: argparse.Namespace, game: AratGame) -> int:
 
     try:
         if args.trace:
-            write_trace_csv(args.trace, result)
+            write_trace_csv(args.trace, game.r.size,
+                            result.path if result is not None else ())
         if args.json_out:
             Path(args.json_out).write_text(
                 json.dumps(doc, indent=2, sort_keys=True) + "\n",

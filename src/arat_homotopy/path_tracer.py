@@ -465,14 +465,15 @@ def trace(inst: HomotopyInstance, max_steps: int = MAX_STEPS) -> TraceResult:
                  f"no convergence within {max_steps} steps")
 
 
-def extract_solution(point: PathPoint,
+def extract_solution(x: np.ndarray,
                      lcp: SquareLcp) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The pure pair ``(strategy_i, strategy_ii)`` read off an accepted
-    path point: each block's argmin row of the slack w = M x + q
-    (``recover_vlcp_solution``), with x of ``point`` as it stands.
+    """The pure pair ``(strategy_i, strategy_ii)`` read off a point x of
+    the path (the anchor x0, or ``point.x`` of an accepted point): each
+    block's argmin row of the slack w = M x + q
+    (``recover_vlcp_solution``), with x as it stands.
 
     No status and no tolerance is checked here, so every point of every
     trace gives a pair; the pair is the candidate that
     ``oracle.certify`` accepts or rejects.
     """
-    return recover_vlcp_solution(lcp, lcp.M @ point.x + lcp.q)
+    return recover_vlcp_solution(lcp, lcp.M @ x + lcp.q)

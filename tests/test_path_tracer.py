@@ -9,7 +9,7 @@ from scipy.linalg import lapack
 from arat_homotopy import cli, path_tracer
 from arat_homotopy.errors import SingularJacobian
 from arat_homotopy.homotopy_core import HomotopyInstance, eval_H, jac_full, jac_u
-from arat_homotopy.oracle import certify
+from arat_homotopy.oracle import certify, value_iteration
 from arat_homotopy.path_tracer import (
     _A0,
     _EPS1,
@@ -17,7 +17,6 @@ from arat_homotopy.path_tracer import (
     _EPS3,
     _L0,
     _R_ACCEPT,
-    PathPoint,
     TraceStatus,
     _lu_with_guard,
     corrector_core,
@@ -338,7 +337,7 @@ class TestTrace:
         result = trace(inst)
         assert result.status is TraceStatus.CONVERGED
         assert abs(result.path[-1].t) <= _EPS1
-        pair = extract_solution(result.path[-1], lcp)
+        pair = extract_solution(result.path[-1].x, lcp)
         assert pair == ((0, 0), (0, 1))
         assert certify(example1, *pair).passed
         x = block_sums(lcp, result.path[-1].x)
@@ -348,7 +347,8 @@ class TestTrace:
         lcp, inst = instance_for(example2)
         result = trace(inst)
         assert result.status is TraceStatus.CONVERGED
-        assert certify(example2, *extract_solution(result.path[-1], lcp)).passed
+        pair = extract_solution(result.path[-1].x, lcp)
+        assert certify(example2, *pair).passed
         # frozen from the oracle: eta = (8.25, 5.5), xi = (5.75, 8.5)
         x = block_sums(lcp, result.path[-1].x)
         np.testing.assert_allclose(x[:2], [8.25, 5.5], atol=1e-4)
@@ -361,7 +361,8 @@ class TestTrace:
         result = trace(HomotopyInstance(lcp.M, lcp.q, x0))
         assert result.status is TraceStatus.CONVERGED
         np.testing.assert_array_equal(result.path[0].x, x0)
-        assert certify(example2, *extract_solution(result.path[-1], lcp)).passed
+        pair = extract_solution(result.path[-1].x, lcp)
+        assert certify(example2, *pair).passed
 
     def test_path_invariants(self, example1):
         lcp, inst = instance_for(example1)
@@ -525,7 +526,7 @@ class TestStepLadder:
         assert len(result.path) - 1 == 52
         assert len(calls) == 52
         assert result.rejected == 30
-        assert certify(game, *extract_solution(result.path[-1], lcp)).passed
+        assert certify(game, *extract_solution(result.path[-1].x, lcp)).passed
 
 
 def deep_ladder_game():
@@ -752,7 +753,7 @@ class TestExtractSolution:
         result = trace(inst, max_steps=3)
         assert result.status is TraceStatus.MAX_STEPS
         for point in result.path:
-            assert extract_solution(point, lcp) == recover_vlcp_solution(
+            assert extract_solution(point.x, lcp) == recover_vlcp_solution(
                 lcp, lcp.M @ point.x + lcp.q)
 
     def test_trivial_lcp_with_positive_q(self):
@@ -761,24 +762,19 @@ class TestExtractSolution:
         for q in (np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0, 4.0])):
             n = q.size
             lcp = SquareLcp(M=np.eye(n), q=q, block_sizes=(1,) * n)
-            v = np.concatenate([np.zeros(n), q, np.zeros(n + 1)])
-            point = PathPoint(v, residual=0.0, step_length=0.0, det_sign=1)
             if n % 2:
                 with pytest.raises(ValueError, match="3 blocks"):
-                    extract_solution(point, lcp)
+                    extract_solution(np.zeros(n), lcp)
                 continue
             # the pair is read off w = M z + q = q, one row per block
-            assert extract_solution(point, lcp) == ((0, 0), (0, 0))
+            assert extract_solution(np.zeros(n), lcp) == ((0, 0), (0, 0))
 
     def test_small_negatives_clamped(self, example1):
         lcp, inst = instance_for(example1)
         z = np.array([6.5, -5e-9, 5.5, 0.0, 7.5, 0.0, -1e-10, 8.5])
-        w = lcp.M @ z + lcp.q
-        point = PathPoint(np.concatenate([z, w, z, [0.0]]), residual=0.0,
-                          step_length=0.0, det_sign=1)
         # no clamping: tiny negatives pass through to w = M z + q, and
         # the pair read off it is example 1's optimal one
-        assert extract_solution(point, lcp) == ((0, 0), (0, 1))
+        assert extract_solution(z, lcp) == ((0, 0), (0, 1))
         x = block_sums(lcp, z)
         assert x.min() >= 0.0
         np.testing.assert_allclose(x[:2] + x[2:], [14.0, 14.0], atol=1e-6)
@@ -797,7 +793,7 @@ def trace_to_pair(game):
     lcp, inst = instance_for(game)
     result = trace(inst, 1000)
     assert result.status is TraceStatus.CONVERGED
-    return result.path[-1], extract_solution(result.path[-1], lcp)
+    return result.path[-1], extract_solution(result.path[-1].x, lcp)
 
 
 class TestSpuriousEndpoints:
@@ -819,11 +815,55 @@ class TestSpuriousEndpoints:
 
     def test_solve_stages_are_pinned(self):
         # the pair of a spurious endpoint can still be optimal (games 9
-        # and 10); game 0's is not, and a pair on its path answers
+        # and 10); game 0's is not
+        assert [certify(game, *trace_to_pair(game)[1]).passed
+                 for game in small_mix_games()] == [False] + [True] * 11
+        # but the anchor's pair answers 11 of the 12 games, the three
+        # spurious ones included; only game 5 is traced, and its
+        # endpoint's pair answers
         answers = [cli.solve(game, 1000) for game in small_mix_games()]
         assert all(answer.passed for answer in answers)
         assert [answer.stage for answer in answers] == (
-            ["path"] + ["endpoint"] * 11)
+            ["path"] * 5 + ["endpoint"] + ["path"] * 6)
+        assert [k for k, answer in enumerate(answers)
+                if answer.result is not None] == [5]
+
+    def test_games_whose_anchor_pair_fails_keep_their_stage_and_pair(self):
+        # the stage and pair each game was answered with when solve
+        # certified no pair before tracing: a game whose anchor pair
+        # fails is answered as then; one whose anchor pair passes is
+        # answered by that pair, untraced, at stage path, and on these
+        # games it is the pair the traced path answered with
+        traced = {
+            0: ("path", ((0, 0, 1, 1, 0, 1, 0), (0, 1, 0, 2, 0, 1, 0))),
+            1: ("endpoint", ((0, 0, 2, 0, 0), (2, 0, 2, 1, 0))),
+            2: ("endpoint", ((0, 1, 0, 1), (1, 0, 0, 2))),
+            3: ("endpoint", ((0, 0, 1, 0, 2, 0), (0, 0, 1, 0, 1, 1))),
+            4: ("endpoint", ((0, 0, 2, 2, 0), (1, 0, 1, 0, 1))),
+            5: ("endpoint", ((2, 0, 0), (0, 0, 1))),
+            6: ("endpoint", ((0, 0, 0, 0), (0, 1, 0, 0))),
+            7: ("endpoint", ((0,), (2,))),
+            8: ("endpoint", ((1, 0, 0, 0, 0, 0, 2, 0),
+                             (0, 1, 0, 0, 2, 1, 0, 0))),
+            9: ("endpoint", ((0, 0, 0, 1, 0), (1, 0, 0, 1, 0))),
+            10: ("endpoint", ((0, 0, 1), (0, 0, 0))),
+            11: ("endpoint", ((0, 0, 1, 0), (0, 0, 0, 1))),
+        }
+        for k, game in enumerate(small_mix_games()):
+            lcp = to_equivalent_lcp(build_vlcp(game))
+            anchor = extract_solution(find_interior_point(lcp), lcp)
+            answer = cli.solve(game, 1000)
+            pair = (answer.certificate.strategy_i,
+                    answer.certificate.strategy_ii)
+            if certify(game, *anchor).passed:
+                assert answer.result is None, k
+                assert (answer.stage, pair) == ("path", anchor), k
+                assert pair == traced[k][1], k
+            else:
+                assert answer.result is not None, k
+                assert (answer.stage, pair) == traced[k], k
+            np.testing.assert_allclose(answer.certificate.value,
+                                       value_iteration(game).v, atol=1e-6)
 
     @pytest.mark.parametrize("k", [9, 10])
     def test_tighter_tracer_reaches_the_same_pair(self, monkeypatch, k):
