@@ -4,7 +4,7 @@ Verbs: ``validate`` (invariant report), ``solve`` (full homotopy pipeline;
 the answer is the start's own pair if it passes :func:`certify`, and
 then nothing is traced, else the first pair read off the path's points,
 from the endpoint back, that passes, else the pair of Hoffman–Karp
-strategy iteration), ``oracle``
+strategy iteration; each distinct pair is certified once), ``oracle``
 (value iteration, plus exhaustive enumeration of the square LCP; the
 vertical and square problems are built only when their dimension
 n = sum m1 + sum m2 is at most ``--guard``), ``build`` (print the
@@ -212,30 +212,34 @@ def solve(game: AratGame, max_steps: int = MAX_STEPS) -> Answer:
     with r2 shifted (:func:`r2_shift`); the game is built and validated
     once, and optimal pure pairs do not move under the shift.
 
-    The pair of the start x0, path point 0, is read
-    (:func:`extract_solution`) and certified first; if it passes, it is
+    Every pair is certified through one memo that lives for this call,
+    so no pair is judged twice and the answer's certificate is the
+    memo's report.  The pair of the start x0, path point 0, is read
+    (:func:`extract_solution`) and judged first; if it passes, it is
     the answer at stage ``path`` and nothing is traced (``result`` is
     ``None``).  Otherwise the path is traced, and one loop reads the
     pair of each accepted point, from ``path[-1]`` back to ``path[1]``,
-    and certifies each pair that differs from the one read just before
-    it; the certificate is the only gate.  The first pair that passes
-    is the answer, at stage ``endpoint`` if it is ``path[-1]``'s on a
-    converged trace and at stage ``path`` otherwise.  If none passes,
-    Hoffman–Karp (:func:`hoffman_karp`) starts from ``path[-1]``'s pair,
-    and its pair is the answer, at stage ``strategy_iteration``, passed
-    or not.
+    and judges it; the certificate is the only gate.  The first pair
+    that passes is the answer, at stage ``endpoint`` if it is
+    ``path[-1]``'s on a converged trace and at stage ``path`` otherwise.
+    If none passes, Hoffman–Karp (:func:`hoffman_karp`) starts from
+    ``path[-1]``'s pair, and its pair is the answer, at stage
+    ``strategy_iteration``, passed or not.
 
-    An invalid game raises InvalidGame; a lift lost to rounding against
+    A ``max_steps`` below 1 raises ValueError, whatever the game.  An
+    invalid game raises InvalidGame; a lift lost to rounding against
     a reward near 1e16 times larger raises NoInteriorPointFound.  To
     trace from your own x0: ``trace(HomotopyInstance(lcp.M, lcp.q, x0))``.
     """
+    if max_steps < 1:
+        raise ValueError("max_steps must be at least 1")
     lcp, c2 = r2_shift(to_equivalent_lcp(build_vlcp(game)))
     value_shift = c2 / (1.0 - game.beta)
     if c2:
         log.info("r2 shifted by %s (value offset %s)", c2, value_shift)
+    judge = functools.cache(lambda pair: certify(game, *pair))
     start = find_interior_point(lcp)
-    pair = extract_solution(start, lcp)
-    report = certify(game, *pair)
+    report = judge(extract_solution(start, lcp))
     if report.passed:
         log.info("answered by the pair of path point 0")
         return Answer(None, report, "path", value_shift=value_shift)
@@ -243,25 +247,20 @@ def solve(game: AratGame, max_steps: int = MAX_STEPS) -> Answer:
     log.info("trace finished: %s after %d accepted steps and %d rejected "
              "trials", result.status.value, len(result.path) - 1,
              result.rejected)
-    # path[-1]'s pair, for Hoffman–Karp: the anchor's if no step was taken
-    final, judged, endpoint = len(result.path) - 1, None, pair
+    final = len(result.path) - 1
     for step in range(final, 0, -1):  # path[0]'s pair was judged above
-        pair = extract_solution(result.path[step].x, lcp)
-        if step == final:
-            endpoint = pair
-        if pair == judged:
-            continue
-        judged, report = pair, certify(game, *pair)
+        report = judge(extract_solution(result.path[step].x, lcp))
         if not report.passed:
             continue
         if step == final and result.status is TraceStatus.CONVERGED:
             return Answer(result, report, "endpoint", value_shift=value_shift)
         log.info("answered by the pair of path point %d", step)
         return Answer(result, report, "path", value_shift=value_shift)
-    *pair, rounds = hoffman_karp(game, *endpoint)
+    *pair, rounds = hoffman_karp(
+        game, *extract_solution(result.path[-1].x, lcp))
     log.info("strategy iteration ended after %d rounds", rounds)
-    return Answer(result, certify(game, *pair), "strategy_iteration",
-                  rounds, value_shift)
+    return Answer(result, judge(tuple(pair)), "strategy_iteration", rounds,
+                  value_shift)
 
 
 def cmd_solve(args: argparse.Namespace, game: AratGame) -> int:

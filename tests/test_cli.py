@@ -12,6 +12,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -57,6 +58,15 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 VERBS = ["validate", "solve", "oracle", "build"]
+
+
+def recording_certify(judged: list):
+    """``certify`` that first appends the pair it judges to ``judged``,
+    to stand in for ``cli.certify``."""
+    def recorded(game, strategy_i, strategy_ii):
+        judged.append((strategy_i, strategy_ii))
+        return certify(game, strategy_i, strategy_ii)
+    return recorded
 
 
 def assert_one_parse_error(capsys) -> None:
@@ -425,12 +435,7 @@ class TestSolveCommand:
         game = cli.load_game(path)
         result = cli.solve(game).result
         judged = []
-
-        def counted(game, strategy_i, strategy_ii):
-            judged.append((strategy_i, strategy_ii))
-            return certify(game, strategy_i, strategy_ii)
-
-        monkeypatch.setattr(cli, "certify", counted)
+        monkeypatch.setattr(cli, "certify", recording_certify(judged))
         json_out = tmp_path / "result.json"
         code = cli.main(["solve", path, "--json-out", str(json_out)])
         lines = capsys.readouterr().out.splitlines()
@@ -460,6 +465,24 @@ class TestSolveCommand:
         assert judged == [runs[0]] + runs[::-1][:len(runs) - passing[-1]]
         np.testing.assert_allclose(doc["value"], value_iteration(game).v,
                                    atol=1e-6)
+
+    def test_each_pair_is_certified_once(self, monkeypatch):
+        # fixture 28: the start's pair fails, the back-walk reads pairs
+        # that recur (one of them the start's) and all fail, and
+        # Hoffman-Karp's pair answers; each distinct pair is judged once
+        judged = []
+        monkeypatch.setattr(cli, "certify", recording_certify(judged))
+        game = cli.load_game(MIX28)
+        answer = cli.solve(game)
+        assert (answer.stage, answer.rounds, answer.passed) == (
+            "strategy_iteration", 2, True)
+        lcp = to_equivalent_lcp(build_vlcp(game))
+        start_pair = recover_vlcp_solution(
+            lcp, lcp.M @ find_interior_point(lcp) + lcp.q)
+        cert = answer.certificate
+        assert len(judged) == len(set(judged)) == 4
+        assert judged[0] == start_pair
+        assert judged[-1] == (cert.strategy_i, cert.strategy_ii)
 
     def test_mass_to_larger_player_ii_state_solves(self, tmp_path, capsys):
         # state 1's player-I row sends all its mass to state 2, which has
@@ -585,6 +608,21 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("bad tracer settings:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fixture", [EX1, MIX28, MIX30],
+                             ids=["example1", "small_mix_28", "small_mix_30"])
+    @pytest.mark.parametrize("max_steps", [0, -1])
+    def test_library_budget_below_one_raises_before_anything_is_built(
+            self, fixture, max_steps, monkeypatch):
+        # example 1's start pair answers and the other two trace: the
+        # budget is refused either way, before the game is built
+        def refuse(game):
+            raise AssertionError("built a problem")
+
+        monkeypatch.setattr(cli, "build_vlcp", refuse)
+        game = cli.load_game(fixture)
+        with pytest.raises(ValueError, match="^max_steps must be at least 1$"):
+            cli.solve(game, max_steps)
 
     @pytest.mark.parametrize("flags", [
         ["--eps1", "1e-7"], ["--eps2", "1e-3"], ["--eps3", "1e-5"],
@@ -751,8 +789,9 @@ class TestValidateOnce:
 
     @pytest.mark.parametrize("fixture", [EX1, EX2],
                              ids=["example1", "example2"])
-    def test_converged_solve_evaluates_its_pair_once(self, fixture,
-                                                     monkeypatch):
+    def test_start_answer_evaluates_its_pair_once(self, fixture,
+                                                  monkeypatch):
+        # the start's pair answers both examples, so nothing is traced
         from arat_homotopy import oracle
 
         calls = []
@@ -773,20 +812,25 @@ class TestValidateOnce:
 class TestSolveProperty:
     @given(seed=st.integers(0, 2**32 - 1))
     @example(seed=28)  # converges to a pair that is not optimal
+    @example(seed=100)  # its path reads the same pair more than once
     @settings(max_examples=40, deadline=None)
     def test_exit_0_means_an_optimal_pair(self, seed):
         # An exit-0 answer is checked here against value iteration, not
         # against the solver's own certificate.  Any other exit carries
-        # no value, or a value whose certificate failed.
+        # no value, or a value whose certificate failed.  Whatever the
+        # exit, no pair is certified twice.
         game = random_arat_game(np.random.default_rng(seed), d_max=3,
                                 actions_max=2)
-        with tempfile.TemporaryDirectory() as tmp:
+        judged = []
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(cli, "certify", recording_certify(judged)):
             path = write_game(Path(tmp), game_to_doc(game))
             json_out = Path(tmp) / "r.json"
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli.main(["solve", path, "--json-out", str(json_out)])
             doc = (json.loads(json_out.read_text())
                    if json_out.is_file() else None)
+        assert len(judged) == len(set(judged))
         if code != 0:
             assert doc is None or doc["value"] is None or not all(
                 doc["certificate"][k] for k in
