@@ -223,8 +223,10 @@ def solve(game: AratGame, max_steps: int = MAX_STEPS) -> Answer:
     that passes is the answer, at stage ``endpoint`` if it is
     ``path[-1]``'s on a converged trace and at stage ``path`` otherwise.
     If none passes, Hoffman–Karp (:func:`hoffman_karp`) starts from
-    ``path[-1]``'s pair, and its pair is the answer, at stage
-    ``strategy_iteration``, passed or not.
+    ``path[-1]``'s pair as already read (the start's if the trace took
+    no step), and its pair is the answer, at stage
+    ``strategy_iteration``, passed or not.  No point's pair is read
+    twice.
 
     A ``max_steps`` below 1 raises ValueError, whatever the game.  An
     invalid game raises InvalidGame; a lift lost to rounding against
@@ -239,7 +241,8 @@ def solve(game: AratGame, max_steps: int = MAX_STEPS) -> Answer:
         log.info("r2 shifted by %s (value offset %s)", c2, value_shift)
     judge = functools.cache(lambda pair: certify(game, *pair))
     start = find_interior_point(lcp)
-    report = judge(extract_solution(start, lcp))
+    end_pair = extract_solution(start, lcp)  # path[-1]'s if no step is taken
+    report = judge(end_pair)
     if report.passed:
         log.info("answered by the pair of path point 0")
         return Answer(None, report, "path", value_shift=value_shift)
@@ -249,15 +252,17 @@ def solve(game: AratGame, max_steps: int = MAX_STEPS) -> Answer:
              result.rejected)
     final = len(result.path) - 1
     for step in range(final, 0, -1):  # path[0]'s pair was judged above
-        report = judge(extract_solution(result.path[step].x, lcp))
+        pair = extract_solution(result.path[step].x, lcp)
+        if step == final:
+            end_pair = pair
+        report = judge(pair)
         if not report.passed:
             continue
         if step == final and result.status is TraceStatus.CONVERGED:
             return Answer(result, report, "endpoint", value_shift=value_shift)
         log.info("answered by the pair of path point %d", step)
         return Answer(result, report, "path", value_shift=value_shift)
-    *pair, rounds = hoffman_karp(
-        game, *extract_solution(result.path[-1].x, lcp))
+    *pair, rounds = hoffman_karp(game, *end_pair)
     log.info("strategy iteration ended after %d rounds", rounds)
     return Answer(result, judge(tuple(pair)), "strategy_iteration", rounds,
                   value_shift)

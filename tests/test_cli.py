@@ -132,11 +132,20 @@ class TestValidateCommand:
         ("states", [], "'states' must be a non-empty array"),
         ("row", [0.5],
          "state 2, playerII: every transition row needs 2 entries"),
+        # player I's entries are checked the same way
+        ("rewards", 10**400,
+         "state 1, playerI: int too large to convert to float"),
+        ("transitions", True,
+         "state 1, playerI: transitions: True is not a number"),
     ])
     def test_non_number_or_huge_integer_is_a_parse_error(
             self, tmp_path, capsys, where, value, message):
         doc = game_to_doc(make_example1())
-        player = doc["states"][1]["playerII"]
+        # the entry edited is in the block the message names
+        if message.startswith("state 1, playerI:"):
+            player = doc["states"][0]["playerI"]
+        else:
+            player = doc["states"][1]["playerII"]
         if where == "document":
             doc = value
         elif where in ("beta", "states"):
@@ -151,6 +160,7 @@ class TestValidateCommand:
             assert cli.main([verb, write_game(tmp_path, doc)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("parse error: ")
+            assert err.count("\n") == 1
             assert message in err
 
     def test_numpy_numbers_are_accepted(self):
@@ -287,18 +297,23 @@ class TestSolveCommand:
         assert answer.result is None
         assert (answer.stage, answer.passed) == ("path", True)
 
-    def test_anchor_answer_traces_nothing(self, monkeypatch, capsys):
+    def test_anchor_answer_traces_nothing(self, monkeypatch, capsys,
+                                          tmp_path):
         # the anchor's pair is certified before a homotopy is built
         def refused(*args, **kwargs):
             raise AssertionError("the anchor's pair answers first")
 
         monkeypatch.setattr(cli, "trace", refused)
         monkeypatch.setattr(cli, "HomotopyInstance", refused)
+        json_out = tmp_path / "result.json"
         for path in (EX1, EX2):
-            assert cli.main(["solve", path]) == 0
+            assert cli.main(["solve", path, "--json-out", str(json_out)]) == 0
             out = capsys.readouterr().out
             assert out.startswith("stage: path\n")
             assert "certificate: PASS" in out
+            doc = json.loads(json_out.read_text())
+            assert (doc["stage"], doc["steps"], doc["status"]) == (
+                "path", 0, None)
 
     def test_endpoint_answer_prints_no_stage_line(self, capsys, tmp_path,
                                                   monkeypatch):
@@ -348,7 +363,7 @@ class TestSolveCommand:
         assert path_tracer.extract_solution(result.path[-1].x, lcp) == (
             (0, 0), (0, 0))
 
-    def test_example1_bundled_hint_falls_back_to_auto(self):
+    def test_path_starts_at_the_computed_start(self):
         # solve takes no start: it traces from the computed one
         game = cli.load_game(MIX30)
         lcp = to_equivalent_lcp(build_vlcp(game))
@@ -443,10 +458,12 @@ class TestSolveCommand:
         assert lines[0].startswith("status: NoProgress (65 accepted steps; "
                                    "step length fell below eps3")
         assert lines[1] == "stage: path"
+        assert "certificate: PASS" in lines
         doc = json.loads(json_out.read_text())
         assert (doc["status"], doc["stage"], doc["steps"],
-                doc["rejected_trials"], doc["value_shift"]) == (
-            "NoProgress", "path", 65, 21, 0.0)
+                doc["rejected_trials"], doc["value_shift"],
+                doc["strategy_iteration_rounds"]) == (
+            "NoProgress", "path", 65, 21, 0.0, 0)
         # the pairs of the path in order, one per run of equal pairs
         lcp = to_equivalent_lcp(build_vlcp(game))
         runs = []
@@ -466,23 +483,50 @@ class TestSolveCommand:
         np.testing.assert_allclose(doc["value"], value_iteration(game).v,
                                    atol=1e-6)
 
-    def test_each_pair_is_certified_once(self, monkeypatch):
+    def test_each_pair_is_certified_once(self, monkeypatch, capsys,
+                                         tmp_path):
         # fixture 28: the start's pair fails, the back-walk reads pairs
         # that recur (one of them the start's) and all fail, and
-        # Hoffman-Karp's pair answers; each distinct pair is judged once
+        # Hoffman-Karp's pair answers in 2 rounds; each distinct pair is
+        # judged once
         judged = []
         monkeypatch.setattr(cli, "certify", recording_certify(judged))
-        game = cli.load_game(MIX28)
-        answer = cli.solve(game)
-        assert (answer.stage, answer.rounds, answer.passed) == (
-            "strategy_iteration", 2, True)
-        lcp = to_equivalent_lcp(build_vlcp(game))
+        json_out = tmp_path / "result.json"
+        assert cli.main(["solve", MIX28, "--json-out", str(json_out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "stage: strategy_iteration" in lines
+        assert "certificate: PASS" in lines
+        doc = json.loads(json_out.read_text())
+        assert (doc["stage"], doc["strategy_iteration_rounds"]) == (
+            "strategy_iteration", 2)
+        lcp = to_equivalent_lcp(build_vlcp(cli.load_game(MIX28)))
         start_pair = recover_vlcp_solution(
             lcp, lcp.M @ find_interior_point(lcp) + lcp.q)
-        cert = answer.certificate
         assert len(judged) == len(set(judged)) == 4
         assert judged[0] == start_pair
-        assert judged[-1] == (cert.strategy_i, cert.strategy_ii)
+        assert judged[-1] == (
+            tuple(a - 1 for a in doc["strategy_player_i"]),
+            tuple(a - 1 for a in doc["strategy_player_ii"]))
+
+    @pytest.mark.parametrize("fixture, reads, points", [
+        (MIX28, 140, 140), (MIX30, 2, 66),
+    ], ids=["small_mix_28", "small_mix_30"])
+    def test_each_path_point_is_read_once(self, fixture, reads, points,
+                                          monkeypatch):
+        # game 28 reads the start's pair, then each later point's from
+        # the endpoint back, and Hoffman-Karp starts from the endpoint's
+        # pair as read; game 30 reads the start's pair and that of its
+        # point 65, which answers
+        read = []
+
+        def counted(x, lcp):
+            read.append(x)
+            return path_tracer.extract_solution(x, lcp)
+
+        monkeypatch.setattr(cli, "extract_solution", counted)
+        answer = cli.solve(cli.load_game(fixture))
+        assert len(answer.result.path) == points
+        assert len(read) == reads
 
     def test_mass_to_larger_player_ii_state_solves(self, tmp_path, capsys):
         # state 1's player-I row sends all its mass to state 2, which has
@@ -1199,7 +1243,8 @@ class TestLargeRewards:
 class TestColdStart:
     """Only the tracer factors, and it loads scipy's LAPACK extension
     module by itself, so no verb runs the ``scipy.linalg`` package.  The
-    tests that solve use game 30, which is traced."""
+    tests that solve use game 30, which is traced; ``oracle`` enumerates
+    example 1 (n = 8) and skips game 30 (n = 33)."""
 
     ROUTINES = ("dgetrf", "dtrcon", "dtrtrs", "dgetrs", "dlaswp")
 
@@ -1214,22 +1259,23 @@ class TestColdStart:
             "codes, after = {}, {}\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    for verb in ('validate', 'build', 'oracle', 'solve'):\n"
-            "        codes[verb] = cli.main([verb, sys.argv[1]])\n"
+            "        codes[verb] = [cli.main([verb, game])\n"
+            "                       for game in sys.argv[1:3]]\n"
             "        after[verb] = loaded()\n"
             "import scipy.linalg.lapack\n"
             "same = [getattr(scipy.linalg.lapack, name)\n"
             "        is getattr(path_tracer._lapack(), name)\n"
-            "        for name in sys.argv[2:]]\n"
+            "        for name in sys.argv[3:]]\n"
             "print(json.dumps([codes, after, same]))\n"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", script, MIX30, *self.ROUTINES],
+            [sys.executable, "-c", script, EX1, MIX30, *self.ROUTINES],
             capture_output=True, text=True, timeout=120,
             env={**os.environ, "PYTHONPATH": str(SRC)},
         )
         assert proc.returncode == 0, proc.stderr
         codes, after, same = json.loads(proc.stdout)
-        assert codes == {"validate": 0, "build": 0, "oracle": 0, "solve": 0}
+        assert codes == {verb: [0, 0] for verb in VERBS}
         assert after["validate"] == after["build"] == after["oracle"] == []
         # the extension module is all there is; the interpreter itself
         # lists a single-phase extension in sys.modules when it loads one

@@ -397,12 +397,20 @@ class TestTrace:
             assert p1.step_length == p2.step_length
             assert p1.det_sign == p2.det_sign
 
-    def test_bundled_examples_step_counts(self, example1, example2):
-        # pinned path length under the default config: a kernel change
-        # that perturbs the path shows here
-        for game, steps in ((example1, 52), (example2, 47)):
-            _, inst = instance_for(game)
-            assert len(trace(inst).path) - 1 == steps
+    def test_bundled_examples_step_counts(self):
+        # pinned path length and rejected trials under the default
+        # config: a change to the kernels, the ladder, the gates or the
+        # rungs refused for crossing t = 0 shows here; both endpoints'
+        # pairs certify
+        for name, steps, rejected in (("example1", 52, 30),
+                                      ("example2", 47, 30)):
+            game = cli.load_game(FIXTURES / f"{name}.json")
+            lcp, inst = instance_for(game)
+            result = trace(inst)
+            assert (result.status, len(result.path) - 1, result.rejected) == (
+                TraceStatus.CONVERGED, steps, rejected), name
+            assert certify(game, *extract_solution(result.path[-1].x,
+                                                   lcp)).passed, name
 
     def test_max_steps_truncation(self, example1):
         _, inst = instance_for(example1)
