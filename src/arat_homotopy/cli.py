@@ -51,6 +51,7 @@ from .path_tracer import (
     PathPoint,
     TraceResult,
     TraceStatus,
+    _step_budget,
     extract_solution,
     trace,
 )
@@ -58,7 +59,6 @@ from .strategy_iteration import hoffman_karp
 from .vlcp_builder import (
     build_vlcp,
     find_interior_point,
-    r2_shift,
     recover_vlcp_solution,
     to_equivalent_lcp,
 )
@@ -190,7 +190,7 @@ class Answer:
     given), and the stage that found that pair: ``endpoint``, ``path``
     or ``strategy_iteration``.  ``rounds`` counts Hoffman–Karp rounds,
     0 unless the stage is ``strategy_iteration``.  ``value_shift`` is
-    c2 / (1 - beta) if r2 was shifted by c2, else 0."""
+    c2 / (1 - beta), c2 the start's r2 shift (0 if none)."""
 
     result: TraceResult | None
     certificate: CertificateReport
@@ -207,10 +207,10 @@ class Answer:
 def solve(game: AratGame, max_steps: int = MAX_STEPS) -> Answer:
     """The paper's pipeline: game -> vertical LCP -> square LCP ->
     interior homotopy from the computed start -> pure pair read off the
-    path, certified on ``game`` (:func:`certify`).  If that
-    start leaves player-II rows unlifted, the built problem is traced
-    with r2 shifted (:func:`r2_shift`); the game is built and validated
-    once, and optimal pure pairs do not move under the shift.
+    path, certified on ``game`` (:func:`certify`).  One call to
+    :func:`find_interior_point` gives the problem to trace, its start
+    and its r2 shift; the game is built and validated once, and optimal
+    pure pairs do not move under the shift.
 
     Every pair is certified through one memo that lives for this call,
     so no pair is judged twice and the answer's certificate is the
@@ -224,23 +224,20 @@ def solve(game: AratGame, max_steps: int = MAX_STEPS) -> Answer:
     ``path[-1]``'s on a converged trace and at stage ``path`` otherwise.
     If none passes, Hoffman–Karp (:func:`hoffman_karp`) starts from
     ``path[-1]``'s pair as already read (the start's if the trace took
-    no step), and its pair is the answer, at stage
-    ``strategy_iteration``, passed or not.  No point's pair is read
-    twice.
+    no step), and its pair is the answer, at stage ``strategy_iteration``,
+    passed or not.  No point's pair is read twice.
 
-    A ``max_steps`` below 1 raises ValueError, whatever the game.  An
+    A ``max_steps`` below 1 or not an integer raises ValueError first.  An
     invalid game raises InvalidGame; a lift lost to rounding against
     a reward near 1e16 times larger raises NoInteriorPointFound.  To
     trace from your own x0: ``trace(HomotopyInstance(lcp.M, lcp.q, x0))``.
     """
-    if max_steps < 1:
-        raise ValueError("max_steps must be at least 1")
-    lcp, c2 = r2_shift(to_equivalent_lcp(build_vlcp(game)))
+    max_steps = _step_budget(max_steps)
+    lcp, start, c2 = find_interior_point(to_equivalent_lcp(build_vlcp(game)))
     value_shift = c2 / (1.0 - game.beta)
     if c2:
         log.info("r2 shifted by %s (value offset %s)", c2, value_shift)
     judge = functools.cache(lambda pair: certify(game, *pair))
-    start = find_interior_point(lcp)
     end_pair = extract_solution(start, lcp)  # path[-1]'s if no step is taken
     report = judge(end_pair)
     if report.passed:
@@ -269,9 +266,10 @@ def solve(game: AratGame, max_steps: int = MAX_STEPS) -> Answer:
 
 
 def cmd_solve(args: argparse.Namespace, game: AratGame) -> int:
-    if args.max_steps < 1:
-        print("bad tracer settings: max_steps must be at least 1",
-              file=sys.stderr)
+    try:
+        _step_budget(args.max_steps)
+    except ValueError as exc:
+        print(f"bad tracer settings: {exc}", file=sys.stderr)
         return EXIT_PARSE
     answer = solve(game, args.max_steps)
     result, cert = answer.result, answer.certificate
@@ -281,8 +279,7 @@ def cmd_solve(args: argparse.Namespace, game: AratGame) -> int:
     if result is not None:
         last = result.path[-1]
         doc.update(status=result.status.value, detail=result.detail,
-                   steps=len(result.path) - 1,
-                   rejected_trials=result.rejected,
+                   steps=len(result.path) - 1, rejected_trials=result.rejected,
                    final_t=last.t, residual=last.residual)
         print(f"status: {result.status.value} ({doc['steps']} accepted steps"
               + (f"; {result.detail})" if result.detail else ")"))

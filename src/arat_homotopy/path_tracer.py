@@ -103,7 +103,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import SingularJacobian
-from .game_model import _freeze
+from .game_model import _counts, _freeze
 from .homotopy_core import HomotopyInstance, eval_H, jac_full, jac_t, jac_u
 from .vlcp_builder import SquareLcp, recover_vlcp_solution
 
@@ -118,6 +118,14 @@ _R_ACCEPT = 1.0
 _RCOND_MIN = 1e-12
 _BOUND_B = 1e8
 MAX_STEPS = 10_000
+
+
+def _step_budget(max_steps) -> int:
+    """``max_steps`` as an int of at least 1, else ValueError."""
+    (steps,) = _counts((max_steps,), "max_steps")
+    if steps < 1:
+        raise ValueError("max_steps must be at least 1")
+    return steps
 
 
 @functools.cache
@@ -423,7 +431,7 @@ def _ladder(inst: HomotopyInstance, current: np.ndarray, tau: np.ndarray,
 
 def trace(inst: HomotopyInstance, max_steps: int = MAX_STEPS) -> TraceResult:
     """Follow the path from the anchor v0 (t = 1) toward t = 0, taking at
-    most ``max_steps`` accepted steps (ValueError if it is below 1).
+    most ``max_steps`` accepted steps (ValueError unless an int >= 1).
 
     Each step's ladder (``_ladder``) tries rungs start, start + 1, ...
     and, if that range ends the walk, 0 ... start - 1.  Numerical
@@ -431,8 +439,7 @@ def trace(inst: HomotopyInstance, max_steps: int = MAX_STEPS) -> TraceResult:
     exceptions.  Every accepted point lands in the path, starting with
     the anchor itself at t = 1, so ``path[k]`` is the point after k steps.
     """
-    if max_steps < 1:
-        raise ValueError("max_steps must be at least 1")
+    max_steps = _step_budget(max_steps)
     current = inst.v0
     res0 = float(np.linalg.norm(eval_H(inst, current)))
     path = [PathPoint(current, residual=res0, step_length=0.0, det_sign=1)]

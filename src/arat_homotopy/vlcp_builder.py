@@ -13,8 +13,8 @@ column's copies.
 This is the only module that knows the game's block layout: the eta
 blocks (player I's rows) come first, the xi blocks (player II's rows)
 after.  It builds both problems, computes the square problem's strictly
-feasible start (:func:`find_interior_point`, after the r2 shift of
-:func:`r2_shift`), and reads an endpoint's slack back as the pure pair
+feasible start, shifting r2 if it must (:func:`find_interior_point`),
+and reads an endpoint's slack back as the pure pair
 (:func:`recover_vlcp_solution`).
 """
 
@@ -131,6 +131,14 @@ def to_equivalent_lcp(v: VlcpInstance) -> SquareLcp:
                      block_sizes=v.block_sizes)
 
 
+def _state_count(lcp: SquareLcp) -> int:
+    """d, half the block count; ValueError if that count is odd."""
+    if lcp.k % 2 != 0:
+        raise ValueError(f"{lcp.k} blocks: a game-built problem has an even "
+                         f"number, an eta and a xi block per state")
+    return lcp.k // 2
+
+
 def recover_vlcp_solution(
         lcp: SquareLcp, w: Sequence[float]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -146,15 +154,12 @@ def recover_vlcp_solution(
     and if w does not have the LCP dimension or holds a NaN.
     """
     w = np.asarray(w, dtype=float)
-    if lcp.k % 2 != 0:
-        raise ValueError(f"{lcp.k} blocks: a game-built problem has an even "
-                         f"number, an eta and a xi block per state")
+    d = _state_count(lcp)
     if w.shape != (lcp.n,):
         raise ValueError("w must have the LCP dimension")
     if np.isnan(w).any():
         raise ValueError("w holds a NaN")
     actions = tuple(int(np.argmin(w[rng.start:rng.stop])) for rng in lcp.J)
-    d = lcp.k // 2
     return actions[:d], actions[d:]
 
 
@@ -188,13 +193,14 @@ def _computed_start(lcp: SquareLcp) -> tuple[np.ndarray, ...]:
     return x, slack, lifted, a, b
 
 
-def find_interior_point(lcp: SquareLcp) -> np.ndarray:
-    """A strictly feasible start x0 > 0 with M x0 + q > 0.
+def find_interior_point(lcp: SquareLcp) -> tuple[SquareLcp, np.ndarray, float]:
+    """The problem to trace, its strictly feasible start x0 (x0 > 0,
+    M x0 + q > 0) and the c2 added to r2 to make that problem from the
+    game-built ``lcp`` (ValueError unless the block count is even).
 
-    Every eta copy (the first half of the blocks) is set to 0.01, giving
-    x_eta, and u puts 1/|J_j| on each copy of xi block j, so that every
-    xi(s) sums to 1.  With a = M x_eta + q and b = M u, the start is
-    x_eta + K u with
+    Every eta copy (the first half of the blocks) is 0.01, giving x_eta,
+    and u puts 1/|J_j| on each copy of xi block j, so that every xi(s)
+    sums to 1.  With a = M x_eta + q and b = M u, x0 = x_eta + K u with
 
         K = 1 + max(0, max over rows with b_r > 0 of -a_r / b_r),
 
@@ -202,40 +208,29 @@ def find_interior_point(lcp: SquareLcp) -> np.ndarray:
     game-built matrix b >= 0 on every row, and b = 1 - beta * mass > 0 on
     the player-I rows, so in exact arithmetic only a player-II row of a
     state without player-II transition mass (b = 0) can fail: its slack
-    is r2 - 0.01 * m1(s), whatever K is (see :func:`r2_shift`).  In
-    floating point K b_r can be lost against a much larger reward, so a
-    row counts as lifted only if its slack exceeds the rounding bound of
-    :func:`_computed_start`.  NoInteriorPointFound names the unlifted row
-    with the smallest slack."""
+    is r2 - 0.01 * m1(s), whatever K is.  In floating point K b_r can be
+    lost against a much larger reward, so a row counts as lifted only if
+    its slack exceeds the rounding bound of :func:`_computed_start`.
+    If that start leaves player-II rows, and only those, unlifted, c2 =
+    1 + 0.01 max m1 - min r2 is added to q on those rows (r2 shifted in
+    the game), leaving each a slack of at least 1 without the xi copies,
+    and the start of that copy is made; else c2 = 0.  NoInteriorPointFound
+    names the unlifted row with the smallest slack of the last start made."""
+    half = _state_count(lcp)
+    first_ii, c2 = lcp.J[half].start, 0.0
     x, slack, lifted, a, b = _computed_start(lcp)
+    if lifted[:first_ii].all() and not lifted[first_ii:].all():
+        m1 = max(lcp.block_sizes[:half])
+        c2 = float(1.0 + _EPS_SMALL * m1 - lcp.q[first_ii:].min())
+        q = np.concatenate((lcp.q[:first_ii], lcp.q[first_ii:] + c2))
+        lcp = SquareLcp(M=lcp.M, q=q, block_sizes=lcp.block_sizes)
+        x, slack, lifted, a, b = _computed_start(lcp)
     if x.min() > 0.0 and lifted.all():
-        return x
-    row, half = int(np.argmin(np.where(lifted, np.inf, slack))), lcp.k // 2
+        return lcp, x, c2
+    row = int(np.argmin(np.where(lifted, np.inf, slack)))
     block = next(j for j, rng in enumerate(lcp.J) if row in rng)
-    player, state = ("II", block - half) if block >= half else ("I", block)
-    where = (f"the player-{player} row {row - lcp.J[block].start + 1} of "
-             f"state {state + 1}" if lcp.k % 2 == 0 else f"row {row + 1}")
     raise NoInteriorPointFound(
-        f"{where} cannot be lifted: its entry of M u is {float(b[row])!r} "
-        f"and its slack without the xi copies is {float(a[row])!r}"
-    )
-
-
-def r2_shift(lcp: SquareLcp) -> tuple[SquareLcp, float]:
-    """The problem to trace and the c2 added to r2 (q on the player-II
-    rows) of the game-built ``lcp`` to make it: ``lcp`` itself and 0
-    unless its computed start leaves player-II rows, and only such rows,
-    unlifted, by the rule :func:`find_interior_point` checks.  Then
-    c2 = 1 + 0.01 max m1 - min r2 leaves every player-II row a slack of
-    at least 1 without the xi copies, and the problem is a copy of
-    ``lcp`` with c2 added to those rows of q, as if built from the game
-    with r2 shifted; no shift lifts a player-I row."""
-    first_ii = lcp.J[lcp.k // 2].start
-    unlifted = ~_computed_start(lcp)[2]
-    if unlifted[:first_ii].any() or not unlifted[first_ii:].any():
-        return lcp, 0.0
-    m1 = max(len(rng) for rng in lcp.J[:lcp.k // 2])
-    c2 = float(1.0 + _EPS_SMALL * m1 - lcp.q[first_ii:].min())
-    q = lcp.q.copy()
-    q[first_ii:] += c2
-    return SquareLcp(M=lcp.M, q=q, block_sizes=lcp.block_sizes), c2
+        f"the player-{'II' if block >= half else 'I'} row "
+        f"{row - lcp.J[block].start + 1} of state {block % half + 1} cannot "
+        f"be lifted: its entry of M u is {float(b[row])!r} and its slack "
+        f"without the xi copies is {float(a[row])!r}")

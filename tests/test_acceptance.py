@@ -33,7 +33,6 @@ from arat_homotopy.vlcp_builder import (
     SquareLcp,
     build_vlcp,
     find_interior_point,
-    r2_shift,
     recover_vlcp_solution,
     to_equivalent_lcp,
 )
@@ -69,11 +68,12 @@ def solve_to_json(tmp_path, fixture, name):
 
 
 def trace_as_solve_would(game):
-    """The path ``solve`` would trace for ``game`` (the r2-shifted
-    problem, from its computed start), traced whether or not the anchor's
-    pair answers, and the problem it was traced on."""
-    lcp = r2_shift(to_equivalent_lcp(build_vlcp(game)))[0]
-    return trace(HomotopyInstance(lcp.M, lcp.q, find_interior_point(lcp))), lcp
+    """The path ``solve`` would trace for ``game`` (the problem
+    ``find_interior_point`` gives, r2 shifted if it must be, from its
+    start), traced whether or not the anchor's pair answers, and the
+    problem it was traced on."""
+    lcp, x0, _ = find_interior_point(to_equivalent_lcp(build_vlcp(game)))
+    return trace(HomotopyInstance(lcp.M, lcp.q, x0)), lcp
 
 
 def test_criterion_1_example1_pipeline(tmp_path, capsys):
@@ -156,7 +156,7 @@ def test_criterion_5_jacobian_suite():
     with criterion(5, "jacobians: 100-point finite-difference sweep <= 1e-5, "
                       "anchor determinant formula to 1e-10"):
         lcp = to_equivalent_lcp(build_vlcp(make_example1()))
-        inst = HomotopyInstance(lcp.M, lcp.q, find_interior_point(lcp))
+        inst = HomotopyInstance(lcp.M, lcp.q, find_interior_point(lcp)[1])
         n = inst.n
         rng = np.random.default_rng(515)
         h = 1e-6
@@ -187,7 +187,7 @@ def test_criterion_6_homotopy_endpoints():
     with criterion(6, "endpoints: H(u0, 1) = 0 to 1e-13 scale, H(., 0) is "
                       "the limit system to machine precision"):
         lcp = to_equivalent_lcp(build_vlcp(make_example1()))
-        inst = HomotopyInstance(lcp.M, lcp.q, find_interior_point(lcp))
+        inst = HomotopyInstance(lcp.M, lcp.q, find_interior_point(lcp)[1])
         scale = 1.0 + max(np.abs(inst.q).max(), np.abs(inst.v0[:-1]).max())
         assert np.abs(eval_H(inst, inst.v0)).max() <= 1e-13 * scale
         rng = np.random.default_rng(66)
@@ -210,7 +210,8 @@ def test_criterion_7_tangent_sign():
                       "example 1 and 20 random problems"):
         instances = []
         lcp = to_equivalent_lcp(build_vlcp(make_example1()))
-        instances.append(HomotopyInstance(lcp.M, lcp.q, find_interior_point(lcp)))
+        instances.append(
+            HomotopyInstance(lcp.M, lcp.q, find_interior_point(lcp)[1]))
         rng = np.random.default_rng(1212)
         while len(instances) < 21:
             n = int(rng.integers(2, 7))

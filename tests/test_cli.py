@@ -20,8 +20,8 @@ import scipy.linalg.lapack
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arat_homotopy import cli, path_tracer
-from arat_homotopy.errors import InvalidGame, MaxIterExceeded, NoInteriorPointFound
+from arat_homotopy import cli, path_tracer, vlcp_builder
+from arat_homotopy.errors import InvalidGame, MaxIterExceeded
 from arat_homotopy.game_model import AratGame, validate
 from arat_homotopy.homotopy_core import HomotopyInstance
 from arat_homotopy.oracle import certify, evaluate_pure_pair, value_iteration
@@ -29,6 +29,7 @@ from arat_homotopy.path_tracer import PathPoint
 from arat_homotopy.vlcp_builder import (
     SquareLcp,
     VlcpInstance,
+    _computed_start,
     build_vlcp,
     find_interior_point,
     recover_vlcp_solution,
@@ -55,6 +56,9 @@ EX2 = str(FIXTURES / "example2.json")
 MIX28 = str(FIXTURES / "small_mix_28.json")
 MIX30 = str(FIXTURES / "small_mix_30.json")
 SRC = Path(__file__).resolve().parents[1] / "src"
+# r2 = -1 <= 0.01 m1 in a state without player-II mass: solve shifts r2
+ONE_STATE_SHIFTED = AratGame(beta=0.5, r1=([2.0],), r2=([-1.0],),
+                             p1=([[1.0]],), p2=([[0.0]],))
 
 
 VERBS = ["validate", "solve", "oracle", "build"]
@@ -358,7 +362,7 @@ class TestSolveCommand:
         # the trace converges, and its endpoint reads the same pair
         lcp = to_equivalent_lcp(build_vlcp(cli.load_game(path)))
         result = path_tracer.trace(
-            HomotopyInstance(lcp.M, lcp.q, find_interior_point(lcp)))
+            HomotopyInstance(lcp.M, lcp.q, find_interior_point(lcp)[1]))
         assert result.status is path_tracer.TraceStatus.CONVERGED
         assert path_tracer.extract_solution(result.path[-1].x, lcp) == (
             (0, 0), (0, 0))
@@ -368,7 +372,7 @@ class TestSolveCommand:
         game = cli.load_game(MIX30)
         lcp = to_equivalent_lcp(build_vlcp(game))
         start = cli.solve(game).result.path[0].x
-        np.testing.assert_array_equal(start, find_interior_point(lcp))
+        np.testing.assert_array_equal(start, find_interior_point(lcp)[1])
 
     def test_trace_csv_matches_path(self, tmp_path):
         csv_path = tmp_path / "path.csv"
@@ -423,7 +427,7 @@ class TestSolveCommand:
         game = cli.load_game(MIX30)
         lcp = to_equivalent_lcp(build_vlcp(game))
         result = path_tracer.trace(
-            HomotopyInstance(lcp.M, lcp.q, find_interior_point(lcp)), 1)
+            HomotopyInstance(lcp.M, lcp.q, find_interior_point(lcp)[1]), 1)
         assert result.status is path_tracer.TraceStatus.MAX_STEPS
         assert len(result.path) == 2
         # ... neither point of that path reads a certifying pair, and
@@ -501,7 +505,7 @@ class TestSolveCommand:
             "strategy_iteration", 2)
         lcp = to_equivalent_lcp(build_vlcp(cli.load_game(MIX28)))
         start_pair = recover_vlcp_solution(
-            lcp, lcp.M @ find_interior_point(lcp) + lcp.q)
+            lcp, lcp.M @ find_interior_point(lcp)[1] + lcp.q)
         assert len(judged) == len(set(judged)) == 4
         assert judged[0] == start_pair
         assert judged[-1] == (
@@ -544,8 +548,7 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("game, c2", [
         # r2 = -1 <= 0.01 m1(1): shifted up to 1 + 0.01 = 1.01
-        (AratGame(beta=0.5, r1=([2.0],), r2=([-1.0],),
-                  p1=([[1.0]],), p2=([[0.0]],)), 2.01),
+        (ONE_STATE_SHIFTED, 2.01),
         # r2 = 0.01 = 0.01 m1(2) leaves state 2 no strict slack
         (AratGame(beta=0.5, r1=([2.0], [2.0]), r2=([1.0], [0.01]),
                   p1=([[0.5, 0.5]], [[0.0, 1.0]]),
@@ -588,13 +591,29 @@ class TestSolveCommand:
         with pytest.raises(InvalidGame, match=re.escape(message)):
             cli.solve(game)
 
+    @pytest.mark.parametrize("game, starts", [
+        (cli.load_game(EX1), 1), (cli.load_game(MIX28), 1),
+        (cli.load_game(MIX30), 1), (ONE_STATE_SHIFTED, 2),
+    ], ids=["example1", "small_mix_28", "small_mix_30", "one_state"])
+    def test_one_computed_start_per_solve(self, game, starts, monkeypatch):
+        # the shift is decided from the built problem's start, computed
+        # once; only a shifted problem needs the start of its copy
+        calls = []
+
+        def counted(lcp):
+            calls.append(lcp)
+            return _computed_start(lcp)
+
+        monkeypatch.setattr(vlcp_builder, "_computed_start", counted)
+        cli.solve(game)
+        assert len(calls) == starts
+
     @staticmethod
     def start_fails(game):
-        try:
-            find_interior_point(to_equivalent_lcp(build_vlcp(game)))
-        except NoInteriorPointFound:
-            return True
-        return False
+        # the unshifted computed start leaves a row unlifted: the rule
+        # the shift decision is checked against
+        lifted = _computed_start(to_equivalent_lcp(build_vlcp(game)))[2]
+        return not lifted.all()
 
     @pytest.mark.parametrize("m1", [1, 3, 7, 14, 15])
     def test_r2_shift_decided_exactly_at_the_boundary(self, m1):
@@ -655,17 +674,20 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("fixture", [EX1, MIX28, MIX30],
                              ids=["example1", "small_mix_28", "small_mix_30"])
-    @pytest.mark.parametrize("max_steps", [0, -1])
+    @pytest.mark.parametrize("max_steps", [0, -1, float("nan"), 2.5, True])
     def test_library_budget_below_one_raises_before_anything_is_built(
             self, fixture, max_steps, monkeypatch):
         # example 1's start pair answers and the other two trace: the
-        # budget is refused either way, before the game is built
+        # budget is refused either way, before the game is built; a
+        # budget that is not an integer (a bool included) is refused too
         def refuse(game):
             raise AssertionError("built a problem")
 
         monkeypatch.setattr(cli, "build_vlcp", refuse)
         game = cli.load_game(fixture)
-        with pytest.raises(ValueError, match="^max_steps must be at least 1$"):
+        message = ("^max_steps must be at least 1$" if type(max_steps) is int
+                   else "^max_steps must be integers")
+        with pytest.raises(ValueError, match=message):
             cli.solve(game, max_steps)
 
     @pytest.mark.parametrize("flags", [
@@ -734,7 +756,7 @@ def test_array_holding_types_compare_by_identity():
         game = cli.load_game(MIX30)  # traced: the answer holds its path
         vlcp = build_vlcp(game)
         lcp = to_equivalent_lcp(vlcp)
-        inst = HomotopyInstance(lcp.M, lcp.q, find_interior_point(lcp))
+        inst = HomotopyInstance(lcp.M, lcp.q, find_interior_point(lcp)[1])
         answer = cli.solve(game)
         return (game, vlcp, lcp, inst, answer, answer.result,
                 answer.result.path[-1], answer.certificate,
@@ -1183,20 +1205,26 @@ class TestLargeRewards:
 
     def test_solve_overflowing_lift_without_player_ii_mass(self, tmp_path,
                                                            capsys):
-        # the lift K overflows and 0 * inf leaves every slack NaN, the
-        # player-I row's too, so r2 is not shifted: one line, no warning
-        doc = {"beta": 0.5, "states": [{
-            "playerI": {"rewards": [1e308], "transitions": [[1.0]]},
-            "playerII": {"rewards": [-1.0], "transitions": [[0.0]]}}]}
-        path = write_game(tmp_path, doc)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = cli.main(["solve", path])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.err.startswith(self.PLAYER_I_UNLIFTED)
-        assert captured.err.count("\n") == 1
-        assert captured.out == ""
+        # r1 = 1e308: the lift K overflows and 0 * inf leaves every slack
+        # NaN, the player-I row's too, so r2 is not shifted; r2 = -1e17:
+        # the shift c2 = 1.01 + 1e17 rounds to 1e17, which leaves the
+        # player-II row its slack of -0.01.  One line, no warning
+        for r1, r2, message in (
+                (1e308, -1.0, self.PLAYER_I_UNLIFTED),
+                (2.0, -1e17, "no interior start: the player-II row 1 of "
+                             "state 1 cannot be lifted")):
+            doc = {"beta": 0.5, "states": [{
+                "playerI": {"rewards": [r1], "transitions": [[1.0]]},
+                "playerII": {"rewards": [r2], "transitions": [[0.0]]}}]}
+            path = write_game(tmp_path, doc)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = cli.main(["solve", path])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.err.startswith(message)
+            assert captured.err.count("\n") == 1
+            assert captured.out == ""
 
     def test_oracle_rewards_overflow_in_one_state(self, tmp_path):
         proc = self.run(tmp_path, "oracle", self.one_state(1e308, 1e308))

@@ -16,7 +16,7 @@ from conftest import FIXTURES, is_strictly_feasible, jac_u0, make_example1
 
 def example1_instance():
     lcp = to_equivalent_lcp(build_vlcp(make_example1()))
-    x0 = find_interior_point(lcp)
+    x0 = find_interior_point(lcp)[1]
     return lcp, HomotopyInstance(lcp.M, lcp.q, x0)
 
 
@@ -176,7 +176,7 @@ class TestInteriorPoint:
 class TestInstanceInvariants:
     def test_boundary_anchor_rejected(self):
         lcp = to_equivalent_lcp(build_vlcp(make_example1()))
-        x0 = find_interior_point(lcp)
+        x0 = find_interior_point(lcp)[1]
         bad = x0.copy()
         bad[0] = 0.0
         with pytest.raises(ValueError, match="strictly interior"):

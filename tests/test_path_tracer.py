@@ -39,7 +39,7 @@ from conftest import FIXTURES, block_sums, make_example1, random_arat_game
 
 def instance_for(game):
     lcp = to_equivalent_lcp(build_vlcp(game))
-    return lcp, HomotopyInstance(lcp.M, lcp.q, find_interior_point(lcp))
+    return lcp, HomotopyInstance(lcp.M, lcp.q, find_interior_point(lcp)[1])
 
 
 def random_feasible_instance(rng, n):
@@ -57,11 +57,16 @@ class TestStepBudget:
         assert _EPS2 > _EPS3 > _EPS1 > 0.0
         assert _A0 > 0.0 and 0.0 < _L0 < 1.0
 
-    @pytest.mark.parametrize("max_steps", [0, -3])
+    @pytest.mark.parametrize("max_steps", [0, -3, float("nan"), 2.5, True])
     def test_budget_below_one_rejected(self, max_steps):
+        # a budget that is not an integer (a bool included) is refused
+        # too; a numpy integer of at least 1 is a budget
         _, inst = instance_for(make_example1())
-        with pytest.raises(ValueError, match="max_steps must be at least 1"):
+        message = ("max_steps must be at least 1" if type(max_steps) is int
+                   else "max_steps must be integers")
+        with pytest.raises(ValueError, match=message):
             trace(inst, max_steps=max_steps)
+        assert len(trace(inst, max_steps=np.int64(1)).path) == 2
 
 
 def random_vector(rng, n, lo, hi, t_range):
@@ -859,7 +864,7 @@ class TestSpuriousEndpoints:
         }
         for k, game in enumerate(small_mix_games()):
             lcp = to_equivalent_lcp(build_vlcp(game))
-            anchor = extract_solution(find_interior_point(lcp), lcp)
+            anchor = extract_solution(find_interior_point(lcp)[1], lcp)
             answer = cli.solve(game, 1000)
             pair = (answer.certificate.strategy_i,
                     answer.certificate.strategy_ii)

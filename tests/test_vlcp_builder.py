@@ -14,7 +14,6 @@ from arat_homotopy.vlcp_builder import (
     VlcpInstance,
     build_vlcp,
     find_interior_point,
-    r2_shift,
     recover_vlcp_solution,
     to_equivalent_lcp,
 )
@@ -231,7 +230,8 @@ class TestRecoverSolution:
 class TestInteriorPoint:
     def test_example1_heuristic_is_feasible(self):
         lcp = to_equivalent_lcp(build_vlcp(make_example1()))
-        x0 = find_interior_point(lcp)
+        traced, x0, c2 = find_interior_point(lcp)
+        assert traced is lcp and c2 == 0.0
         assert is_strictly_feasible(lcp.M, lcp.q, x0)
         # eta copies at 0.01; each xi(s) is K split over its two copies,
         # with K = 1 + 5.005 / 0.75 set by the tightest player-I row
@@ -247,7 +247,7 @@ class TestInteriorPoint:
                         r2=base.r2, p1=base.p1, p2=base.p2)
         lcp = to_equivalent_lcp(build_vlcp(game))
         assert lcp.q.min() > 0.0
-        x0 = find_interior_point(lcp)
+        x0 = find_interior_point(lcp)[1]
         assert is_strictly_feasible(lcp.M, lcp.q, x0)
         np.testing.assert_allclose(x0[:4], 0.01)
         for rng in lcp.J[2:]:
@@ -261,36 +261,47 @@ class TestInteriorPoint:
             game = random_arat_game(rng, d_max=4, actions_max=3,
                                     betas=(0.3, 0.5, 0.9, 0.99))
             lcp = to_equivalent_lcp(build_vlcp(game))
-            x0 = find_interior_point(lcp)
-            assert is_strictly_feasible(lcp.M, lcp.q, x0), f"draw {k}"
+            traced, x0, _ = find_interior_point(lcp)
+            assert is_strictly_feasible(traced.M, traced.q, x0), f"draw {k}"
 
     def test_infeasible_problem_raises(self):
-        # x > 0 forces M x + q = -x + q < 0 in the first row, named in
-        # game terms when the block count is even, by number when not
-        for n, where in ((2, "the player-I row 1 of state 1"), (3, "row 1")):
+        # x > 0 forces M x + q = -x + q < 0 in the first row, a player-I
+        # row that no r2 shift lifts; the start is defined for game-built
+        # problems only, so an odd block count is refused outright
+        for n, error, message in (
+                (2, NoInteriorPointFound,
+                 "the player-I row 1 of state 1 cannot be lifted"),
+                (3, ValueError,
+                 "3 blocks: a game-built problem has an even number")):
             m = -np.eye(n)
             q = np.array([0.0] + [1.0] * (n - 1))
             lcp = SquareLcp(M=m, q=q, block_sizes=(1,) * n)
-            with pytest.raises(NoInteriorPointFound,
-                               match=f"^{where} cannot be lifted"):
+            with pytest.raises(error, match=f"^{message}"):
                 find_interior_point(lcp)
 
     def test_state_without_player_ii_mass_is_named(self):
-        # such a row's slack is r2 - 0.01 m1(s), whatever the lift
+        # such a row's slack is r2 - 0.01 m1(s), whatever the lift: a
+        # plain r2 <= 0.01 m1(s) is shifted, not refused ...
         game = AratGame(beta=0.5, r1=([2.0],), r2=([-1.0],),
+                        p1=([[1.0]],), p2=([[0.0]],))
+        assert find_interior_point(to_equivalent_lcp(build_vlcp(game)))[2] \
+            == pytest.approx(2.01, rel=1e-15)
+        # ... and the row is named only when the shift is lost to
+        # rounding: c2 = 1.01 + 1e17 rounds to 1e17, which leaves the row
+        # its slack of -0.01
+        game = AratGame(beta=0.5, r1=([2.0],), r2=([-1e17],),
                         p1=([[1.0]],), p2=([[0.0]],))
         lcp = to_equivalent_lcp(build_vlcp(game))
         with pytest.raises(NoInteriorPointFound, match=(
-                "player-II row 1 of state 1 cannot be lifted")):
+                "^the player-II row 1 of state 1 cannot be lifted")):
             find_interior_point(lcp)
-        # the message names the state that fails, not the first one; a
-        # reward equal to 0.01 m1(s) fails too (no strict slack is left)
-        game = AratGame(beta=0.5, r1=([2.0], [2.0]), r2=([1.0], [0.01]),
+        # the message names the state that fails, not the first one
+        game = AratGame(beta=0.5, r1=([2.0], [2.0]), r2=([1.0], [-1e17]),
                         p1=([[0.5, 0.5]], [[0.0, 1.0]]),
                         p2=([[0.0, 0.0]], [[0.0, 0.0]]))
         lcp = to_equivalent_lcp(build_vlcp(game))
         with pytest.raises(NoInteriorPointFound, match=(
-                "player-II row 1 of state 2 cannot be lifted")):
+                "^the player-II row 1 of state 2 cannot be lifted")):
             find_interior_point(lcp)
 
     def test_r2_shift_keeps_the_blocks(self):
@@ -299,8 +310,9 @@ class TestInteriorPoint:
         game = AratGame(beta=0.5, r1=([2.0, 1.0, 0.5],), r2=([-1.0, 0.0],),
                         p1=(np.ones((3, 1)),), p2=(np.zeros((2, 1)),))
         lcp = to_equivalent_lcp(build_vlcp(game))
-        shifted, c2 = r2_shift(lcp)
+        shifted, x0, c2 = find_interior_point(lcp)
         assert c2 > 0.0 and shifted is not lcp
+        assert is_strictly_feasible(shifted.M, shifted.q, x0)
         assert shifted.block_sizes == lcp.block_sizes == (3, 2)
         assert shifted.J == lcp.J == (range(0, 3), range(3, 5))
         assert np.array_equal(shifted.M, lcp.M)
