@@ -143,6 +143,25 @@ def value_iteration(game: AratGame, tol: float = 1e-10,
     raise MaxIterExceeded(f"no fixed point within {max_iter} sweeps")
 
 
+def _pure_actions(game: AratGame, strategy_i: Sequence[int],
+                  strategy_ii: Sequence[int]) -> np.ndarray:
+    """The pair's actions, I's then II's, as a new int64 array, if valid."""
+    d = game.d
+    for player, strategy, counts in (("I", strategy_i, game.m1),
+                                     ("II", strategy_ii, game.m2)):
+        if len(strategy) != d:
+            raise ValueError(f"player-{player} strategy has length "
+                             f"{len(strategy)}, need one action for each "
+                             f"of {d} states")
+        for s, (a, m) in enumerate(zip(strategy, counts)):
+            # the int64 cast would turn a bool or a float into an action
+            if (isinstance(a, bool) or not isinstance(a, numbers.Integral)
+                    or not 0 <= a < m):
+                raise ValueError(f"state {s + 1}: player-{player} action "
+                                 f"index {a!r} is not in 0..{m - 1}")
+    return np.array([*strategy_i, *strategy_ii], dtype=np.int64)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # an overflow reads inf
 def evaluate_pure_pair(game: AratGame, strategy_i: Sequence[int],
                        strategy_ii: Sequence[int]) -> np.ndarray:
@@ -155,19 +174,7 @@ def evaluate_pure_pair(game: AratGame, strategy_i: Sequence[int],
     (numpy's included, a bool not).
     """
     d = game.d
-    for player, strategy, counts in (("I", strategy_i, game.m1),
-                                     ("II", strategy_ii, game.m2)):
-        if len(strategy) != d:
-            raise ValueError(f"player-{player} strategy has length "
-                             f"{len(strategy)}, need one action for each "
-                             f"of {d} states")
-        for s, (a, m) in enumerate(zip(strategy, counts)):
-            # start + strategy would turn a bool or a float into a row
-            if (isinstance(a, bool) or not isinstance(a, numbers.Integral)
-                    or not 0 <= a < m):
-                raise ValueError(f"state {s + 1}: player-{player} action "
-                                 f"index {a!r} is not in 0..{m - 1}")
-    pair = game.start + np.array([*strategy_i, *strategy_ii], dtype=np.int64)
+    pair = game.start + _pure_actions(game, strategy_i, strategy_ii)
     i, j = pair[:d], pair[d:]
     return np.linalg.solve(np.eye(d) - game.beta * (game.p[i] + game.p[j]),
                            game.r[i] + game.r[j])

@@ -186,51 +186,43 @@ def _lu_with_guard(a: np.ndarray, what: str,
 
 
 def minnorm_solve(j: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Minimum-norm solution of J d = h, for J square (k = 0) or with one
-    column more than rows (k = 1, the tracer's 3n x (3n+1) Jacobians);
-    any other k = c - r raises ValueError.
+    """Minimum-norm solution of J d = h for an r x (r + 1) J, the shape of
+    the tracer's 3n x (3n+1) Jacobians; any other shape is a ValueError.
 
-    One LU with partial pivoting over all c rows of J^T gives
-    P J^T = L U, where L stacks an r x r unit lower triangle L1 on k
-    rows l2.  With e = P d the system reads U^T (L1^T e1 + l2^T e2) = h,
-    so for k = 1 its solutions are e1 = a - b e2 for any scalar e2,
-    where U^T g = h and L1^T [a | b] = [g | l2^T].  The shortest takes
-    e2 = c = (b . a) / (1 + b . b), and d = P^T e has the norm of e.
-    For k = 0 this is the plain LU solve, e = a.
+    One LU with partial pivoting over the r + 1 rows of J^T gives
+    P J^T = L U, L an r x r unit lower triangle L1 over one row l2.
+    With e = P d the system reads U^T (L1^T e1 + l2^T e2) = h, so its
+    solutions are e1 = a - b e2, where U^T g = h and L1^T [a | b] =
+    [g | l2^T].  The shortest takes e2 = c = (b . a) / (1 + b . b), and
+    d = P^T e has the norm of e.
 
-    The gate is that of every tracer factorization (``_lu_with_guard``):
-    it measures the r rows of J^T that pivoting chose, not J itself.
-    Since pivoting ranges over all c rows, any J of full row rank passes,
-    including a 3n x (3n+1) Jacobian at a fold where dH/du is singular.
-    A non-finite b . b (NaN or overflow in the row left out of U) is
+    The gate is that of every tracer factorization (``_lu_with_guard``)
+    on the r rows of J^T that pivoting chose, so any J of full row rank
+    passes, a Jacobian at a fold where dH/du is singular included.  A
+    non-finite b . b (NaN or overflow in the row left out of U) is
     rejected as well.
     """
     rows, cols = j.shape
-    k = cols - rows
-    if k not in (0, 1):
-        raise ValueError("minnorm_solve needs a square matrix or one with "
-                         "one column more than rows")
+    if cols != rows + 1:
+        raise ValueError(f"minnorm_solve needs an r x (r + 1) matrix, one "
+                         f"column more than rows; got {rows} x {cols}")
     lu, piv = _lu_with_guard(j, "correction system")
     lapack = _lapack()
     g, _ = lapack.dtrtrs(lu, h, trans=1)
-    rhs = np.empty((k + 1, rows)).T  # Fortran order, columns g and l2^T
+    rhs = np.empty((2, rows)).T  # Fortran order, columns g and l2^T
     rhs[:, 0] = g
-    rhs[:, 1:] = lu[rows:].T
+    rhs[:, 1] = lu[rows]
     ab, _ = lapack.dtrtrs(lu, rhs, lower=1, trans=1, unitdiag=1,
                           overwrite_b=1)
-    a = ab[:, 0]
-    if k:
-        b = ab[:, 1]
-        bb = b @ b
-        if not math.isfinite(bb):
-            raise SingularJacobian("correction system has non-finite factors")
-        c = (b @ a) / (1.0 + bb)
-        e = np.empty(cols)
-        np.multiply(b, -c, out=e[:rows])
-        e[:rows] += a
-        e[rows] = c
-    else:
-        e = a
+    a, b = ab[:, 0], ab[:, 1]
+    bb = b @ b
+    if not math.isfinite(bb):
+        raise SingularJacobian("correction system has non-finite factors")
+    c = (b @ a) / (1.0 + bb)
+    e = np.empty(cols)
+    np.multiply(b, -c, out=e[:rows])
+    e[:rows] += a
+    e[rows] = c
     return lapack.dlaswp(e[:, None], piv, inc=-1, overwrite_a=1)[:, 0]
 
 

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .game_model import AratGame
-from .oracle import one_shot_payoffs
+from .oracle import _pure_actions, one_shot_payoffs
 
 #: Most rounds, and most policy-iteration steps of player II in one
 #: round; every game of the benchmark pools ended within 3 rounds.
@@ -67,7 +67,7 @@ def hoffman_karp(game: AratGame, strategy_i: Sequence[int],
                  ) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """``(strategy_i, strategy_ii, rounds)``: the pair where Hoffman–Karp
     from the pure pair ``(strategy_i, strategy_ii)`` (0-based actions)
-    ends, and the rounds it ran.
+    ends, and the rounds it ran; a pair ``certify`` refuses is a ValueError.
 
     A round is player II's policy iteration against player I's actions,
     then player I's switch; the pair ends when player I does not switch.
@@ -75,7 +75,7 @@ def hoffman_karp(game: AratGame, strategy_i: Sequence[int],
     policy-iteration steps; a run cut there returns its last pair, which
     ``certify`` judges.  The game must be valid (``validate``).
     """
-    actions = np.array([*strategy_i, *strategy_ii], dtype=np.int64)
+    actions = _pure_actions(game, strategy_i, strategy_ii)
     for rounds in range(1, _MAX_ROUNDS + 1):
         for _ in range(_MAX_ROUNDS):
             v, payoff, slack = one_shot_payoffs(

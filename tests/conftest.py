@@ -13,7 +13,12 @@ from arat_homotopy.oracle import (
     enumerate_lcp,
     evaluate_pure_pair,
 )
-from arat_homotopy.vlcp_builder import SquareLcp
+from arat_homotopy.vlcp_builder import (
+    SquareLcp,
+    build_vlcp,
+    find_interior_point,
+    to_equivalent_lcp,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -94,6 +99,63 @@ def shifted_game(game: AratGame, c1: float, c2: float) -> AratGame:
     return AratGame(beta=game.beta, r1=tuple(a + c1 for a in game.r1),
                     r2=tuple(a + c2 for a in game.r2), p1=game.p1,
                     p2=game.p2)
+
+
+def relabelled(game: AratGame, rng: np.random.Generator):
+    """The game with its states and each block's actions permuted, and
+    the maps of states and of (state, player) actions, old to new."""
+    states = rng.permutation(game.d)
+    r1, r2, p1, p2, actions = [], [], [], [], {}
+    for s in states:
+        for player, r, p, r_out, p_out in (
+                ("I", game.r1[s], game.p1[s], r1, p1),
+                ("II", game.r2[s], game.p2[s], r2, p2)):
+            rows = rng.permutation(r.size)
+            actions[s, player] = np.argsort(rows)
+            r_out.append(r[rows])
+            p_out.append(p[rows][:, states])
+    return (AratGame(beta=game.beta, r1=tuple(r1), r2=tuple(r2),
+                     p1=tuple(p1), p2=tuple(p2)),
+            np.argsort(states), actions)
+
+
+def traced_problem(game: AratGame) -> tuple[SquareLcp, HomotopyInstance]:
+    """The problem ``solve`` traces for ``game`` and its homotopy, both
+    from one ``find_interior_point`` call: r2 is shifted if it must be,
+    and the start belongs to the problem it is traced on."""
+    lcp, x0, _ = find_interior_point(to_equivalent_lcp(build_vlcp(game)))
+    return lcp, HomotopyInstance(lcp.M, lcp.q, x0)
+
+
+def corrector_probe():
+    """The corrector order probe: f(x, y, z, w) = (x + y^2 + x z,
+    y + z^2 + x y / 2, z + x^2 + y z^2), with its root at 0, its 3 x 4
+    Jacobian and a unit direction d to start from (seed 123).
+
+    f ignores w, so the Jacobian is bordered with a zero column: it has
+    the tracer's shape, one column more than rows, and each correction
+    takes ``minnorm_solve``'s closed form.  The minimum-norm step never
+    moves w, and d has w = 0, so every iterate keeps w = 0.
+    """
+    def f(v):
+        x, y, z, _ = v
+        return np.array([
+            x + y * y + x * z,
+            y + z * z + 0.5 * x * y,
+            z + x * x + y * z * z,
+        ])
+
+    def jac(v):
+        x, y, z, _ = v
+        return np.array([
+            [1.0 + z, 2.0 * y, x, 0.0],
+            [0.5 * y, 1.0 + 0.5 * x, 2.0 * z, 0.0],
+            [2.0 * x, z * z, 1.0 + 2.0 * y * z, 0.0],
+        ])
+
+    d = np.zeros(4)
+    d[:3] = np.random.default_rng(123).normal(size=3)
+    return f, jac, d / np.linalg.norm(d)
 
 
 def composed_reward(game: AratGame, s: int, i: int, j: int) -> float:

@@ -32,7 +32,6 @@ from arat_homotopy.path_tracer import (
 from arat_homotopy.vlcp_builder import (
     SquareLcp,
     build_vlcp,
-    find_interior_point,
     recover_vlcp_solution,
     to_equivalent_lcp,
 )
@@ -40,10 +39,12 @@ from arat_homotopy.vlcp_builder import (
 from conftest import (
     FIXTURES,
     block_sums,
+    corrector_probe,
     jac_u0,
     make_example1,
     make_example2,
     random_arat_game,
+    traced_problem,
     verify_vbe_e,
 )
 
@@ -67,22 +68,13 @@ def solve_to_json(tmp_path, fixture, name):
     return code, json.loads(json_path.read_text())
 
 
-def trace_as_solve_would(game):
-    """The path ``solve`` would trace for ``game`` (the problem
-    ``find_interior_point`` gives, r2 shifted if it must be, from its
-    start), traced whether or not the anchor's pair answers, and the
-    problem it was traced on."""
-    lcp, x0, _ = find_interior_point(to_equivalent_lcp(build_vlcp(game)))
-    return trace(HomotopyInstance(lcp.M, lcp.q, x0)), lcp
-
-
 def test_criterion_1_example1_pipeline(tmp_path, capsys):
     with criterion(1, "example-1 pipeline: value (14, 14), pure strategies, "
                       "certified, < 5 s"):
         start = time.perf_counter()
         code, doc = solve_to_json(tmp_path, EX1, "e1")
         # the anchor's pair answers; the path it would follow converges
-        result, _ = trace_as_solve_would(make_example1())
+        result = trace(traced_problem(make_example1())[1])
         elapsed = time.perf_counter() - start
         assert code == 0
         assert result.status is TraceStatus.CONVERGED
@@ -106,7 +98,7 @@ def test_criterion_2_example2_pipeline(tmp_path, capsys):
         start = time.perf_counter()
         code, doc = solve_to_json(tmp_path, EX2, "e2")
         # the anchor's pair answers; the path it would follow converges
-        result, _ = trace_as_solve_would(make_example2())
+        result = trace(traced_problem(make_example2())[1])
         elapsed = time.perf_counter() - start
         assert code == 0
         assert result.status is TraceStatus.CONVERGED
@@ -155,8 +147,7 @@ def test_criterion_4_class_membership_executable():
 def test_criterion_5_jacobian_suite():
     with criterion(5, "jacobians: 100-point finite-difference sweep <= 1e-5, "
                       "anchor determinant formula to 1e-10"):
-        lcp = to_equivalent_lcp(build_vlcp(make_example1()))
-        inst = HomotopyInstance(lcp.M, lcp.q, find_interior_point(lcp)[1])
+        _, inst = traced_problem(make_example1())
         n = inst.n
         rng = np.random.default_rng(515)
         h = 1e-6
@@ -186,8 +177,7 @@ def test_criterion_5_jacobian_suite():
 def test_criterion_6_homotopy_endpoints():
     with criterion(6, "endpoints: H(u0, 1) = 0 to 1e-13 scale, H(., 0) is "
                       "the limit system to machine precision"):
-        lcp = to_equivalent_lcp(build_vlcp(make_example1()))
-        inst = HomotopyInstance(lcp.M, lcp.q, find_interior_point(lcp)[1])
+        _, inst = traced_problem(make_example1())
         scale = 1.0 + max(np.abs(inst.q).max(), np.abs(inst.v0[:-1]).max())
         assert np.abs(eval_H(inst, inst.v0)).max() <= 1e-13 * scale
         rng = np.random.default_rng(66)
@@ -208,10 +198,7 @@ def test_criterion_7_tangent_sign():
     with criterion(7, "tangent: det(dH/du) > 0 at the anchor, negative "
                       "t-component and negative bordered determinant on "
                       "example 1 and 20 random problems"):
-        instances = []
-        lcp = to_equivalent_lcp(build_vlcp(make_example1()))
-        instances.append(
-            HomotopyInstance(lcp.M, lcp.q, find_interior_point(lcp)[1]))
+        instances = [traced_problem(make_example1())[1]]
         rng = np.random.default_rng(1212)
         while len(instances) < 21:
             n = int(rng.integers(2, 7))
@@ -232,28 +219,11 @@ def test_criterion_7_tangent_sign():
 
 
 def test_criterion_8_corrector_order_probe():
-    with criterion(8, "corrector order probe: single-pass order >= 4.5 over "
-                      "the 1e-1..1e-3 ladder, < 1 s"):
-        def f(v):
-            x, y, z = v
-            return np.array([
-                x + y * y + x * z,
-                y + z * z + 0.5 * x * y,
-                z + x * x + y * z * z,
-            ])
-
-        def jac(v):
-            x, y, z = v
-            return np.array([
-                [1.0 + z, 2.0 * y, x],
-                [0.5 * y, 1.0 + 0.5 * x, 2.0 * z],
-                [2.0 * x, z * z, 1.0 + 2.0 * y * z],
-            ])
-
+    with criterion(8, "corrector order probe on the tracer's minimum-norm "
+                      "route: single-pass order >= 4.5 over the 1e-1..1e-3 "
+                      "ladder, < 1 s"):
         start = time.perf_counter()
-        rng = np.random.default_rng(123)
-        d = rng.normal(size=3)
-        d /= np.linalg.norm(d)
+        f, jac, d = corrector_probe()
         errs_in = [1e-1, 1e-2, 1e-3]
         errs_out = [
             float(np.linalg.norm(corrector_core(f, jac, e * d, passes=1)))
@@ -266,7 +236,7 @@ def test_criterion_8_corrector_order_probe():
         ]
         assert min(slopes) >= 4.5
         assert time.perf_counter() - start < 1.0
-        print(f"  observed orders: {[round(s, 3) for s in slopes]}")
+        print(f"  observed orders: {[round(float(s), 3) for s in slopes]}")
 
 
 def test_criterion_9_random_game_certificates():
@@ -285,7 +255,9 @@ def test_criterion_9_random_game_certificates():
             truth = value_iteration(game)
 
             # independent route: enumeration must contain a solution
-            # recovering the oracle value and certified strategies
+            # recovering the oracle value and certified strategies; it
+            # enumerates the unshifted problem on purpose, whose eta + xi
+            # is the game's value
             matched = False
             for z, w in enumerate_lcp(lcp.M, lcp.q):
                 report = certify(game, *recover_vlcp_solution(lcp, w))
@@ -312,10 +284,11 @@ def test_criterion_9_random_game_certificates():
 
             # the path solve follows, traced to t = 0 even where the
             # anchor's pair answers: its endpoint's pair certifies
-            result, shifted = trace_as_solve_would(game)
+            traced, inst = traced_problem(game)
+            result = trace(inst)
             if (result.status is TraceStatus.CONVERGED and certify(
                     game, *extract_solution(result.path[-1].x,
-                                            shifted)).passed):
+                                            traced)).passed):
                 endpoint += 1
             else:
                 print(f"  game {k:02d}: {result.status.value} path, "

@@ -46,6 +46,8 @@ from conftest import (
     make_example2,
     make_two_absorbing_states,
     random_arat_game,
+    relabelled,
+    traced_problem,
 )
 
 EX1 = str(FIXTURES / "example1.json")
@@ -360,9 +362,8 @@ class TestSolveCommand:
             "  state 2: player I action 1, player II action 1",
             "certificate: PASS"]
         # the trace converges, and its endpoint reads the same pair
-        lcp = to_equivalent_lcp(build_vlcp(cli.load_game(path)))
-        result = path_tracer.trace(
-            HomotopyInstance(lcp.M, lcp.q, find_interior_point(lcp)[1]))
+        lcp, inst = traced_problem(cli.load_game(path))
+        result = path_tracer.trace(inst)
         assert result.status is path_tracer.TraceStatus.CONVERGED
         assert path_tracer.extract_solution(result.path[-1].x, lcp) == (
             (0, 0), (0, 0))
@@ -370,9 +371,8 @@ class TestSolveCommand:
     def test_path_starts_at_the_computed_start(self):
         # solve takes no start: it traces from the computed one
         game = cli.load_game(MIX30)
-        lcp = to_equivalent_lcp(build_vlcp(game))
         start = cli.solve(game).result.path[0].x
-        np.testing.assert_array_equal(start, find_interior_point(lcp)[1])
+        np.testing.assert_array_equal(start, traced_problem(game)[1].x0)
 
     def test_trace_csv_matches_path(self, tmp_path):
         csv_path = tmp_path / "path.csv"
@@ -425,9 +425,7 @@ class TestSolveCommand:
     def test_max_steps_one_answers_from_the_path(self, capsys, tmp_path):
         # one step does not reach t = 0 ...
         game = cli.load_game(MIX30)
-        lcp = to_equivalent_lcp(build_vlcp(game))
-        result = path_tracer.trace(
-            HomotopyInstance(lcp.M, lcp.q, find_interior_point(lcp)[1]), 1)
+        result = path_tracer.trace(traced_problem(game)[1], 1)
         assert result.status is path_tracer.TraceStatus.MAX_STEPS
         assert len(result.path) == 2
         # ... neither point of that path reads a certifying pair, and
@@ -469,7 +467,7 @@ class TestSolveCommand:
                 doc["strategy_iteration_rounds"]) == (
             "NoProgress", "path", 65, 21, 0.0, 0)
         # the pairs of the path in order, one per run of equal pairs
-        lcp = to_equivalent_lcp(build_vlcp(game))
+        lcp, _ = traced_problem(game)
         runs = []
         for point in result.path:
             pair = recover_vlcp_solution(lcp, lcp.M @ point.x + lcp.q)
@@ -503,9 +501,8 @@ class TestSolveCommand:
         doc = json.loads(json_out.read_text())
         assert (doc["stage"], doc["strategy_iteration_rounds"]) == (
             "strategy_iteration", 2)
-        lcp = to_equivalent_lcp(build_vlcp(cli.load_game(MIX28)))
-        start_pair = recover_vlcp_solution(
-            lcp, lcp.M @ find_interior_point(lcp)[1] + lcp.q)
+        lcp, inst = traced_problem(cli.load_game(MIX28))
+        start_pair = recover_vlcp_solution(lcp, lcp.M @ inst.x0 + lcp.q)
         assert len(judged) == len(set(judged)) == 4
         assert judged[0] == start_pair
         assert judged[-1] == (
@@ -755,8 +752,7 @@ def test_array_holding_types_compare_by_identity():
     def build():
         game = cli.load_game(MIX30)  # traced: the answer holds its path
         vlcp = build_vlcp(game)
-        lcp = to_equivalent_lcp(vlcp)
-        inst = HomotopyInstance(lcp.M, lcp.q, find_interior_point(lcp)[1])
+        lcp, inst = traced_problem(game)
         answer = cli.solve(game)
         return (game, vlcp, lcp, inst, answer, answer.result,
                 answer.result.path[-1], answer.certificate,
@@ -916,6 +912,40 @@ class TestSolveProperty:
                     composed_transition(game, s, si[s], j) @ v)
                 assert loss >= v[s] - slack
         np.testing.assert_allclose(doc["value"], v, rtol=0, atol=1e-4)
+
+
+class TestSolveMetamorphic:
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(-4, 4))
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_relabelled_and_scaled_games_answer_alike(self, seed, k):
+        # A game with its states and actions relabelled, or its rewards
+        # times 2^k, has the same optimal pairs, relabelled, and the same
+        # value, permuted or times 2^k.  With a budget of 200 steps,
+        # Hoffman-Karp answers any path that wanders.
+        rng = np.random.default_rng(seed)
+        game = random_arat_game(rng, d_max=3, actions_max=2)
+        answer = cli.solve(game, 200)
+        assert answer.passed
+        value = answer.certificate.value
+
+        moved, state_map, action_map = relabelled(game, rng)
+        cert = cli.solve(moved, 200).certificate
+        assert cert.passed
+        back = [[int(np.argsort(action_map[s, player])[
+            strategy[state_map[s]]]) for s in range(game.d)]
+            for player, strategy in (("I", cert.strategy_i),
+                                     ("II", cert.strategy_ii))]
+        assert certify(game, *back).passed
+        np.testing.assert_allclose(cert.value[state_map], value, rtol=1e-9)
+
+        scaled = AratGame(beta=game.beta,
+                          r1=tuple(r * 2.0**k for r in game.r1),
+                          r2=tuple(r * 2.0**k for r in game.r2),
+                          p1=game.p1, p2=game.p2)
+        cert = cli.solve(scaled, 200).certificate
+        assert cert.passed
+        assert certify(game, cert.strategy_i, cert.strategy_ii).passed
+        np.testing.assert_allclose(cert.value / 2.0**k, value, rtol=1e-9)
 
 
 class TestOracleCommand:

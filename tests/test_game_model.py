@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ class TestValidate:
         report = validate(example1)
         assert report.ok
         assert report.violations == []
+        assert str(report) == "valid additive game"
 
     def test_example2_is_valid(self, example2):
         assert validate(example2).ok
@@ -184,6 +186,16 @@ class TestValidate:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             AratGame(beta=0.5, r1=([1.0, 2.0],), r2=([1.0],),
+                     p1=([[0.5]],), p2=([[0.5]],))
+        # two states for r1 and p1, one for r2 and p2
+        with pytest.raises(ValueError, match="r1, r2, p1, p2 must all have "
+                                             "one entry per state"):
+            AratGame(beta=0.5, r1=([1.0], [1.0]), r2=([1.0],),
+                     p1=([[0.5, 0.0]], [[0.0, 0.5]]), p2=([[0.5]],))
+        # player II has two actions, but one transition row
+        with pytest.raises(ValueError, match=re.escape(
+                "state 1: player-II transitions must be 2 x 1, got (1, 1)")):
+            AratGame(beta=0.5, r1=([1.0],), r2=([1.0, 2.0],),
                      p1=([[0.5]],), p2=([[0.5]],))
 
 

@@ -7,17 +7,16 @@ from arat_homotopy.homotopy_core import HomotopyInstance, eval_H, jac_full, jac_
 from arat_homotopy.vlcp_builder import (
     SquareLcp,
     build_vlcp,
-    find_interior_point,
     to_equivalent_lcp,
 )
 
-from conftest import FIXTURES, is_strictly_feasible, jac_u0, make_example1
-
-
-def example1_instance():
-    lcp = to_equivalent_lcp(build_vlcp(make_example1()))
-    x0 = find_interior_point(lcp)[1]
-    return lcp, HomotopyInstance(lcp.M, lcp.q, x0)
+from conftest import (
+    FIXTURES,
+    is_strictly_feasible,
+    jac_u0,
+    make_example1,
+    traced_problem,
+)
 
 
 def fd_jacobian(inst, v0, h=1e-6):
@@ -45,13 +44,13 @@ def random_point(rng, n, t_range=(0.05, 0.95)):
 
 class TestEvalH:
     def test_zero_at_anchor(self):
-        _, inst = example1_instance()
+        _, inst = traced_problem(make_example1())
         h = eval_H(inst, inst.v0)
         scale = 1.0 + max(np.abs(inst.q).max(), np.abs(inst.v0[:-1]).max())
         assert np.abs(h).max() <= 1e-13 * scale
 
     def test_t_zero_matches_limit_system(self):
-        _, inst = example1_instance()
+        _, inst = traced_problem(make_example1())
         rng = np.random.default_rng(11)
         a, q, n = inst.A, inst.q, inst.n
         for _ in range(10):
@@ -65,7 +64,7 @@ class TestEvalH:
             np.testing.assert_allclose(eval_H(inst, v), expected, atol=1e-13)
 
     def test_affine_in_t(self):
-        _, inst = example1_instance()
+        _, inst = traced_problem(make_example1())
         rng = np.random.default_rng(5)
         for _ in range(10):
             v0 = random_point(rng, inst.n)
@@ -75,7 +74,7 @@ class TestEvalH:
             np.testing.assert_allclose(mid, avg, rtol=0, atol=1e-12)
 
     def test_dimension_mismatch(self):
-        _, inst = example1_instance()
+        _, inst = traced_problem(make_example1())
         with pytest.raises(ValueError):
             eval_H(inst, np.append(np.ones(9), 0.5))
         # a vector missing its t entry is rejected by every entry point
@@ -87,7 +86,7 @@ class TestEvalH:
 
 class TestJacobians:
     def test_full_jacobian_against_central_differences(self):
-        _, inst = example1_instance()
+        _, inst = traced_problem(make_example1())
         rng = np.random.default_rng(2024)
         worst = 0.0
         for _ in range(100):
@@ -100,7 +99,7 @@ class TestJacobians:
         assert worst <= 1e-5
 
     def test_structure_at_anchor(self):
-        _, inst = example1_instance()
+        _, inst = traced_problem(make_example1())
         n = inst.n
         ju = jac_u(inst, inst.v0)
         eye = np.eye(n)
@@ -112,7 +111,7 @@ class TestJacobians:
         np.testing.assert_allclose(ju[2 * n:, 2 * n:], np.diag(inst.y0), atol=1e-14)
 
     def test_jac_t_block1_at_anchor_is_negated_stationarity(self):
-        _, inst = example1_instance()
+        _, inst = traced_problem(make_example1())
         n = inst.n
         a, q = inst.A, inst.q
         jt = jac_t(inst, inst.v0)
@@ -120,7 +119,7 @@ class TestJacobians:
         np.testing.assert_allclose(jt[:n], expected, atol=1e-13)
 
     def test_jac_full_is_u_then_t(self):
-        _, inst = example1_instance()
+        _, inst = traced_problem(make_example1())
         rng = np.random.default_rng(8)
         v = random_point(rng, inst.n)
         jf = jac_full(inst, v)
@@ -139,7 +138,7 @@ class TestAnchorJacobian:
 
     def test_formula_matches_lu_determinant(self):
         # independent oracle: LU-based determinant of the assembled matrix
-        _, inst = example1_instance()
+        _, inst = traced_problem(make_example1())
         rng = np.random.default_rng(3)
         for t in (1.0, 0.5, 0.1):
             v = random_point(rng, inst.n, t_range=(t, t))
@@ -175,9 +174,8 @@ class TestInteriorPoint:
 
 class TestInstanceInvariants:
     def test_boundary_anchor_rejected(self):
-        lcp = to_equivalent_lcp(build_vlcp(make_example1()))
-        x0 = find_interior_point(lcp)[1]
-        bad = x0.copy()
+        lcp, inst = traced_problem(make_example1())
+        bad = inst.x0.copy()
         bad[0] = 0.0
         with pytest.raises(ValueError, match="strictly interior"):
             HomotopyInstance(lcp.M, lcp.q, bad)
@@ -200,6 +198,12 @@ class TestInstanceInvariants:
             assert not w.flags.writeable
 
     def test_nan_data_rejected(self):
+        # data of the wrong shape is refused before its values are read
+        for a, x0 in ((np.ones((2, 3)), np.ones(2)),
+                      (np.eye(2), np.ones(3))):
+            with pytest.raises(ValueError, match="A must be n x n and all "
+                                                 "vectors length n"):
+                HomotopyInstance(a, np.ones(2), x0)
         q = np.array([1.0, np.nan])
         lcp = SquareLcp(M=np.eye(2), q=q, block_sizes=(1, 1))
         with pytest.raises(ValueError, match="finite"):
@@ -219,7 +223,7 @@ class TestInstanceInvariants:
         # y2 * (A x + q) = t * (A x0 + q) componentwise
         from arat_homotopy.path_tracer import trace
 
-        lcp, inst = example1_instance()
+        lcp, inst = traced_problem(make_example1())
         result = trace(inst)
         anchor = inst.y0
         for pt in result.path[1:]:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import logging
 import math
 import re
 import warnings
@@ -21,6 +22,7 @@ from arat_homotopy.oracle import (
     one_shot_payoffs,
     value_iteration,
 )
+from arat_homotopy.strategy_iteration import hoffman_karp
 from arat_homotopy.vlcp_builder import build_vlcp, recover_vlcp_solution, to_equivalent_lcp
 from conftest import (
     certify_per_state,
@@ -30,6 +32,7 @@ from conftest import (
     per_state_payoffs,
     pure_saddle,
     random_arat_game,
+    relabelled,
     shifted_game,
     stage_matrix,
     value_iteration_sup_norm,
@@ -286,7 +289,8 @@ class TestEvaluatePurePair:
         np.testing.assert_allclose(evaluate_pure_pair(game, (0,), (0,)), [2.0])
 
     @pytest.mark.parametrize("action", [0.5, 0.0, True, "0"])
-    @pytest.mark.parametrize("check", [evaluate_pure_pair, certify])
+    @pytest.mark.parametrize("check", [evaluate_pure_pair, certify,
+                                       hoffman_karp])
     def test_non_integer_action_raises(self, example1, check, action):
         with pytest.raises(ValueError,
                            match=f"state 2: player-II action index "
@@ -434,7 +438,7 @@ class TestEnumerateLcp:
         with pytest.raises(SizeGuardExceeded):
             enumerate_lcp(np.eye(30), np.ones(30))
 
-    def test_sorted_and_deduplicated(self):
+    def test_sorted_and_deduplicated(self, caplog):
         # degenerate problem with many supports giving the same point
         m = np.eye(3)
         q = np.zeros(3)
@@ -442,6 +446,17 @@ class TestEnumerateLcp:
         assert len(sols) == 1
         keys = [tuple(z) + tuple(w) for z, w in sols]
         assert keys == sorted(keys)
+        # nearly equal columns: the full support is feasible but its
+        # condition number (about 4e13) is past 1e12, so it is refused
+        # and only the two one-column supports remain
+        m = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])
+        q = np.array([-1.0, -1.0 - 1e-13])
+        with caplog.at_level(logging.DEBUG, logger="arat_homotopy.oracle"):
+            sols = enumerate_lcp(m, q)
+        assert [(z.tolist(), w.tolist()) for z, w in sols] == [
+            ([0.0, 1.0], [0.0, 0.0]), ([1.0, 0.0], [0.0, 0.0])]
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.DEBUG, "support [0, 1] skipped: ill-conditioned")]
 
 
 class TestCertify:
@@ -478,14 +493,18 @@ class TestCertify:
             certify(example1, (0, 0), (0, -1))
 
     def test_extra_strategy_entries_raise(self, example1):
-        with pytest.raises(ValueError, match=("player-I strategy has length 3, "
-                                              "need one action for each of 2")):
-            certify(example1, (0, 0, 5), (0, 1, 7))
+        for check in (certify, hoffman_karp):
+            with pytest.raises(ValueError, match=(
+                    "player-I strategy has length 3, need one action for "
+                    "each of 2")):
+                check(example1, (0, 0, 5), (0, 1, 7))
 
     def test_short_strategy_raises_in_pair_evaluation(self, example1):
-        with pytest.raises(ValueError, match=("player-I strategy has length 1, "
-                                              "need one action for each of 2")):
-            evaluate_pure_pair(example1, (0,), (0, 1))
+        for check in (evaluate_pure_pair, hoffman_karp):
+            with pytest.raises(ValueError, match=(
+                    "player-I strategy has length 1, need one action for "
+                    "each of 2")):
+                check(example1, (0,), (0, 1))
 
     def test_non_saddle_strategies_fail_with_deviation_listed(self, example1):
         strategy_i, _ = self._candidate(example1)
@@ -624,24 +643,6 @@ class TestCertifyNonFinite:
             f"not finite",)
 
 
-def _relabelled(game, rng):
-    """The game with its states and each block's actions permuted, and
-    the maps of states and of (state, player) actions, old to new."""
-    states = rng.permutation(game.d)
-    r1, r2, p1, p2, actions = [], [], [], [], {}
-    for s in states:
-        for player, r, p, r_out, p_out in (
-                ("I", game.r1[s], game.p1[s], r1, p1),
-                ("II", game.r2[s], game.p2[s], r2, p2)):
-            rows = rng.permutation(r.size)
-            actions[s, player] = np.argsort(rows)
-            r_out.append(r[rows])
-            p_out.append(p[rows][:, states])
-    return (AratGame(beta=game.beta, r1=tuple(r1), r2=tuple(r2),
-                     p1=tuple(p1), p2=tuple(p2)),
-            np.argsort(states), actions)
-
-
 def _near_tie(c):
     """Player I's second action gains 1e-4 c against the pair (1, 1)."""
     return _one_state(np.array([1.0, 1.0 + 1e-4]) * c, np.array([1.0]) * c,
@@ -657,7 +658,7 @@ class TestCertifyMetamorphic:
             game = random_arat_game(rng, d_max=5, actions_max=3)
             si, sii = _random_pair(rng, game)
             report = certify(game, si, sii)
-            new, state_map, action_map = _relabelled(game, rng)
+            new, state_map, action_map = relabelled(game, rng)
             new_si = [0] * game.d
             new_sii = [0] * game.d
             for s in range(game.d):

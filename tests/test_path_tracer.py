@@ -29,17 +29,18 @@ from arat_homotopy.path_tracer import (
 from arat_homotopy.vlcp_builder import (
     SquareLcp,
     build_vlcp,
-    find_interior_point,
     recover_vlcp_solution,
     to_equivalent_lcp,
 )
 
-from conftest import FIXTURES, block_sums, make_example1, random_arat_game
-
-
-def instance_for(game):
-    lcp = to_equivalent_lcp(build_vlcp(game))
-    return lcp, HomotopyInstance(lcp.M, lcp.q, find_interior_point(lcp)[1])
+from conftest import (
+    FIXTURES,
+    block_sums,
+    corrector_probe,
+    make_example1,
+    random_arat_game,
+    traced_problem,
+)
 
 
 def random_feasible_instance(rng, n):
@@ -61,7 +62,7 @@ class TestStepBudget:
     def test_budget_below_one_rejected(self, max_steps):
         # a budget that is not an integer (a bool included) is refused
         # too; a numpy integer of at least 1 is a budget
-        _, inst = instance_for(make_example1())
+        _, inst = traced_problem(make_example1())
         message = ("max_steps must be at least 1" if type(max_steps) is int
                    else "max_steps must be integers")
         with pytest.raises(ValueError, match=message):
@@ -97,7 +98,7 @@ class TestDetSign:
         assert det_sign_lu(lu, piv) == -1 == np.sign(np.linalg.det(a))
 
     def test_tangent_sign_matches_determinant(self):
-        _, inst = instance_for(make_example1())
+        _, inst = traced_problem(make_example1())
         rng = np.random.default_rng(31)
         odd_swaps = 0
         for _ in range(20):
@@ -122,7 +123,7 @@ class TestDetSign:
     def test_tangent_at_the_origin_raises_the_derivative_message(self):
         # at x = y1 = y2 = 0 and t = 1 on example 1, dH/du has an exact
         # zero pivot; the real tangent reports it through the shared guard
-        _, inst = instance_for(make_example1())
+        _, inst = traced_problem(make_example1())
         v = np.zeros(3 * inst.n + 1)
         v[-1] = 1.0
         with pytest.raises(SingularJacobian) as err:
@@ -133,10 +134,10 @@ class TestDetSign:
 
 class TestMinNorm:
     def test_interleaved_shapes_match_pseudoinverse(self):
-        # alternating shapes, square and wide, through one kernel
+        # alternating sizes through one kernel
         rng = np.random.default_rng(9)
-        shapes = [(1, 2), (4, 5), (24, 25), (3, 3), (10, 11), (24, 25),
-                  (1, 2), (4, 5), (10, 11), (3, 3)]
+        shapes = [(1, 2), (4, 5), (24, 25), (10, 11), (24, 25), (1, 2),
+                  (4, 5), (10, 11)]
         for rows, cols in shapes:
             j = rng.normal(size=(rows, cols))
             h = rng.normal(size=rows)
@@ -151,7 +152,7 @@ class TestMinNorm:
                                    [0.6, 0.8], rtol=1e-14)
 
     def test_tall_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("got 3 x 2")):
             minnorm_solve(np.ones((3, 2)), np.ones(3))
 
     def test_more_than_one_extra_column_rejected(self):
@@ -159,6 +160,16 @@ class TestMinNorm:
         for rows, cols in ((1, 3), (4, 7), (10, 31)):
             with pytest.raises(ValueError, match="one column more"):
                 minnorm_solve(np.ones((rows, cols)), np.ones(rows))
+
+    def test_square_system_rejected(self):
+        # the tracer's systems are 3n x (3n+1); a square one has no route
+        rng = np.random.default_rng(1)
+        for j in (np.eye(3), rng.normal(size=(5, 5))):
+            rows = j.shape[0]
+            with pytest.raises(ValueError, match=re.escape(
+                    f"minnorm_solve needs an r x (r + 1) matrix, one column "
+                    f"more than rows; got {rows} x {rows}")):
+                minnorm_solve(j, np.ones(rows))
 
     def test_wide_system_minimum_norm(self):
         rng = np.random.default_rng(0)
@@ -168,14 +179,6 @@ class TestMinNorm:
         np.testing.assert_allclose(j @ d, h, atol=1e-12)
         # minimum-norm solution equals the pseudoinverse applied to h
         np.testing.assert_allclose(d, np.linalg.pinv(j) @ h, atol=1e-10)
-
-    def test_square_system_reduces_to_solve(self):
-        rng = np.random.default_rng(1)
-        j = rng.normal(size=(5, 5))
-        h = rng.normal(size=5)
-        np.testing.assert_allclose(
-            minnorm_solve(j, h), np.linalg.solve(j, h), atol=1e-10
-        )
 
     def test_singular_rejected(self):
         j = np.zeros((3, 4))
@@ -207,21 +210,19 @@ class TestMinNorm:
 
     def test_nan_entry_rejected(self):
         # a NaN ends up either in U (the gated factor) or in the row
-        # pivoting leaves out of U; every position must raise, on the
-        # square solve (k = 0) and on the closed-form one (k = 1)
+        # pivoting leaves out of U; every position must raise
         rng = np.random.default_rng(14)
-        for rows, cols in ((4, 4), (4, 5)):
-            base = rng.normal(size=(rows, cols))
-            for row in range(rows):
-                for col in range(cols):
-                    j = base.copy()
-                    j[row, col] = np.nan
-                    with pytest.raises(SingularJacobian):
-                        minnorm_solve(j, np.ones(rows))
+        base = rng.normal(size=(4, 5))
+        for row in range(4):
+            for col in range(5):
+                j = base.copy()
+                j[row, col] = np.nan
+                with pytest.raises(SingularJacobian):
+                    minnorm_solve(j, np.ones(4))
 
     def test_matches_pseudoinverse_along_example1_path(self, example1):
         # the path passes a fold near t ~ 0.24 (test_fold_is_navigated)
-        _, inst = instance_for(example1)
+        _, inst = traced_problem(example1)
         for pt in trace(inst).path:
             j = jac_full(inst, pt.v)
             h = eval_H(inst, pt.v)
@@ -232,14 +233,14 @@ class TestMinNorm:
 
 class TestTangent:
     def test_unit_norm_and_negative_t_component_at_anchor(self):
-        _, inst = instance_for(make_example1())
+        _, inst = traced_problem(make_example1())
         tau, sign = tangent(inst, inst.v0)
         assert np.linalg.norm(tau) == pytest.approx(1.0, abs=1e-12)
         assert tau[-1] < 0.0
         assert sign == 1
 
     def test_bordered_determinant_negative_at_anchor(self):
-        _, inst = instance_for(make_example1())
+        _, inst = traced_problem(make_example1())
         tau, _ = tangent(inst, inst.v0)
         bordered = np.vstack([jac_full(inst, inst.v0), tau])
         sign, _ = np.linalg.slogdet(bordered)
@@ -263,7 +264,7 @@ class TestTangent:
     def test_sign_rule_flips_direction(self):
         # independent oracle: sign(det J_u) * normalize((J_u^-1 J_t, -1))
         # from np.linalg.solve and slogdet, at 20 fabricated points
-        _, inst = instance_for(make_example1())
+        _, inst = traced_problem(make_example1())
         rng = np.random.default_rng(4)
         signs = set()
         for _ in range(20):
@@ -280,37 +281,14 @@ class TestTangent:
 
 
 class TestCorrector:
-    @staticmethod
-    def probe_system():
-        def f(v):
-            x, y, z = v
-            return np.array([
-                x + y * y + x * z,
-                y + z * z + 0.5 * x * y,
-                z + x * x + y * z * z,
-            ])
-
-        def jac(v):
-            x, y, z = v
-            return np.array([
-                [1.0 + z, 2.0 * y, x],
-                [0.5 * y, 1.0 + 0.5 * x, 2.0 * z],
-                [2.0 * x, z * z, 1.0 + 2.0 * y * z],
-            ])
-
-        return f, jac
-
     def test_zero_residual_is_fixed_point(self):
-        _, inst = instance_for(make_example1())
+        _, inst = traced_problem(make_example1())
         out = corrector_core(lambda w: eval_H(inst, w),
                              lambda w: jac_full(inst, w), inst.v0, passes=3)
         np.testing.assert_allclose(out, inst.v0, rtol=0, atol=1e-14)
 
     def test_single_pass_order_at_least_four_and_a_half(self):
-        f, jac = self.probe_system()
-        rng = np.random.default_rng(123)
-        d = rng.normal(size=3)
-        d /= np.linalg.norm(d)
+        f, jac, d = corrector_probe()
         errs_in = [1e-1, 1e-2, 1e-3]
         errs_out = [
             float(np.linalg.norm(corrector_core(f, jac, e * d, passes=1)))
@@ -325,10 +303,7 @@ class TestCorrector:
     def test_two_passes_reach_deep_accuracy(self):
         # wherever one pass lands at error <= 1e-3, two passes land far
         # below 1e-12 (composite high order)
-        f, jac = self.probe_system()
-        rng = np.random.default_rng(123)
-        d = rng.normal(size=3)
-        d /= np.linalg.norm(d)
+        f, jac, d = corrector_probe()
         for e0 in (0.1, 0.2, 0.3):
             one = float(np.linalg.norm(corrector_core(f, jac, e0 * d, passes=1)))
             assert one <= 1e-3
@@ -338,7 +313,7 @@ class TestCorrector:
 
 class TestTrace:
     def test_example1_converges_to_certified_solution(self, example1):
-        lcp, inst = instance_for(example1)
+        lcp, inst = traced_problem(example1)
         result = trace(inst)
         assert result.status is TraceStatus.CONVERGED
         assert abs(result.path[-1].t) <= _EPS1
@@ -349,7 +324,7 @@ class TestTrace:
         np.testing.assert_allclose(x[:2] + x[2:], [14.0, 14.0], atol=1e-4)
 
     def test_example2_converges_to_certified_solution(self, example2):
-        lcp, inst = instance_for(example2)
+        lcp, inst = traced_problem(example2)
         result = trace(inst)
         assert result.status is TraceStatus.CONVERGED
         pair = extract_solution(result.path[-1].x, lcp)
@@ -360,7 +335,9 @@ class TestTrace:
         np.testing.assert_allclose(x[2:], [5.75, 8.5], atol=1e-4)
 
     def test_example2_from_the_papers_start(self, example2):
-        # a caller's own anchor goes through the stages, not solve
+        # a caller's own anchor goes through the stages, not solve: the
+        # paper's start belongs to the unshifted problem, built here on
+        # purpose
         lcp = to_equivalent_lcp(build_vlcp(example2))
         x0 = np.loadtxt(FIXTURES / "example2_x0.txt", delimiter=",")
         result = trace(HomotopyInstance(lcp.M, lcp.q, x0))
@@ -370,7 +347,7 @@ class TestTrace:
         assert certify(example2, *pair).passed
 
     def test_path_invariants(self, example1):
-        lcp, inst = instance_for(example1)
+        lcp, inst = traced_problem(example1)
         result = trace(inst)
         assert result.path[0].t == 1.0
         for pt in result.path:
@@ -381,7 +358,7 @@ class TestTrace:
             assert (inst.A @ pt.x + inst.q).min() > 0.0
 
     def test_endpoint_certificate(self, example1):
-        lcp, inst = instance_for(example1)
+        lcp, inst = traced_problem(example1)
         result = trace(inst)
         z = result.path[-1].x
         w = inst.A @ z + inst.q
@@ -391,7 +368,7 @@ class TestTrace:
         assert np.abs(z * w).max() <= 1e-6
 
     def test_determinism(self, example1):
-        lcp, inst = instance_for(example1)
+        lcp, inst = traced_problem(example1)
         r1 = trace(inst)
         r2 = trace(inst)
         assert r1.status == r2.status
@@ -410,7 +387,7 @@ class TestTrace:
         for name, steps, rejected in (("example1", 52, 30),
                                       ("example2", 47, 30)):
             game = cli.load_game(FIXTURES / f"{name}.json")
-            lcp, inst = instance_for(game)
+            lcp, inst = traced_problem(game)
             result = trace(inst)
             assert (result.status, len(result.path) - 1, result.rejected) == (
                 TraceStatus.CONVERGED, steps, rejected), name
@@ -418,7 +395,7 @@ class TestTrace:
                                                    lcp)).passed, name
 
     def test_max_steps_truncation(self, example1):
-        _, inst = instance_for(example1)
+        _, inst = traced_problem(example1)
         result = trace(inst, max_steps=1)
         assert result.status is TraceStatus.MAX_STEPS
         # the endpoint is the point after the one step allowed
@@ -428,7 +405,7 @@ class TestTrace:
     def test_fold_is_navigated(self, example1):
         # the example-1 path turns around near t ~ 0.24; the trace must
         # pass through with the orientation rule (t rises then falls)
-        _, inst = instance_for(example1)
+        _, inst = traced_problem(example1)
         result = trace(inst)
         ts = [pt.t for pt in result.path]
         rises = any(b > a for a, b in zip(ts, ts[1:]))
@@ -483,7 +460,7 @@ class TestStepLadder:
     def test_each_ladder_starts_one_rung_above_the_last_accepted(
             self, monkeypatch, example1):
         # every third step refuses its four longest trials
-        _, inst = instance_for(example1)
+        _, inst = traced_problem(example1)
         tried = stub_ladder(monkeypatch,
                             lambda step, k: step % 3 == 0 and k < 4)
         result = trace(inst, max_steps=12)
@@ -500,7 +477,7 @@ class TestStepLadder:
             self, monkeypatch, example1):
         # step 0 is accepted at rung 5; step 1 refuses every trial, so its
         # ladder runs from rung 4 down to the eps3 rung, then rungs 0-3
-        _, inst = instance_for(example1)
+        _, inst = traced_problem(example1)
         tried = stub_ladder(monkeypatch,
                             lambda step, k: k < 5 if step == 0 else True)
         result = trace(inst)
@@ -514,7 +491,7 @@ class TestStepLadder:
     def test_the_retry_from_a_equals_one_can_accept(self, monkeypatch,
                                                     example1):
         # as above, but step 1 takes rung 1 once the retry reaches it
-        _, inst = instance_for(example1)
+        _, inst = traced_problem(example1)
         tried = stub_ladder(
             monkeypatch, lambda step, k: k < 5 if step == 0 else
             (step == 1 and k != 1))
@@ -531,7 +508,7 @@ class TestStepLadder:
         # Every one of the 30 refused rungs crosses, so each corrector
         # call is an accepted step.
         game = deep_ladder_game()
-        lcp, inst = instance_for(game)
+        lcp, inst = traced_problem(game)
         calls = spy_corrector(monkeypatch)
         result = trace(inst)
         assert result.status is TraceStatus.CONVERGED
@@ -569,7 +546,7 @@ class TestCrossingRungs:
     @pytest.mark.parametrize("make_game", [make_example1, deep_ladder_game],
                              ids=["example1", "deep_ladder"])
     def test_no_corrector_input_crosses(self, monkeypatch, make_game):
-        _, inst = instance_for(make_game())
+        _, inst = traced_problem(make_game())
         calls = spy_corrector(monkeypatch)
         result = trace(inst)
         assert result.status is TraceStatus.CONVERGED
@@ -582,7 +559,7 @@ class TestCrossingRungs:
     def test_crossing_rungs_are_skipped(self, monkeypatch, example1, k):
         # the first tangent is stretched to tau_t = -1.5 * 2**k at t = 1,
         # so rung j predicts t = 1 - 1.5 * 2**(k - j): rungs 0..k cross
-        _, inst = instance_for(example1)
+        _, inst = traced_problem(example1)
         real_tangent, taus = path_tracer.tangent, []
 
         def tangent(inst, v):
@@ -609,7 +586,7 @@ class TestCrossingRungs:
         # rung did when each was corrected.  Whatever the failure, the
         # floor rung ends the walk: no next-rung path of _trial is open
         # at a <= _A0, which is what ends the ladder's first range
-        _, inst = instance_for(example1)
+        _, inst = traced_problem(example1)
         v0 = inst.v0.copy()
         v0[-1] = -1e-4
         object.__setattr__(inst, "v0", v0)
@@ -660,7 +637,7 @@ class TestCrossingRungs:
 class TestTraceEndings:
     def test_singular_tangent_ends_the_walk(self, monkeypatch, example1):
         # the third tangent (after two accepted steps) cannot be factored
-        _, inst = instance_for(example1)
+        _, inst = traced_problem(example1)
         real_tangent, calls = path_tracer.tangent, []
 
         def tangent(inst, v):
@@ -681,7 +658,7 @@ class TestTraceEndings:
                                                            example1):
         # every trial raises: the first ladder runs from a = 1 down to the
         # first rung at or below _A0, and only that one ends the walk
-        _, inst = instance_for(example1)
+        _, inst = traced_problem(example1)
 
         def corrector(inst, v):
             raise SingularJacobian("correction system has reciprocal "
@@ -698,7 +675,7 @@ class TestTraceEndings:
 
     def test_coordinate_beyond_the_bound_ends_the_walk(self, monkeypatch,
                                                        example1):
-        _, inst = instance_for(example1)
+        _, inst = traced_problem(example1)
         bound = 0.5 * float(np.abs(inst.v0[:-1]).max())
         monkeypatch.setattr(path_tracer, "_BOUND_B", bound)
         result = trace(inst)
@@ -711,7 +688,7 @@ class TestTraceEndings:
         # every trial that lands below t = 5e-4 is refused, so the walk
         # creeps up to that level; its last ladder fails within _EPS2 of
         # t = 0 and goes on below _EPS3 down to the progress floor
-        _, inst = instance_for(example1)
+        _, inst = traced_problem(example1)
         level = 5e-4
         real_tangent, currents = path_tracer.tangent, []
         real_corrector, lengths = path_tracer.corrector, []
@@ -740,7 +717,7 @@ class TestTraceEndings:
         # the first step's three longest trials return a point next to
         # the current one (dt = 0) that both gates would accept; the
         # ladder shrinks past them and accepts the fourth
-        _, inst = instance_for(example1)
+        _, inst = traced_problem(example1)
         real_corrector, calls = path_tracer.corrector, []
 
         def corrector(inst, v):
@@ -762,7 +739,7 @@ class TestExtractSolution:
     def test_every_point_of_an_unconverged_trace_gives_its_pair(
             self, example1):
         # no status is checked: each point's pair is its slack's readout
-        lcp, inst = instance_for(example1)
+        lcp, inst = traced_problem(example1)
         result = trace(inst, max_steps=3)
         assert result.status is TraceStatus.MAX_STEPS
         for point in result.path:
@@ -783,7 +760,7 @@ class TestExtractSolution:
             assert extract_solution(np.zeros(n), lcp) == ((0, 0), (0, 0))
 
     def test_small_negatives_clamped(self, example1):
-        lcp, inst = instance_for(example1)
+        lcp, inst = traced_problem(example1)
         z = np.array([6.5, -5e-9, 5.5, 0.0, 7.5, 0.0, -1e-10, 8.5])
         # no clamping: tiny negatives pass through to w = M z + q, and
         # the pair read off it is example 1's optimal one
@@ -803,7 +780,7 @@ def small_mix_games() -> list:
 def trace_to_pair(game):
     """The endpoint of the game's trace (budget 1000) and the pair read
     off it, each block's smallest-index argmin slack row."""
-    lcp, inst = instance_for(game)
+    lcp, inst = traced_problem(game)
     result = trace(inst, 1000)
     assert result.status is TraceStatus.CONVERGED
     return result.path[-1], extract_solution(result.path[-1].x, lcp)
@@ -863,8 +840,8 @@ class TestSpuriousEndpoints:
             11: ("endpoint", ((0, 0, 1, 0), (0, 0, 0, 1))),
         }
         for k, game in enumerate(small_mix_games()):
-            lcp = to_equivalent_lcp(build_vlcp(game))
-            anchor = extract_solution(find_interior_point(lcp)[1], lcp)
+            lcp, inst = traced_problem(game)
+            anchor = extract_solution(inst.x0, lcp)
             answer = cli.solve(game, 1000)
             pair = (answer.certificate.strategy_i,
                     answer.certificate.strategy_ii)

@@ -84,6 +84,11 @@ class TestBuildVlcp:
             VlcpInstance(A=np.ones((3, 2)), q=np.ones(3), block_sizes=(1, 1))
         with pytest.raises(ValueError, match="one entry per row"):
             VlcpInstance(A=np.ones((2, 2)), q=np.ones(3), block_sizes=(1, 1))
+        with pytest.raises(ValueError, match="one block size per column"):
+            VlcpInstance(A=np.ones((3, 2)), q=np.ones(3),
+                         block_sizes=(1, 1, 1))
+        with pytest.raises(ValueError, match="M must be square and match q"):
+            SquareLcp(M=np.ones((2, 3)), q=np.ones(2), block_sizes=(1, 1))
         inst = VlcpInstance(A=np.ones((3, 2)), q=np.ones(3), block_sizes=(2, 1))
         assert not inst.A.flags.writeable
         assert not inst.q.flags.writeable
