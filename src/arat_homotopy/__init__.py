@@ -3,23 +3,19 @@
 Pipeline: game -> vertical complementarity problem -> equivalent square
 LCP and its strictly feasible start, r2 shifted if it must be (one call)
 -> interior homotopy traced by a high-order predictor-corrector -> a
-pure stationary pair read off a path point's slack, certified by
-Shapley's one-shot deviation inequalities at the pair's own value (one
-d x d solve) with a slack of 1e-9 (1 + max |v|), which smaller gains
-pass.  That certificate is the only gate of ``solve``, and each distinct
-pair is judged once per call: the start's own pair (path point 0) is
-judged first, and if it passes nothing is traced; else one loop reads
-the pair of each path point (``extract_solution``) from the endpoint
-back, and the first that passes is the answer; if none does,
-Hoffman–Karp strategy iteration (``strategy_iteration``) starts from the
-endpoint's pair.  The ``Answer`` names the stage: ``endpoint``, ``path``
-or ``strategy_iteration``.  ``vlcp_builder`` owns the game's block
-layout both ways (the problems, the start, the readout);
-``homotopy_core`` holds only the map and its derivatives.
-``solve(game)`` runs it in one call and returns an ``Answer``.  Value
-iteration and LCP enumeration remain as independent oracles.
+pure stationary pair, certified by Shapley's one-shot deviation
+inequalities at the pair's own value (one d x d solve) with a slack of
+1e-9 (1 + max |v|), which smaller gains pass.  ``solve(game)`` runs it
+in one call and returns an ``Answer``; its stage (``endpoint``, ``path``
+or ``strategy_iteration``) names where the pair came from, and
+:func:`solve` gives the order in which the stages run.
+``vlcp_builder`` owns the game's block layout both ways (the problems,
+the start, the readout); ``homotopy_core`` holds only the map and its
+derivatives.  Value iteration and LCP enumeration remain as independent
+oracles.  ``python -m arat_homotopy`` runs the command line.
 """
 
+from .cli import Answer, solve
 from .errors import (
     AratHomotopyError,
     InvalidGame,
@@ -96,11 +92,3 @@ __all__ = [
     "SizeGuardExceeded",
 ]
 
-
-def __getattr__(name: str):
-    # cli is loaded on first use: loaded with the package, it would make
-    # ``python -m arat_homotopy.cli`` warn that it is already imported
-    if name in ("solve", "Answer"):
-        from . import cli
-        return getattr(cli, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,10 +1,8 @@
 """Command line interface: file ingestion, dispatch, machine outputs.
 
-Verbs: ``validate`` (invariant report), ``solve`` (full homotopy pipeline;
-the answer is the start's own pair if it passes :func:`certify`, and
-then nothing is traced, else the first pair read off the path's points,
-from the endpoint back, that passes, else the pair of Hoffman–Karp
-strategy iteration; each distinct pair is certified once), ``oracle``
+Verbs: ``validate`` (invariant report), ``solve`` (full homotopy
+pipeline, a certified pair from the start, the path or Hoffman–Karp
+strategy iteration, in the order :func:`solve` gives), ``oracle``
 (value iteration, plus exhaustive enumeration of the square LCP; the
 vertical and square problems are built only when their dimension
 n = sum m1 + sum m2 is at most ``--guard``), ``build`` (print the
@@ -63,7 +61,7 @@ from .vlcp_builder import (
     to_equivalent_lcp,
 )
 
-log = logging.getLogger("arat_homotopy.cli")  # under ``python -m`` too
+log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -187,10 +185,11 @@ class Answer:
     """What :func:`solve` found: the trace (``None`` if the anchor's
     pair answered, so that no path was traced), the certificate of the
     pair it answers with (pair, exact value and verdict, on the game as
-    given), and the stage that found that pair: ``endpoint``, ``path``
-    or ``strategy_iteration``.  ``rounds`` counts Hoffman–Karp rounds,
-    0 unless the stage is ``strategy_iteration``.  ``value_shift`` is
-    c2 / (1 - beta), c2 the start's r2 shift (0 if none)."""
+    given), and the stage that found that pair (``endpoint``, ``path``
+    or ``strategy_iteration``; :func:`solve` says when each answers).
+    ``rounds`` counts Hoffman–Karp rounds, 0 unless the stage is
+    ``strategy_iteration``.  ``value_shift`` is c2 / (1 - beta), c2 the
+    start's r2 shift (0 if none)."""
 
     result: TraceResult | None
     certificate: CertificateReport
@@ -466,7 +465,3 @@ def main(argv: list[str] | None = None) -> int:
                 os.dup2(devnull, fd)
                 os.close(devnull)
             return EXIT_PARSE
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -82,9 +82,10 @@ def value_iteration(game: AratGame, tol: float = 1e-10,
     The default ``max_iter`` is the larger of 100,000 and the
     contraction bound on the sweeps from v = 0 to the sup-norm step
     tol (1 - beta) / (2 beta), 1 + ln(tol (1 - beta) / (2 beta) / R)
-    / ln beta, R = max |r1| + max |r2|.  Raises ValueError if a player
-    has no action in some state, OverflowError once a sweep leaves the
-    float range, and MaxIterExceeded after ``max_iter`` sweeps.
+    / ln beta, R = max |r1| + max |r2|.  The game must be valid
+    (``validate``).  Raises ValueError if a player has no action in some
+    state, OverflowError once a sweep leaves the float range, and
+    MaxIterExceeded after ``max_iter`` sweeps.
     """
     if not (tol > 0):  # a NaN tol fails as well
         raise ValueError("tol must be positive")
@@ -169,9 +170,10 @@ def evaluate_pure_pair(game: AratGame, strategy_i: Sequence[int],
 
     Solves (I - beta P) v = r where row s of P is the composed transition
     p1[s][i] + p2[s][j] under the pair's actions (i, j) in state s, and r
-    the composed reward r1[s][i] + r2[s][j].  Raises ValueError unless
-    each strategy holds one valid 0-based action per state, an integer
-    (numpy's included, a bool not).
+    the composed reward r1[s][i] + r2[s][j].  The game must be valid
+    (``validate``).  Raises ValueError unless each strategy holds one
+    valid 0-based action per state, an integer (numpy's included, a bool
+    not).
     """
     d = game.d
     pair = game.start + _pure_actions(game, strategy_i, strategy_ii)
@@ -322,7 +324,8 @@ def one_shot_payoffs(game: AratGame, strategy_i: Sequence[int],
     each player's rows composed with the other player's row in the pair,
     so they come in the order of ``game.r``.  The slack is
     1e-9 (1 + max |v|) over the finite entries of v.  :func:`certify`
-    and ``strategy_iteration`` judge gains by these alone.
+    and ``strategy_iteration`` judge gains by these alone.  The game
+    must be valid (``validate``).
     """
     v = evaluate_pure_pair(game, strategy_i, strategy_ii)
     d, r, p, start, block = game.d, game.r, game.p, game.start, game.block
@@ -346,8 +349,8 @@ def certify(game: AratGame, strategy_i: Sequence[int],
     smaller gains pass.  A v(s) that is not finite fails both players
     (its state is not compared further), a payoff that is not finite its
     own player.  Violations come by state, player I before II, then by
-    action.  Raises ValueError unless each strategy holds one valid
-    0-based action per state.
+    action.  The game must be valid (``validate``).  Raises ValueError
+    unless each strategy holds one valid 0-based action per state.
     """
     v, payoff, slack = one_shot_payoffs(game, strategy_i, strategy_ii)
     si, sii = tuple(map(int, strategy_i)), tuple(map(int, strategy_ii))

@@ -70,7 +70,7 @@ and it is loaded by itself, so ``solve`` does not run the
 brings most trial corrections below a residual of 1e-10; a second pass
 doubles the cost of every trial.  The whole walk works on flat vectors
 v = (x, y1, y2, t); each accepted vector is copied into a read-only
-PathPoint, whose x, y1, y2 and t are views of that copy.
+PathPoint, whose x and t are views of that copy.
 
 The positivity gate guards x, the slack A x + q, and y2 - exactly the
 coordinates whose strict positivity is invariant along any solution
@@ -153,16 +153,15 @@ def _lapack():
 
 
 def det_sign_lu(lu: np.ndarray, piv: np.ndarray) -> int:
-    """Sign of det(a) from its LU factorization ``(lu, piv)`` (dgetrf).
+    """Sign of det(a) from its LU factorization ``(lu, piv)`` (dgetrf),
+    which must have no zero pivot: ``_lu_with_guard`` refuses every
+    factorization that has one, whose rcond is 0.
 
     Uses only the permutation parity and the signs of the U diagonal;
     the determinant value itself is never formed.
     """
-    diag = np.diag(lu)
-    if np.any(diag == 0.0):
-        return 0
     swaps = int(np.count_nonzero(piv != np.arange(piv.size)))
-    negative = int(np.count_nonzero(diag < 0.0))
+    negative = int(np.count_nonzero(np.diag(lu) < 0.0))
     return -1 if (swaps + negative) % 2 else 1
 
 
@@ -290,8 +289,8 @@ class TraceStatus(Enum):
 class PathPoint:
     """An accepted location v = (x, y1, y2, t), a read-only copy of the
     input, with its residual ||H(v)||, the predictor step that reached
-    it and the sign of det(dH/du) at the point it was reached from; x,
-    y1, y2 and t are views of v."""
+    it and the sign of det(dH/du) at the point it was reached from; x
+    and t are views of v."""
 
     v: np.ndarray
     residual: float
@@ -302,20 +301,8 @@ class PathPoint:
         object.__setattr__(self, "v", _freeze(self.v))
 
     @property
-    def _n(self) -> int:
-        return (self.v.size - 1) // 3
-
-    @property
     def x(self) -> np.ndarray:
-        return self.v[:self._n]
-
-    @property
-    def y1(self) -> np.ndarray:
-        return self.v[self._n:2 * self._n]
-
-    @property
-    def y2(self) -> np.ndarray:
-        return self.v[2 * self._n:-1]
+        return self.v[:(self.v.size - 1) // 3]
 
     @property
     def t(self) -> float:

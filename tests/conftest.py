@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,7 @@ from arat_homotopy.oracle import (
     enumerate_lcp,
     evaluate_pure_pair,
 )
+from arat_homotopy.path_tracer import PathPoint
 from arat_homotopy.vlcp_builder import (
     SquareLcp,
     build_vlcp,
@@ -21,6 +25,22 @@ from arat_homotopy.vlcp_builder import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with ``args`` (``-m arat_homotopy ...``,
+    ``-c script ...``) and the package's source on its path, its stdout
+    and stderr captured as text."""
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+
+
+def y_blocks(point: PathPoint) -> tuple[np.ndarray, np.ndarray]:
+    """The y1 and y2 blocks of a path point, slices of ``point.v``."""
+    n = point.x.size
+    return point.v[n:2 * n], point.v[2 * n:-1]
 
 
 def make_example1() -> AratGame:

