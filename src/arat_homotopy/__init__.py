@@ -6,9 +6,10 @@ LCP and its strictly feasible start, r2 shifted if it must be (one call)
 pure stationary pair, certified by Shapley's one-shot deviation
 inequalities at the pair's own value (one d x d solve) with a slack of
 1e-9 (1 + max |v|), which smaller gains pass.  ``solve(game)`` runs it
-in one call and returns an ``Answer``; its stage (``endpoint``, ``path``
-or ``strategy_iteration``) names where the pair came from, and
-:func:`solve` gives the order in which the stages run.
+in one call and returns an ``Answer``: it certifies the pair of the
+start, then that of the path's last point, then Hoffman–Karp strategy
+iteration's from there, and the answer's stage (``path``, ``endpoint``
+or ``strategy_iteration``) names where its pair came from.
 ``vlcp_builder`` owns the game's block layout both ways (the problems,
 the start, the readout); ``homotopy_core`` holds only the map and its
 derivatives.  Value iteration and LCP enumeration remain as independent

@@ -1,12 +1,12 @@
 """Command line interface: file ingestion, dispatch, machine outputs.
 
 Verbs: ``validate`` (invariant report), ``solve`` (full homotopy
-pipeline, a certified pair from the start, the path or Hoffman–Karp
-strategy iteration, in the order :func:`solve` gives), ``oracle``
-(value iteration, plus exhaustive enumeration of the square LCP; the
-vertical and square problems are built only when their dimension
-n = sum m1 + sum m2 is at most ``--guard``), ``build`` (print the
-constructed matrices as JSON).  :func:`solve` is the same pipeline as a
+pipeline, a certified pair from the start, the path's last point or
+Hoffman–Karp strategy iteration, in the order :func:`solve` gives),
+``oracle`` (value iteration, plus exhaustive enumeration of the square
+LCP; the vertical and square problems are built only when their
+dimension n = sum m1 + sum m2 is at most ``--guard``), ``build`` (print
+the constructed matrices as JSON).  :func:`solve` is the same pipeline as a
 library call.
 
 Game files are UTF-8 JSON; actions and states are 1-based in files and
@@ -185,8 +185,10 @@ class Answer:
     """What :func:`solve` found: the trace (``None`` if the anchor's
     pair answered, so that no path was traced), the certificate of the
     pair it answers with (pair, exact value and verdict, on the game as
-    given), and the stage that found that pair (``endpoint``, ``path``
-    or ``strategy_iteration``; :func:`solve` says when each answers).
+    given), and the stage that found that pair: ``path`` for the
+    start's pair or that of a last point the trace did not converge at,
+    ``endpoint`` for that of a converged trace's last point, and
+    ``strategy_iteration`` for Hoffman–Karp's (:func:`solve`).
     ``rounds`` counts Hoffman–Karp rounds, 0 unless the stage is
     ``strategy_iteration``.  ``value_shift`` is c2 / (1 - beta), c2 the
     start's r2 shift (0 if none)."""
@@ -213,18 +215,16 @@ def solve(game: AratGame, max_steps: int = MAX_STEPS) -> Answer:
 
     Every pair is certified through one memo that lives for this call,
     so no pair is judged twice and the answer's certificate is the
-    memo's report.  The pair of the start x0, path point 0, is read
-    (:func:`extract_solution`) and judged first; if it passes, it is
-    the answer at stage ``path`` and nothing is traced (``result`` is
-    ``None``).  Otherwise the path is traced, and one loop reads the
-    pair of each accepted point, from ``path[-1]`` back to ``path[1]``,
-    and judges it; the certificate is the only gate.  The first pair
-    that passes is the answer, at stage ``endpoint`` if it is
-    ``path[-1]``'s on a converged trace and at stage ``path`` otherwise.
-    If none passes, Hoffman–Karp (:func:`hoffman_karp`) starts from
-    ``path[-1]``'s pair as already read (the start's if the trace took
-    no step), and its pair is the answer, at stage ``strategy_iteration``,
-    passed or not.  No point's pair is read twice.
+    memo's report.  Only the two ends of the path are read
+    (:func:`extract_solution`).  The pair of the start x0, path point 0,
+    is judged first; if it passes, it is the answer at stage ``path``
+    and nothing is traced (``result`` is ``None``).  Otherwise the path
+    is traced and the pair of its last point, ``path[-1]``, is judged;
+    if it passes, it is the answer, at stage ``endpoint`` on a converged
+    trace and at stage ``path`` otherwise.  If it fails too,
+    Hoffman–Karp (:func:`hoffman_karp`) starts from that pair (the
+    start's if the trace took no step), and its pair is the answer, at
+    stage ``strategy_iteration``, passed or not.
 
     A ``max_steps`` below 1 or not an integer raises ValueError first.  An
     invalid game raises InvalidGame; a lift lost to rounding against
@@ -237,28 +237,25 @@ def solve(game: AratGame, max_steps: int = MAX_STEPS) -> Answer:
     if c2:
         log.info("r2 shifted by %s (value offset %s)", c2, value_shift)
     judge = functools.cache(lambda pair: certify(game, *pair))
-    end_pair = extract_solution(start, lcp)  # path[-1]'s if no step is taken
-    report = judge(end_pair)
+    pair = extract_solution(start, lcp)
+    report = judge(pair)
     if report.passed:
         log.info("answered by the pair of path point 0")
         return Answer(None, report, "path", value_shift=value_shift)
     result = trace(HomotopyInstance(lcp.M, lcp.q, start), max_steps)
-    log.info("trace finished: %s after %d accepted steps and %d rejected "
-             "trials", result.status.value, len(result.path) - 1,
-             result.rejected)
     final = len(result.path) - 1
-    for step in range(final, 0, -1):  # path[0]'s pair was judged above
-        pair = extract_solution(result.path[step].x, lcp)
-        if step == final:
-            end_pair = pair
+    log.info("trace finished: %s after %d accepted steps and %d rejected "
+             "trials", result.status.value, final, result.rejected)
+    if final:  # a trace that took no step ends at the start's pair
+        pair = extract_solution(result.path[-1].x, lcp)
         report = judge(pair)
-        if not report.passed:
-            continue
-        if step == final and result.status is TraceStatus.CONVERGED:
-            return Answer(result, report, "endpoint", value_shift=value_shift)
-        log.info("answered by the pair of path point %d", step)
-        return Answer(result, report, "path", value_shift=value_shift)
-    *pair, rounds = hoffman_karp(game, *end_pair)
+        if report.passed:
+            if result.status is TraceStatus.CONVERGED:
+                return Answer(result, report, "endpoint",
+                              value_shift=value_shift)
+            log.info("answered by the pair of path point %d", final)
+            return Answer(result, report, "path", value_shift=value_shift)
+    *pair, rounds = hoffman_karp(game, *pair)
     log.info("strategy iteration ended after %d rounds", rounds)
     return Answer(result, judge(tuple(pair)), "strategy_iteration", rounds,
                   value_shift)

@@ -144,9 +144,10 @@ def value_iteration(game: AratGame, tol: float = 1e-10,
     raise MaxIterExceeded(f"no fixed point within {max_iter} sweeps")
 
 
-def _pure_actions(game: AratGame, strategy_i: Sequence[int],
-                  strategy_ii: Sequence[int]) -> np.ndarray:
-    """The pair's actions, I's then II's, as a new int64 array, if valid."""
+def _pure_rows(game: AratGame, strategy_i: Sequence[int],
+               strategy_ii: Sequence[int]) -> np.ndarray:
+    """The pair's stacked rows, ``game.start`` plus its actions, I's then
+    II's, as a new int64 array, if the pair is valid."""
     d = game.d
     for player, strategy, counts in (("I", strategy_i, game.m1),
                                      ("II", strategy_ii, game.m2)):
@@ -160,26 +161,22 @@ def _pure_actions(game: AratGame, strategy_i: Sequence[int],
                     or not 0 <= a < m):
                 raise ValueError(f"state {s + 1}: player-{player} action "
                                  f"index {a!r} is not in 0..{m - 1}")
-    return np.array([*strategy_i, *strategy_ii], dtype=np.int64)
+    return game.start + np.array([*strategy_i, *strategy_ii], dtype=np.int64)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow reads inf
 def evaluate_pure_pair(game: AratGame, strategy_i: Sequence[int],
                        strategy_ii: Sequence[int]) -> np.ndarray:
     """Exact discounted value of a fixed pure stationary pair.
 
     Solves (I - beta P) v = r where row s of P is the composed transition
     p1[s][i] + p2[s][j] under the pair's actions (i, j) in state s, and r
-    the composed reward r1[s][i] + r2[s][j].  The game must be valid
-    (``validate``).  Raises ValueError unless each strategy holds one
-    valid 0-based action per state, an integer (numpy's included, a bool
-    not).
+    the composed reward r1[s][i] + r2[s][j] (:func:`one_shot_payoffs`).
+    The game must be valid (``validate``).  Raises ValueError unless each
+    strategy holds one valid 0-based action per state, an integer
+    (numpy's included, a bool not).
     """
-    d = game.d
-    pair = game.start + _pure_actions(game, strategy_i, strategy_ii)
-    i, j = pair[:d], pair[d:]
-    return np.linalg.solve(np.eye(d) - game.beta * (game.p[i] + game.p[j]),
-                           game.r[i] + game.r[j])
+    return one_shot_payoffs(game, _pure_rows(game, strategy_i,
+                                             strategy_ii))[0]
 
 
 def check_enumeration_size(n: int, guard: int = ENUMERATION_GUARD) -> None:
@@ -314,23 +311,25 @@ class CertificateReport:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow reads inf
-def one_shot_payoffs(game: AratGame, strategy_i: Sequence[int],
-                     strategy_ii: Sequence[int]
+def one_shot_payoffs(game: AratGame, pair: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray, float]:
-    """A pure pair's value v (:func:`evaluate_pure_pair`), every action's
-    one-shot payoff at v, and the slack a deviation must beat to gain.
+    """A pure pair's value v, every action's one-shot payoff at v, and
+    the slack a deviation must beat to gain.
 
-    The payoffs are one product over the stacked game, r + beta P v of
-    each player's rows composed with the other player's row in the pair,
-    so they come in the order of ``game.r``.  The slack is
-    1e-9 (1 + max |v|) over the finite entries of v.  :func:`certify`
-    and ``strategy_iteration`` judge gains by these alone.  The game
-    must be valid (``validate``).
+    ``pair`` holds the pair's stacked rows, ``game.start`` plus its
+    0-based actions, I's then II's, already checked (as :func:`certify`
+    checks them).  v solves (I - beta P) v = r over the pair's composed
+    rows, the value :func:`evaluate_pure_pair` returns.  The payoffs are one product over
+    the stacked game, r + beta P v of each player's rows composed with
+    the other player's row in the pair, so they come in the order of
+    ``game.r``.  The slack is 1e-9 (1 + max |v|) over the finite entries
+    of v.  :func:`certify` and ``strategy_iteration`` judge gains by
+    these alone.  The game must be valid (``validate``).
     """
-    v = evaluate_pure_pair(game, strategy_i, strategy_ii)
-    d, r, p, start, block = game.d, game.r, game.p, game.start, game.block
-    # each row's opponent row in the pair
-    other = (start + [*strategy_i, *strategy_ii])[(block + d) % (2 * d)]
+    d, r, p, block = game.d, game.r, game.p, game.block
+    i, j = pair[:d], pair[d:]
+    v = np.linalg.solve(np.eye(d) - game.beta * (p[i] + p[j]), r[i] + r[j])
+    other = pair[(block + d) % (2 * d)]  # each row's opponent row in the pair
     payoff = r + r[other] + game.beta * (p + p[other]) @ v
     scale = float(np.abs(v[np.isfinite(v)]).max(initial=0))
     return v, payoff, _DEVIATION_SLACK * (1.0 + scale)
@@ -352,7 +351,8 @@ def certify(game: AratGame, strategy_i: Sequence[int],
     action.  The game must be valid (``validate``).  Raises ValueError
     unless each strategy holds one valid 0-based action per state.
     """
-    v, payoff, slack = one_shot_payoffs(game, strategy_i, strategy_ii)
+    v, payoff, slack = one_shot_payoffs(
+        game, _pure_rows(game, strategy_i, strategy_ii))
     si, sii = tuple(map(int, strategy_i)), tuple(map(int, strategy_ii))
     d, start, block = game.d, game.start, game.block
     state, second = block % d, block >= d

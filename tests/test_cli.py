@@ -24,7 +24,7 @@ from arat_homotopy import cli, path_tracer, vlcp_builder
 from arat_homotopy.errors import InvalidGame, MaxIterExceeded
 from arat_homotopy.game_model import AratGame, validate
 from arat_homotopy.homotopy_core import HomotopyInstance
-from arat_homotopy.oracle import certify, evaluate_pure_pair, value_iteration
+from arat_homotopy.oracle import certify, value_iteration
 from arat_homotopy.path_tracer import PathPoint
 from arat_homotopy.vlcp_builder import (
     SquareLcp,
@@ -447,7 +447,7 @@ class TestSolveCommand:
         np.testing.assert_allclose(doc["value"], value_iteration(game).v,
                                    atol=1e-6)
 
-    def test_no_progress_is_answered_by_the_last_certifying_path_pair(
+    def test_no_progress_is_answered_by_its_last_points_pair(
             self, monkeypatch, tmp_path, capsys):
         # a small_mix pool game (d = 8) whose trace stalls at t ~ 0.007
         path = MIX30
@@ -468,31 +468,23 @@ class TestSolveCommand:
                 doc["rejected_trials"], doc["value_shift"],
                 doc["strategy_iteration_rounds"]) == (
             "NoProgress", "path", 65, 21, 0.0, 0)
-        # the pairs of the path in order, one per run of equal pairs
+        # solve certified the start's pair, which fails, then that of the
+        # last point, which answers
         lcp, _ = traced_problem(game)
-        runs = []
-        for point in result.path:
-            pair = recover_vlcp_solution(lcp, lcp.M @ point.x + lcp.q)
-            if not runs or runs[-1] != pair:
-                runs.append(pair)
-        passing = [k for k, pair in enumerate(runs)
-                   if certify(game, *pair).passed]
-        # the answer is the last passing pair, and solve certified the
-        # anchor's pair (the first run), then only the runs from the end
-        # back to the answer
+        start_pair, last_pair = (
+            recover_vlcp_solution(lcp, lcp.M @ point.x + lcp.q)
+            for point in (result.path[0], result.path[-1]))
         answer = (tuple(a - 1 for a in doc["strategy_player_i"]),
                   tuple(a - 1 for a in doc["strategy_player_ii"]))
-        assert answer == runs[passing[-1]]
-        assert judged == [runs[0]] + runs[::-1][:len(runs) - passing[-1]]
+        assert answer == last_pair
+        assert judged == [start_pair, last_pair]
         np.testing.assert_allclose(doc["value"], value_iteration(game).v,
                                    atol=1e-6)
 
     def test_each_pair_is_certified_once(self, monkeypatch, capsys,
                                          tmp_path):
-        # fixture 28: the start's pair fails, the back-walk reads pairs
-        # that recur (one of them the start's) and all fail, and
-        # Hoffman-Karp's pair answers in 2 rounds; each distinct pair is
-        # judged once
+        # fixture 28: the start's pair and the endpoint's fail, and
+        # Hoffman-Karp's pair answers in 2 rounds; each is judged once
         judged = []
         monkeypatch.setattr(cli, "certify", recording_certify(judged))
         json_out = tmp_path / "result.json"
@@ -505,21 +497,20 @@ class TestSolveCommand:
             "strategy_iteration", 2)
         lcp, inst = traced_problem(cli.load_game(MIX28))
         start_pair = recover_vlcp_solution(lcp, lcp.M @ inst.x0 + lcp.q)
-        assert len(judged) == len(set(judged)) == 4
+        assert len(judged) == len(set(judged)) == 3
         assert judged[0] == start_pair
         assert judged[-1] == (
             tuple(a - 1 for a in doc["strategy_player_i"]),
             tuple(a - 1 for a in doc["strategy_player_ii"]))
 
-    @pytest.mark.parametrize("fixture, reads, points", [
-        (MIX28, 140, 140), (MIX30, 2, 66),
+    @pytest.mark.parametrize("fixture, points", [
+        (MIX28, 140), (MIX30, 66),
     ], ids=["small_mix_28", "small_mix_30"])
-    def test_each_path_point_is_read_once(self, fixture, reads, points,
-                                          monkeypatch):
-        # game 28 reads the start's pair, then each later point's from
-        # the endpoint back, and Hoffman-Karp starts from the endpoint's
-        # pair as read; game 30 reads the start's pair and that of its
-        # point 65, which answers
+    def test_solve_reads_at_most_two_path_points(self, fixture, points,
+                                                 monkeypatch):
+        # the start's pair fails on both games, so solve reads it and then
+        # the last point's: game 30's answers, and Hoffman-Karp starts
+        # from game 28's as read
         read = []
 
         def counted(x, lcp):
@@ -529,7 +520,8 @@ class TestSolveCommand:
         monkeypatch.setattr(cli, "extract_solution", counted)
         answer = cli.solve(cli.load_game(fixture))
         assert len(answer.result.path) == points
-        assert len(read) == reads
+        assert len(read) == 2
+        np.testing.assert_array_equal(read[-1], answer.result.path[-1].x)
 
     def test_mass_to_larger_player_ii_state_solves(self, tmp_path, capsys):
         # state 1's player-I row sends all its mass to state 2, which has
@@ -855,14 +847,15 @@ class TestValidateOnce:
         from arat_homotopy import oracle
 
         calls = []
+        one_shot_payoffs = oracle.one_shot_payoffs
 
-        def counted(game, strategy_i, strategy_ii):
-            calls.append((strategy_i, strategy_ii))
-            return evaluate_pure_pair(game, strategy_i, strategy_ii)
+        def counted(game, pair):
+            actions = (pair - game.start).tolist()
+            calls.append((tuple(actions[:game.d]), tuple(actions[game.d:])))
+            return one_shot_payoffs(game, pair)
 
-        # both places the solve path could look the name up
-        monkeypatch.setattr(oracle, "evaluate_pure_pair", counted)
-        monkeypatch.setattr(cli, "evaluate_pure_pair", counted, raising=False)
+        # certify evaluates a pair through one_shot_payoffs
+        monkeypatch.setattr(oracle, "one_shot_payoffs", counted)
         answer = cli.solve(cli.load_game(fixture))
         assert answer.passed
         cert = answer.certificate
@@ -871,45 +864,46 @@ class TestValidateOnce:
 
 class TestSolveProperty:
     @given(seed=st.integers(0, 2**32 - 1))
-    @example(seed=28)  # converges to a pair that is not optimal
-    @example(seed=100)  # its path reads the same pair more than once
+    @example(seed=28)  # the start's pair answers, so nothing is traced
+    # the endpoint's pair fails and Hoffman-Karp answers; after one step
+    # the last point's pair is the start's
+    @example(seed=100)
     @settings(max_examples=40, deadline=None)
     def test_exit_0_means_an_optimal_pair(self, seed):
-        # An exit-0 answer is checked here against value iteration, not
-        # against the solver's own certificate.  Any other exit carries
-        # no value, or a value whose certificate failed.  Whatever the
-        # exit, no pair is certified twice.
+        # Every solve exits 0, at the default step budget and at a budget
+        # of one step, where Hoffman-Karp answers most traced games.  The
+        # answer is checked here against value iteration, not against the
+        # solver's own certificate, and no pair is certified twice.
         game = random_arat_game(np.random.default_rng(seed), d_max=3,
                                 actions_max=2)
-        judged = []
-        with tempfile.TemporaryDirectory() as tmp, \
-                mock.patch.object(cli, "certify", recording_certify(judged)):
-            path = write_game(Path(tmp), game_to_doc(game))
-            json_out = Path(tmp) / "r.json"
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main(["solve", path, "--json-out", str(json_out)])
-            doc = (json.loads(json_out.read_text())
-                   if json_out.is_file() else None)
-        assert len(judged) == len(set(judged))
-        if code != 0:
-            assert doc is None or doc["value"] is None or not all(
-                doc["certificate"][k] for k in
-                ("ineq_player_i", "ineq_player_ii"))
-            return
         v = value_iteration(game).v
         slack = 1e-8 * (1.0 + np.abs(v).max())
-        si = [a - 1 for a in doc["strategy_player_i"]]
-        sii = [a - 1 for a in doc["strategy_player_ii"]]
-        for s in range(game.d):
-            for i in range(game.m1[s]):
-                gain = composed_reward(game, s, i, sii[s]) + game.beta * (
-                    composed_transition(game, s, i, sii[s]) @ v)
-                assert gain <= v[s] + slack
-            for j in range(game.m2[s]):
-                loss = composed_reward(game, s, si[s], j) + game.beta * (
-                    composed_transition(game, s, si[s], j) @ v)
-                assert loss >= v[s] - slack
-        np.testing.assert_allclose(doc["value"], v, rtol=0, atol=1e-4)
+        for max_steps in (path_tracer.MAX_STEPS, 1):
+            judged = []
+            with tempfile.TemporaryDirectory() as tmp, \
+                    mock.patch.object(cli, "certify",
+                                      recording_certify(judged)):
+                path = write_game(Path(tmp), game_to_doc(game))
+                json_out = Path(tmp) / "r.json"
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.main(["solve", path, "--max-steps",
+                                     str(max_steps), "--json-out",
+                                     str(json_out)])
+                doc = json.loads(json_out.read_text())
+            assert code == 0, max_steps
+            assert len(judged) == len(set(judged))
+            si = [a - 1 for a in doc["strategy_player_i"]]
+            sii = [a - 1 for a in doc["strategy_player_ii"]]
+            for s in range(game.d):
+                for i in range(game.m1[s]):
+                    gain = composed_reward(game, s, i, sii[s]) + game.beta * (
+                        composed_transition(game, s, i, sii[s]) @ v)
+                    assert gain <= v[s] + slack
+                for j in range(game.m2[s]):
+                    loss = composed_reward(game, s, si[s], j) + game.beta * (
+                        composed_transition(game, s, si[s], j) @ v)
+                    assert loss >= v[s] - slack
+            np.testing.assert_allclose(doc["value"], v, rtol=0, atol=1e-4)
 
 
 class TestSolveMetamorphic:

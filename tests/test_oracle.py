@@ -568,6 +568,11 @@ def _one_state(r1, r2, p1, p2, beta=0.5):
     return AratGame(beta=beta, r1=(r1,), r2=(r2,), p1=(p1,), p2=(p2,))
 
 
+def stacked_rows(game, strategy_i, strategy_ii):
+    """A valid pair's stacked rows, the form ``one_shot_payoffs`` takes."""
+    return game.start + [*strategy_i, *strategy_ii]
+
+
 class TestOneShotPayoffs:
     def test_payoffs_match_the_per_state_reference(self):
         # game.r order: player I's rows state by state, then player II's
@@ -576,7 +581,8 @@ class TestOneShotPayoffs:
             game = random_arat_game(rng, d_max=4, actions_max=3)
             si = tuple(int(rng.integers(m)) for m in game.m1)
             sii = tuple(int(rng.integers(m)) for m in game.m2)
-            v, payoff, slack = one_shot_payoffs(game, si, sii)
+            v, payoff, slack = one_shot_payoffs(
+                game, stacked_rows(game, si, sii))
             assert np.array_equal(v, evaluate_pure_pair(game, si, sii))
             per_state = per_state_payoffs(game, si, sii, v)
             reference = np.concatenate([rows for rows, _ in per_state]
@@ -593,7 +599,7 @@ class TestOneShotPayoffs:
     ], ids=["reward-sum-overflows", "value-overflows"])
     def test_slack_of_an_infinite_value_is_the_bare_tolerance(self, game):
         # max |v| runs over the finite entries of v, here none
-        v, _, slack = one_shot_payoffs(game, (0,), (0,))
+        v, _, slack = one_shot_payoffs(game, stacked_rows(game, (0,), (0,)))
         assert v.tolist() == [math.inf]
         assert slack == 1e-9
 

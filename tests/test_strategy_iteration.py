@@ -8,14 +8,16 @@ import json
 import numpy as np
 import pytest
 
-from arat_homotopy import cli, strategy_iteration
+from arat_homotopy import cli, oracle, strategy_iteration
 from arat_homotopy.oracle import certify, value_iteration
+from arat_homotopy.path_tracer import extract_solution
 from arat_homotopy.strategy_iteration import hoffman_karp
 
-from conftest import FIXTURES, make_example1, make_example2, random_arat_game
+from conftest import (FIXTURES, make_example1, make_example2,
+                      random_arat_game, traced_problem)
 
-#: A small_mix pool game (d = 8) whose endpoint and path pairs all fail;
-#: Hoffman–Karp answers it in 2 rounds.
+#: A small_mix pool game (d = 8) whose start and endpoint pairs fail;
+#: Hoffman–Karp from the endpoint's pair answers it in 2 rounds.
 POOL_28 = FIXTURES / "small_mix_28.json"
 
 
@@ -52,6 +54,26 @@ class TestHoffmanKarp:
         game = make_example1()
         assert not certify(game, (0, 0), (0, 0)).passed
         assert hoffman_karp(game, (0, 0), (0, 0)) == ((0, 0), (0, 1), 1)
+
+    def test_checks_its_start_pair_once(self, monkeypatch):
+        # the pair is checked on the way in; every later round moves its
+        # stacked rows, which need no check
+        game = cli.load_game(POOL_28)
+        lcp, _ = traced_problem(game)
+        end_pair = extract_solution(cli.solve(game).result.path[-1].x, lcp)
+        checked = []
+        pure_rows = oracle._pure_rows
+
+        def counted(game, strategy_i, strategy_ii):
+            checked.append((strategy_i, strategy_ii))
+            return pure_rows(game, strategy_i, strategy_ii)
+
+        monkeypatch.setattr(oracle, "_pure_rows", counted)
+        monkeypatch.setattr(strategy_iteration, "_pure_rows", counted)
+        *pair, rounds = hoffman_karp(game, *end_pair)
+        assert rounds == 2
+        assert checked == [end_pair]
+        assert certify(game, *pair).passed
 
 
 class TestStrategyIterationStage:
